@@ -33,18 +33,15 @@ def main() -> None:
         writer.writerow(["n_pulses", "tau_s", "t_total_s", "expectation", "is_revival_all"])
         for row, n in enumerate((4, 8, 16, 32)):
             taus = np.linspace(20e-6, 90e-3 / (2 * n), 220)
-            vals = []
-            for tau in taus:
-                seq = PulseSequence.cpmg(n, float(tau))
-                val = expectation_unsynchronized(model, seq, args.n_t0)
+            seq = PulseSequence.cpmg(n, taus)
+            vals = expectation_unsynchronized(model, seq, args.n_t0)
+            for tau, t_total, val in zip(taus, seq.total_time, vals):
                 tau_us = round(tau * 1e6)
                 quantized = abs(tau * 1e6 - tau_us) < 1e-9
-                revival = quantized and all(is_revival(seq.total_time, tau, f)
-                                            for f in freqs)
-                writer.writerow([n, repr(float(tau)), repr(seq.total_time),
-                                 repr(val), int(revival)])
-                vals.append(val)
-            plot.add_line(2 * n * taus, np.asarray(vals) + 1.5 * row, f"N={n}")
+                revival = quantized and all(is_revival(t_total, tau, f) for f in freqs)
+                writer.writerow([n, repr(float(tau)), repr(float(t_total)),
+                                 repr(float(val)), int(revival)])
+            plot.add_line(seq.total_time, vals + 1.5 * row, f"N={n}")
     plot.write(out / "cpmg_revivals.svg")
     print(out / "cpmg_revivals.csv")
 

@@ -32,8 +32,7 @@ def main() -> None:
     rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(args.seed)))
 
     taus_u = np.arange(0.05e-3, 2.0e-3, 0.05e-3)
-    unsync = np.array([expectation_unsynchronized(model, PulseSequence.hahn(float(t)), 400)
-                       for t in taus_u])
+    unsync = expectation_unsynchronized(model, PulseSequence.hahn(taus_u), 400)
     fit_u = fit_stretched_exp(DecayCurve(2 * taus_u, unsync))
 
     taus_c = np.arange(0.25e-3, 7.75e-3, 0.25e-3)

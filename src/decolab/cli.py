@@ -212,19 +212,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             vals = ramsey_envelope(model, (args.a_min, args.a_max), times,
                                    n_t0=args.n_t0, n_a=args.n_a)
         else:
-            vals = np.array([expectation_unsynchronized(model, PulseSequence.ramsey(float(t)),
-                                                        args.n_t0) for t in times])
+            vals = expectation_unsynchronized(model, PulseSequence.ramsey(times), args.n_t0)
         for t, v in zip(times, vals):
             rows.append(["ramsey", 0, t, t, v])
     else:
         n_pulses = 1 if args.sequence == "hahn" else args.n
         taus = parse_range(args.tau_range, "time", args.points)
         taus = taus[taus > 0.0]
-        for tau in taus:
-            seq = (PulseSequence.hahn(float(tau)) if args.sequence == "hahn"
-                   else PulseSequence.cpmg(n_pulses, float(tau)))
-            val = expectation_unsynchronized(model, seq, args.n_t0)
-            rows.append([args.sequence, n_pulses, tau, seq.total_time, val])
+        seq = (PulseSequence.hahn(taus) if args.sequence == "hahn"
+               else PulseSequence.cpmg(n_pulses, taus))
+        vals = expectation_unsynchronized(model, seq, args.n_t0)
+        for tau, t_total, val in zip(taus, seq.total_time, vals):
+            rows.append([args.sequence, n_pulses, tau, t_total, val])
 
     path = out.csv("sweep.csv",
                    ["sequence_kind", "n_pulses", "tau_s", "t_total_s", "expectation"],
@@ -470,11 +469,13 @@ def cmd_diffusion(args: argparse.Namespace) -> int:
         sink = diff.IonizationSink(strength_s=args.sink_s,
                                    forward_rescale=args.forward_rescale)
         solver = diff.SinkSolver(model, sink)
-        taus = taus[taus >= solver.min_valid_time]
-        for t in taus:
+        try:
+            ionizing = solver.counts_factorized(line, taus, args.detuning)(args.sink_s)
+        except diff.ValidityError as exc:
+            raise ConfigError(f"--tau-range: {exc}") from None
+        for t, counts in zip(taus, ionizing):
             backward = diff.counts_no_ionization(model, line, float(t), args.detuning)
-            ionizing = solver.counts(line, float(t), args.detuning)
-            rows.append([t, sink.forward_rescale * ionizing, backward, 0.0])
+            rows.append([t, sink.forward_rescale * counts, backward, 0.0])
     else:
         for t in taus:
             backward = diff.counts_no_ionization(model, line, float(t), args.detuning)
@@ -503,9 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", default=".", help="output directory")
     common.add_argument("--config", default=None, help="field-model config file")
-    common.add_argument("--threads", type=int, default=1,
-                        help="accepted for interface compatibility; execution is "
-                             "single-threaded and output order is canonical")
     common.add_argument("--print-config", action="store_true")
 
     sub = parser.add_subparsers(dest="command", required=True)

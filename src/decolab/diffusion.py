@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fitting import DecayCurve, FitResult, FitError, least_squares
+from .fitting import DataError, DecayCurve, FitResult, FitError, least_squares
 
 __all__ = [
     "OuDiffusionModel",
@@ -46,15 +46,9 @@ __all__ = [
     "faddeeva_w",
     "voigt_density",
     "counts_no_ionization",
-    "lanczos_lgamma",
-    "stable_hermite_gaussian",
     "hermite_phi_table",
-    "eigen_weight",
-    "laplace_p0",
-    "laplace_p_with_sink",
     "invert_laplace",
     "SinkSolver",
-    "counts_with_ionization",
     "PowerDataset",
     "joint_fit_backward",
     "fit_ionization_rate",
@@ -138,7 +132,7 @@ class SolverSettings:
     inversion_nodes defaults to 24: in double precision the fixed-Talbot
     error decreases with node count only up to ~24 nodes, beyond which the
     e^{2M/5} contour amplification of roundoff dominates and accuracy
-    degrades.  compensated_summation switches the contour sum to fsum.
+    degrades.
     """
 
     n_eigen: int = 2000
@@ -146,7 +140,6 @@ class SolverSettings:
     min_valid_time_factor: float = 10.0
     grid_halfwidth_sigmas: float = 6.5
     grid_points: int = 801
-    compensated_summation: bool = False
 
     def __post_init__(self) -> None:
         if self.n_eigen < 1:
@@ -255,75 +248,10 @@ def counts_no_ionization(model: OuDiffusionModel, line: HomogeneousLine, tau_d: 
 
 
 # ---------------------------------------------------------------------------
-# stable Hermite functions
+# Hermite functions
 # ---------------------------------------------------------------------------
 
-# Lanczos g=7, n=9 coefficients for the log-Gamma function
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def lanczos_lgamma(x: float) -> float:
-    """log Gamma(x) for x > 0 by the Lanczos approximation."""
-    if x <= 0.0:
-        raise ValueError("x must be > 0")
-    if x < 0.5:
-        # reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        return math.log(math.pi / math.sin(math.pi * x)) - lanczos_lgamma(1.0 - x)
-    x -= 1.0
-    acc = _LANCZOS_COEF[0]
-    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
-        acc += c / (x + i)
-    t = x + _LANCZOS_G + 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (x + 0.5) * math.log(t) - t + math.log(acc)
-
-
 _PI_QUARTER = math.pi ** 0.25
-
-
-def _hermite_phi_recurrence(n: int, x: np.ndarray) -> np.ndarray:
-    h_prev = np.exp(-0.5 * x * x) / _PI_QUARTER
-    if n == 0:
-        return h_prev
-    h = math.sqrt(2.0) * x * h_prev
-    for k in range(1, n):
-        h, h_prev = x * math.sqrt(2.0 / (k + 1)) * h - math.sqrt(k / (k + 1.0)) * h_prev, h
-    return h
-
-
-def _hermite_phi_asymptotic(n: int, x: np.ndarray) -> np.ndarray:
-    # e^{-x^2/2} H_n(x) ~ (2^n/sqrt(pi)) Gamma((n+1)/2) cos(x sqrt(2n) - n pi/2)
-    log_amp = (0.5 * n * math.log(2.0) + lanczos_lgamma(0.5 * (n + 1))
-               - 0.5 * lanczos_lgamma(n + 1.0) - 0.75 * math.log(math.pi))
-    return math.exp(log_amp) * np.cos(x * math.sqrt(2.0 * n) - 0.5 * n * math.pi)
-
-
-def stable_hermite_gaussian(n: int, x, crossover: int = 50):
-    """Normalized Hermite function e^{-x^2/2} H_n(x) / sqrt(2^n n! sqrt(pi)).
-
-    Exact three-term recurrence up to ``crossover``, the asymptotic cosine
-    form (log-space amplitude via the Lanczos log-Gamma) above it.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    if n <= crossover:
-        out = _hermite_phi_recurrence(n, x)
-    else:
-        out = _hermite_phi_asymptotic(n, x)
-    return float(out[0]) if scalar else out
 
 
 def hermite_phi_table(n_max: int, x: np.ndarray) -> np.ndarray:
@@ -348,26 +276,6 @@ def _x_units(model: OuDiffusionModel) -> float:
     return math.sqrt(model.theta / (2.0 * model.d_coeff))
 
 
-def eigen_weight(model: OuDiffusionModel, n: int, f, crossover: int = 50):
-    """Expansion weight w_n(f) = psi_0(f) psi_n(f) psi_n(0) / psi_0(0) in MHz^-1.
-
-    The source sits at f = 0 in model coordinates; odd orders vanish there.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n % 2 == 1:
-        out = np.zeros(np.shape(f)) if np.ndim(f) else 0.0
-        return out
-    scale = _x_units(model)
-    x = np.asarray(f, dtype=float) * scale
-    phi0 = stable_hermite_gaussian(0, x, crossover)
-    phin = stable_hermite_gaussian(n, x, crossover)
-    phin0 = stable_hermite_gaussian(n, 0.0, crossover)
-    phi00 = 1.0 / _PI_QUARTER
-    out = scale * phi0 * phin * phin0 / phi00
-    return float(out) if np.ndim(out) == 0 else out
-
-
 def _weight_table(model: OuDiffusionModel, f: np.ndarray, n_eigen: int,
                   source: float = 0.0) -> np.ndarray:
     """w_n(f) for n < n_eigen with the source at ``source``; shape (n_eigen, len(f))."""
@@ -381,70 +289,60 @@ def _weight_table(model: OuDiffusionModel, f: np.ndarray, n_eigen: int,
     return scale * phi0_x * table * (table0[:, None] / phi0_src)
 
 
-def laplace_p0(model: OuDiffusionModel, f, s, settings: SolverSettings = SolverSettings(),
-               f_start: float = 0.0):
-    """Laplace transform of the sinkless solution, sum_n w_n(f)/(n theta + s)."""
-    s = np.asarray(s, dtype=complex)
-    w = _weight_table(model, f, settings.n_eigen, source=f_start)
-    n = np.arange(settings.n_eigen)
-    resolvent = 1.0 / (n[:, None] * model.theta + s.ravel()[None, :])
-    out = np.tensordot(w, resolvent, axes=(0, 0))  # (len(f), len(s))
-    if np.ndim(f) == 0 and s.ndim == 0:
-        return complex(out[0, 0])
-    if np.ndim(f) == 0:
-        return out[0].reshape(s.shape)
-    if s.ndim == 0:
-        return out[:, 0]
-    return out
-
-
-def laplace_p_with_sink(model: OuDiffusionModel, sink: IonizationSink, f, s,
-                        settings: SolverSettings = SolverSettings()):
-    """Laplace-domain solution with the delta sink at f_ion (start at f_ion):
-    P~(f, s) = P~0(f, s) (1 - S P~0(0, s) / (1 + S P~0(0, s)))."""
-    p0_f = laplace_p0(model, f, s, settings, f_start=sink.f_ion)
-    p0_sink = laplace_p0(model, sink.f_ion, s, settings, f_start=sink.f_ion)
-    return p0_f * (1.0 - sink.strength_s * p0_sink / (1.0 + sink.strength_s * p0_sink))
-
-
 # ---------------------------------------------------------------------------
 # fixed-Talbot inversion
 # ---------------------------------------------------------------------------
 
-def _talbot_nodes(t: float, m: int):
-    r = 2.0 * m / (5.0 * t)
+def _checked_times(t, min_valid_time: float | None) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
+    if not np.all(t > 0.0):
+        raise ValueError("t must be > 0")
+    if min_valid_time is not None and np.any(t < min_valid_time):
+        below = int(np.count_nonzero(t < min_valid_time))
+        raise ValidityError(
+            f"{below} of {t.size} times lie below the validity bound {min_valid_time!r} s "
+            "(truncated expansion requires t >> 1/(theta * n_eigen))")
+    return t
+
+
+def _talbot_nodes(t: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed-Talbot nodes s, shape t.shape + (m,), and their weights gamma, shape (m,).
+
+    The contour is s_k = r theta_k (cot theta_k + i) with r = 2 m / (5 t), so
+    t s_k and hence the weights gamma_k do not depend on t.
+    """
     theta = np.arange(1, m) * math.pi / m
     cot = 1.0 / np.tan(theta)
-    s = np.empty(m, dtype=complex)
-    s[0] = r
-    s[1:] = r * theta * (cot + 1j)
-    gamma = np.empty(m, dtype=complex)
-    gamma[0] = 0.5 * math.exp(r * t)
-    gamma[1:] = np.exp(t * s[1:]) * (1.0 + 1j * theta * (1.0 + cot * cot) - 1j * cot)
-    return s, gamma, r
+    ts = 0.4 * m * np.concatenate(([1.0], theta * (cot + 1j)))
+    gamma = np.exp(ts) * np.concatenate(([0.5], 1.0 + 1j * theta * (1.0 + cot * cot) - 1j * cot))
+    return np.multiply.outer(1.0 / t, ts), gamma
 
 
-def invert_laplace(transform: Callable, t: float,
-                   settings: SolverSettings = SolverSettings(),
-                   min_valid_time: float | None = None) -> float:
-    """Invert a Laplace transform at time t with the fixed-Talbot contour.
+def invert_laplace(transform: Callable, t, settings: SolverSettings = SolverSettings(),
+                   min_valid_time: float | None = None):
+    """Invert a Laplace transform at time(s) t with the fixed-Talbot contour:
+    f(t) = 2/(5t) Re sum_k gamma_k F(s_k).
 
-    ``transform`` must accept a complex numpy array of s values.  When
+    ``transform`` receives the complex nodes, shape t.shape + (m,), and
+    returns F at them with optional leading axes (..., *t.shape, m); the
+    result has shape (..., *t.shape), a float when that is empty.  When
     ``min_valid_time`` is given, times below it raise ValidityError (the
     truncated eigen-expansion is only valid for t >> 1/(theta N_eigen)).
     """
-    if not t > 0.0:
-        raise ValueError("t must be > 0")
-    if min_valid_time is not None and t < min_valid_time:
-        raise ValidityError(
-            f"t = {t} s is below the validity bound {min_valid_time} s "
-            "(truncated expansion requires t >> 1/(theta * n_eigen))")
-    m = settings.inversion_nodes
-    s, gamma, r = _talbot_nodes(t, m)
+    t = _checked_times(t, min_valid_time)
+    s, gamma = _talbot_nodes(t, settings.inversion_nodes)
     vals = np.asarray(transform(s), dtype=complex)
-    terms = np.real(gamma * vals)
-    total = math.fsum(terms) if settings.compensated_summation else float(np.sum(terms))
-    return 2.0 / (5.0 * t) * total
+    out = 2.0 / (5.0 * t) * np.real(vals @ gamma)
+    return float(out) if out.ndim == 0 else out
+
+
+def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
+    """w with w @ y = np.trapezoid(y, x)."""
+    half = 0.5 * np.diff(x)
+    w = np.zeros_like(x)
+    w[:-1] += half
+    w[1:] += half
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -479,26 +377,37 @@ class SinkSolver:
     def min_valid_time(self) -> float:
         return self.settings.min_valid_time_factor / (self.model.theta * self.settings.n_eigen)
 
-    def _check_time(self, tau_d: float) -> None:
-        if tau_d < self.min_valid_time:
-            raise ValidityError(
-                f"tau_d = {tau_d} s is below the validity bound {self.min_valid_time} s "
-                "(truncated expansion requires tau_d >> 1/(theta * n_eigen))")
+    def _p0(self, coef: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """Sinkless transform P~0(f, s) = sum_n w_n(f) / (n theta + s) at nodes s,
+        projected on coef (..., n_eigen): shape coef.shape[:-1] + s.shape."""
+        res = np.add.outer(self._n_theta, s)
+        np.reciprocal(res, out=res)
+        return np.tensordot(coef, res, axes=(-1, 0))
 
-    def _resolvent(self, s: np.ndarray) -> np.ndarray:
-        return 1.0 / (self._n_theta[:, None] + s[None, :])
+    def _inverse(self, coef: np.ndarray, taus) -> Callable[[float], np.ndarray]:
+        """S -> inverse transform of the sink solution projected on coef, at taus.
+
+        With the sink at f_ion, P~(f, s) = P~0(f, s) / (1 + S P~0(f_ion, s)).
+        S enters only through that per-node factor, so the sinkless sums are
+        evaluated once, at the contour nodes of taus.
+        """
+        taus = _checked_times(taus, self.min_valid_time)
+        s, _ = _talbot_nodes(taus, self.settings.inversion_nodes)
+        p0 = self._p0(coef, s)
+        p0_sink = self._p0(self._w_sink, s)
+
+        def invert(strength: float) -> np.ndarray:
+            # the transform ignores its argument: p0 and p0_sink are already
+            # evaluated at the contour nodes of taus
+            return invert_laplace(lambda _: p0 / (1.0 + strength * p0_sink), taus,
+                                  self.settings)
+
+        return invert
 
     def pdf(self, tau_d: float, strength_s: float | None = None) -> np.ndarray:
         """P(f, tau_d) on the grid, by Talbot inversion of the sink solution."""
-        self._check_time(tau_d)
         strength = self.sink.strength_s if strength_s is None else strength_s
-        s, gamma, _ = _talbot_nodes(tau_d, self.settings.inversion_nodes)
-        res = self._resolvent(s)
-        p0_f = self._w_f.T @ res  # (nf, m)
-        p0_sink = self._w_sink @ res  # (m,)
-        factor = 1.0 / (1.0 + strength * p0_sink)
-        vals = p0_f * factor[None, :]
-        return 2.0 / (5.0 * tau_d) * np.real(vals @ gamma)
+        return self._inverse(self._w_f.T, tau_d)(strength)
 
     def survival(self, tau_d: float, strength_s: float | None = None) -> float:
         """Integral of P over the grid (1 when S = 0, up to inversion error)."""
@@ -507,48 +416,19 @@ class SinkSolver:
     def counts(self, line: HomogeneousLine, tau_d: float, probe_detuning: float = 0.0,
                strength_s: float | None = None) -> float:
         """Counts from convolving the sink solution with the homogeneous line."""
-        pdf = self.pdf(tau_d, strength_s)
-        return float(np.trapezoid(pdf * line.counts(probe_detuning - self.grid), self.grid))
+        strength = self.sink.strength_s if strength_s is None else strength_s
+        return float(self.counts_factorized(line, tau_d, probe_detuning)(strength))
 
-    def counts_factorized(self, line: HomogeneousLine, taus: Sequence[float],
+    def counts_factorized(self, line: HomogeneousLine, taus,
                           probe_detuning: float = 0.0) -> Callable[[float], np.ndarray]:
-        """Precompute per-time tables so counts(S) costs O(nodes) per call.
+        """S -> counts at taus (an array, or one time) for repeated evaluation.
 
-        The sink strength enters only through the per-node scalar factor
-        1/(1 + S P~0(sink, s_k)), so the Lorentzian-weighted integrals of
-        P~0 can be frozen once per (model, taus, grid).
+        The counts integrate the density against the homogeneous line on the
+        grid, a fixed projection of the eigen-weights, so the sinkless sums
+        are evaluated once per contour node and each call costs O(taus x nodes).
         """
-        taus = [float(t) for t in taus]
-        for t in taus:
-            self._check_time(t)
-        lor = line.counts(probe_detuning - self.grid)
-        tables = []
-        for t in taus:
-            s, gamma, _ = _talbot_nodes(t, self.settings.inversion_nodes)
-            res = self._resolvent(s)
-            q = (lor[:, None] * (self._w_f.T @ res))  # (nf, m)
-            q_int = np.trapezoid(q, self.grid, axis=0)  # (m,)
-            p0_sink = self._w_sink @ res
-            tables.append((t, gamma, q_int, p0_sink))
-
-        def counts_of_s(strength: float) -> np.ndarray:
-            out = np.empty(len(tables))
-            for i, (t, gamma, q_int, p0_sink) in enumerate(tables):
-                vals = q_int / (1.0 + strength * p0_sink)
-                out[i] = 2.0 / (5.0 * t) * np.sum(np.real(gamma * vals))
-            return out
-
-        return counts_of_s
-
-
-def counts_with_ionization(model: OuDiffusionModel, sink: IonizationSink,
-                           line: HomogeneousLine, tau_d: float,
-                           probe_detuning: float = 0.0,
-                           settings: SolverSettings = SolverSettings()) -> float:
-    """Counts under diffusion plus delta-sink ionization (backward-time sense;
-    apply sink.forward_rescale for the forward-time correlation)."""
-    solver = SinkSolver(model, sink, settings)
-    return solver.counts(line, tau_d, probe_detuning)
+        weights = _trapezoid_weights(self.grid) * line.counts(probe_detuning - self.grid)
+        return self._inverse(self._w_f @ weights, taus)
 
 
 # ---------------------------------------------------------------------------
@@ -657,31 +537,43 @@ def read_diffusion_csv(path: str | Path) -> tuple[DecayCurve, DecayCurve]:
     taus, fwd, bwd, err = [], [], [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         while header and header[0].lstrip().startswith("#"):
-            header = next(reader)
+            header = next(reader, [])
         if [h.strip() for h in header] != ["tau_d_s", "counts_forward", "counts_backward", "stderr"]:
-            raise ValueError(f"unexpected diffusion CSV header: {header}")
+            raise DataError(f"unexpected diffusion CSV header: {header}", line=reader.line_num)
         for row in reader:
             if not row or row[0].lstrip().startswith("#"):
                 continue
-            taus.append(float(row[0]))
-            fwd.append(float(row[1]))
-            bwd.append(float(row[2]))
-            err.append(float(row[3]))
+            try:
+                tau, forward, backward, stderr = (float(v) for v in row)
+            except ValueError:
+                raise DataError(f"expected four numbers, got {row!r}",
+                                line=reader.line_num) from None
+            taus.append(tau)
+            fwd.append(forward)
+            bwd.append(backward)
+            err.append(stderr)
     taus_a, err_a = np.array(taus), np.array(err)
-    return (DecayCurve(taus_a, np.array(fwd), err_a),
-            DecayCurve(taus_a, np.array(bwd), err_a))
+    try:
+        return (DecayCurve(taus_a, np.array(fwd), err_a),
+                DecayCurve(taus_a, np.array(bwd), err_a))
+    except ValueError as exc:
+        raise DataError(str(exc)) from None
 
 
 def read_manifest(path: str | Path) -> list[tuple[float, Path]]:
     """Manifest lines: '<power_nW> <csv-file>' relative to the manifest."""
     base = Path(path).parent
     out = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        power, name = line.split(None, 1)
-        out.append((float(power), base / name.strip()))
+        try:
+            power, name = line.split(None, 1)
+            out.append((float(power), base / name.strip()))
+        except ValueError:
+            raise DataError(f"expected '<power_nW> <csv-file>', got {line!r}",
+                            line=lineno) from None
     return out

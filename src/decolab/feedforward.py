@@ -19,7 +19,7 @@ import numpy as np
 
 from .constants import CONSTANTS, PhysicalConstants
 from .noise import AcFieldModel, AmplitudeScaleProcess, sample_amplitude_trajectory
-from .sequences import phase_echo
+from .sequences import PulseSequence, phase_of
 
 __all__ = [
     "ShotConfig",
@@ -119,9 +119,7 @@ def estimate_phase(model: AcFieldModel, tau: float, cfg: ShotConfig,
     estimate is the true phase modulo 2 pi).  x_raw = y_raw = 0 is flagged
     as an undefined-phase outcome.
     """
-    if not tau > 0.0:
-        raise ValueError("tau must be > 0")
-    phi_true = phase_echo(model, tau, t0, constants)
+    phi_true = phase_of(model, PulseSequence.hahn(tau), t0, constants)
     x_raw = sample_observable(math.cos(phi_true), cfg, rng)
     y_raw = sample_observable(math.sin(phi_true), cfg, rng)
     if x_raw == 0.0 and y_raw == 0.0:
@@ -148,9 +146,9 @@ def run_feedforward(model: AcFieldModel, taus, cfg: ShotConfig,
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     n = cfg.n_shots
+    phis = phase_of(model, PulseSequence.hahn(taus), t0, constants)
     outcomes: list[FeedforwardOutcome] = []
-    for tau in taus:
-        phi_unit = phase_echo(model, float(tau), t0, constants)
+    for tau, phi_unit in zip(taus, phis):
         shot_times = np.arange(3 * n * n_repetitions) * cfg.shot_period
         if drift is None:
             a_traj = np.ones(shot_times.size)

@@ -2,23 +2,29 @@
 sequences under the harmonic-comb interference model.
 
 A CPMG-N sequence is pi/2 - tau - [pi - 2 tau]*(N-1) - pi - tau - pi/2 with
-total time T = 2 N tau and instantaneous pi pulses.  Its response to one
-field component B cos(w (t - t0) + phi) is the sign-toggled integral
+total time T = 2 N tau and instantaneous pi pulses; Hahn is N = 1 and Ramsey
+is N = 0 with free evolution T = tau.  With y(t) = +-1 flipping at each pi
+pulse, the sequence's filter function is
 
-    Phi = gamma_nv * integral_0^T y(t) B cos(w (t - t0) + phi) dt,
+    F(w) = int_0^T y(t) e^{-i w t} dt,
 
-with y(t) = +-1 flipping at each pi pulse.  Evaluating the integral gives a
-closed form whose trigonometric structure depends on the parity of N:
+whose closed form depends on N (alpha = w tau):
 
-    N even:  Phi = (2 gamma B / w) (1 - sec(w tau)) sin(N w tau)
-                   * cos(w (N tau - t0) + phi)
-    N odd:   Phi = (2 gamma B / w) (sec(w tau) - 1) cos(N w tau)
-                   * sin(w (N tau - t0) + phi)
+    N = 0:    F = (2 / w) e^{-i alpha/2} sin(alpha/2)
+    N even:   F = (2 / w) e^{-i N alpha} (1 - sec alpha) sin(N alpha)
+    N odd:    F = (2 i / w) e^{-i N alpha} (sec alpha - 1) cos(N alpha)
 
-The odd branch reduces to the Hahn-echo form
-(4 gamma B / w) sin^2(w tau / 2) sin(w (tau - t0) + phi) at N = 1.  The
-1 - sec(w tau) factor has removable singularities at w tau = pi/2 + m pi,
-handled by an exact reformulation near the poles.
+The 1 - sec(alpha) factor has removable singularities at alpha = pi/2 + m pi,
+handled by an exact reformulation near the poles.  The phase accumulated
+under the comb B(t) = sum_k B_k cos(w_k (t - t0) + phi_k) is one projection
+per component,
+
+    Phi(t0) = gamma_nv Re sum_k B_k e^{i (phi_k - w_k t0)} conj F(w_k),
+
+which splits into a delay-dependent factor R = gamma_nv B e^{i phi} conj F
+(delays x components) and an offset-dependent factor E = e^{-i w t0}
+(components x offsets): Phi = Re(R @ E).  Many delays and offsets are
+therefore evaluated in one matrix product.
 
 The time offset passed to the phase functions adds to the model's own t0;
 unsynchronized expectation values average it over one fundamental period.
@@ -37,13 +43,8 @@ from .noise import AcFieldModel
 
 __all__ = [
     "PulseSequence",
-    "SequenceResponse",
     "filter_function",
-    "phase_cpmg",
-    "phase_ramsey",
-    "phase_echo",
     "phase_of",
-    "respond",
     "expectation_unsynchronized",
     "is_revival",
     "ramsey_envelope",
@@ -57,16 +58,21 @@ POLE_WINDOW = 1e-6
 @dataclass(frozen=True)
 class PulseSequence:
     """Ramsey(T), Hahn(tau) or CPMG(N, tau); tau is the half inter-pulse
-    delay for Hahn/CPMG and the total free-evolution time for Ramsey."""
+    delay for Hahn/CPMG and the total free-evolution time for Ramsey.
+
+    tau may be a numpy array of delays: the sequence then stands for the
+    family of sequences at those delays, and the functions below return one
+    value per delay.
+    """
 
     kind: str
     n_pulses: int
-    tau: float
+    tau: float | np.ndarray
 
     def __post_init__(self) -> None:
         if self.kind not in ("ramsey", "hahn", "cpmg"):
             raise ValueError(f"unknown sequence kind {self.kind!r}")
-        if not self.tau > 0.0:
+        if not np.all(np.asarray(self.tau) > 0.0):
             raise ValueError("tau must be > 0")
         expected = {"ramsey": self.n_pulses == 0, "hahn": self.n_pulses == 1,
                     "cpmg": self.n_pulses >= 1}
@@ -74,26 +80,20 @@ class PulseSequence:
             raise ValueError(f"invalid n_pulses={self.n_pulses} for {self.kind}")
 
     @classmethod
-    def ramsey(cls, total_time: float) -> "PulseSequence":
+    def ramsey(cls, total_time: float | np.ndarray) -> "PulseSequence":
         return cls("ramsey", 0, total_time)
 
     @classmethod
-    def hahn(cls, tau: float) -> "PulseSequence":
+    def hahn(cls, tau: float | np.ndarray) -> "PulseSequence":
         return cls("hahn", 1, tau)
 
     @classmethod
-    def cpmg(cls, n_pulses: int, tau: float) -> "PulseSequence":
+    def cpmg(cls, n_pulses: int, tau: float | np.ndarray) -> "PulseSequence":
         return cls("cpmg", n_pulses, tau)
 
     @property
-    def total_time(self) -> float:
+    def total_time(self) -> float | np.ndarray:
         return self.tau if self.kind == "ramsey" else 2.0 * self.n_pulses * self.tau
-
-
-@dataclass(frozen=True)
-class SequenceResponse:
-    phase: float
-    expectation_x: float
 
 
 def _one_minus_sec(alpha):
@@ -147,103 +147,51 @@ def _toggle_factor(n_pulses: int, alpha):
     return float(out[0]) if scalar else out
 
 
-def filter_function(omega, n_pulses: int, tau: float):
-    """Complex CPMG filter F(w) = int_0^T y(t) e^{-i w t} dt (units: s).
+def filter_function(omega, n_pulses: int, tau):
+    """Complex filter F(w) = int_0^T y(t) e^{-i w t} dt (units: s) of Ramsey
+    (N = 0, T = tau) or CPMG-N (T = 2 N tau); omega and tau broadcast.
 
-    For even N this equals T e^{-i w N tau} (1 - sec(w tau)) sinc-form
-    sin(w N tau)/(w N tau); for odd N the toggled integral instead gives
-    (2 i / w) e^{-i w N tau} (sec(w tau) - 1) cos(N w tau).  DC fields are
-    refocused: F(0) = 0.
+    DC fields are refocused for N >= 1, F(0) = 0; Ramsey integrates them,
+    F(0) = T.
     """
-    omega = np.asarray(omega, dtype=float)
-    scalar = omega.ndim == 0
-    omega = np.atleast_1d(omega)
-    out = np.zeros(omega.shape, dtype=complex)
-    nz = omega != 0.0
-    w = omega[nz]
-    alpha = w * tau
+    omega, tau = np.broadcast_arrays(np.asarray(omega, dtype=float),
+                                     np.asarray(tau, dtype=float))
     n = int(n_pulses)
-    carrier = np.exp(-1j * n * alpha)
-    factor = np.atleast_1d(_toggle_factor(n, alpha))
-    if n % 2 == 0:
-        out[nz] = (2.0 / w) * carrier * factor
-    else:
-        out[nz] = (2.0j / w) * carrier * factor
-    return complex(out[0]) if scalar else out
-
-
-def _offset(model: AcFieldModel, t0) -> np.ndarray:
-    return np.asarray(t0, dtype=float) + model.t0
-
-
-def phase_cpmg(model: AcFieldModel, n_pulses: int, tau: float, t0=0.0,
-               constants: PhysicalConstants = CONSTANTS):
-    """Phase (rad) accumulated by a CPMG-N sequence started at mains offset t0."""
-    t0 = _offset(model, t0)
-    n = int(n_pulses)
-    total = np.zeros(t0.shape, dtype=float)
-    for c in model.components:
-        w = TWO_PI * c.frequency
-        pref = 2.0 * constants.gamma_nv * c.amplitude / w
-        factor = _toggle_factor(n, w * tau)
-        arg = w * (n * tau - t0) + c.phase
-        if n % 2 == 0:
-            total = total + pref * factor * np.cos(arg)
+    alpha = omega * tau
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if n == 0:
+            out = (2.0 / omega) * np.exp(-0.5j * alpha) * np.sin(0.5 * alpha)
         else:
-            total = total + pref * factor * np.sin(arg)
-    return float(total) if total.ndim == 0 else total
-
-
-def phase_ramsey(model: AcFieldModel, total_time: float, t0=0.0,
-                 constants: PhysicalConstants = CONSTANTS):
-    """Phase (rad) accumulated during free evolution of duration total_time."""
-    if not total_time > 0.0:
-        raise ValueError("total_time must be > 0")
-    t0 = _offset(model, t0)
-    total = np.zeros(t0.shape, dtype=float)
-    half = 0.5 * total_time
-    for c in model.components:
-        w = TWO_PI * c.frequency
-        pref = 2.0 * constants.gamma_nv * c.amplitude / w
-        total = total + pref * np.sin(w * half) * np.cos(w * (half - t0) + c.phase)
-    return float(total) if total.ndim == 0 else total
-
-
-def phase_echo(model: AcFieldModel, tau: float, t0=0.0,
-               constants: PhysicalConstants = CONSTANTS):
-    """Hahn-echo phase (rad); equals phase_cpmg with N = 1."""
-    if not tau > 0.0:
-        raise ValueError("tau must be > 0")
-    t0 = _offset(model, t0)
-    total = np.zeros(t0.shape, dtype=float)
-    for c in model.components:
-        w = TWO_PI * c.frequency
-        pref = 4.0 * constants.gamma_nv * c.amplitude / w
-        s = np.sin(0.5 * w * tau)
-        total = total + pref * s * s * np.sin(w * (tau - t0) + c.phase)
-    return float(total) if total.ndim == 0 else total
+            pref = 2.0 / omega if n % 2 == 0 else 2.0j / omega
+            out = pref * np.exp(-1j * n * alpha) * _toggle_factor(n, alpha)
+    out = np.where(omega == 0.0, tau if n == 0 else 0.0, out)
+    return complex(out) if out.ndim == 0 else out
 
 
 def phase_of(model: AcFieldModel, seq: PulseSequence, t0=0.0,
              constants: PhysicalConstants = CONSTANTS):
-    if seq.kind == "ramsey":
-        return phase_ramsey(model, seq.tau, t0, constants)
-    if seq.kind == "hahn":
-        return phase_echo(model, seq.tau, t0, constants)
-    return phase_cpmg(model, seq.n_pulses, seq.tau, t0, constants)
+    """Phase (rad) accumulated by seq started at mains offset t0.
 
-
-def respond(model: AcFieldModel, seq: PulseSequence, t0: float = 0.0,
-            constants: PhysicalConstants = CONSTANTS) -> SequenceResponse:
-    """Synchronized (single-t0) response: <X> = cos(Phi)."""
-    phi = phase_of(model, seq, t0, constants)
-    return SequenceResponse(phase=phi, expectation_x=math.cos(phi))
+    The result has shape tau.shape + t0.shape (a float when both are
+    scalars): Phi = Re(R @ E) with R over delays x components and E over
+    components x offsets.
+    """
+    amplitude = np.array([c.amplitude for c in model.components])
+    omega = TWO_PI * np.array([c.frequency for c in model.components])
+    phase = np.array([c.phase for c in model.components])
+    tau = np.asarray(seq.tau, dtype=float)
+    r = (constants.gamma_nv * amplitude * np.exp(1j * phase)
+         * np.conj(filter_function(omega, seq.n_pulses, tau[..., None])))
+    t0 = np.asarray(t0, dtype=float) + model.t0
+    e = np.exp(-1j * np.outer(omega, t0))
+    out = np.real(r @ e).reshape(tau.shape + t0.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def expectation_unsynchronized(model: AcFieldModel, seq: PulseSequence,
                                n_t0: int = 400,
-                               constants: PhysicalConstants = CONSTANTS) -> float:
-    """<X> averaged over the sequence trigger offset.
+                               constants: PhysicalConstants = CONSTANTS):
+    """<X> averaged over the sequence trigger offset, one value per delay.
 
     Midpoint average of cos(Phi(t0)) over n_t0 offsets spanning one
     fundamental period (20 ms for a 50 Hz comb).
@@ -252,9 +200,11 @@ def expectation_unsynchronized(model: AcFieldModel, seq: PulseSequence,
         raise ValueError("n_t0 must be >= 2")
     period = model.fundamental_period
     if period is None:
-        return 1.0
-    t0s = (np.arange(n_t0) + 0.5) * (period / n_t0)
-    return float(np.mean(np.cos(phase_of(model, seq, t0s, constants))))
+        out = np.ones(np.shape(seq.tau))
+    else:
+        t0s = (np.arange(n_t0) + 0.5) * (period / n_t0)
+        out = np.mean(np.cos(phase_of(model, seq, t0s, constants)), axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def _quantize_us(value_s: float, name: str) -> int:
@@ -300,8 +250,6 @@ def ramsey_envelope(model: AcFieldModel, amplitude_range: tuple[float, float],
     if period is None:
         return np.ones_like(times)
     t0s = (np.arange(n_t0) + 0.5) * (period / n_t0)
-    out = np.empty(times.shape)
-    for i, total_time in enumerate(times.ravel()):
-        phi = phase_ramsey(model, float(total_time), t0s, constants)
-        out.ravel()[i] = np.mean(np.cos(a_grid[:, None] * phi[None, :]))
-    return out
+    phi = phase_of(model, PulseSequence.ramsey(times), t0s, constants)
+    # one scale at a time keeps the temporaries at times x n_t0
+    return sum(np.mean(np.cos(a * phi), axis=-1) for a in a_grid) / a_grid.size

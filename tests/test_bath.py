@@ -6,9 +6,8 @@ import pytest
 from scipy import stats
 
 from decolab.bath import (BathConfig, LikelihoodEstimate, SampledBath,
-                          bath_seed_streams, electron_bath_likelihood,
-                          half_normal_mle, hyperfine_z, sample_bath,
-                          t2star_distribution, t2star_of_bath)
+                          electron_bath_likelihood, half_normal_mle, hyperfine_z,
+                          sample_bath, t2star_distribution, t2star_of_bath)
 from decolab.constants import CONSTANTS, TWO_PI
 from conftest import make_rng
 from perfbench.tracer import analytic_half_normal_scale
@@ -187,23 +186,22 @@ def test_likelihood_reports_standard_error(rng):
 
 
 def test_reduction_kernels_agree():
-    # the numba kernel and the numpy reduceat fallback consume identical
-    # draws and must produce the same bath sums (up to summation order)
-    from decolab.bath import _gamma2_sums, _gamma2_sums_numpy
+    # the batched reduceat sums and the per-bath t2star_of_bath reduce the
+    # same draws (r^3 = r_max^3 (1 - u), cos theta = 2 c - 1) to the same
+    # T2*, up to summation order
+    from decolab.bath import _coupling_prefactor, _gamma2_sums
     rng = make_rng(26)
     counts = rng.integers(0, 5000, 64)
     total = int(counts.sum())
     u = rng.random(total, dtype=np.float32)
     c = rng.random(total, dtype=np.float32)
-    a = _gamma2_sums(u, c, counts)
-    b = _gamma2_sums_numpy(u, c, counts)
-    assert np.allclose(a, b, rtol=1e-9)
-
-
-def test_seed_streams_are_independent_and_documented():
-    streams = bath_seed_streams(99, 4)
-    draws = [g.random(4).tolist() for g in streams]
-    flat = [tuple(d) for d in draws]
-    assert len(set(flat)) == 4
-    again = bath_seed_streams(99, 4)
-    assert [g.random(4).tolist() for g in again] == draws
+    r_max = 45e-9
+    pref = _coupling_prefactor("carbon13", CONSTANTS)
+    batched = np.sqrt(2.0 / (0.25 * (pref / r_max ** 3) ** 2 * _gamma2_sums(u, c, counts)))
+    r = r_max * np.cbrt(1.0 - u.astype(np.float64))
+    cos_theta = 2.0 * c.astype(np.float64) - 1.0
+    couplings = pref * (3.0 * cos_theta ** 2 - 1.0) / r ** 3 / TWO_PI
+    edges = np.concatenate(([0], np.cumsum(counts)))
+    per_bath = [t2star_of_bath(SampledBath(r[a:b], cos_theta[a:b], couplings[a:b]))
+                for a, b in zip(edges[:-1], edges[1:])]
+    assert np.allclose(batched, per_bath, rtol=1e-9)

@@ -231,3 +231,55 @@ def test_print_config(tmp_path, capsys):
                 "--out", str(tmp_path), "--print-config"]) == 0
     out = capsys.readouterr().out
     assert '"seed": 0' in out and "component" in out
+
+
+@pytest.mark.parametrize("name, text", [
+    ("header.csv", "tau,forward,backward,stderr\n0.003,30.0,31.0,0.02\n"),
+    ("row.csv", "tau_d_s,counts_forward,counts_backward,stderr\n0.003,thirty,31.0,0.02\n"),
+    ("manifest.txt", "500\n"),
+])
+def test_malformed_diffusion_data_is_data_error(tmp_path, capsys, name, text):
+    bad = tmp_path / name
+    bad.write_text(text, encoding="utf-8")
+    if name == "manifest.txt":
+        argv = ["fit", "diffusion", "--manifest", str(bad)]
+    else:
+        argv = ["fit", "ionization", "--data", str(bad), "--gamma-i", "117",
+                "--d-coeff", "1.6e4", "--c0", "38"]
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("decolab: data error (line ") and err.count("\n") == 1
+
+
+def test_predict_tau_below_validity_bound_is_config_error(tmp_path, capsys):
+    assert run(["diffusion", "predict", "--gamma-i", "117", "--d-coeff", "1.6e4",
+                "--sink-s", "150", "--tau-range", "1us:2us",
+                "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "40 of 40 times lie below the validity bound 0.00077" in err
+    assert not (tmp_path / "diffusion_predict.csv").exists()
+
+
+def test_benchmark_tracer_records_sequences_and_diffusion(tmp_path):
+    # the benchmark's tracer wraps the public functions of each module and
+    # the SinkSolver methods it names; it must still install over them
+    from perfbench.tracer import TRACED_METHODS, Tracer
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert run(["simulate", "hahn", "--tau-range", "0.1ms:0.5ms:0.1ms",
+                    "--out", str(tmp_path / "hahn")]) == 0
+        assert run(["diffusion", "predict", "--gamma-i", "117", "--d-coeff", "1.6e4",
+                    "--sink-s", "150", "--tau-range", "5ms:50ms", "--points", "4",
+                    "--out", str(tmp_path / "predict")]) == 0
+    finally:
+        tracer.uninstall()
+    names = {span[0] for span in tracer.spans}
+    assert "sequences.expectation_unsynchronized" in names
+    assert "sequences.phase_of" in names
+    assert "diffusion.SinkSolver.__init__" in names
+    assert any(n.startswith("diffusion.SinkSolver.counts") for n in names)
+    assert tracer.layer_metrics()["sequences.phase_evals_computed"] > 0
+    for cls, methods in TRACED_METHODS.items():
+        assert all(m in vars(cls) for m in methods)

@@ -10,15 +10,12 @@ from scipy.special import wofz
 
 from decolab.diffusion import (HomogeneousLine, IonizationSink, OuDiffusionModel,
                                PowerDataset, SinkSolver, SolverSettings,
-                               ValidityError, counts_no_ionization,
-                               counts_with_ionization, eigen_weight, faddeeva_w,
-                               fit_ionization_rate, hermite_phi_table,
-                               invert_laplace, joint_fit_backward, lanczos_lgamma,
-                               laplace_p0, laplace_p_with_sink, ou_mean, ou_pdf,
+                               ValidityError, _weight_table, counts_no_ionization,
+                               faddeeva_w, fit_ionization_rate, hermite_phi_table,
+                               invert_laplace, joint_fit_backward, ou_mean, ou_pdf,
                                ou_variance, power_broadened_linewidth,
-                               read_diffusion_csv, read_manifest,
-                               stable_hermite_gaussian, tau_c, voigt_density,
-                               write_diffusion_csv, LN2_8)
+                               read_diffusion_csv, read_manifest, tau_c,
+                               voigt_density, write_diffusion_csv, LN2_8)
 from decolab.fitting import DecayCurve, fit_power_scaling
 from conftest import make_rng
 from oracles import hermite_phi_mp, voigt_quadrature
@@ -167,50 +164,40 @@ def test_power_broadening_chain():
 # Hermite functions and eigen-expansion
 # ---------------------------------------------------------------------------
 
-def test_lanczos_lgamma():
-    for x in (0.3, 1.0, 2.5, 17.0, 251.5, 2001.0):
-        assert lanczos_lgamma(x) == pytest.approx(math.lgamma(x), rel=1e-12)
-
-
 def test_hermite_low_orders():
     xs = np.linspace(-3.0, 3.0, 13)
-    assert np.allclose(stable_hermite_gaussian(0, xs),
-                       np.exp(-xs ** 2 / 2) / math.pi ** 0.25, rtol=1e-12)
-    assert stable_hermite_gaussian(1, 0.0) == 0.0
+    table = hermite_phi_table(2, xs)
+    assert np.allclose(table[0], np.exp(-xs ** 2 / 2) / math.pi ** 0.25, rtol=1e-12)
+    assert hermite_phi_table(2, 0.0)[1, 0] == 0.0
 
 
 def test_hermite_table_matches_scalar():
     xs = np.linspace(-4.0, 4.0, 9)
     table = hermite_phi_table(40, xs)
     for n in (0, 1, 7, 39):
-        assert np.allclose(table[n], stable_hermite_gaussian(n, xs, crossover=64), rtol=1e-10)
-
-
-def test_hermite_asymptotic_branch_high_order():
-    val = stable_hermite_gaussian(500, 1.0)  # asymptotic branch
-    ref = hermite_phi_mp(500, 1.0)
-    assert math.isfinite(val)
-    assert val == pytest.approx(ref, rel=0.02)
+        scalar = [hermite_phi_mp(n, float(x)) for x in xs]
+        assert np.allclose(table[n], scalar, rtol=1e-10)
 
 
 def test_hermite_recurrence_matches_mp():
-    for n, x in ((20, 0.5), (50, 2.0), (120, 1.3)):
-        assert stable_hermite_gaussian(n, x, crossover=200) == \
-            pytest.approx(hermite_phi_mp(n, x), rel=1e-9)
+    # up to order 500, where the table stays finite and exact
+    points = ((20, 0.5), (50, 2.0), (120, 1.3), (500, 1.0))
+    table = hermite_phi_table(501, np.array([x for _, x in points]))
+    for i, (n, x) in enumerate(points):
+        assert table[n, i] == pytest.approx(hermite_phi_mp(n, x), rel=1e-9)
 
 
 def test_eigen_weight_ground_state_and_parity():
     f = np.linspace(-150.0, 150.0, 7)
-    w0 = eigen_weight(MODEL, 0, f)
+    table = _weight_table(MODEL, f, 8)
     sigma2 = MODEL.stationary_variance
     gaussian = np.exp(-f ** 2 / (2 * sigma2)) / math.sqrt(2 * math.pi * sigma2)
-    assert np.allclose(w0, gaussian, rtol=1e-10)
-    assert np.all(eigen_weight(MODEL, 7, f) == 0.0)
+    assert np.allclose(table[0], gaussian, rtol=1e-10)
+    assert np.all(table[7] == 0.0)  # odd orders vanish at the source f = 0
 
 
 def test_eigen_series_reproduces_gaussian():
     f = np.linspace(-250.0, 250.0, 41)
-    from decolab.diffusion import _weight_table
     table = _weight_table(MODEL, f, 2000)
     n = np.arange(2000)
     for theta_tau in (0.05, 0.2, 1.0, 5.0):
@@ -227,25 +214,26 @@ def test_eigen_series_reproduces_gaussian():
 def test_laplace_p0_large_s_decay():
     # once |s| dwarfs the truncated spectrum (n_eigen * theta), the sum
     # decays as 1/|s|
-    v1 = laplace_p0(MODEL, 0.0, 1e6 + 0j)
-    v2 = laplace_p0(MODEL, 0.0, 1e7 + 0j)
+    solver = SinkSolver(MODEL, IonizationSink(strength_s=0.0))
+    v1 = solver._p0(solver._w_sink, np.complex128(1e6))
+    v2 = solver._p0(solver._w_sink, np.complex128(1e7))
     assert abs(v2) == pytest.approx(abs(v1) * 0.1, rel=0.05)
 
 
 def test_laplace_p0_tail_suppressed():
+    # the grid spans +-6.5 stationary sigmas around the source at f = 0
+    solver = SinkSolver(MODEL, IonizationSink(strength_s=0.0))
+    p0 = solver._p0(solver._w_f.T, np.complex128(50.0))
     sigma_inf = math.sqrt(MODEL.stationary_variance)
-    s = 50.0 + 0j
-    peak = abs(laplace_p0(MODEL, 0.0, s))
-    tail = abs(laplace_p0(MODEL, 6.5 * sigma_inf, s))
-    assert tail < 1e-8 * peak
+    assert solver.grid[-1] == pytest.approx(6.5 * sigma_inf, rel=1e-12)
+    assert abs(p0[-1]) < 1e-8 * abs(p0[solver.grid.size // 2])
 
 
 def test_sink_reduces_to_p0_at_zero_strength():
-    sink = IonizationSink(strength_s=0.0)
-    s = 30.0 + 40.0j
-    for f in (0.0, 25.0):
-        assert laplace_p_with_sink(MODEL, sink, f, s) == \
-            pytest.approx(laplace_p0(MODEL, f, s), rel=1e-12)
+    solver = SinkSolver(MODEL, IonizationSink(strength_s=500.0))
+    tau = 0.4 / MODEL.theta
+    sinkless = invert_laplace(lambda s: solver._p0(solver._w_f.T, s), tau)
+    assert np.allclose(solver.pdf(tau, strength_s=0.0), sinkless, rtol=1e-12, atol=0.0)
 
 
 def test_invert_textbook_pairs_two_decades():
@@ -259,10 +247,20 @@ def test_invert_textbook_pairs_two_decades():
         assert invert_laplace(lambda s: 1.0 / s ** 2, t, st_) == pytest.approx(t, rel=1e-8)
 
 
-def test_invert_compensated_mode():
-    st_ = SolverSettings(compensated_summation=True)
-    assert invert_laplace(lambda s: 1.0 / (s + 3.0), 0.5, st_) == \
-        pytest.approx(math.exp(-1.5), rel=1e-8)
+def test_invert_vector_valued_over_times():
+    # one contour sum for many times and a vector-valued transform
+    taus = np.geomspace(0.05, 3.0, 9)
+    rates = np.array([1.0, 2.0, 3.0])
+    got = invert_laplace(lambda s: 1.0 / (s + rates[:, None, None]), taus)
+    assert got.shape == (3, 9)
+    assert np.allclose(got, np.exp(-np.outer(rates, taus)), rtol=1e-8, atol=0.0)
+    solver = SinkSolver(MODEL, IonizationSink(strength_s=300.0))
+    many = solver.counts_factorized(LINE, taus / MODEL.theta)(300.0)
+    one_at_a_time = [solver.counts(LINE, t / MODEL.theta) for t in taus]
+    assert np.allclose(many, one_at_a_time, rtol=1e-12, atol=0.0)
+    pdf = solver.pdf(taus[3] / MODEL.theta)
+    assert solver.counts(LINE, taus[3] / MODEL.theta) == pytest.approx(
+        np.trapezoid(pdf * LINE.counts(-solver.grid), solver.grid), rel=1e-10)
 
 
 def test_validity_guard():
@@ -317,10 +315,9 @@ def test_sink_solver_against_finite_difference_integrator():
 def test_counts_with_ionization_reduction_and_monotonicity():
     st_ = SolverSettings(n_eigen=1200, grid_points=601)
     tau = 0.4 / MODEL.theta
-    c0 = counts_with_ionization(MODEL, IonizationSink(strength_s=0.0), LINE, tau,
-                                settings=st_)
-    assert c0 == pytest.approx(counts_no_ionization(MODEL, LINE, tau), rel=2e-3)
     solver = SinkSolver(MODEL, IonizationSink(strength_s=0.0), st_)
+    c0 = solver.counts(LINE, tau)
+    assert c0 == pytest.approx(counts_no_ionization(MODEL, LINE, tau), rel=2e-3)
     vals = [solver.counts(LINE, tau, strength_s=s) for s in (0.0, 200.0, 2000.0)]
     assert vals[0] > vals[1] > vals[2]
 

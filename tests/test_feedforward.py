@@ -7,7 +7,7 @@ from decolab.feedforward import (FeedforwardOutcome, PhaseEstimate, ShotConfig,
                                  estimate_phase, run_feedforward, sample_observable)
 from decolab.noise import (AcComponent, AcFieldModel, AmplitudeScaleProcess,
                            table1_model)
-from decolab.sequences import phase_echo
+from decolab.sequences import PulseSequence, phase_of
 from conftest import make_rng
 
 EMPTY = AcFieldModel()
@@ -56,7 +56,7 @@ def test_estimate_phase_zero_model_exact():
 def test_estimate_phase_exact_matches_truth_mod_2pi():
     m = table1_model()
     tau = 5e-3
-    truth = phase_echo(m, tau, 0.0)
+    truth = phase_of(m, PulseSequence.hahn(tau), 0.0)
     est = estimate_phase(m, tau, ShotConfig(exact=True), make_rng(4))
     assert math.cos(est.phi - truth) == pytest.approx(1.0, abs=1e-12)
 
@@ -64,7 +64,7 @@ def test_estimate_phase_exact_matches_truth_mod_2pi():
 def test_estimate_phase_circular_mean_unbiased():
     m = AcFieldModel((AcComponent(2.95e-7, 50.0, 0.0),))
     tau = 5e-3
-    truth = phase_echo(m, tau, 0.0)
+    truth = phase_of(m, PulseSequence.hahn(tau), 0.0)
     rng = make_rng(5)
     cfg = ShotConfig(n_shots=50)
     zs = [np.exp(1j * (estimate_phase(m, tau, cfg, rng).phi - truth)) for _ in range(3000)]

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 from decolab.constants import CONSTANTS, TWO_PI
 from decolab.noise import AcComponent, AcFieldModel, scale_amplitudes, table1_model
 from decolab.sequences import (PulseSequence, expectation_unsynchronized,
-                               filter_function, is_revival, phase_cpmg, phase_echo,
-                               phase_of, phase_ramsey, ramsey_envelope, respond)
+                               filter_function, is_revival, phase_of, ramsey_envelope)
 from conftest import make_rng
-from oracles import j0_series, phase_quadrature
+from oracles import j0_series, phase_quadrature, toggled_segments
 
 FIFTY = AcFieldModel((AcComponent(2.95e-7, 50.0, 0.0),))
 EMPTY = AcFieldModel()
@@ -81,6 +80,18 @@ def test_filter_odd_parity_matches_quadrature():
     assert val == pytest.approx(total, rel=1e-9)
 
 
+def test_filter_ramsey_matches_quadrature():
+    # N = 0: the untoggled integral of e^{-i w t} over the free evolution
+    x, w = np.polynomial.legendre.leggauss(80)
+    for omega, total in ((TWO_PI * 50.0, 3.1e-3), (TWO_PI * 410.0, 0.7e-3)):
+        val = filter_function(omega, 0, total)
+        (a, b, sign), = toggled_segments(PulseSequence.ramsey(total))
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        quad = sign * half * np.dot(w, np.exp(-1j * omega * (mid + half * x)))
+        assert val == pytest.approx(quad, rel=1e-9)
+    assert filter_function(0.0, 0, 2e-3) == 2e-3  # DC is integrated, not refocused
+
+
 def test_phase_equals_filter_projection():
     # Phi = gamma sum_i B_i Re[e^{-i(phi_i - w_i t0)} F(w_i)] for both parities
     m = table1_model()
@@ -89,7 +100,7 @@ def test_phase_equals_filter_projection():
                     (np.exp(-1j * (c.phase - TWO_PI * c.frequency * t0)) *
                      filter_function(TWO_PI * c.frequency, n, tau)).real
                     for c in m.components)
-        assert phase_cpmg(m, n, tau, t0) == pytest.approx(total, rel=1e-12)
+        assert phase_of(m, PulseSequence.cpmg(n, tau), t0) == pytest.approx(total, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -97,19 +108,19 @@ def test_phase_equals_filter_projection():
 # ---------------------------------------------------------------------------
 
 def test_phase_zero_model():
-    assert phase_cpmg(EMPTY, 8, 1e-3, 0.0) == 0.0
-    assert phase_ramsey(EMPTY, 1e-3) == 0.0
+    assert phase_of(EMPTY, PulseSequence.cpmg(8, 1e-3), 0.0) == 0.0
+    assert phase_of(EMPTY, PulseSequence.ramsey(1e-3)) == 0.0
 
 
 def test_cpmg_revival_phase_tiny():
     m = table1_model()
     tau = 0.02 / (2 * 32)
-    assert abs(phase_cpmg(m, 32, tau, 0.0123)) < 1e-6
+    assert abs(phase_of(m, PulseSequence.cpmg(32, tau), 0.0123)) < 1e-6
 
 
 def test_phase_echo_value_and_quadrature():
     tau = 5e-3
-    phi = phase_echo(FIFTY, tau, 0.0)
+    phi = phase_of(FIFTY, PulseSequence.hahn(tau), 0.0)
     omega = TWO_PI * 50.0
     expected = 4 * CONSTANTS.gamma_nv * 2.95e-7 / omega * math.sin(omega * tau / 2) ** 2
     assert phi == pytest.approx(expected, rel=1e-12)
@@ -120,16 +131,16 @@ def test_phase_echo_value_and_quadrature():
 
 
 def test_phase_echo_full_period_zero():
-    assert abs(phase_echo(FIFTY, 0.02, 0.0)) < 1e-12
+    assert abs(phase_of(FIFTY, PulseSequence.hahn(0.02), 0.0)) < 1e-12
 
 
 def test_ramsey_full_period_zero():
-    assert abs(phase_ramsey(table1_model(), 0.02, 0.0)) < 1e-9
+    assert abs(phase_of(table1_model(), PulseSequence.ramsey(0.02), 0.0)) < 1e-9
 
 
 def test_ramsey_quadrature():
     m = table1_model()
-    phi = phase_ramsey(m, 100e-6, 0.0)
+    phi = phase_of(m, PulseSequence.ramsey(100e-6), 0.0)
     oracle = phase_quadrature(m, PulseSequence.ramsey(100e-6), 0.0)
     assert abs(phi - oracle) < 1e-9
 
@@ -138,8 +149,17 @@ def test_ramsey_quadrature():
        st.floats(min_value=0.0, max_value=0.02))
 @settings(max_examples=40, deadline=None)
 def test_echo_is_cpmg_one(tau, t0):
+    # the Hahn echo is CPMG-1; its phase has the closed form
+    # (4 gamma B / w) sin^2(w tau / 2) sin(w (tau - t0) + phi) per component
     m = table1_model()
-    assert phase_echo(m, tau, t0) == pytest.approx(phase_cpmg(m, 1, tau, t0), abs=1e-10)
+    echo = phase_of(m, PulseSequence.hahn(tau), t0)
+    closed = 0.0
+    for c in m.components:
+        w = TWO_PI * c.frequency
+        closed += (4.0 * CONSTANTS.gamma_nv * c.amplitude / w * math.sin(0.5 * w * tau) ** 2
+                   * math.sin(w * (tau - t0 - m.t0) + c.phase))
+    assert echo == pytest.approx(closed, abs=1e-10)
+    assert echo == pytest.approx(phase_of(m, PulseSequence.cpmg(1, tau), t0), abs=1e-10)
 
 
 def test_closed_forms_vs_quadrature_randomized():
@@ -160,7 +180,7 @@ def test_single_50hz_cpmg_vs_quadrature():
         tau = float(rng.uniform(1e-5, 2e-3))
         t0 = float(rng.uniform(0.0, 0.02))
         seq = PulseSequence.cpmg(n, tau)
-        assert abs(phase_cpmg(FIFTY, n, tau, t0) - phase_quadrature(FIFTY, seq, t0)) < 1e-9
+        assert abs(phase_of(FIFTY, seq, t0) - phase_quadrature(FIFTY, seq, t0)) < 1e-9
 
 
 def test_near_pole_phases_match_quadrature():
@@ -169,7 +189,7 @@ def test_near_pole_phases_match_quadrature():
     for tau in (5e-3, 5e-3 + 1e-12, 5e-3 - 3e-10, 5e-3 + 2e-9):
         for n in (1, 2, 3, 8):
             seq = PulseSequence.cpmg(n, tau)
-            assert abs(phase_cpmg(m, n, tau, 0.0042) -
+            assert abs(phase_of(m, seq, 0.0042) -
                        phase_quadrature(m, seq, 0.0042)) < 1e-7
 
 
@@ -201,20 +221,30 @@ def test_unsync_bessel_dephasing():
 
 
 def test_unsync_node_doubling_converged():
-    m = table1_model()
-    for tau in np.linspace(5e-5, 4e-4, 15):
-        seq = PulseSequence.cpmg(32, float(tau))
-        a = expectation_unsynchronized(m, seq, n_t0=400)
-        b = expectation_unsynchronized(m, seq, n_t0=800)
-        assert abs(a - b) < 1e-6
+    seq = PulseSequence.cpmg(32, np.linspace(5e-5, 4e-4, 15))
+    a = expectation_unsynchronized(table1_model(), seq, n_t0=400)
+    b = expectation_unsynchronized(table1_model(), seq, n_t0=800)
+    assert np.max(np.abs(a - b)) < 1e-6
 
 
 def test_synchronized_response():
+    # one call over many delays and offsets equals one call per delay and
+    # offset, and repeated calls are bit-identical
     m = table1_model()
-    r = respond(m, PulseSequence.hahn(1.5e-3), t0=0.0)
-    assert r.expectation_x == pytest.approx(math.cos(r.phase))
-    again = respond(m, PulseSequence.hahn(1.5e-3), t0=0.0)
-    assert r == again  # deterministic, bit-identical
+    taus = np.linspace(2e-5, 4e-3, 23)
+    t0s = np.array([0.0, 0.0042, 0.0137])
+    for seq_of in (PulseSequence.ramsey, PulseSequence.hahn,
+                   lambda t: PulseSequence.cpmg(2, t), lambda t: PulseSequence.cpmg(5, t)):
+        phases = phase_of(m, seq_of(taus), t0s)
+        assert phases.shape == (taus.size, t0s.size)
+        single = np.array([[phase_of(m, seq_of(float(t)), float(t0)) for t0 in t0s]
+                           for t in taus])
+        assert np.max(np.abs(phases - single)) < 1e-10
+        assert np.array_equal(phase_of(m, seq_of(taus), t0s), phases)
+        unsync = expectation_unsynchronized(m, seq_of(taus), 200)
+        assert unsync.shape == taus.shape
+        assert np.allclose(unsync, [expectation_unsynchronized(m, seq_of(float(t)), 200)
+                                    for t in taus], rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
