@@ -3,17 +3,21 @@
 Everything here deliberately avoids the closed forms used by the library:
 phases come from sign-toggled Gauss-Legendre quadrature of the field, J0
 from a high-precision power series, Hermite functions from an
-arbitrary-precision recurrence, and Voigt values from adaptive quadrature.
+arbitrary-precision recurrence, Voigt values and the filtered-bath mean of
+1/T2*^2 from adaptive quadrature, and T2* distributions from the
+brute-force sum over every bath spin.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
 
-from decolab.constants import CONSTANTS
+from decolab.bath import BathConfig, _coupling_prefactor
+from decolab.constants import CONSTANTS, TWO_PI
 from decolab.noise import AcFieldModel, field_at
 from decolab.sequences import PulseSequence
 
@@ -164,3 +168,107 @@ def field_sum_mp(components: list[tuple[float, float, float]], t_minus_t0: float
             w = 2 * mpmath.pi * mpmath.mpf(freq)
             total += mpmath.mpf(amp) * mpmath.cos(w * mpmath.mpf(t_minus_t0) + mpmath.mpf(phase))
         return float(total)
+
+
+# ---------------------------------------------------------------------------
+# brute-force spin baths: every spin drawn and summed
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SampledBath:
+    """Spin positions (radius, cos of polar angle) and z couplings in Hz."""
+
+    r: np.ndarray
+    cos_theta: np.ndarray
+    couplings_hz: np.ndarray
+
+    def __len__(self) -> int:
+        return self.r.size
+
+
+def _draw_counts(mean: float, cfg: BathConfig, rng: np.random.Generator,
+                 n: int) -> np.ndarray:
+    if cfg.count_statistics == "poisson":
+        return rng.poisson(mean, n)
+    base = math.floor(mean)
+    return base + (rng.random(n) < mean - base)
+
+
+def sample_bath(cfg: BathConfig, rng: np.random.Generator,
+                constants=CONSTANTS) -> SampledBath:
+    """One bath: positions uniform in the r_max ball, count from the mean
+    density by stochastic rounding (or Poisson), strong couplings filtered."""
+    n = int(_draw_counts(cfg.mean_spin_count(constants), cfg, rng, 1)[0])
+    # uniform in the ball: r^3 uniform; 1 - u keeps r strictly positive
+    r = cfg.r_max * np.cbrt(1.0 - rng.random(n))
+    cos_theta = 2.0 * rng.random(n) - 1.0
+    pref = _coupling_prefactor(cfg.species, constants)
+    couplings = pref * (3.0 * cos_theta ** 2 - 1.0) / r ** 3 / TWO_PI
+    if cfg.exclude_above_hz is not None:
+        keep = np.abs(couplings) <= cfg.exclude_above_hz
+        r, cos_theta, couplings = r[keep], cos_theta[keep], couplings[keep]
+    return SampledBath(r=r, cos_theta=cos_theta, couplings_hz=couplings)
+
+
+def t2star_of_bath(bath: SampledBath) -> float:
+    """sqrt(2)/Gamma_z with Gamma_z^2 = sum (2 pi A_Hz)^2 / 4; inf if empty."""
+    if len(bath) == 0:
+        return math.inf
+    gamma2 = 0.25 * float(np.sum((TWO_PI * bath.couplings_hz) ** 2))
+    return math.sqrt(2.0 / gamma2)
+
+
+def gamma2_sums(u: np.ndarray, c: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per-bath sums of (3 cos^2 theta - 1)^2 / (r / r_max)^6 for consecutive
+    baths of the given spin counts, with r^3 = r_max^3 (1 - u) and
+    cos theta = 2 c - 1; empty baths sum to 0."""
+    t = 3.0 * (2.0 * c - 1.0) ** 2 - 1.0
+    t = (t / (1.0 - u)) ** 2
+    return np.bincount(np.repeat(np.arange(counts.size), counts), weights=t,
+                       minlength=counts.size)
+
+
+def brute_force_t2star(cfg: BathConfig, n_baths: int, rng: np.random.Generator,
+                       constants=CONSTANTS, batch_spins: int = 4_000_000) -> np.ndarray:
+    """T2* samples (s) from the sum over every spin of every bath.
+
+    Filtered baths go through sample_bath one by one; unfiltered ones draw
+    whole batches of at most batch_spins spins and reduce them with
+    gamma2_sums.
+    """
+    if cfg.exclude_above_hz is not None:
+        return np.array([t2star_of_bath(sample_bath(cfg, rng, constants))
+                         for _ in range(n_baths)])
+    mean = cfg.mean_spin_count(constants)
+    pref = _coupling_prefactor(cfg.species, constants) / cfg.r_max ** 3
+    batch = max(1, int(batch_spins / max(mean, 1.0)))
+    samples = []
+    for done in range(0, n_baths, batch):
+        counts = _draw_counts(mean, cfg, rng, min(batch, n_baths - done))
+        total = int(counts.sum())
+        sums = gamma2_sums(rng.random(total), rng.random(total), counts)
+        with np.errstate(divide="ignore"):
+            samples.append(np.sqrt(2.0 / (0.25 * pref * pref * sums)))
+    return np.concatenate(samples)
+
+
+def filtered_inverse_square_mean(cfg: BathConfig, constants=CONSTANTS) -> float:
+    """E[1 / T2*^2] (s^-2) of a bath with |A| > exclude_above_hz removed, by
+    adaptive quadrature over cos theta.
+
+    1/T2*^2 = (pi^2 / 2) sum A_j^2 with A in Hz.  A spin at v = (r/r_max)^3
+    (uniform on (0, 1)) has |A| = K / v with K = p |3c^2 - 1| / (2 pi r_max^3),
+    so E[A^2 1{|A| <= H}] = integral over v in (K/H, 1) of K^2 / v^2,
+    that is (K H - K^2)^+.
+    """
+    from scipy.integrate import quad
+
+    k_unit = _coupling_prefactor(cfg.species, constants) / (TWO_PI * cfg.r_max ** 3)
+    h = cfg.exclude_above_hz
+
+    def per_spin(c):
+        k = k_unit * abs(3.0 * c * c - 1.0)
+        return max(k * h - k * k, 0.0)
+
+    val, _ = quad(per_spin, 0.0, 1.0, points=[1.0 / math.sqrt(3.0)], limit=200)
+    return 0.5 * math.pi ** 2 * cfg.mean_spin_count(constants) * val

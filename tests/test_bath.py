@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from decolab.bath import (BathConfig, LikelihoodEstimate, SampledBath,
-                          electron_bath_likelihood, half_normal_mle, hyperfine_z,
-                          sample_bath, t2star_distribution, t2star_of_bath)
+from decolab.bath import (BathConfig, LikelihoodEstimate, electron_bath_likelihood,
+                          half_normal_mle, hyperfine_z, t2star_distribution)
 from decolab.constants import CONSTANTS, TWO_PI
 from conftest import make_rng
+from oracles import (SampledBath, brute_force_t2star, filtered_inverse_square_mean,
+                     gamma2_sums, sample_bath, t2star_of_bath)
 from perfbench.tracer import analytic_half_normal_scale
 
 CHI_REF = 4.42e-4  # the mid concentration studied in the bath histograms
@@ -26,8 +27,7 @@ def test_stochastic_rounding_empty_fraction():
     # mean count 0.3 -> empty with probability 0.7
     chi = 0.3 / BathConfig(concentration=1.0e-9).mean_spin_count() * 1.0e-9
     cfg = BathConfig(concentration=chi)
-    rng = make_rng(10)
-    empties = sum(len(sample_bath(cfg, rng)) == 0 for _ in range(2000))
+    empties = np.isinf(t2star_distribution(cfg, 2000, make_rng(10)).samples).sum()
     assert empties == pytest.approx(1400, abs=4 * math.sqrt(2000 * 0.21))
 
 
@@ -115,13 +115,55 @@ def test_scale_halves_when_concentration_doubles():
 
 
 def test_batched_sampler_agrees_with_per_bath_path():
-    # the float32 batched reduction and the exact per-bath sampler draw from
-    # the same distribution
+    # the brute-force reference's batched reduction and its per-bath path
+    # draw from the same distribution
     cfg = BathConfig(concentration=CHI_REF)
-    fast = t2star_distribution(cfg, 1500, make_rng(19)).samples
+    fast = brute_force_t2star(cfg, 1500, make_rng(19))
     slow = np.array([t2star_of_bath(sample_bath(cfg, make_rng(200 + i)))
                      for i in range(800)])
     assert stats.ks_2samp(fast, slow).pvalue > 0.01
+
+
+#: (bath, reference baths): the four acceptance concentrations, the 21 ppb
+#: electron bath and two filtered baths, at most 6e7 brute-force spins
+#: (about 2 s) each.  The 2 Hz filter reaches past the 64 nearest spins, so the near
+#: shell widens to hold every spin it can drop.
+REFERENCE_BATHS = [
+    (BathConfig(concentration=1.3e-5), 20_000),
+    (BathConfig(concentration=4.42e-4), 2_000),
+    (BathConfig(concentration=1.949e-3), 400),
+    (BathConfig(concentration=1.0937e-2), 80),
+    (BathConfig(concentration=21e-9, r_max=450e-9, species="electron"), 20_000),
+    (BathConfig(concentration=4.42e-4, exclude_above_hz=5e3), 1_000),
+    (BathConfig(concentration=1.3e-5, exclude_above_hz=2.0), 5_000),
+]
+
+
+@pytest.mark.parametrize("case", range(len(REFERENCE_BATHS)))
+def test_near_far_sampler_matches_brute_force(case):
+    # the near/far split draws the same T2* distribution as the sum over
+    # every spin
+    cfg, n_reference = REFERENCE_BATHS[case]
+    reference = brute_force_t2star(cfg, n_reference, make_rng(300 + case))
+    near_far = t2star_distribution(cfg, 20_000, make_rng(310 + case)).samples
+    assert stats.ks_2samp(near_far, reference).pvalue > 0.01
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_scale_matches_closed_form(case):
+    cfg = REFERENCE_BATHS[case][0]
+    dist = t2star_distribution(cfg, 100_000, make_rng(320 + case))
+    ref = analytic_half_normal_scale(cfg.species, cfg.concentration)
+    assert abs(dist.half_normal_scale - ref) < 3 * dist.scale_stderr()
+
+
+@pytest.mark.parametrize("case", (5, 6))
+def test_filtered_inverse_square_mean_matches_quadrature(case):
+    # with |A| > H removed, 1/T2*^2 has a finite mean
+    cfg = REFERENCE_BATHS[case][0]
+    inv2 = 1.0 / t2star_distribution(cfg, 20_000, make_rng(325 + case)).samples ** 2
+    se = float(np.std(inv2, ddof=1)) / math.sqrt(inv2.size)
+    assert abs(float(np.mean(inv2)) - filtered_inverse_square_mean(cfg)) < 4 * se
 
 
 def test_exclusion_filter_lengthens_t2star():
@@ -186,22 +228,25 @@ def test_likelihood_reports_standard_error(rng):
 
 
 def test_reduction_kernels_agree():
-    # the batched reduceat sums and the per-bath t2star_of_bath reduce the
+    # the reference's batched sums and its per-bath t2star_of_bath reduce the
     # same draws (r^3 = r_max^3 (1 - u), cos theta = 2 c - 1) to the same
-    # T2*, up to summation order
-    from decolab.bath import _coupling_prefactor, _gamma2_sums
+    # T2*, up to summation order; empty baths, also leading and trailing
+    # ones, reduce to inf
+    from decolab.bath import _coupling_prefactor
     rng = make_rng(26)
-    counts = rng.integers(0, 5000, 64)
+    counts = np.concatenate(([0], rng.integers(0, 5000, 64), [0, 0]))
     total = int(counts.sum())
-    u = rng.random(total, dtype=np.float32)
-    c = rng.random(total, dtype=np.float32)
+    u = rng.random(total)
+    c = rng.random(total)
     r_max = 45e-9
     pref = _coupling_prefactor("carbon13", CONSTANTS)
-    batched = np.sqrt(2.0 / (0.25 * (pref / r_max ** 3) ** 2 * _gamma2_sums(u, c, counts)))
-    r = r_max * np.cbrt(1.0 - u.astype(np.float64))
-    cos_theta = 2.0 * c.astype(np.float64) - 1.0
+    with np.errstate(divide="ignore"):
+        batched = np.sqrt(2.0 / (0.25 * (pref / r_max ** 3) ** 2 * gamma2_sums(u, c, counts)))
+    r = r_max * np.cbrt(1.0 - u)
+    cos_theta = 2.0 * c - 1.0
     couplings = pref * (3.0 * cos_theta ** 2 - 1.0) / r ** 3 / TWO_PI
     edges = np.concatenate(([0], np.cumsum(counts)))
     per_bath = [t2star_of_bath(SampledBath(r[a:b], cos_theta[a:b], couplings[a:b]))
                 for a, b in zip(edges[:-1], edges[1:])]
+    assert np.isinf(batched[[0, -2, -1]]).all()
     assert np.allclose(batched, per_bath, rtol=1e-9)

@@ -164,6 +164,16 @@ def test_bath_single_row(tmp_path):
     assert len((tmp_path / "t2star.csv").read_text().splitlines()) == 3
 
 
+def test_bath_empty_baths_have_infinite_t2star(tmp_path):
+    # a bath holds 0.07 spins on average, so most are empty
+    assert run(["bath", "t2star", "--chi", "1e-9", "--n-baths", "50",
+                "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "t2star.csv").read_text().splitlines()[2:]
+    t2star = np.array([float(row) for row in rows])
+    assert t2star.size == 50 and np.all(t2star > 0)
+    assert np.isinf(t2star).sum() > 40 and np.isfinite(t2star).any()
+
+
 def test_bath_seeds_differ_but_scale_agrees(tmp_path):
     outs = []
     for seed in (31, 32):
