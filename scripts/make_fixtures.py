@@ -56,7 +56,7 @@ def main() -> None:
         model = OuDiffusionModel(d, meta["gamma_i_MHz"])
         line = HomogeneousLine(c0, meta["gamma_h_MHz"])
         solver = SinkSolver(model, IonizationSink(strength_s=s), settings)
-        backward = np.array([counts_no_ionization(model, line, t) for t in taus])
+        backward = counts_no_ionization(model, line, taus)
         forward = meta["forward_rescale"] * np.array([solver.counts(line, t) for t in taus])
         err = np.full(taus.size, meta["noise_counts"])
         backward = backward + rng.normal(0.0, meta["noise_counts"], taus.size)

@@ -45,9 +45,7 @@ __all__ = [
     "BathConfig",
     "T2StarDistribution",
     "LikelihoodEstimate",
-    "hyperfine_z",
     "t2star_distribution",
-    "half_normal_mle",
     "exceedance_probability",
     "electron_bath_likelihood",
 ]
@@ -84,12 +82,21 @@ class BathConfig:
 
 @dataclass(frozen=True)
 class T2StarDistribution:
-    samples: np.ndarray  # seconds
-    half_normal_scale: float  # seconds
+    """T2* samples (s); empty baths have T2* = inf."""
+
+    samples: np.ndarray
+
+    @property
+    def half_normal_scale(self) -> float:
+        """Maximum-likelihood half-normal scale sqrt(mean(T2*^2)) over the
+        finite samples (s); inf if there are none."""
+        finite = self.samples[np.isfinite(self.samples)]
+        return math.sqrt(float(np.mean(finite ** 2))) if finite.size else math.inf
 
     def scale_stderr(self) -> float:
-        # MLE of a half-normal scale has relative variance 1/(2 n)
-        n = self.samples.size
+        # MLE of a half-normal scale has relative variance 1/(2 n), n the
+        # finite samples it is computed from
+        n = int(np.count_nonzero(np.isfinite(self.samples)))
         return self.half_normal_scale / math.sqrt(2.0 * n) if n else math.inf
 
 
@@ -106,17 +113,6 @@ def _coupling_prefactor(species: Species, constants: PhysicalConstants) -> float
     """mu0/(4 pi) hbar gamma_1 gamma_2 in rad/s * m^3."""
     gamma_pair = constants.gamma_c if species == "carbon13" else constants.gamma_e
     return constants.mu0_over_4pi * constants.hbar * gamma_pair * constants.gamma_e
-
-
-def hyperfine_z(r: float, cos_theta: float, species: Species = "carbon13",
-                constants: PhysicalConstants = CONSTANTS) -> float:
-    """Secular z coupling in Hz of one bath spin at (r, cos theta)."""
-    if not r > 0.0:
-        raise ValueError("r must be > 0")
-    if abs(cos_theta) > 1.0:
-        raise ValueError("|cos_theta| must be <= 1")
-    pref = _coupling_prefactor(species, constants)
-    return pref * (3.0 * cos_theta ** 2 - 1.0) / r ** 3 / TWO_PI
 
 
 #: mean number of near spins per bath: the near shell v < v0 holds this many
@@ -140,9 +136,7 @@ def t2star_distribution(cfg: BathConfig, n_baths: int, rng: np.random.Generator,
     Gaussian draw (clipped at 0) with its exact mean and variance.  The
     shell holds NEAR_SPINS of the mean count, or more: it contains every
     spin the exclude_above_hz filter can drop, so the filter is exact.
-    batch_size is the number of baths drawn per batch.  The half-normal
-    scale is the maximum-likelihood estimate sqrt(mean(T2*^2)) over finite
-    samples.
+    batch_size is the number of baths drawn per batch.
     """
     if n_baths < 1:
         raise ValueError("n_baths must be >= 1")
@@ -179,18 +173,7 @@ def t2star_distribution(cfg: BathConfig, n_baths: int, rng: np.random.Generator,
         gamma2 = 0.25 * (p / cfg.r_max ** 3) ** 2 * sums
         with np.errstate(divide="ignore"):
             samples[done:done + nb] = np.sqrt(2.0 / gamma2)
-    finite = samples[np.isfinite(samples)]
-    scale = math.sqrt(float(np.mean(finite ** 2))) if finite.size else math.inf
-    return T2StarDistribution(samples=samples, half_normal_scale=scale)
-
-
-def half_normal_mle(samples: np.ndarray) -> float:
-    """Half-normal scale MLE, sqrt(mean(x^2))."""
-    x = np.asarray(samples, dtype=float)
-    x = x[np.isfinite(x)]
-    if x.size == 0:
-        raise ValueError("no finite samples")
-    return math.sqrt(float(np.mean(x * x)))
+    return T2StarDistribution(samples)
 
 
 def exceedance_probability(cfg: BathConfig, t2_lower: float, n_baths: int,

@@ -141,11 +141,22 @@ class OutputWriter:
         return path
 
     def json(self, name: str, payload: dict) -> Path:
+        """Strict JSON: non-finite numbers are written as null."""
         path = self.out_dir / name
-        payload = {"seed": self.seed, "version": __version__, **payload}
-        path.write_text(json.dumps(payload, indent=2, allow_nan=True) + "\n",
+        payload = _finite_or_null({"seed": self.seed, "version": __version__, **payload})
+        path.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n",
                         encoding="utf-8")
         return path
+
+
+def _finite_or_null(value):
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
 def _fmt(v) -> str:
@@ -178,10 +189,9 @@ def _print_config(args: argparse.Namespace, model: AcFieldModel | None = None) -
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    model = _load_model(args.config or args.model)
+    model = _load_model(args.config)
     _print_config(args, model)
-    out = OutputWriter(Path(args.out), f"simulate {args.sequence}", args.seed,
-                       args.config or args.model)
+    out = OutputWriter(Path(args.out), f"simulate {args.sequence}", args.seed, args.config)
     rows = []
     if args.sequence == "feedforward":
         taus = parse_range(args.tau_range, "time", args.points)
@@ -256,11 +266,9 @@ def cmd_bath(args: argparse.Namespace) -> int:
             "chi": args.chi, "n_baths": args.n_baths,
             "scale_us": scale_us, "ci95_us": [scale_us - ci, scale_us + ci],
         })
-        scale = dist.half_normal_scale
-        finite = dist.samples[np.isfinite(dist.samples)]
-        histogram_plot(out.out_dir / "t2star_hist.svg", finite * 1e6, bins=60,
-                       overlay_pdf=lambda x: (math.sqrt(2 / math.pi) / (scale * 1e6)
-                                              * np.exp(-x ** 2 / (2 * (scale * 1e6) ** 2))),
+        histogram_plot(out.out_dir / "t2star_hist.svg", dist.samples * 1e6, bins=60,
+                       overlay_pdf=lambda x: (math.sqrt(2 / math.pi) / scale_us
+                                              * np.exp(-x ** 2 / (2 * scale_us ** 2))),
                        title=f"T2* distribution, chi={args.chi}", xlabel="T2* (us)")
         print(out.out_dir / "t2star_summary.json")
         return EXIT_OK
@@ -292,37 +300,12 @@ def _plot_fit(out: OutputWriter, name: str, curve: DecayCurve, model_y, label: s
     plot.write(out.out_dir / name)
 
 
-def _read_xy_flexible(path: str) -> DecayCurve:
-    """Read x,y[,sigma]; sweep CSVs are recognized by their header and read
-    as (t_total_s, expectation)."""
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.lstrip().startswith("#") or not line.strip():
-                continue
-            header = [h.strip() for h in line.split(",")]
-            break
-        else:
-            raise DataError("file contains no data rows")
-    if "t_total_s" in header and "expectation" in header:
-        ix, iy = header.index("t_total_s"), header.index("expectation")
-        xs, ys = [], []
-        with open(path, newline="", encoding="utf-8") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0].lstrip().startswith("#") or row == header:
-                    continue
-                xs.append(float(row[ix]))
-                ys.append(float(row[iy]))
-        order = np.argsort(xs)
-        return DecayCurve(np.asarray(xs)[order], np.asarray(ys)[order])
-    return read_decay_csv(path)
-
-
 def cmd_fit(args: argparse.Namespace) -> int:
     _print_config(args)
     out = OutputWriter(Path(args.out), f"fit {args.fit_command}", args.seed, "-")
 
     if args.fit_command == "decay":
-        curve = _read_xy_flexible(args.data)
+        curve = read_decay_csv(args.data)
         fit = fit_stretched_exp(curve, fix_n=args.fix_n)
         out.json("fit_decay.json", json.loads(fit_result_to_json(fit)))
         _plot_fit(out, "fit_decay.svg", curve, stretched_exp(curve.x, fit.values()),
@@ -341,20 +324,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
         model_y = fit.params["T0"] * np.power(curve.x, fit.params["eta"])
         _plot_fit(out, "fit_scaling.svg", curve, model_y, "power-law scaling fit")
         print(out.out_dir / "fit_scaling.json")
-        return EXIT_OK
-
-    if args.fit_command == "arrhenius":
-        curve = read_decay_csv(args.data)  # columns: T_K, dPdt_Pa_s
-        leak, fit = growth.fit_arrhenius(curve.x, curve.y, volume=args.volume)
-        out.json("fit_arrhenius.json", {
-            **json.loads(fit_result_to_json(fit)),
-            "q_leak_Pa_m3_s": leak.q_leak, "q0_Pa_m3_s": leak.q0, "e_a_J": leak.e_a,
-        })
-        _plot_fit(out, "fit_arrhenius.svg", curve,
-                  leak.throughput(curve.x) / leak.volume, "Arrhenius throughput fit")
-        print(out.out_dir / "fit_arrhenius.json")
-        if not fit.converged:
-            raise NonConvergence(fit.message)
         return EXIT_OK
 
     if args.fit_command == "diffusion":
@@ -381,9 +350,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
             tag = f"{ds.power_nw:g}nW"
             model = diff.OuDiffusionModel(fit.params[f"D_{tag}"], fit.params["gamma_i"])
             line = diff.HomogeneousLine(fit.params[f"C0_{tag}"], args.gamma_h)
-            ys = [diff.counts_no_ionization(model, line, float(t)) for t in ds.curve.x]
             plot.add_line(ds.curve.x, ds.curve.y, tag, "points")
-            plot.add_line(ds.curve.x, ys, "")
+            plot.add_line(ds.curve.x, diff.counts_no_ionization(model, line, ds.curve.x), "")
         plot.write(out.out_dir / "fit_diffusion.svg")
         print(out.out_dir / "fit_diffusion.json")
         if not fit.converged:
@@ -447,6 +415,8 @@ def cmd_growth(args: argparse.Namespace) -> int:
         "volume_m3": leak.volume, "converged": fit.converged,
         "stderr": fit.stderr,
     })
+    _plot_fit(out, "growth_leak.svg", curve, leak.throughput(curve.x) / leak.volume,
+              "Arrhenius throughput fit")
     print(out.out_dir / "growth_leak.json")
     if not fit.converged:
         raise NonConvergence(fit.message)
@@ -464,22 +434,14 @@ def cmd_diffusion(args: argparse.Namespace) -> int:
     line = diff.HomogeneousLine(c0=args.c0, gamma_h=args.gamma_h)
     taus = parse_range(args.tau_range, "time", args.points)
     taus = taus[taus > 0.0]
-    rows = []
+    forward = backward = diff.counts_no_ionization(model, line, taus, args.detuning)
     if args.sink_s > 0.0:
-        sink = diff.IonizationSink(strength_s=args.sink_s,
-                                   forward_rescale=args.forward_rescale)
-        solver = diff.SinkSolver(model, sink)
+        solver = diff.SinkSolver(model, diff.IonizationSink(strength_s=args.sink_s))
         try:
-            ionizing = solver.counts_factorized(line, taus, args.detuning)(args.sink_s)
+            forward = solver.counts_factorized(line, taus, args.detuning)(args.sink_s)
         except diff.ValidityError as exc:
             raise ConfigError(f"--tau-range: {exc}") from None
-        for t, counts in zip(taus, ionizing):
-            backward = diff.counts_no_ionization(model, line, float(t), args.detuning)
-            rows.append([t, sink.forward_rescale * counts, backward, 0.0])
-    else:
-        for t in taus:
-            backward = diff.counts_no_ionization(model, line, float(t), args.detuning)
-            rows.append([t, args.forward_rescale * backward, backward, 0.0])
+    rows = [[t, args.forward_rescale * f, b, 0.0] for t, f, b in zip(taus, forward, backward)]
     path = out.csv("diffusion_predict.csv",
                    ["tau_d_s", "counts_forward", "counts_backward", "stderr"], rows)
     if rows:
@@ -503,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", default=".", help="output directory")
-    common.add_argument("--config", default=None, help="field-model config file")
     common.add_argument("--print-config", action="store_true")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -512,9 +473,10 @@ def build_parser() -> argparse.ArgumentParser:
     sim_sub = sim.add_subparsers(dest="sequence", required=True)
     for kind in ("ramsey", "hahn", "cpmg", "feedforward"):
         p = sim_sub.add_parser(kind, parents=[common])
-        p.add_argument("--model", default="table1",
+        p.add_argument("--config", default="table1",
                        help="'table1' or a field-model config path")
-        p.add_argument("--n-t0", type=int, default=400)
+        if kind != "feedforward":
+            p.add_argument("--n-t0", type=int, default=400)
         p.add_argument("--points", type=int, default=101)
         if kind == "ramsey":
             p.add_argument("--t-range", required=True)
@@ -570,10 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c0", type=float, required=True)
     p.add_argument("--gamma-h", type=lambda s: parse_quantity(s, "freq_mhz"), default=22.0)
     p.add_argument("--forward-rescale", type=float, default=0.96)
-    p.set_defaults(func=cmd_fit)
-    p = fit_sub.add_parser("arrhenius", parents=[common])
-    p.add_argument("--data", required=True)
-    p.add_argument("--volume", type=float, default=11.3e-3)
     p.set_defaults(func=cmd_fit)
 
     growth_p = sub.add_parser("growth", help="growth calculators")

@@ -224,8 +224,9 @@ def faddeeva_w(z):
     return complex(out) if out.ndim == 0 else out
 
 
-def voigt_density(x, sigma: float, gamma_hwhm: float):
-    """Gaussian(sigma) (*) Lorentzian(HWHM) density at x."""
+def voigt_density(x, sigma, gamma_hwhm: float):
+    """Gaussian(sigma) (*) Lorentzian(HWHM) density at x; sigma is a scalar
+    or an array of the shape of x."""
     scalar = np.ndim(x) == 0
     x = np.atleast_1d(np.asarray(x, dtype=float))
     z = (x + 1j * gamma_hwhm) / (sigma * math.sqrt(2.0))
@@ -233,18 +234,24 @@ def voigt_density(x, sigma: float, gamma_hwhm: float):
     return float(out[0]) if scalar else out
 
 
-def counts_no_ionization(model: OuDiffusionModel, line: HomogeneousLine, tau_d: float,
-                         probe_detuning: float = 0.0, f_start: float = 0.0) -> float:
+def counts_no_ionization(model: OuDiffusionModel, line: HomogeneousLine, tau_d,
+                         probe_detuning: float = 0.0, f_start: float = 0.0):
     """Expected counts after sinkless diffusion: Voigt evaluation of the
-    homogeneous line convolved with the diffused frequency distribution."""
-    if tau_d < 0.0:
+    homogeneous line convolved with the diffused frequency distribution.
+
+    tau_d may be an array (one value per time) or a scalar (a float); at
+    tau_d = 0 the counts are the bare Lorentzian.
+    """
+    t = np.asarray(tau_d, dtype=float)
+    if np.any(t < 0.0):
         raise ValueError("tau_d must be >= 0")
-    if tau_d == 0.0:
-        return float(line.counts(probe_detuning - f_start))
-    mu = ou_mean(model, tau_d, f_start)
-    sigma = math.sqrt(ou_variance(model, tau_d))
+    out = np.full(t.shape, line.counts(probe_detuning - f_start))
+    diffused = t > 0.0
+    t = t[diffused]
     hw = 0.5 * line.gamma_h
-    return float(line.c0 * math.pi * hw * voigt_density(probe_detuning - mu, sigma, hw))
+    out[diffused] = line.c0 * math.pi * hw * voigt_density(
+        probe_detuning - ou_mean(model, t, f_start), np.sqrt(ou_variance(model, t)), hw)
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -463,20 +470,17 @@ def joint_fit_backward(datasets: Sequence[PowerDataset], gamma_h_fixed: float,
     sig_all = (np.concatenate([ds.curve.sigma for ds in datasets])
                if all(ds.curve.sigma is not None for ds in datasets) else None)
 
-    hw = 0.5 * gamma_h_fixed
-
     def model_fn(x, params):
-        gamma_i = params[0]
         out = np.empty_like(x)
         for i, sl in enumerate(slices):
-            d_i, c0_i = params[1 + 2 * i], params[2 + 2 * i]
-            model = OuDiffusionModel(d_coeff=d_i, gamma_i=gamma_i, f0=f0)
-            sigma = np.sqrt(ou_variance(model, x[sl]))
-            out[sl] = c0_i * math.pi * hw * voigt_density(-ou_mean(model, x[sl]), sigma, hw)
+            model = OuDiffusionModel(d_coeff=params[1 + 2 * i], gamma_i=params[0], f0=f0)
+            line = HomogeneousLine(c0=params[2 + 2 * i], gamma_h=gamma_h_fixed)
+            out[sl] = counts_no_ionization(model, line, x[sl])
         return out
 
     # initial guesses: C0 from the first point, gamma_i from the plateau
     # ratio, D from the half-decay time
+    hw = 0.5 * gamma_h_fixed
     names = ["gamma_i"]
     p0 = []
     gammas = []

@@ -23,10 +23,7 @@ from .sequences import PulseSequence, phase_of
 
 __all__ = [
     "ShotConfig",
-    "PhaseEstimate",
     "FeedforwardOutcome",
-    "sample_observable",
-    "estimate_phase",
     "run_feedforward",
 ]
 
@@ -56,14 +53,6 @@ class ShotConfig:
 
 
 @dataclass(frozen=True)
-class PhaseEstimate:
-    phi: float
-    x_raw: float
-    y_raw: float
-    defined: bool = True
-
-
-@dataclass(frozen=True)
 class FeedforwardOutcome:
     tau: float
     phi_estimate: float
@@ -79,28 +68,15 @@ def _correct_and_clip(p_click: float, cfg: ShotConfig) -> float:
     return float(np.clip(2.0 * p_up - 1.0, -1.0, 1.0))
 
 
-def sample_observable(true_expectation: float, cfg: ShotConfig,
-                      rng: np.random.Generator) -> float:
-    """Fidelity-corrected estimator of a Pauli expectation from n_shots.
+def _sample_shotwise(true_expectations: np.ndarray, cfg: ShotConfig,
+                     rng: np.random.Generator) -> float:
+    """Fidelity-corrected block estimate of a Pauli expectation that may
+    drift shot to shot.
 
     Each shot is a Bernoulli outcome with p = (1 + E)/2 passed through the
     binary readout confusion matrix; the block estimate is inverted through
     the same matrix and clipped to [-1, 1].
     """
-    if abs(true_expectation) > 1.0 + 1e-12:
-        raise ValueError("|true_expectation| must be <= 1")
-    if cfg.exact:
-        return float(np.clip(true_expectation, -1.0, 1.0))
-    p_up = 0.5 * (1.0 + true_expectation)
-    f0, f1 = cfg.readout_fidelity_0, cfg.readout_fidelity_1
-    p_click = p_up * f1 + (1.0 - p_up) * (1.0 - f0)
-    k = rng.binomial(cfg.n_shots, min(max(p_click, 0.0), 1.0))
-    return _correct_and_clip(k / cfg.n_shots, cfg)
-
-
-def _sample_shotwise(true_expectations: np.ndarray, cfg: ShotConfig,
-                     rng: np.random.Generator) -> float:
-    """Block estimator when the true expectation drifts shot to shot."""
     if cfg.exact:
         return float(np.clip(np.mean(true_expectations), -1.0, 1.0))
     p_up = 0.5 * (1.0 + true_expectations)
@@ -110,21 +86,19 @@ def _sample_shotwise(true_expectations: np.ndarray, cfg: ShotConfig,
     return _correct_and_clip(float(np.mean(clicks)), cfg)
 
 
-def estimate_phase(model: AcFieldModel, tau: float, cfg: ShotConfig,
-                   rng: np.random.Generator, t0: float = 0.0,
-                   constants: PhysicalConstants = CONSTANTS) -> PhaseEstimate:
-    """Estimate the synchronized echo phase from <X> and <Y> blocks.
+def _xy_phase(phi_x: np.ndarray, phi_y: np.ndarray, cfg: ShotConfig,
+                    rng: np.random.Generator) -> tuple[float, float, float]:
+    """(Phi, <X>, <Y>) from an X block and a Y block whose shots see the true
+    phases phi_x and phi_y.
 
-    Returns the two-argument arctangent, which resolves the quadrant (the
-    estimate is the true phase modulo 2 pi).  x_raw = y_raw = 0 is flagged
-    as an undefined-phase outcome.
+    Phi = atan2(<Y>, <X>) resolves the quadrant (the estimate is the true
+    phase modulo 2 pi); <X> = <Y> = 0 leaves it undefined (nan).
     """
-    phi_true = phase_of(model, PulseSequence.hahn(tau), t0, constants)
-    x_raw = sample_observable(math.cos(phi_true), cfg, rng)
-    y_raw = sample_observable(math.sin(phi_true), cfg, rng)
+    x_raw = _sample_shotwise(np.cos(phi_x), cfg, rng)
+    y_raw = _sample_shotwise(np.sin(phi_y), cfg, rng)
     if x_raw == 0.0 and y_raw == 0.0:
-        return PhaseEstimate(phi=float("nan"), x_raw=x_raw, y_raw=y_raw, defined=False)
-    return PhaseEstimate(phi=math.atan2(y_raw, x_raw), x_raw=x_raw, y_raw=y_raw)
+        return float("nan"), x_raw, y_raw
+    return math.atan2(y_raw, x_raw), x_raw, y_raw
 
 
 def run_feedforward(model: AcFieldModel, taus, cfg: ShotConfig,
@@ -163,12 +137,8 @@ def run_feedforward(model: AcFieldModel, taus, cfg: ShotConfig,
             a_y = a_traj[base + n:base + 2 * n]
             a_c = a_traj[base + 2 * n:base + 3 * n]
             if estimate_each_repetition or rep == 0:
-                x_raw = _sample_shotwise(np.cos(a_x * phi_unit), cfg, rng)
-                y_raw = _sample_shotwise(np.sin(a_y * phi_unit), cfg, rng)
-                if x_raw == 0.0 and y_raw == 0.0:
-                    phi_est = float("nan")
-                else:
-                    phi_est = math.atan2(y_raw, x_raw)
+                phi_est, x_raw, y_raw = _xy_phase(a_x * phi_unit, a_y * phi_unit,
+                                                        cfg, rng)
             if math.isnan(phi_est):
                 c_values.append(0.0)
                 continue

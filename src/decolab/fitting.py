@@ -344,24 +344,39 @@ class DataError(ValueError):
 
 
 def read_decay_csv(path: str | Path) -> DecayCurve:
-    """Read x,y[,sigma] rows; a header row is detected and skipped."""
+    """Read x,y[,sigma] rows with x strictly increasing.
+
+    A header row before the data is detected and skipped.  A sweep header
+    (as written by ``decolab simulate``) names the columns: x is t_total_s
+    and y is expectation.
+    """
     xs: list[float] = []
     ys: list[float] = []
     ss: list[float] = []
+    columns = None  # (x, y) column indices of a sweep
+    header = False
     with open(path, newline="", encoding="utf-8") as fh:
         for lineno, row in enumerate(csv.reader(fh), 1):
-            if not row or not "".join(row).strip():
+            if not "".join(row).strip() or row[0].lstrip().startswith("#"):
                 continue
-            if row[0].lstrip().startswith("#"):
-                continue
+            if columns is not None:
+                if len(row) <= max(columns):
+                    raise DataError(f"short sweep row {row!r}", line=lineno)
+                row = [row[i] for i in columns]
             try:
                 vals = [float(v) for v in row]
             except ValueError:
-                if lineno == 1:
-                    continue  # header
-                raise DataError(f"non-numeric row {row!r}", line=lineno) from None
+                if header or xs:
+                    raise DataError(f"non-numeric row {row!r}", line=lineno) from None
+                header = True
+                names = [h.strip() for h in row]
+                if "t_total_s" in names and "expectation" in names:
+                    columns = (names.index("t_total_s"), names.index("expectation"))
+                continue
             if len(vals) < 2:
                 raise DataError("expected at least two columns (x, y)", line=lineno)
+            if xs and not vals[0] > xs[-1]:
+                raise DataError(f"x = {vals[0]!r} does not increase", line=lineno)
             xs.append(vals[0])
             ys.append(vals[1])
             if len(vals) >= 3:
@@ -370,10 +385,7 @@ def read_decay_csv(path: str | Path) -> DecayCurve:
         raise DataError("file contains no data rows")
     if ss and len(ss) != len(xs):
         raise DataError("sigma column present only on some rows")
-    try:
-        return DecayCurve(np.array(xs), np.array(ys), np.array(ss) if ss else None)
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
+    return DecayCurve(np.array(xs), np.array(ys), np.array(ss) if ss else None)
 
 
 def write_decay_csv(path: str | Path, curve: DecayCurve,

@@ -126,12 +126,14 @@ def quick_line_plot(path: str | Path, x, ys: Sequence, labels: Sequence[str],
 
 def histogram_plot(path: str | Path, samples, bins: int = 60, overlay_pdf=None,
                    title: str = "", xlabel: str = "", ylabel: str = "density") -> None:
+    """Density histogram of the finite samples; with none, the axes only."""
     samples = np.asarray(samples, float)
     samples = samples[np.isfinite(samples)]
-    counts, edges = np.histogram(samples, bins=bins, density=True)
     plot = SvgPlot(title=title, xlabel=xlabel, ylabel=ylabel)
-    plot.add_histogram(edges, counts)
-    if overlay_pdf is not None:
-        xs = np.linspace(edges[0], edges[-1], 300)
-        plot.add_line(xs, overlay_pdf(xs), "model")
+    if samples.size:
+        counts, edges = np.histogram(samples, bins=bins, density=True)
+        plot.add_histogram(edges, counts)
+        if overlay_pdf is not None:
+            xs = np.linspace(edges[0], edges[-1], 300)
+            plot.add_line(xs, overlay_pdf(xs), "model")
     plot.write(path)

@@ -194,6 +194,18 @@ def _draw_counts(mean: float, cfg: BathConfig, rng: np.random.Generator,
     return base + (rng.random(n) < mean - base)
 
 
+def hyperfine_z(r, cos_theta, species: str = "carbon13", constants=CONSTANTS):
+    """Secular z coupling (Hz) of a bath spin at (r, cos theta):
+    p (3 cos^2 theta - 1) / (2 pi r^3) with the library's prefactor p."""
+    r, cos_theta = np.asarray(r, dtype=float), np.asarray(cos_theta, dtype=float)
+    if not np.all(r > 0.0):
+        raise ValueError("r must be > 0")
+    if np.any(np.abs(cos_theta) > 1.0):
+        raise ValueError("|cos_theta| must be <= 1")
+    pref = _coupling_prefactor(species, constants)
+    return pref * (3.0 * cos_theta ** 2 - 1.0) / r ** 3 / TWO_PI
+
+
 def sample_bath(cfg: BathConfig, rng: np.random.Generator,
                 constants=CONSTANTS) -> SampledBath:
     """One bath: positions uniform in the r_max ball, count from the mean
@@ -202,8 +214,7 @@ def sample_bath(cfg: BathConfig, rng: np.random.Generator,
     # uniform in the ball: r^3 uniform; 1 - u keeps r strictly positive
     r = cfg.r_max * np.cbrt(1.0 - rng.random(n))
     cos_theta = 2.0 * rng.random(n) - 1.0
-    pref = _coupling_prefactor(cfg.species, constants)
-    couplings = pref * (3.0 * cos_theta ** 2 - 1.0) / r ** 3 / TWO_PI
+    couplings = hyperfine_z(r, cos_theta, cfg.species, constants)
     if cfg.exclude_above_hz is not None:
         keep = np.abs(couplings) <= cfg.exclude_above_hz
         r, cos_theta, couplings = r[keep], cos_theta[keep], couplings[keep]

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from decolab.bath import (BathConfig, LikelihoodEstimate, electron_bath_likelihood,
-                          half_normal_mle, hyperfine_z, t2star_distribution)
+from decolab.bath import (BathConfig, LikelihoodEstimate, T2StarDistribution,
+                          _coupling_prefactor, electron_bath_likelihood,
+                          t2star_distribution)
 from decolab.constants import CONSTANTS, TWO_PI
 from conftest import make_rng
 from oracles import (SampledBath, brute_force_t2star, filtered_inverse_square_mean,
-                     gamma2_sums, sample_bath, t2star_of_bath)
+                     gamma2_sums, hyperfine_z, sample_bath, t2star_of_bath)
 from perfbench.tracer import analytic_half_normal_scale
 
 CHI_REF = 4.42e-4  # the mid concentration studied in the bath histograms
@@ -59,9 +60,14 @@ def test_hyperfine_against_extended_precision_constants():
              * 2 * mpmath.pi * mpmath.mpf("28.024951e9"))
         expected = float(k * 2 / mpmath.mpf("1e-27") / (2 * mpmath.pi))
     assert hyperfine_z(1e-9, 1.0) == pytest.approx(expected, rel=1e-12)
+    assert _coupling_prefactor("carbon13", CONSTANTS) * 2 / 1e-27 / TWO_PI == \
+        pytest.approx(expected, rel=1e-12)
     # electron species swaps the nuclear for the electron gyromagnetic ratio
-    ratio = hyperfine_z(1e-9, 1.0, species="electron") / hyperfine_z(1e-9, 1.0)
+    ratio = (_coupling_prefactor("electron", CONSTANTS)
+             / _coupling_prefactor("carbon13", CONSTANTS))
     assert ratio == pytest.approx(CONSTANTS.gamma_e / CONSTANTS.gamma_c, rel=1e-12)
+    assert hyperfine_z(1e-9, 1.0, species="electron") / hyperfine_z(1e-9, 1.0) == \
+        pytest.approx(ratio, rel=1e-12)
 
 
 def test_t2star_single_spin():
@@ -182,7 +188,18 @@ def test_poisson_mode():
 def test_half_normal_mle():
     rng = make_rng(22)
     x = np.abs(rng.normal(0.0, 3.5, 200000))
-    assert half_normal_mle(x) == pytest.approx(3.5, rel=0.01)
+    assert T2StarDistribution(x).half_normal_scale == pytest.approx(3.5, rel=0.01)
+
+
+def test_scale_stderr_counts_finite_samples():
+    # empty baths (T2* = inf) enter neither the scale nor its standard error
+    finite = np.abs(make_rng(25).normal(0.0, 2.0, 40))
+    dist = T2StarDistribution(np.concatenate([finite, np.full(60, np.inf)]))
+    assert dist.half_normal_scale == T2StarDistribution(finite).half_normal_scale
+    assert dist.scale_stderr() == pytest.approx(dist.half_normal_scale / math.sqrt(80),
+                                                rel=1e-12)
+    empty = T2StarDistribution(np.full(3, np.inf))
+    assert empty.half_normal_scale == empty.scale_stderr() == math.inf
 
 
 def test_likelihood_vacuous_and_monotone():

@@ -1,4 +1,7 @@
 import json
+import math
+import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 from decolab.cli import main, parse_quantity, parse_range
 
 FIXTURES = Path(__file__).parent / "fixtures"
+ROOT = Path(__file__).parents[1]
 
 
 def run(args, capsys=None):
@@ -135,6 +139,7 @@ def test_growth_commands(tmp_path):
     payload = json.loads((tmp_path / "growth_leak.json").read_text())
     meta = json.loads((FIXTURES / "arrhenius_synthetic.json").read_text())
     assert payload["q_leak_Pa_m3_s"] == pytest.approx(meta["q_leak"], rel=0.01)
+    assert "<circle" in (tmp_path / "growth_leak.svg").read_text()
 
 
 def test_diffusion_predict_roundtrip(tmp_path):
@@ -172,6 +177,31 @@ def test_bath_empty_baths_have_infinite_t2star(tmp_path):
     t2star = np.array([float(row) for row in rows])
     assert t2star.size == 50 and np.all(t2star > 0)
     assert np.isinf(t2star).sum() > 40 and np.isfinite(t2star).any()
+    # the confidence interval counts the finite samples the scale uses
+    summary = json.loads((tmp_path / "t2star_summary.json").read_text())
+    finite = t2star[np.isfinite(t2star)]
+    half_width = 1.96 * summary["scale_us"] / math.sqrt(2.0 * finite.size)
+    lo, hi = summary["ci95_us"]
+    assert 0.5 * (hi - lo) == pytest.approx(half_width, rel=1e-9)
+
+
+def _strict_json(path):
+    def reject(name):
+        raise ValueError(f"non-finite number {name} in {path.name}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_bath_all_empty_writes_strict_json_and_bare_axes(tmp_path):
+    # a bath holds 7e-5 spins on average: every sample is inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["bath", "t2star", "--chi", "1e-12", "--n-baths", "5",
+                    "--out", str(tmp_path)]) == 0
+    summary = _strict_json(tmp_path / "t2star_summary.json")
+    assert summary["scale_us"] is None and summary["ci95_us"] == [None, None]
+    svg = (tmp_path / "t2star_hist.svg").read_text()
+    assert "nan" not in svg and "<rect x=" in svg and "<polyline" not in svg
 
 
 def test_bath_seeds_differ_but_scale_agrees(tmp_path):
@@ -214,6 +244,61 @@ def test_chi_outside_unit_interval_is_config_error(tmp_path, command):
     with pytest.raises(SystemExit) as exc:
         run(command + ["--chi", "2", "--out", str(tmp_path)])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["bath", "t2star", "--chi", "0.0442%", "--config", "x"],
+    ["growth", "chi", "--f0", "1", "--f1", "1", "--config", "x"],
+    ["simulate", "hahn", "--tau-range", "1ms:2ms", "--model", "table1"],
+    ["simulate", "feedforward", "--tau-range", "1ms:2ms", "--n-t0", "400"],
+])
+def test_flags_a_command_does_not_read_are_rejected(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+
+
+def test_simulate_config_is_recorded(tmp_path):
+    cfg = ROOT / "src" / "decolab" / "data" / "mains_50hz.cfg"
+    for name, extra in (("default", []), ("file", ["--config", str(cfg)])):
+        assert run(["simulate", "hahn", "--tau-range", "1ms:2ms:1ms",
+                    "--out", str(tmp_path / name)] + extra) == 0
+    assert json.loads((tmp_path / "default" / "run_manifest.json").read_text()) \
+        ["config_path"] == "table1"
+    assert json.loads((tmp_path / "file" / "run_manifest.json").read_text()) \
+        ["config_path"] == str(cfg)
+
+
+def _readme_commands() -> list[list[str]]:
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(cmd)[1:] for cmd in block.replace("\\\n", " ").splitlines()
+            if cmd.startswith("decolab ")]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch):
+    commands = _readme_commands()
+    assert len(commands) >= 10
+    monkeypatch.chdir(ROOT)  # the README's data paths are relative to the repo root
+    for argv in commands:
+        i = argv.index("--out")
+        argv[i + 1] = str(tmp_path / argv[i + 1])
+        assert run(argv) == 0, argv
+
+
+@pytest.mark.parametrize("row, line", [
+    ("hahn,1,0.0003,0.0006,x\n", 4),        # non-numeric cell
+    ("hahn,1,0.0003\n", 4),                 # short row
+    ("hahn,1,0.0001,0.0002,0.99\n", 4),     # t_total_s not increasing
+])
+def test_malformed_sweep_is_data_error(tmp_path, capsys, row, line):
+    sweep = tmp_path / "sweep.csv"
+    sweep.write_text("# decolab 0.1.0 command=simulate hahn seed=0\n"
+                     "sequence_kind,n_pulses,tau_s,t_total_s,expectation\n"
+                     "hahn,1,0.0002,0.0004,0.99\n" + row, encoding="utf-8")
+    assert run(["fit", "decay", "--data", str(sweep), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"decolab: data error (line {line})") and err.count("\n") == 1
 
 
 def test_exit_code_config_error(tmp_path, capsys):
@@ -272,7 +357,8 @@ def test_predict_tau_below_validity_bound_is_config_error(tmp_path, capsys):
 
 def test_benchmark_tracer_records_sequences_and_diffusion(tmp_path):
     # the benchmark's tracer wraps the public functions of each module and
-    # the SinkSolver methods it names; it must still install over them
+    # the SinkSolver methods it names; it must still install over them and
+    # read the bath scale and the feedforward shots off their calls
     from perfbench.tracer import TRACED_METHODS, Tracer
 
     tracer = Tracer()
@@ -283,6 +369,10 @@ def test_benchmark_tracer_records_sequences_and_diffusion(tmp_path):
         assert run(["diffusion", "predict", "--gamma-i", "117", "--d-coeff", "1.6e4",
                     "--sink-s", "150", "--tau-range", "5ms:50ms", "--points", "4",
                     "--out", str(tmp_path / "predict")]) == 0
+        assert run(["bath", "t2star", "--chi", "0.0442%", "--n-baths", "200",
+                    "--out", str(tmp_path / "bath")]) == 0
+        assert run(["simulate", "feedforward", "--tau-range", "1ms:2ms:1ms",
+                    "--repetitions", "2", "--out", str(tmp_path / "ff")]) == 0
     finally:
         tracer.uninstall()
     names = {span[0] for span in tracer.spans}
@@ -291,5 +381,8 @@ def test_benchmark_tracer_records_sequences_and_diffusion(tmp_path):
     assert "diffusion.SinkSolver.__init__" in names
     assert any(n.startswith("diffusion.SinkSolver.counts") for n in names)
     assert tracer.layer_metrics()["sequences.phase_evals_computed"] > 0
+    assert any(n.startswith("bath.") for n in names)
+    assert any(n.startswith("feedforward.") for n in names)
+    assert math.isfinite(tracer.counters["bath.scale_z.chi4.42e-4"])
     for cls, methods in TRACED_METHODS.items():
         assert all(m in vars(cls) for m in methods)

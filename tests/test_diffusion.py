@@ -143,9 +143,25 @@ def test_counts_long_time_voigt_peak():
     assert counts_no_ionization(MODEL, LINE, tau) == pytest.approx(expected, rel=1e-6)
 
 
+def test_counts_array_matches_scalar_calls():
+    # one call per curve: the array path is the per-time path, bit for bit,
+    # and keeps the bare Lorentzian at tau = 0
+    taus = np.concatenate([[0.0], np.geomspace(1e-5, 1.0, 25)])
+    for detuning in (0.0, 11.0):
+        vals = counts_no_ionization(MODEL, LINE, taus, probe_detuning=detuning)
+        assert isinstance(vals, np.ndarray) and vals.shape == taus.shape
+        one_by_one = [counts_no_ionization(MODEL, LINE, float(t), probe_detuning=detuning)
+                      for t in taus]
+        assert all(isinstance(v, float) for v in one_by_one)
+        assert vals.tolist() == one_by_one
+        assert vals[0] == LINE.counts(detuning)
+    with pytest.raises(ValueError):
+        counts_no_ionization(MODEL, LINE, np.array([1e-3, -1e-3]))
+
+
 def test_counts_monotone_and_symmetric():
     taus = np.geomspace(1e-5, 1.0, 25)
-    vals = [counts_no_ionization(MODEL, LINE, t) for t in taus]
+    vals = counts_no_ionization(MODEL, LINE, taus)
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
     for t in (1e-3, 0.1):
         plus = counts_no_ionization(MODEL, LINE, t, probe_detuning=17.0)
