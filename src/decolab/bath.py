@@ -66,7 +66,6 @@ class BathConfig:
     r_max: float = 45e-9
     species: Species = "carbon13"
     exclude_above_hz: float | None = None
-    count_statistics: Literal["rounding", "poisson"] = "rounding"
 
     def __post_init__(self) -> None:
         if not (0.0 < self.concentration < 1.0):
@@ -130,12 +129,13 @@ def t2star_distribution(cfg: BathConfig, n_baths: int, rng: np.random.Generator,
     """Sample n_baths independent baths and reduce each to T2*.
 
     With v = (r / r_max)^3 uniform on (0, 1) and g = 3 cos^2 theta - 1,
-    Gamma_z^2 = (p / r_max^3)^2 / 4 * sum g^2 / v^2.  Each bath's count N
-    splits exactly into n_near ~ Binomial(N, v0) spins of the near shell
-    v < v0, drawn one by one, and N - n_near far spins, whose sum is one
-    Gaussian draw (clipped at 0) with its exact mean and variance.  The
-    shell holds NEAR_SPINS of the mean count, or more: it contains every
-    spin the exclude_above_hz filter can drop, so the filter is exact.
+    Gamma_z^2 = (p / r_max^3)^2 / 4 * sum g^2 / v^2.  Each bath's count N,
+    the mean count rounded stochastically, splits exactly into
+    n_near ~ Binomial(N, v0) spins of the near shell v < v0, drawn one by
+    one, and N - n_near far spins, whose sum is one Gaussian draw (clipped
+    at 0) with its exact mean and variance.  The shell holds NEAR_SPINS of
+    the mean count, or more: it contains every spin the exclude_above_hz
+    filter can drop, so the filter is exact.
     batch_size is the number of baths drawn per batch.
     """
     if n_baths < 1:
@@ -154,11 +154,8 @@ def t2star_distribution(cfg: BathConfig, n_baths: int, rng: np.random.Generator,
     batch_size = max(1, min(batch_size, int(_BATCH_SPINS / max(mean * v0, 1.0))))
     for done in range(0, n_baths, batch_size):
         nb = min(batch_size, n_baths - done)
-        if cfg.count_statistics == "poisson":
-            counts = rng.poisson(mean, nb)
-        else:
-            base = math.floor(mean)
-            counts = base + (rng.random(nb) < mean - base)
+        base = math.floor(mean)
+        counts = base + (rng.random(nb) < mean - base)
         n_near = rng.binomial(counts, v0)
         width = int(n_near.max())
         v = v0 * (1.0 - rng.random((nb, width)))
@@ -198,7 +195,6 @@ def exceedance_probability(cfg: BathConfig, t2_lower: float, n_baths: int,
 
 def electron_bath_likelihood(rho_e_ppb: float, t2_lower: float, n_centres: int,
                              rng: np.random.Generator, n_baths: int = 20000,
-                             r_max: float = ELECTRON_R_MAX,
                              constants: PhysicalConstants = CONSTANTS,
                              chi: float | None = None) -> LikelihoodEstimate:
     """Likelihood that n_centres measured centres all show T2* above t2_lower
@@ -217,7 +213,8 @@ def electron_bath_likelihood(rho_e_ppb: float, t2_lower: float, n_centres: int,
         raise ValueError("n_centres must be >= 0")
     if n_centres == 0:
         return LikelihoodEstimate(1.0, 0.0, 1.0, 0.0, 0)
-    cfg = BathConfig(concentration=rho_e_ppb * 1e-9, r_max=r_max, species="electron")
+    cfg = BathConfig(concentration=rho_e_ppb * 1e-9, r_max=ELECTRON_R_MAX,
+                     species="electron")
     background = None if chi is None else BathConfig(concentration=chi)
     p, se = exceedance_probability(cfg, t2_lower, n_baths, rng, constants, background)
     like = p ** n_centres

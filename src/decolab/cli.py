@@ -30,9 +30,8 @@ from . import bath as bathmod
 from . import diffusion as diff
 from . import growth
 from .feedforward import ShotConfig, run_feedforward
-from .fitting import (DataError, DecayCurve, FitError, fit_power_scaling,
-                      fit_stretched_exp, fit_result_to_json, read_decay_csv,
-                      stretched_exp)
+from .fitting import (DataError, DecayCurve, FitError, FitResult, fit_power_scaling,
+                      fit_stretched_exp, read_decay_csv, stretched_exp)
 from .plotsvg import SvgPlot, histogram_plot, quick_line_plot
 from .sequences import PulseSequence, expectation_unsynchronized, ramsey_envelope
 
@@ -62,15 +61,13 @@ def parse_quantity(text: str, kind: str) -> float:
     tables = {"time": _TIME_SUFFIX, "field": _FIELD_SUFFIX, "freq_mhz": _FREQ_MHZ_SUFFIX,
               "power_nw": _POWER_NW_SUFFIX, "pressure": _PRESSURE_PA_SUFFIX}
     text = text.strip()
-    if kind == "fraction":
-        if text.endswith("%"):
-            return float(text[:-1]) / 100.0
-        return float(text)
-    table = tables[kind]
-    for suffix in sorted(table, key=len, reverse=True):
-        if text.endswith(suffix):
-            return float(text[: -len(suffix)]) * table[suffix]
     try:
+        if kind == "fraction":
+            return float(text[:-1]) / 100.0 if text.endswith("%") else float(text)
+        table = tables[kind]
+        for suffix in sorted(table, key=len, reverse=True):
+            if text.endswith(suffix):
+                return float(text[: -len(suffix)]) * table[suffix]
         return float(text)
     except ValueError:
         raise ConfigError(f"cannot parse quantity {text!r} as {kind}") from None
@@ -90,6 +87,16 @@ def parse_range(text: str, kind: str, default_points: int = 101) -> np.ndarray:
         n = int(math.floor((hi - lo) / step + 1e-9)) + 1
         return lo + step * np.arange(max(n, 0))
     return np.linspace(lo, hi, default_points)
+
+
+def _positive_times(args: argparse.Namespace, name: str, default_points: int) -> np.ndarray:
+    """The times t > 0 of the range option ``name``; --points sets the grid
+    size of a start:stop range and is rejected with a stepped one."""
+    text = getattr(args, name)
+    if args.points is not None and text.count(":") == 2:
+        raise ConfigError(f"--points applies only to a start:stop range, not {text!r}")
+    times = parse_range(text, "time", default_points if args.points is None else args.points)
+    return times[times > 0.0]
 
 
 def _time(text: str) -> float:
@@ -167,6 +174,13 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
+def _fit_payload(fit: FitResult) -> dict:
+    return {"params": fit.params, "stderr": fit.stderr,
+            "covariance": np.atleast_2d(fit.covariance).tolist(),
+            "reduced_chi2": fit.reduced_chi2, "converged": fit.converged,
+            "n_iter": fit.n_iter, "message": fit.message}
+
+
 def _load_model(name: str) -> AcFieldModel:
     if name in ("table1", "default"):
         return table1_model()
@@ -194,8 +208,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out = OutputWriter(Path(args.out), f"simulate {args.sequence}", args.seed, args.config)
     rows = []
     if args.sequence == "feedforward":
-        taus = parse_range(args.tau_range, "time", args.points)
-        taus = taus[taus > 0.0]
+        taus = _positive_times(args, "tau_range", 101)
         rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(args.seed)))
         drift = None if args.frozen_drift else AmplitudeScaleProcess(
             sigma=args.drift_sigma, correlation_time=args.drift_correlation)
@@ -216,8 +229,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.sequence == "ramsey":
-        times = parse_range(args.t_range, "time", args.points)
-        times = times[times > 0.0]
+        times = _positive_times(args, "t_range", 101)
         if args.envelope:
             vals = ramsey_envelope(model, (args.a_min, args.a_max), times,
                                    n_t0=args.n_t0, n_a=args.n_a)
@@ -227,8 +239,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             rows.append(["ramsey", 0, t, t, v])
     else:
         n_pulses = 1 if args.sequence == "hahn" else args.n
-        taus = parse_range(args.tau_range, "time", args.points)
-        taus = taus[taus > 0.0]
+        taus = _positive_times(args, "tau_range", 101)
         seq = (PulseSequence.hahn(taus) if args.sequence == "hahn"
                else PulseSequence.cpmg(n_pulses, taus))
         vals = expectation_unsynchronized(model, seq, args.n_t0)
@@ -307,7 +318,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     if args.fit_command == "decay":
         curve = read_decay_csv(args.data)
         fit = fit_stretched_exp(curve, fix_n=args.fix_n)
-        out.json("fit_decay.json", json.loads(fit_result_to_json(fit)))
+        out.json("fit_decay.json", _fit_payload(fit))
         _plot_fit(out, "fit_decay.svg", curve, stretched_exp(curve.x, fit.values()),
                   "stretched exponential fit")
         print(out.out_dir / "fit_decay.json")
@@ -320,7 +331,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         fit = fit_power_scaling(curve.x, curve.y, curve.sigma)
         if len(curve) == 2:
             print("warning: two points, dof=0, exact interpolation", file=sys.stderr)
-        out.json("fit_scaling.json", json.loads(fit_result_to_json(fit)))
+        out.json("fit_scaling.json", _fit_payload(fit))
         model_y = fit.params["T0"] * np.power(curve.x, fit.params["eta"])
         _plot_fit(out, "fit_scaling.svg", curve, model_y, "power-law scaling fit")
         print(out.out_dir / "fit_scaling.json")
@@ -365,7 +376,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     fit = diff.fit_ionization_rate(diff.PowerDataset(args.power, forward), model, line,
                                    forward_rescale=args.forward_rescale)
     out.json("fit_ionization.json", {
-        **json.loads(fit_result_to_json(fit)),
+        **_fit_payload(fit),
         "S_per_s": fit.params["S"], "forward_rescale": args.forward_rescale,
     })
     print(out.out_dir / "fit_ionization.json")
@@ -392,14 +403,17 @@ def cmd_growth(args: argparse.Namespace) -> int:
     if args.growth_command == "nitrogen":
         n2 = args.n2_molps
         if n2 is None:
-            leak = growth.LeakModel(q_leak=args.q_leak)
-            n2 = growth.n2_molar_flow(leak, args.pressure)
+            leak = growth.LeakModel(q_leak=1.5e-8 if args.q_leak is None else args.q_leak)
+            n2 = growth.n2_molar_flow(leak, 120.0 * TORR_TO_PA if args.pressure is None
+                                      else args.pressure)
+        elif args.q_leak is not None or args.pressure is not None:
+            raise ConfigError("--n2-molps excludes --q-leak and --pressure")
         if args.eta is not None:
             ppb = growth.nitrogen_ppb(args.eta, n2, args.ch4_sccm)
             payload = {"eta": args.eta, "nitrogen_ppb": ppb}
         else:
             bounds = growth.nitrogen_bounds(n2, args.ch4_sccm)
-            payload = {"eta_lower": bounds.eta_lower, "eta_upper": bounds.eta_upper,
+            payload = {"eta_lower": growth.ETA_LOWER, "eta_upper": growth.ETA_UPPER,
                        "nitrogen_ppb_lower": bounds.lower_ppb,
                        "nitrogen_ppb_upper": bounds.upper_ppb}
         payload.update({"n2_mol_per_s": n2, "n2_sccm": growth.molar_flow_to_sccm(n2),
@@ -432,8 +446,7 @@ def cmd_diffusion(args: argparse.Namespace) -> int:
     out = OutputWriter(Path(args.out), "diffusion predict", args.seed, "-")
     model = diff.OuDiffusionModel(d_coeff=args.d_coeff, gamma_i=args.gamma_i)
     line = diff.HomogeneousLine(c0=args.c0, gamma_h=args.gamma_h)
-    taus = parse_range(args.tau_range, "time", args.points)
-    taus = taus[taus > 0.0]
+    taus = _positive_times(args, "tau_range", 40)
     forward = backward = diff.counts_no_ionization(model, line, taus, args.detuning)
     if args.sink_s > 0.0:
         solver = diff.SinkSolver(model, diff.IonizationSink(strength_s=args.sink_s))
@@ -477,7 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="'table1' or a field-model config path")
         if kind != "feedforward":
             p.add_argument("--n-t0", type=int, default=400)
-        p.add_argument("--points", type=int, default=101)
+        p.add_argument("--points", type=int, default=None,
+                       help="grid size of a start:stop range (default 101)")
         if kind == "ramsey":
             p.add_argument("--t-range", required=True)
             p.add_argument("--envelope", action="store_true")
@@ -543,10 +557,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = growth_sub.add_parser("nitrogen", parents=[common])
     p.add_argument("--eta", type=float, default=None)
     p.add_argument("--ch4-sccm", type=float, required=True)
-    p.add_argument("--n2-molps", type=float, default=None)
-    p.add_argument("--q-leak", type=float, default=1.5e-8)
-    p.add_argument("--pressure", type=lambda s: parse_quantity(s, "pressure"),
-                   default=120.0 * TORR_TO_PA)
+    p.add_argument("--n2-molps", type=float, default=None,
+                   help="N2 inflow (mol/s); excludes --q-leak and --pressure")
+    p.add_argument("--q-leak", type=float, default=None,
+                   help="leak throughput (Pa m^3/s, default 1.5e-8)")
+    p.add_argument("--pressure", type=lambda s: parse_quantity(s, "pressure"), default=None,
+                   help="growth pressure (default 120Torr)")
     p.set_defaults(func=cmd_growth)
     p = growth_sub.add_parser("leak", parents=[common])
     p.add_argument("--data", required=True, help="CSV with T_K, dPdt_Pa_per_s")
@@ -564,7 +580,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--forward-rescale", type=float, default=0.96)
     p.add_argument("--detuning", type=lambda s: parse_quantity(s, "freq_mhz"), default=0.0)
     p.add_argument("--tau-range", default="1ms:500ms")
-    p.add_argument("--points", type=int, default=40)
+    p.add_argument("--points", type=int, default=None,
+                   help="grid size of a start:stop range (default 40)")
     p.set_defaults(func=cmd_diffusion)
 
     return parser
@@ -584,6 +601,9 @@ def main(argv: list[str] | None = None) -> int:
     except (NonConvergence, FitError) as exc:
         print(f"decolab: fit did not converge: {exc}", file=sys.stderr)
         return EXIT_NOCONV
+    except ValueError as exc:
+        print(f"decolab: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -4,7 +4,8 @@ check-probe photon-count models built on it.
 Frequencies and linewidths are in MHz, the diffusion coefficient D in
 MHz^2 s^-1, times in seconds.  In model coordinates the probe/sink laser
 sits at f = 0 and the line centre f0 and the heralded starting frequency
-default to 0 as well.
+default to 0 as well; the count models and the sink solver start at f = 0,
+and the sink solver also needs f0 = 0.
 
 Without ionization the frequency distribution stays Gaussian,
 
@@ -113,12 +114,9 @@ class HomogeneousLine:
 
 @dataclass(frozen=True)
 class IonizationSink:
-    """Delta-sink strength S (s^-1) at f_ion; forward counts are rescaled by
-    forward_rescale for the check-block ionization loss."""
+    """Delta-sink strength S (s^-1) at the probe frequency f = 0."""
 
     strength_s: float
-    f_ion: float = 0.0
-    forward_rescale: float = 0.96
 
     def __post_init__(self) -> None:
         if self.strength_s < 0.0:
@@ -235,7 +233,7 @@ def voigt_density(x, sigma, gamma_hwhm: float):
 
 
 def counts_no_ionization(model: OuDiffusionModel, line: HomogeneousLine, tau_d,
-                         probe_detuning: float = 0.0, f_start: float = 0.0):
+                         probe_detuning: float = 0.0):
     """Expected counts after sinkless diffusion: Voigt evaluation of the
     homogeneous line convolved with the diffused frequency distribution.
 
@@ -245,12 +243,12 @@ def counts_no_ionization(model: OuDiffusionModel, line: HomogeneousLine, tau_d,
     t = np.asarray(tau_d, dtype=float)
     if np.any(t < 0.0):
         raise ValueError("tau_d must be >= 0")
-    out = np.full(t.shape, line.counts(probe_detuning - f_start))
+    out = np.full(t.shape, line.counts(probe_detuning))
     diffused = t > 0.0
     t = t[diffused]
     hw = 0.5 * line.gamma_h
     out[diffused] = line.c0 * math.pi * hw * voigt_density(
-        probe_detuning - ou_mean(model, t, f_start), np.sqrt(ou_variance(model, t)), hw)
+        probe_detuning - ou_mean(model, t), np.sqrt(ou_variance(model, t)), hw)
     return float(out) if out.ndim == 0 else out
 
 
@@ -283,12 +281,11 @@ def _x_units(model: OuDiffusionModel) -> float:
     return math.sqrt(model.theta / (2.0 * model.d_coeff))
 
 
-def _weight_table(model: OuDiffusionModel, f: np.ndarray, n_eigen: int,
-                  source: float = 0.0) -> np.ndarray:
-    """w_n(f) for n < n_eigen with the source at ``source``; shape (n_eigen, len(f))."""
+def _weight_table(model: OuDiffusionModel, f: np.ndarray, n_eigen: int) -> np.ndarray:
+    """w_n(f) for n < n_eigen with the source at f = 0; shape (n_eigen, len(f))."""
     scale = _x_units(model)
     x = np.atleast_1d(np.asarray(f, dtype=float)) * scale
-    x0 = np.array([source * scale])
+    x0 = np.array([0.0])
     table = hermite_phi_table(n_eigen, x)
     table0 = hermite_phi_table(n_eigen, x0)[:, 0]
     phi0_x = table[0]
@@ -360,24 +357,24 @@ class SinkSolver:
     """Diffusion with a delta ionization sink, solved per diffusion time on a
     fixed frequency grid.
 
+    The heralded start, the sink and the line centre all sit at f = 0: the
+    Hermite basis is centred there, so a model with f0 != 0 is rejected.
     Caches the eigen-weight tables, so repeated evaluations (fits, S sweeps)
-    are cheap.  All returned densities are MHz^-1 on ``grid``.
+    are cheap.  All returned densities are MHz^-1 on ``grid``, which spans
+    +-grid_halfwidth_sigmas stationary standard deviations around f = 0.
     """
 
     def __init__(self, model: OuDiffusionModel, sink: IonizationSink,
-                 settings: SolverSettings = SolverSettings(),
-                 grid: np.ndarray | None = None):
+                 settings: SolverSettings = SolverSettings()):
+        if model.f0 != 0.0:
+            raise ValueError(f"the sink solver needs f0 = 0 (got f0 = {model.f0!r} MHz)")
         self.model = model
         self.sink = sink
         self.settings = settings
-        if grid is None:
-            half = settings.grid_halfwidth_sigmas * math.sqrt(model.stationary_variance)
-            centre = sink.f_ion
-            grid = np.linspace(centre - half, centre + half, settings.grid_points)
-        self.grid = np.asarray(grid, dtype=float)
-        self._w_f = _weight_table(model, self.grid, settings.n_eigen, source=sink.f_ion)
-        self._w_sink = _weight_table(model, np.array([sink.f_ion]), settings.n_eigen,
-                                     source=sink.f_ion)[:, 0]
+        half = settings.grid_halfwidth_sigmas * math.sqrt(model.stationary_variance)
+        self.grid = np.linspace(-half, half, settings.grid_points)
+        self._w_f = _weight_table(model, self.grid, settings.n_eigen)
+        self._w_sink = _weight_table(model, np.array([0.0]), settings.n_eigen)[:, 0]
         self._n_theta = np.arange(settings.n_eigen) * model.theta
 
     @property
@@ -394,7 +391,7 @@ class SinkSolver:
     def _inverse(self, coef: np.ndarray, taus) -> Callable[[float], np.ndarray]:
         """S -> inverse transform of the sink solution projected on coef, at taus.
 
-        With the sink at f_ion, P~(f, s) = P~0(f, s) / (1 + S P~0(f_ion, s)).
+        With the sink at f = 0, P~(f, s) = P~0(f, s) / (1 + S P~0(0, s)).
         S enters only through that per-node factor, so the sinkless sums are
         evaluated once, at the contour nodes of taus.
         """
@@ -448,8 +445,7 @@ class PowerDataset:
     curve: DecayCurve
 
 
-def joint_fit_backward(datasets: Sequence[PowerDataset], gamma_h_fixed: float,
-                       f0: float = 0.0) -> FitResult:
+def joint_fit_backward(datasets: Sequence[PowerDataset], gamma_h_fixed: float) -> FitResult:
     """Joint fit of backward-correlation counts for all powers.
 
     One shared inhomogeneous linewidth gamma_i; a separate diffusion
@@ -473,7 +469,7 @@ def joint_fit_backward(datasets: Sequence[PowerDataset], gamma_h_fixed: float,
     def model_fn(x, params):
         out = np.empty_like(x)
         for i, sl in enumerate(slices):
-            model = OuDiffusionModel(d_coeff=params[1 + 2 * i], gamma_i=params[0], f0=f0)
+            model = OuDiffusionModel(d_coeff=params[1 + 2 * i], gamma_i=params[0])
             line = HomogeneousLine(c0=params[2 + 2 * i], gamma_h=gamma_h_fixed)
             out[sl] = counts_no_ionization(model, line, x[sl])
         return out
@@ -505,8 +501,7 @@ def joint_fit_backward(datasets: Sequence[PowerDataset], gamma_h_fixed: float,
 
 def fit_ionization_rate(dataset: PowerDataset, backward_model: OuDiffusionModel,
                         line: HomogeneousLine, forward_rescale: float = 0.96,
-                        settings: SolverSettings = SolverSettings(),
-                        s_initial: float = 1.0) -> FitResult:
+                        settings: SolverSettings = SolverSettings()) -> FitResult:
     """One-parameter fit of the sink strength S to forward-correlation counts.
 
     The backward-fit diffusion model and homogeneous line are held fixed;
@@ -518,7 +513,7 @@ def fit_ionization_rate(dataset: PowerDataset, backward_model: OuDiffusionModel,
     def model_fn(x, params):
         return forward_rescale * counts_of_s(float(params[0]))
 
-    return least_squares(model_fn, [s_initial], dataset.curve.x, dataset.curve.y,
+    return least_squares(model_fn, [1.0], dataset.curve.x, dataset.curve.y,
                          sigma=dataset.curve.sigma, bounds=[(0.0, np.inf)],
                          param_names=["S"])
 

@@ -27,6 +27,9 @@ __all__ = [
     "run_feedforward",
 ]
 
+#: wall-clock time of one shot (s): one period of the 50 Hz mains
+SHOT_PERIOD = 0.02
+
 
 @dataclass(frozen=True)
 class ShotConfig:
@@ -39,7 +42,6 @@ class ShotConfig:
     n_shots: int = 50
     readout_fidelity_0: float = 0.925
     readout_fidelity_1: float = 0.925
-    shot_period: float = 0.02
     exact: bool = False
 
     def __post_init__(self) -> None:
@@ -48,8 +50,6 @@ class ShotConfig:
         for f in (self.readout_fidelity_0, self.readout_fidelity_1):
             if not (0.5 < f <= 1.0):
                 raise ValueError("readout fidelities must lie in (0.5, 1]")
-        if not self.shot_period > 0.0:
-            raise ValueError("shot_period must be > 0")
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,6 @@ class FeedforwardOutcome:
     c_expectation: float
     x_raw: float
     y_raw: float
-    c_std: float = 0.0
 
 
 def _correct_and_clip(p_click: float, cfg: ShotConfig) -> float:
@@ -106,11 +105,10 @@ def run_feedforward(model: AcFieldModel, taus, cfg: ShotConfig,
                     rng: np.random.Generator,
                     n_repetitions: int = 12,
                     estimate_each_repetition: bool = True,
-                    t0: float = 0.0,
                     constants: PhysicalConstants = CONSTANTS) -> list[FeedforwardOutcome]:
     """Simulate the X / Y / C block protocol for each echo time.
 
-    Per repetition the wall clock advances one shot_period per shot through
+    Per repetition the wall clock advances one SHOT_PERIOD per shot through
     the X, Y and C blocks in order; the comb amplitude follows one drift
     trajectory across all blocks and repetitions of a given tau (drift=None
     freezes a = 1).  Phases are linear in the comb amplitude, so the
@@ -120,10 +118,10 @@ def run_feedforward(model: AcFieldModel, taus, cfg: ShotConfig,
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     n = cfg.n_shots
-    phis = phase_of(model, PulseSequence.hahn(taus), t0, constants)
+    phis = phase_of(model, PulseSequence.hahn(taus), constants=constants)
     outcomes: list[FeedforwardOutcome] = []
     for tau, phi_unit in zip(taus, phis):
-        shot_times = np.arange(3 * n * n_repetitions) * cfg.shot_period
+        shot_times = np.arange(3 * n * n_repetitions) * SHOT_PERIOD
         if drift is None:
             a_traj = np.ones(shot_times.size)
         else:
@@ -143,10 +141,7 @@ def run_feedforward(model: AcFieldModel, taus, cfg: ShotConfig,
                 c_values.append(0.0)
                 continue
             c_values.append(_sample_shotwise(np.cos(a_c * phi_unit - phi_est), cfg, rng))
-        c_arr = np.asarray(c_values)
         outcomes.append(FeedforwardOutcome(
-            tau=float(tau), phi_estimate=phi_est,
-            c_expectation=float(np.mean(c_arr)),
-            x_raw=x_raw, y_raw=y_raw,
-            c_std=float(np.std(c_arr, ddof=1)) if c_arr.size > 1 else 0.0))
+            tau=float(tau), phi_estimate=phi_est, c_expectation=float(np.mean(c_values)),
+            x_raw=x_raw, y_raw=y_raw))
     return outcomes

@@ -9,7 +9,6 @@ same inputs, same iterates.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,11 +24,14 @@ __all__ = [
     "fit_stretched_exp",
     "fit_power_scaling",
     "stretched_exp",
-    "rescale_to_unit_amplitude",
     "read_decay_csv",
     "write_decay_csv",
-    "fit_result_to_json",
 ]
+
+#: iteration cap of the Levenberg-Marquardt engine
+MAX_ITER = 500
+#: relative parameter step and relative cost decrease below which it stops
+XTOL, FTOL = 1e-12, 1e-14
 
 
 class FitError(ValueError):
@@ -97,15 +99,11 @@ def least_squares(model_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
                   y: np.ndarray,
                   sigma: np.ndarray | None = None,
                   bounds: Sequence[tuple[float, float]] | None = None,
-                  param_names: Sequence[str] | None = None,
-                  jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
-                  max_iter: int = 500,
-                  xtol: float = 1e-12,
-                  ftol: float = 1e-14) -> FitResult:
+                  param_names: Sequence[str] | None = None) -> FitResult:
     """Levenberg-Marquardt fit of model_fn(x, params) to y.
 
     Weighted by 1/sigma when sigma is given.  Bounds are (lo, hi) pairs per
-    parameter; trial steps are projected into the box.  On reaching max_iter
+    parameter; trial steps are projected into the box.  On reaching MAX_ITER
     the last iterate is returned with converged=False.
     """
     x = np.asarray(x, dtype=float)
@@ -130,11 +128,6 @@ def least_squares(model_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
     typical = np.abs(p)
 
-    def weighted_jacobian(params: np.ndarray, r0: np.ndarray) -> np.ndarray:
-        if jacobian is not None:
-            return jacobian(x, params) * w[:, None]
-        return _forward_jacobian(residuals, params, r0, scale=typical)
-
     def scaled_normal(jac: np.ndarray):
         # rescale to a unit-diagonal normal matrix; parameters with zero
         # sensitivity get scale 0 and are frozen
@@ -153,8 +146,8 @@ def least_squares(model_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     converged = False
     message = "max iterations reached"
     it = 0
-    for it in range(1, max_iter + 1):
-        jac = weighted_jacobian(p, r)
+    for it in range(1, MAX_ITER + 1):
+        jac = _forward_jacobian(residuals, p, r, scale=typical)
         grad = jac.T @ r
         if float(np.max(np.abs(grad), initial=0.0)) < 1e-16 * max(cost, 1e-30):
             converged = True
@@ -179,7 +172,7 @@ def least_squares(model_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
                 p, r, cost = p_trial, r_trial, cost_trial
                 lam = max(lam / 3.0, 1e-14)
                 accepted = True
-                if rel_step < xtol or df < ftol * max(cost, 1e-300):
+                if rel_step < XTOL or df < FTOL * max(cost, 1e-300):
                     converged = True
                     message = "step/cost below tolerance"
                 break
@@ -192,7 +185,7 @@ def least_squares(model_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
             break
 
     # covariance at the solution, via the scaled normal matrix
-    jac = weighted_jacobian(p, r)
+    jac = _forward_jacobian(residuals, p, r, scale=typical)
     dof = max(len(y) - npar, 1)
     chi2 = cost
     reduced = chi2 / dof if len(y) > npar else float("nan")
@@ -222,8 +215,7 @@ def stretched_exp(x, params):
     return a * np.exp(-np.power(np.asarray(x, dtype=float) / t2, n))
 
 
-def fit_stretched_exp(curve: DecayCurve, bounds: dict[str, tuple[float, float]] | None = None,
-                      fix_n: float | None = None) -> FitResult:
+def fit_stretched_exp(curve: DecayCurve, fix_n: float | None = None) -> FitResult:
     """Fit A exp[-(x/T2)^n]; the stretch exponent is bounded to (0, 5].
 
     Initial guesses come from a log-log linearization of -ln(y/A).
@@ -259,38 +251,21 @@ def fit_stretched_exp(curve: DecayCurve, bounds: dict[str, tuple[float, float]] 
         res.stderr["n"] = 0.0
         res.param_names = ["A", "T2", "n"]
         return res
-    user = bounds or {}
-    box = [user.get("A", (0.0, np.inf)),
-           user.get("T2", (1e-300, np.inf)),
-           user.get("n", (1e-6, 5.0))]
-    n0 = min(max(n0, box[2][0]), box[2][1])
     return least_squares(stretched_exp, [a0, t20, n0], x, y, sigma=curve.sigma,
-                         bounds=box, param_names=["A", "T2", "n"])
+                         bounds=[(0.0, np.inf), (1e-300, np.inf), (1e-6, 5.0)],
+                         param_names=["A", "T2", "n"])
 
 
 def fit_power_scaling(n_pulses: Sequence[float], t2: Sequence[float],
-                      sigma: Sequence[float] | None = None,
-                      log_space: bool = True) -> FitResult:
-    """Fit T2(N) = T0 N^eta.
-
-    Default is a weighted linear regression in log-log space (exact for
-    power-law data); log_space=False runs the nonlinear engine directly.
-    """
+                      sigma: Sequence[float] | None = None) -> FitResult:
+    """Fit T2(N) = T0 N^eta by weighted linear regression in log-log space
+    (exact for power-law data)."""
     n = np.asarray(n_pulses, dtype=float)
     t = np.asarray(t2, dtype=float)
     if n.size < 2 or n.size != t.size:
         raise FitError("need at least two (N, T2) pairs of equal length")
     if np.any(n <= 0.0) or np.any(t <= 0.0):
         raise FitError("N and T2 values must be positive")
-    if not log_space:
-        def model(xv, params):
-            return params[0] * np.power(xv, params[1])
-
-        guess = fit_power_scaling(n, t, sigma, log_space=True)
-        return least_squares(model, [guess.params["T0"], guess.params["eta"]], n, t,
-                             sigma=None if sigma is None else np.asarray(sigma, dtype=float),
-                             bounds=[(1e-300, np.inf), (-10.0, 10.0)],
-                             param_names=["T0", "eta"])
     ln_n = np.log(n)
     ln_t = np.log(t)
     if sigma is not None:
@@ -319,15 +294,6 @@ def fit_power_scaling(n_pulses: Sequence[float], t2: Sequence[float],
                      converged=True, n_iter=1,
                      message="log-log weighted linear regression"
                              + ("; dof=0, exact interpolation" if dof == 0 else ""))
-
-
-def rescale_to_unit_amplitude(curve: DecayCurve, fit: FitResult) -> DecayCurve:
-    """Divide the data by the fitted amplitude A (presentation helper)."""
-    a = fit.params.get("A")
-    if a is None or not np.isfinite(a) or a == 0.0:
-        raise FitError("fit has no finite amplitude to rescale by")
-    sigma = None if curve.sigma is None else curve.sigma / a
-    return DecayCurve(x=curve.x, y=curve.y / a, sigma=sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -400,18 +366,3 @@ def write_decay_csv(path: str | Path, curve: DecayCurve,
                 row.append(repr(float(curve.sigma[i])))
             writer.writerow(row)
 
-
-def fit_result_to_json(fit: FitResult, path: str | Path | None = None) -> str:
-    payload = {
-        "params": fit.params,
-        "stderr": fit.stderr,
-        "covariance": [[float(v) for v in row] for row in np.atleast_2d(fit.covariance)],
-        "reduced_chi2": fit.reduced_chi2,
-        "converged": fit.converged,
-        "n_iter": fit.n_iter,
-        "message": fit.message,
-    }
-    text = json.dumps(payload, indent=2, allow_nan=True)
-    if path is not None:
-        Path(path).write_text(text + "\n", encoding="utf-8")
-    return text

@@ -17,7 +17,6 @@ from .constants import ATM_PA, R_GAS, CONSTANTS
 from .fitting import FitResult, least_squares
 
 __all__ = [
-    "IsotopeEndpoints",
     "LeakModel",
     "NitrogenEstimate",
     "chi_from_flows",
@@ -28,7 +27,6 @@ __all__ = [
     "molar_flow_to_sccm",
     "sccm_to_molar_flow",
     "chi_to_ratio",
-    "ratio_to_chi",
     "delta_permil",
     "ratio_from_delta",
     "R_VPDB",
@@ -43,6 +41,10 @@ SCCM_PER_MOL_S = 1.345e6
 #: IUPAC 13C/12C ratio of the VPDB reference.
 R_VPDB = 0.011113
 
+#: 13C fractions of the pure methane endpoints: enriched and natural.
+CHI_ENRICHED = 13e-6
+CHI_NATURAL = 1.0937e-2
+
 #: nitrogen incorporation efficiency bounds.
 ETA_LOWER = 0.55e-4
 ETA_UPPER = 8.9e-4
@@ -52,18 +54,6 @@ AIR_N2_FRACTION = 0.78
 
 #: reference temperature (K) for ideal-gas conversion of leak throughput.
 T_REF = 298.0
-
-
-@dataclass(frozen=True)
-class IsotopeEndpoints:
-    """13C fractions of the pure-gas endpoints: enriched (chi0), natural (chi1)."""
-
-    chi0: float = 13e-6
-    chi1: float = 1.0937e-2
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.chi0 < self.chi1 < 1.0):
-            raise ValueError("need 0 < chi0 < chi1 < 1")
 
 
 @dataclass(frozen=True)
@@ -86,18 +76,13 @@ class LeakModel:
 
 @dataclass(frozen=True)
 class NitrogenEstimate:
+    """[N] in ppb at the incorporation efficiencies ETA_LOWER and ETA_UPPER."""
+
     lower_ppb: float
     upper_ppb: float
-    eta_lower: float = ETA_LOWER
-    eta_upper: float = ETA_UPPER
-
-    def __post_init__(self) -> None:
-        if self.lower_ppb > self.upper_ppb:
-            raise ValueError("lower bound exceeds upper bound")
 
 
-def chi_from_flows(f0: float, f1: float,
-                   endpoints: IsotopeEndpoints = IsotopeEndpoints()) -> float:
+def chi_from_flows(f0: float, f1: float) -> float:
     """13C fraction from the enriched (f0) and natural (f1) methane flows (sccm).
 
     Uses the effective flow ratio f1 / f0' with the empirical MFC correction
@@ -107,7 +92,7 @@ def chi_from_flows(f0: float, f1: float,
         raise ValueError("flows must be non-negative and not both zero")
     f0_eff = 1.023 * f0 + 0.036
     ratio = f1 / f0_eff
-    return (endpoints.chi0 + ratio * endpoints.chi1) / (1.0 + ratio)
+    return (CHI_ENRICHED + ratio * CHI_NATURAL) / (1.0 + ratio)
 
 
 def sccm_to_molar_flow(flow_sccm: float) -> float:
@@ -125,13 +110,10 @@ def nitrogen_ppb(eta: float, n2_flow_mol_s: float, ch4_flow_sccm: float) -> floa
     return eta * (n2_flow_mol_s / sccm_to_molar_flow(ch4_flow_sccm)) * 1e9
 
 
-def nitrogen_bounds(n2_flow_mol_s: float, ch4_flow_sccm: float,
-                    eta_lower: float = ETA_LOWER,
-                    eta_upper: float = ETA_UPPER) -> NitrogenEstimate:
+def nitrogen_bounds(n2_flow_mol_s: float, ch4_flow_sccm: float) -> NitrogenEstimate:
     return NitrogenEstimate(
-        lower_ppb=nitrogen_ppb(eta_lower, n2_flow_mol_s, ch4_flow_sccm),
-        upper_ppb=nitrogen_ppb(eta_upper, n2_flow_mol_s, ch4_flow_sccm),
-        eta_lower=eta_lower, eta_upper=eta_upper)
+        lower_ppb=nitrogen_ppb(ETA_LOWER, n2_flow_mol_s, ch4_flow_sccm),
+        upper_ppb=nitrogen_ppb(ETA_UPPER, n2_flow_mol_s, ch4_flow_sccm))
 
 
 def fit_arrhenius(temps_k, dpdt_pa_s, volume: float = 11.3e-3) -> tuple[LeakModel, FitResult]:
@@ -168,36 +150,16 @@ def fit_arrhenius(temps_k, dpdt_pa_s, volume: float = 11.3e-3) -> tuple[LeakMode
     return leak, fit
 
 
-def n2_molar_flow(leak: LeakModel, p_in_pa: float, p_atm_pa: float = ATM_PA) -> float:
+def n2_molar_flow(leak: LeakModel, p_in_pa: float) -> float:
     """Leak-derived N2 inflow in mol/s at growth pressure p_in.
 
     The effective air throughput is q_leak (p_atm - p_in)/p_atm, of which
     78% is N2, converted with the ideal gas law at 298 K.
     """
-    if not p_in_pa < p_atm_pa:
+    if not p_in_pa < ATM_PA:
         raise ValueError("growth pressure must be below atmospheric")
-    q_eff = leak.q_leak * (p_atm_pa - p_in_pa) / p_atm_pa
+    q_eff = leak.q_leak * (ATM_PA - p_in_pa) / ATM_PA
     return AIR_N2_FRACTION * q_eff / (R_GAS * T_REF)
-
-
-def propagate_nitrogen_uncertainty(eta: float, eta_err: float,
-                                   n2_flow_mol_s: float, n2_err: float,
-                                   ch4_flow_sccm: float,
-                                   rng: np.random.Generator,
-                                   n_draws: int = 10000) -> tuple[float, float, float]:
-    """Monte Carlo 95% band (lower, point, upper) of the [N] estimate.
-
-    Draws eta and the N2 inflow as independent normals truncated at zero
-    (physical bound) and returns the 2.5/97.5 percentiles around the point
-    estimate.
-    """
-    etas = rng.normal(eta, eta_err, n_draws)
-    flows = rng.normal(n2_flow_mol_s, n2_err, n_draws)
-    good = (etas > 0.0) & (flows > 0.0)
-    samples = etas[good] * (flows[good] / sccm_to_molar_flow(ch4_flow_sccm)) * 1e9
-    point = nitrogen_ppb(eta, n2_flow_mol_s, ch4_flow_sccm)
-    lo, hi = np.percentile(samples, [2.5, 97.5])
-    return float(min(lo, point)), point, float(max(hi, point))
 
 
 def chi_to_ratio(chi: float) -> float:
@@ -205,13 +167,6 @@ def chi_to_ratio(chi: float) -> float:
     if not (0.0 <= chi < 1.0):
         raise ValueError("chi must lie in [0, 1)")
     return chi / (1.0 - chi)
-
-
-def ratio_to_chi(ratio: float) -> float:
-    """Isotope ratio -> 13C fraction chi = R / (1 + R)."""
-    if ratio < 0.0:
-        raise ValueError("ratio must be >= 0")
-    return ratio / (1.0 + ratio)
 
 
 def delta_permil(r_a: float, r_b: float) -> float:

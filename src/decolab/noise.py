@@ -14,13 +14,13 @@ factor a(t) with stationary mean 1 (``AmplitudeScaleProcess``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .constants import MG_TO_TESLA, TWO_PI
+from .constants import MG_TO_TESLA
 
 
 class ConfigError(ValueError):
@@ -75,19 +75,6 @@ class AcFieldModel:
             return None
         return 1.0 / self.components[0].frequency
 
-    def with_t0(self, t0: float) -> "AcFieldModel":
-        return replace(self, t0=t0)
-
-
-def field_at(model: AcFieldModel, t):
-    """Instantaneous field B(t) in tesla; ``t`` may be a scalar or array."""
-    t = np.asarray(t, dtype=float)
-    total = np.zeros_like(t)
-    for c in model.components:
-        w = TWO_PI * c.frequency
-        total = total + c.amplitude * np.cos(w * (t - model.t0) + c.phase)
-    return float(total) if total.ndim == 0 else total
-
 
 # Fitted interference comb: (frequency Hz, amplitude mG, phase rad).  The
 # 50 Hz phase defines the zero of the phase convention.  There is no 400 Hz
@@ -104,21 +91,13 @@ TABLE1_COMPONENTS = (
 )
 
 
-def table1_model(t0: float = 0.0) -> AcFieldModel:
+def table1_model() -> AcFieldModel:
     """The bundled 8-harmonic 50..450 Hz interference model."""
     comps = tuple(
         AcComponent(amplitude=amp_mg * MG_TO_TESLA, frequency=f, phase=ph)
         for f, amp_mg, ph in TABLE1_COMPONENTS
     )
-    return AcFieldModel(components=comps, t0=t0)
-
-
-def scale_amplitudes(model: AcFieldModel, a: float) -> AcFieldModel:
-    """Multiply every amplitude by a > 0; frequencies, phases, t0 unchanged."""
-    if not a > 0.0:
-        raise ValueError("scale factor must be strictly positive")
-    comps = tuple(replace(c, amplitude=c.amplitude * a) for c in model.components)
-    return replace(model, components=comps)
+    return AcFieldModel(components=comps)
 
 
 @dataclass(frozen=True)
@@ -188,17 +167,6 @@ def sample_amplitude_trajectory(
 _COMPONENT_KEYS = {"frequency_Hz", "amplitude_mG", "phase_rad"}
 
 
-def save_field_config(model: AcFieldModel, path: str | Path) -> None:
-    lines = ["# mains interference field model", f"t0_s = {model.t0!r}", ""]
-    for c in model.components:
-        lines.append("[component]")
-        lines.append(f"frequency_Hz = {c.frequency!r}")
-        lines.append(f"amplitude_mG = {c.amplitude / MG_TO_TESLA!r}")
-        lines.append(f"phase_rad = {c.phase!r}")
-        lines.append("")
-    Path(path).write_text("\n".join(lines), encoding="utf-8")
-
-
 def load_field_config(path: str | Path) -> AcFieldModel:
     """Parse a field-model config file; raises ConfigError with line numbers."""
     t0 = 0.0
@@ -246,8 +214,3 @@ def load_field_config(path: str | Path) -> AcFieldModel:
         return AcFieldModel(components=tuple(comps), t0=t0)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-
-def default_config_path() -> Path:
-    """Path of the bundled default (Table-equivalent) config file."""
-    return Path(__file__).parent / "data" / "mains_50hz.cfg"

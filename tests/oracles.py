@@ -1,7 +1,8 @@
 """Independent reference implementations used to pin expected values.
 
 Everything here deliberately avoids the closed forms used by the library:
-phases come from sign-toggled Gauss-Legendre quadrature of the field, J0
+phases come from sign-toggled Gauss-Legendre quadrature of the field
+B(t), summed here harmonic by harmonic (``field_at``), J0
 from a high-precision power series, Hermite functions from an
 arbitrary-precision recurrence, Voigt values and the filtered-bath mean of
 1/T2*^2 from adaptive quadrature, and T2* distributions from the
@@ -11,14 +12,14 @@ brute-force sum over every bath spin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import mpmath
 import numpy as np
 
 from decolab.bath import BathConfig, _coupling_prefactor
 from decolab.constants import CONSTANTS, TWO_PI
-from decolab.noise import AcFieldModel, field_at
+from decolab.noise import AcFieldModel
 from decolab.sequences import PulseSequence
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -28,6 +29,24 @@ def _gauss_legendre(n: int):
     if n not in _GL_CACHE:
         _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
     return _GL_CACHE[n]
+
+
+def field_at(model: AcFieldModel, t):
+    """Instantaneous field B(t) in tesla; ``t`` may be a scalar or array."""
+    t = np.asarray(t, dtype=float)
+    total = np.zeros_like(t)
+    for c in model.components:
+        w = TWO_PI * c.frequency
+        total = total + c.amplitude * np.cos(w * (t - model.t0) + c.phase)
+    return float(total) if total.ndim == 0 else total
+
+
+def scale_amplitudes(model: AcFieldModel, a: float) -> AcFieldModel:
+    """Multiply every amplitude by a > 0; frequencies, phases, t0 unchanged."""
+    if not a > 0.0:
+        raise ValueError("scale factor must be strictly positive")
+    comps = tuple(replace(c, amplitude=c.amplitude * a) for c in model.components)
+    return replace(model, components=comps)
 
 
 def toggled_segments(seq: PulseSequence) -> list[tuple[float, float, int]]:
@@ -186,10 +205,7 @@ class SampledBath:
         return self.r.size
 
 
-def _draw_counts(mean: float, cfg: BathConfig, rng: np.random.Generator,
-                 n: int) -> np.ndarray:
-    if cfg.count_statistics == "poisson":
-        return rng.poisson(mean, n)
+def _draw_counts(mean: float, rng: np.random.Generator, n: int) -> np.ndarray:
     base = math.floor(mean)
     return base + (rng.random(n) < mean - base)
 
@@ -209,8 +225,8 @@ def hyperfine_z(r, cos_theta, species: str = "carbon13", constants=CONSTANTS):
 def sample_bath(cfg: BathConfig, rng: np.random.Generator,
                 constants=CONSTANTS) -> SampledBath:
     """One bath: positions uniform in the r_max ball, count from the mean
-    density by stochastic rounding (or Poisson), strong couplings filtered."""
-    n = int(_draw_counts(cfg.mean_spin_count(constants), cfg, rng, 1)[0])
+    density by stochastic rounding, strong couplings filtered."""
+    n = int(_draw_counts(cfg.mean_spin_count(constants), rng, 1)[0])
     # uniform in the ball: r^3 uniform; 1 - u keeps r strictly positive
     r = cfg.r_max * np.cbrt(1.0 - rng.random(n))
     cos_theta = 2.0 * rng.random(n) - 1.0
@@ -255,7 +271,7 @@ def brute_force_t2star(cfg: BathConfig, n_baths: int, rng: np.random.Generator,
     batch = max(1, int(batch_spins / max(mean, 1.0)))
     samples = []
     for done in range(0, n_baths, batch):
-        counts = _draw_counts(mean, cfg, rng, min(batch, n_baths - done))
+        counts = _draw_counts(mean, rng, min(batch, n_baths - done))
         total = int(counts.sum())
         sums = gamma2_sums(rng.random(total), rng.random(total), counts)
         with np.errstate(divide="ignore"):

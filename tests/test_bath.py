@@ -179,12 +179,6 @@ def test_exclusion_filter_lengthens_t2star():
     assert np.median(filtered.samples) > np.median(plain.samples)
 
 
-def test_poisson_mode():
-    cfg = BathConfig(concentration=CHI_REF, count_statistics="poisson")
-    dist = t2star_distribution(cfg, 500, make_rng(21))
-    assert np.all(np.isfinite(dist.samples))
-
-
 def test_half_normal_mle():
     rng = make_rng(22)
     x = np.abs(rng.normal(0.0, 3.5, 200000))

@@ -316,9 +316,60 @@ def test_exit_code_nonconvergence(tmp_path):
     rows = "\n".join(f"{x},0.7" for x in range(1, 10))
     bad.write_text("x,y\n" + rows + "\n", encoding="utf-8")
     assert run(["fit", "decay", "--data", str(bad), "--out", str(tmp_path)]) == 4
-    # the partial result is still saved
-    payload = json.loads((tmp_path / "fit_decay.json").read_text())
+
+    def reject(token):
+        raise ValueError(f"non-strict JSON constant {token}")
+
+    # the partial result is still saved, as strict JSON: the undefined T2 is null
+    payload = json.loads((tmp_path / "fit_decay.json").read_text(), parse_constant=reject)
     assert payload["converged"] is False
+    assert payload["params"]["T2"] is None
+    assert payload["params"]["A"] == pytest.approx(0.7)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "hahn", "--tau-range", "1ms:2xs"],
+    ["bath", "t2star", "--chi", "0.01", "--n-baths", "0"],
+    ["growth", "chi", "--f0", "-1", "--f1", "1"],
+    ["diffusion", "predict", "--gamma-i", "-5", "--d-coeff", "1e4"],
+])
+def test_invalid_values_exit_2_without_traceback(tmp_path, capsys, argv):
+    assert run(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("decolab: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", [["--q-leak", "5"], ["--pressure", "1Pa"]])
+def test_n2_flow_excludes_leak_and_pressure(tmp_path, capsys, flag):
+    argv = ["growth", "nitrogen", "--ch4-sccm", "0.19", "--n2-molps", "1e-9"]
+    assert run(argv + ["--out", str(tmp_path / "n2")]) == 0
+    assert run(argv + flag + ["--out", str(tmp_path / "both")]) == 2
+    assert "--n2-molps excludes --q-leak and --pressure" in capsys.readouterr().err
+
+
+def test_nitrogen_leak_flags_set_the_n2_flow(tmp_path):
+    base = ["growth", "nitrogen", "--ch4-sccm", "0.19"]
+    flows = {}
+    for name, extra in (("default", []), ("leak", ["--q-leak", "3e-8"]),
+                        ("pressure", ["--pressure", "1Pa"])):
+        assert run(base + extra + ["--out", str(tmp_path / name)]) == 0
+        flows[name] = json.loads((tmp_path / name / "growth_nitrogen.json").read_text()) \
+            ["n2_mol_per_s"]
+    assert flows["leak"] == pytest.approx(2.0 * flows["default"], rel=1e-12)
+    assert flows["pressure"] > flows["default"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "hahn", "--tau-range", "1ms:2ms:0.5ms"],
+    ["simulate", "ramsey", "--t-range", "0.1ms:0.3ms:0.1ms"],
+    ["diffusion", "predict", "--gamma-i", "117", "--d-coeff", "1.6e4",
+     "--tau-range", "5ms:50ms:5ms"],
+])
+def test_points_with_stepped_range_is_config_error(tmp_path, capsys, argv):
+    assert run(argv + ["--out", str(tmp_path / "stepped")]) == 0
+    assert run(argv + ["--points", "5", "--out", str(tmp_path / "both")]) == 2
+    assert "--points applies only to a start:stop range" in capsys.readouterr().err
 
 
 def test_print_config(tmp_path, capsys):

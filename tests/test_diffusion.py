@@ -245,6 +245,18 @@ def test_laplace_p0_tail_suppressed():
     assert abs(p0[-1]) < 1e-8 * abs(p0[solver.grid.size // 2])
 
 
+def test_sink_solver_rejects_off_centre_line():
+    # the Hermite basis sits at f = 0: a line centre f0 != 0 would be
+    # ignored (same counts as f0 = 0) instead of shifting the mean
+    model = OuDiffusionModel(d_coeff=3.2e4, gamma_i=117.0, f0=40.0)
+    with pytest.raises(ValueError, match="f0 = 0"):
+        SinkSolver(model, IonizationSink(strength_s=0.0))
+    centred = SinkSolver(OuDiffusionModel(d_coeff=3.2e4, gamma_i=117.0),
+                         IonizationSink(strength_s=0.0))
+    assert centred.counts(LINE, 0.05) != pytest.approx(counts_no_ionization(model, LINE, 0.05),
+                                                        rel=1e-2)
+
+
 def test_sink_reduces_to_p0_at_zero_strength():
     solver = SinkSolver(MODEL, IonizationSink(strength_s=500.0))
     tau = 0.4 / MODEL.theta

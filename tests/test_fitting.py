@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decolab.cli import main
 from decolab.fitting import (DataError, DecayCurve, FitError, fit_power_scaling,
-                             fit_result_to_json, fit_stretched_exp, least_squares,
-                             read_decay_csv, rescale_to_unit_amplitude,
+                             fit_stretched_exp, least_squares, read_decay_csv,
                              stretched_exp, write_decay_csv)
 from conftest import make_rng
 from oracles import wls_normal_equations
@@ -90,10 +91,16 @@ def test_power_scaling_scale_covariance(c):
 
 
 def test_power_scaling_nonlinear_option_agrees():
+    # the log-log regression agrees with a direct nonlinear fit of T0 N^eta
     n = np.array([2.0, 8.0, 32.0, 128.0, 512.0])
     t2 = 5e-3 * n ** 0.71
-    a = fit_power_scaling(n, t2, log_space=True)
-    b = fit_power_scaling(n, t2, log_space=False)
+    a = fit_power_scaling(n, t2)
+
+    def power_law(xv, p):
+        return p[0] * np.power(xv, p[1])
+
+    b = least_squares(power_law, [a.params["T0"], a.params["eta"]], n, t2,
+                      bounds=[(1e-300, np.inf), (-10.0, 10.0)], param_names=["T0", "eta"])
     assert b.params["T0"] == pytest.approx(a.params["T0"], rel=1e-6)
     assert b.params["eta"] == pytest.approx(a.params["eta"], rel=1e-6)
 
@@ -189,14 +196,6 @@ def test_noisy_recovery_within_reported_errors():
     assert ok >= 0.95 * trials
 
 
-def test_rescale_to_unit_amplitude():
-    y = stretched_exp(X20, (1.07, 9.0, 1.2))
-    curve = DecayCurve(X20, y)
-    fit = fit_stretched_exp(curve)
-    rescaled = rescale_to_unit_amplitude(curve, fit)
-    assert rescaled.y[0] == pytest.approx(y[0] / fit.params["A"])
-
-
 def test_csv_round_trip(tmp_path):
     curve = DecayCurve(X20, stretched_exp(X20, (1.0, 5.0, 1.0)), np.full(X20.size, 0.01))
     path = tmp_path / "curve.csv"
@@ -207,15 +206,21 @@ def test_csv_round_trip(tmp_path):
     assert np.array_equal(back.sigma, curve.sigma)
 
 
+def test_fit_result_json(tmp_path):
+    # `fit decay` saves the fit result as strict JSON next to its plot
+    write_decay_csv(tmp_path / "curve.csv", DecayCurve(X20, stretched_exp(X20, (1.0, 5.0, 1.0))))
+    assert main(["fit", "decay", "--data", str(tmp_path / "curve.csv"),
+                 "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "fit_decay.json").read_text(encoding="utf-8"))
+    assert payload["converged"] is True
+    assert payload["params"]["T2"] == pytest.approx(5.0, rel=1e-3)
+    assert set(payload["stderr"]) == set(payload["params"]) == {"A", "T2", "n"}
+    assert np.shape(payload["covariance"]) == (3, 3)
+
+
 def test_csv_errors_carry_line_numbers(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("x,y\n1.0,2.0\noops,3.0\n", encoding="utf-8")
     with pytest.raises(DataError) as err:
         read_decay_csv(path)
     assert err.value.line == 3
-
-
-def test_fit_result_json(tmp_path):
-    fit = fit_stretched_exp(DecayCurve(X20, stretched_exp(X20, (1.0, 5.0, 1.0))))
-    text = fit_result_to_json(fit, tmp_path / "fit.json")
-    assert '"params"' in text and (tmp_path / "fit.json").exists()

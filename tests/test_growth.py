@@ -4,12 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decolab.constants import TORR_TO_PA
-from decolab.growth import (ETA_LOWER, ETA_UPPER, IsotopeEndpoints, LeakModel,
-                            NitrogenEstimate, R_VPDB, chi_from_flows, chi_to_ratio,
-                            delta_permil, fit_arrhenius, molar_flow_to_sccm,
-                            n2_molar_flow, nitrogen_bounds, nitrogen_ppb,
-                            propagate_nitrogen_uncertainty, ratio_from_delta,
-                            ratio_to_chi)
+from decolab.growth import (ETA_LOWER, ETA_UPPER, LeakModel, NitrogenEstimate, R_VPDB,
+                            chi_from_flows, chi_to_ratio, delta_permil, fit_arrhenius,
+                            molar_flow_to_sccm, n2_molar_flow, nitrogen_bounds,
+                            nitrogen_ppb, ratio_from_delta)
 
 
 def test_chi_endpoints():
@@ -35,11 +33,6 @@ def test_chi_monotone(f0, f1, df):
     assert chi_from_flows(f0 + df, f1) < chi_from_flows(f0, f1)
 
 
-def test_endpoints_validation():
-    with pytest.raises(ValueError):
-        IsotopeEndpoints(chi0=0.5, chi1=0.1)
-
-
 def test_nitrogen_point_values():
     assert nitrogen_ppb(7.5e-5, 4.0e-12, 0.19) == pytest.approx(2.12, rel=0.01)
     assert nitrogen_ppb(8.9e-4, 4.0e-12, 1.53) == pytest.approx(3.13, rel=0.01)
@@ -60,13 +53,8 @@ def test_nitrogen_bounds_ordering():
     b = nitrogen_bounds(4.0e-12, 0.19)
     assert isinstance(b, NitrogenEstimate)
     assert b.lower_ppb < b.upper_ppb
-    assert b.eta_lower == ETA_LOWER and b.eta_upper == ETA_UPPER
-
-
-def test_uncertainty_band_ordering(rng):
-    lo, point, hi = propagate_nitrogen_uncertainty(7.5e-5, 2.3e-5, 4.0e-12, 1.6e-12,
-                                                   0.19, rng)
-    assert lo <= point <= hi
+    assert b.lower_ppb == nitrogen_ppb(ETA_LOWER, 4.0e-12, 0.19)
+    assert b.upper_ppb == nitrogen_ppb(ETA_UPPER, 4.0e-12, 0.19)
 
 
 def test_n2_molar_flow_and_sccm():
@@ -103,7 +91,7 @@ def test_arrhenius_needs_three_points():
 
 
 def test_chi_ratio_conversions():
-    assert ratio_to_chi(R_VPDB) == pytest.approx(1.0991e-2, rel=1e-4)
+    assert chi_to_ratio(1.0991e-2) == pytest.approx(R_VPDB, rel=1e-4)
     assert delta_permil(0.0112, 0.0112) == 0.0
     r_ref = ratio_from_delta(13.2, R_VPDB)
     assert delta_permil(r_ref, R_VPDB) == pytest.approx(13.2, abs=1e-12)
@@ -112,7 +100,8 @@ def test_chi_ratio_conversions():
 @given(st.floats(min_value=1e-6, max_value=0.5))
 @settings(max_examples=50)
 def test_chi_ratio_involution(chi):
-    assert ratio_to_chi(chi_to_ratio(chi)) == pytest.approx(chi, rel=1e-15)
+    ratio = chi_to_ratio(chi)
+    assert ratio / (1.0 + ratio) == pytest.approx(chi, rel=1e-15)
 
 
 def test_leak_model_validation():

@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decolab.constants import MG_TO_TESLA, TWO_PI, CONSTANTS
+import decolab.noise
 from decolab.noise import (AcComponent, AcFieldModel, AmplitudeScaleProcess,
-                           ConfigError, TABLE1_COMPONENTS, default_config_path,
-                           field_at, load_field_config, sample_amplitude_trajectory,
-                           save_field_config, scale_amplitudes, table1_model)
+                           ConfigError, TABLE1_COMPONENTS, load_field_config,
+                           sample_amplitude_trajectory, table1_model)
 from conftest import make_rng
-from oracles import field_sum_mp
+from oracles import field_at, field_sum_mp, scale_amplitudes
 
 
 def test_field_empty_model_is_zero():
@@ -121,14 +123,19 @@ def test_trajectory_stationary_mean():
 
 
 def test_config_round_trip(tmp_path):
-    m = table1_model(t0=0.004)
+    m = replace(table1_model(), t0=0.004)
+    lines = [f"t0_s = {m.t0!r}"]
+    for c in m.components:
+        lines += ["[component]", f"frequency_Hz = {c.frequency!r}",
+                  f"amplitude_mG = {c.amplitude / MG_TO_TESLA!r}", f"phase_rad = {c.phase!r}"]
     path = tmp_path / "model.cfg"
-    save_field_config(m, path)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert load_field_config(path) == m
 
 
 def test_bundled_default_config_matches_table():
-    assert load_field_config(default_config_path()) == table1_model()
+    bundled = Path(decolab.noise.__file__).parent / "data" / "mains_50hz.cfg"
+    assert load_field_config(bundled) == table1_model()
 
 
 def test_config_errors_carry_line_numbers(tmp_path):

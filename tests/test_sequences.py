@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decolab.constants import CONSTANTS, TWO_PI
-from decolab.noise import AcComponent, AcFieldModel, scale_amplitudes, table1_model
+from decolab.noise import AcComponent, AcFieldModel, table1_model
 from decolab.sequences import (PulseSequence, expectation_unsynchronized,
                                filter_function, is_revival, phase_of, ramsey_envelope)
 from conftest import make_rng
-from oracles import j0_series, phase_quadrature, toggled_segments
+from oracles import j0_series, phase_quadrature, scale_amplitudes, toggled_segments
 
 FIFTY = AcFieldModel((AcComponent(2.95e-7, 50.0, 0.0),))
 EMPTY = AcFieldModel()
