@@ -73,30 +73,52 @@ def parse_quantity(text: str, kind: str) -> float:
         raise ConfigError(f"cannot parse quantity {text!r} as {kind}") from None
 
 
+#: most points a range option may expand to
+MAX_RANGE_POINTS = 10 ** 6
+
+
 def parse_range(text: str, kind: str, default_points: int = 101) -> np.ndarray:
-    """'start:stop[:step]' with unit suffixes; start:stop uses a uniform grid."""
+    """'start:stop[:step]' with unit suffixes; start:stop uses a uniform grid.
+
+    A stepped range must not stop before it starts, and no range may hold
+    more than MAX_RANGE_POINTS points; both are checked before the grid is
+    built.
+    """
     parts = text.split(":")
     if len(parts) not in (2, 3):
         raise ConfigError(f"range {text!r} must be start:stop[:step]")
     lo = parse_quantity(parts[0], kind)
     hi = parse_quantity(parts[1], kind)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"range {text!r} must have finite bounds")
     if len(parts) == 3:
         step = parse_quantity(parts[2], kind)
-        if step <= 0:
+        if not step > 0:
             raise ConfigError("range step must be positive")
-        n = int(math.floor((hi - lo) / step + 1e-9)) + 1
-        return lo + step * np.arange(max(n, 0))
+        if hi < lo:
+            raise ConfigError(f"range {text!r} stops before it starts")
+        span = (hi - lo) / step + 1e-9
+        if not span < MAX_RANGE_POINTS:
+            raise ConfigError(f"range {text!r} has more than {MAX_RANGE_POINTS} points")
+        return lo + step * np.arange(int(math.floor(span)) + 1)
+    if default_points > MAX_RANGE_POINTS:
+        raise ConfigError(f"range {text!r} has more than {MAX_RANGE_POINTS} points")
     return np.linspace(lo, hi, default_points)
 
 
 def _positive_times(args: argparse.Namespace, name: str, default_points: int) -> np.ndarray:
-    """The times t > 0 of the range option ``name``; --points sets the grid
-    size of a start:stop range and is rejected with a stepped one."""
+    """The times t > 0 of the range option ``name``, with a counted warning
+    for the times dropped; --points sets the grid size of a start:stop range
+    and is rejected with a stepped one."""
     text = getattr(args, name)
     if args.points is not None and text.count(":") == 2:
         raise ConfigError(f"--points applies only to a start:stop range, not {text!r}")
     times = parse_range(text, "time", default_points if args.points is None else args.points)
-    return times[times > 0.0]
+    positive = times[times > 0.0]
+    if positive.size < times.size:
+        print(f"decolab: dropped {times.size - positive.size} non-positive times from "
+              f"--{name.replace('_', '-')}", file=sys.stderr)
+    return positive
 
 
 def _time(text: str) -> float:
@@ -124,21 +146,31 @@ class RunManifest:
 
 
 class OutputWriter:
+    """Writes a command's data files; the output directory and its
+    run_manifest.json appear with the first data file, so a run that fails
+    its input checks leaves neither."""
+
     def __init__(self, out_dir: Path, command: str, seed: int, config_path: str):
         self.out_dir = out_dir
         self.seed = seed
         self.command = command
-        out_dir.mkdir(parents=True, exist_ok=True)
-        manifest = RunManifest(command=command, config_path=config_path, seed=seed,
-                               output_dir=str(out_dir), version=__version__)
-        (out_dir / "run_manifest.json").write_text(
-            json.dumps(asdict(manifest), indent=2) + "\n", encoding="utf-8")
+        self._manifest: RunManifest | None = RunManifest(
+            command=command, config_path=config_path, seed=seed,
+            output_dir=str(out_dir), version=__version__)
+
+    def _path(self, name: str) -> Path:
+        if self._manifest is not None:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+            (self.out_dir / "run_manifest.json").write_text(
+                json.dumps(asdict(self._manifest), indent=2) + "\n", encoding="utf-8")
+            self._manifest = None
+        return self.out_dir / name
 
     def _stamp(self) -> str:
         return f"# decolab {__version__} command={self.command} seed={self.seed}"
 
     def csv(self, name: str, header: list[str], rows) -> Path:
-        path = self.out_dir / name
+        path = self._path(name)
         with open(path, "w", newline="\n", encoding="utf-8") as fh:
             fh.write(self._stamp() + "\n")
             writer = csv.writer(fh, lineterminator="\n")
@@ -149,7 +181,7 @@ class OutputWriter:
 
     def json(self, name: str, payload: dict) -> Path:
         """Strict JSON: non-finite numbers are written as null."""
-        path = self.out_dir / name
+        path = self._path(name)
         payload = _finite_or_null({"seed": self.seed, "version": __version__, **payload})
         path.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n",
                         encoding="utf-8")

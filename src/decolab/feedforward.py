@@ -64,7 +64,7 @@ class FeedforwardOutcome:
 def _correct_and_clip(p_click: float, cfg: ShotConfig) -> float:
     f0, f1 = cfg.readout_fidelity_0, cfg.readout_fidelity_1
     p_up = (p_click - (1.0 - f0)) / (f1 + f0 - 1.0)
-    return float(np.clip(2.0 * p_up - 1.0, -1.0, 1.0))
+    return min(max(2.0 * p_up - 1.0, -1.0), 1.0)
 
 
 def _sample_shotwise(true_expectations: np.ndarray, cfg: ShotConfig,
@@ -77,12 +77,12 @@ def _sample_shotwise(true_expectations: np.ndarray, cfg: ShotConfig,
     the same matrix and clipped to [-1, 1].
     """
     if cfg.exact:
-        return float(np.clip(np.mean(true_expectations), -1.0, 1.0))
+        return min(max(float(np.mean(true_expectations)), -1.0), 1.0)
     p_up = 0.5 * (1.0 + true_expectations)
     f0, f1 = cfg.readout_fidelity_0, cfg.readout_fidelity_1
     p_click = np.clip(p_up * f1 + (1.0 - p_up) * (1.0 - f0), 0.0, 1.0)
     clicks = rng.random(p_click.size) < p_click
-    return _correct_and_clip(float(np.mean(clicks)), cfg)
+    return _correct_and_clip(np.count_nonzero(clicks) / clicks.size, cfg)
 
 
 def _xy_phase(phi_x: np.ndarray, phi_y: np.ndarray, cfg: ShotConfig,
@@ -118,29 +118,26 @@ def run_feedforward(model: AcFieldModel, taus, cfg: ShotConfig,
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     n = cfg.n_shots
+    shot_times = np.arange(3 * n * n_repetitions) * SHOT_PERIOD
     phis = phase_of(model, PulseSequence.hahn(taus), constants=constants)
     outcomes: list[FeedforwardOutcome] = []
     for tau, phi_unit in zip(taus, phis):
-        shot_times = np.arange(3 * n * n_repetitions) * SHOT_PERIOD
         if drift is None:
             a_traj = np.ones(shot_times.size)
         else:
             a_traj = sample_amplitude_trajectory(drift, shot_times, rng)
+        # true phase of every shot, as (repetition, X/Y/C block, shot)
+        blocks = (a_traj * phi_unit).reshape(n_repetitions, 3, n)
         phi_est = float("nan")
         x_raw = y_raw = float("nan")
         c_values = []
-        for rep in range(n_repetitions):
-            base = 3 * n * rep
-            a_x = a_traj[base:base + n]
-            a_y = a_traj[base + n:base + 2 * n]
-            a_c = a_traj[base + 2 * n:base + 3 * n]
+        for rep, (phi_x, phi_y, phi_c) in enumerate(blocks):
             if estimate_each_repetition or rep == 0:
-                phi_est, x_raw, y_raw = _xy_phase(a_x * phi_unit, a_y * phi_unit,
-                                                        cfg, rng)
+                phi_est, x_raw, y_raw = _xy_phase(phi_x, phi_y, cfg, rng)
             if math.isnan(phi_est):
                 c_values.append(0.0)
                 continue
-            c_values.append(_sample_shotwise(np.cos(a_c * phi_unit - phi_est), cfg, rng))
+            c_values.append(_sample_shotwise(np.cos(phi_c - phi_est), cfg, rng))
         outcomes.append(FeedforwardOutcome(
             tau=float(tau), phi_estimate=phi_est, c_expectation=float(np.mean(c_values)),
             x_raw=x_raw, y_raw=y_raw))

@@ -5,8 +5,10 @@ phases come from sign-toggled Gauss-Legendre quadrature of the field
 B(t), summed here harmonic by harmonic (``field_at``), J0
 from a high-precision power series, Hermite functions from an
 arbitrary-precision recurrence, Voigt values and the filtered-bath mean of
-1/T2*^2 from adaptive quadrature, and T2* distributions from the
-brute-force sum over every bath spin.
+1/T2*^2 from adaptive quadrature, T2* distributions from the
+brute-force sum over every bath spin, and the drift trajectory and
+feedforward protocol from one scalar random draw per step and one
+array per shot block.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ import numpy as np
 
 from decolab.bath import BathConfig, _coupling_prefactor
 from decolab.constants import CONSTANTS, TWO_PI
+from decolab.feedforward import SHOT_PERIOD, FeedforwardOutcome
 from decolab.noise import AcFieldModel
-from decolab.sequences import PulseSequence
+from decolab.sequences import PulseSequence, phase_of
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -299,3 +302,71 @@ def filtered_inverse_square_mean(cfg: BathConfig, constants=CONSTANTS) -> float:
 
     val, _ = quad(per_spin, 0.0, 1.0, points=[1.0 / math.sqrt(3.0)], limit=200)
     return 0.5 * math.pi ** 2 * cfg.mean_spin_count(constants) * val
+
+
+# ---------------------------------------------------------------------------
+# feedforward drift and shots: one scalar draw per trajectory step, one
+# uniform array per shot block, every clip through np.clip
+# ---------------------------------------------------------------------------
+
+def amplitude_trajectory_loop(proc, times, rng: np.random.Generator) -> np.ndarray:
+    """Clipped OU scale factor a(t), one ``rng.standard_normal()`` per time."""
+    times = np.asarray(times, dtype=float)
+    if times.size == 0:
+        return np.empty(0)
+    out = np.empty(times.size)
+    tau = proc.correlation_time
+    a = 1.0 + proc.sigma * rng.standard_normal()
+    out[0] = a = float(np.clip(a, proc.a_min, proc.a_max))
+    for i in range(1, times.size):
+        dt = times[i] - times[i - 1]
+        decay = math.exp(-dt / tau) if dt / tau < 700.0 else 0.0
+        innov = proc.sigma * math.sqrt(max(0.0, 1.0 - decay * decay))
+        a = 1.0 + (a - 1.0) * decay + innov * rng.standard_normal()
+        out[i] = a = float(np.clip(a, proc.a_min, proc.a_max))
+    return out
+
+
+def _shot_block(true_expectations: np.ndarray, cfg, rng: np.random.Generator) -> float:
+    if cfg.exact:
+        return float(np.clip(np.mean(true_expectations), -1.0, 1.0))
+    f0, f1 = cfg.readout_fidelity_0, cfg.readout_fidelity_1
+    p_up = 0.5 * (1.0 + true_expectations)
+    p_click = np.clip(p_up * f1 + (1.0 - p_up) * (1.0 - f0), 0.0, 1.0)
+    clicks = rng.random(p_click.size) < p_click
+    p_up_est = (float(np.mean(clicks)) - (1.0 - f0)) / (f1 + f0 - 1.0)
+    return float(np.clip(2.0 * p_up_est - 1.0, -1.0, 1.0))
+
+
+def feedforward_loop(model: AcFieldModel, taus, cfg, drift, rng: np.random.Generator,
+                     n_repetitions: int = 12,
+                     estimate_each_repetition: bool = True) -> list[FeedforwardOutcome]:
+    """The X / Y / C block protocol shot block by shot block."""
+    taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    n = cfg.n_shots
+    phis = phase_of(model, PulseSequence.hahn(taus))
+    outcomes = []
+    for tau, phi_unit in zip(taus, phis):
+        shot_times = np.arange(3 * n * n_repetitions) * SHOT_PERIOD
+        a_traj = (np.ones(shot_times.size) if drift is None
+                  else amplitude_trajectory_loop(drift, shot_times, rng))
+        phi_est = x_raw = y_raw = float("nan")
+        c_values = []
+        for rep in range(n_repetitions):
+            base = 3 * n * rep
+            a_x = a_traj[base:base + n]
+            a_y = a_traj[base + n:base + 2 * n]
+            a_c = a_traj[base + 2 * n:base + 3 * n]
+            if estimate_each_repetition or rep == 0:
+                x_raw = _shot_block(np.cos(a_x * phi_unit), cfg, rng)
+                y_raw = _shot_block(np.sin(a_y * phi_unit), cfg, rng)
+                phi_est = (float("nan") if x_raw == 0.0 and y_raw == 0.0
+                           else math.atan2(y_raw, x_raw))
+            if math.isnan(phi_est):
+                c_values.append(0.0)
+                continue
+            c_values.append(_shot_block(np.cos(a_c * phi_unit - phi_est), cfg, rng))
+        outcomes.append(FeedforwardOutcome(
+            tau=float(tau), phi_estimate=phi_est, c_expectation=float(np.mean(c_values)),
+            x_raw=x_raw, y_raw=y_raw))
+    return outcomes

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from decolab.cli import main, parse_quantity, parse_range
+from decolab.cli import MAX_RANGE_POINTS, main, parse_quantity, parse_range
 
 FIXTURES = Path(__file__).parent / "fixtures"
 ROOT = Path(__file__).parents[1]
@@ -370,6 +370,77 @@ def test_points_with_stepped_range_is_config_error(tmp_path, capsys, argv):
     assert run(argv + ["--out", str(tmp_path / "stepped")]) == 0
     assert run(argv + ["--points", "5", "--out", str(tmp_path / "both")]) == 2
     assert "--points applies only to a start:stop range" in capsys.readouterr().err
+
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "hahn", "--tau-range", "1ms:0.5ms:0.1ms"],
+    ["simulate", "feedforward", "--tau-range", "3ms:1ms:1ms"],
+    ["diffusion", "predict", "--gamma-i", "117", "--d-coeff", "1.6e4",
+     "--tau-range", "50ms:5ms:5ms"],
+])
+def test_stepped_range_stopping_before_start_is_config_error(tmp_path, capsys, argv):
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("decolab: ") and err.count("\n") == 1
+    assert "stops before it starts" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text", ["nan:1ms:0.1ms", "1ms:inf:1ms", "-inf:1ms"])
+def test_non_finite_range_is_config_error(tmp_path, capsys, text):
+    assert run(["simulate", "hahn", f"--tau-range={text}", "--out", str(tmp_path / "out")]) == 2
+    assert "must have finite bounds" in capsys.readouterr().err
+
+def test_range_size_is_capped_before_the_grid_is_built(monkeypatch):
+    assert parse_range("1:1000000:1", "time").size == MAX_RANGE_POINTS
+    assert parse_range("0:1", "time", default_points=MAX_RANGE_POINTS).size == MAX_RANGE_POINTS
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid allocated for an oversized range")
+
+    monkeypatch.setattr(np, "arange", no_grid)
+    monkeypatch.setattr(np, "linspace", no_grid)
+    for text, points in (("1:1000001:1", 101), ("0:1s:1e-15", 101), ("0:1s:1e-300", 101),
+                         ("1ms:2ms", MAX_RANGE_POINTS + 1), ("1ms:2ms", 10 ** 15)):
+        with pytest.raises(ValueError, match="more than"):
+            parse_range(text, "time", default_points=points)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "hahn", "--tau-range", "0:1s:1e-12s"],
+    ["simulate", "feedforward", "--tau-range", "1ms:2ms", "--points", "2000000"],
+])
+def test_oversized_range_exits_2(tmp_path, capsys, argv):
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("decolab: ") and err.count("\n") == 1
+    assert f"more than {MAX_RANGE_POINTS} points" in err
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["simulate", "hahn", "--tau-range", "0:2ms:1ms"],
+     "decolab: dropped 1 non-positive times from --tau-range\n"),
+    (["simulate", "ramsey", "--t-range=-1ms:1ms:0.5ms"],
+     "decolab: dropped 3 non-positive times from --t-range\n"),
+    (["diffusion", "predict", "--gamma-i", "117", "--d-coeff", "1.6e4",
+      "--tau-range=-5ms:5ms", "--points", "5"],
+     "decolab: dropped 3 non-positive times from --tau-range\n"),
+    (["simulate", "hahn", "--tau-range", "1ms:2ms:1ms"], ""),
+])
+def test_dropped_times_are_counted_on_stderr(tmp_path, capsys, argv, err):
+    assert run(argv + ["--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bath", "t2star", "--chi", "0.01", "--n-baths", "0"],
+    ["simulate", "hahn", "--tau-range", "1ms:0.5ms:0.1ms"],
+    ["fit", "decay", "--data", "missing.csv"],
+])
+def test_failed_run_leaves_no_manifest(tmp_path, argv):
+    assert run(argv + ["--out", str(tmp_path / "e1")]) in (2, 3)
+    assert not (tmp_path / "e1" / "run_manifest.json").exists()
 
 
 def test_print_config(tmp_path, capsys):
