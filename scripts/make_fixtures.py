@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Regenerate the bundled synthetic fixtures under tests/fixtures.
+"""Regenerate the bundled synthetic fixtures (default: tests/fixtures).
 
 Each fixture is produced by the package's own forward models with a fixed
 seed; the generating parameters are stored alongside as JSON metadata so
 tests and CLI examples can assert recovery.
+
+    python scripts/make_fixtures.py [--out DIR]
 """
 
+import argparse
 import json
 from pathlib import Path
 
@@ -21,7 +24,11 @@ FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
 
 
 def main() -> None:
-    FIXTURES.mkdir(parents=True, exist_ok=True)
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", type=Path, default=FIXTURES,
+                    help="output directory (default: tests/fixtures)")
+    out = ap.parse_args().out
+    out.mkdir(parents=True, exist_ok=True)
     rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(424242)))
 
     # stretched-exponential decay, headline coherence values
@@ -29,17 +36,17 @@ def main() -> None:
     x = np.linspace(0.4, 30.0, 24)
     y = stretched_exp(x, (meta["A"], meta["T2_s"], meta["n"]))
     y = y + rng.normal(0.0, meta["sigma"], x.size)
-    write_decay_csv(FIXTURES / "decay_synthetic.csv",
+    write_decay_csv(out / "decay_synthetic.csv",
                     DecayCurve(x, y, np.full(x.size, meta["sigma"])))
-    (FIXTURES / "decay_synthetic.json").write_text(json.dumps(meta, indent=2) + "\n")
+    (out / "decay_synthetic.json").write_text(json.dumps(meta, indent=2) + "\n")
 
     # power-law coherence scaling
     meta = {"T0_s": 16e-3, "eta": 0.67}
     n = np.array([4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0, 24000.0])
     t2 = meta["T0_s"] * n ** meta["eta"]
-    write_decay_csv(FIXTURES / "scaling_synthetic.csv", DecayCurve(n, t2),
+    write_decay_csv(out / "scaling_synthetic.csv", DecayCurve(n, t2),
                     header=("n_pulses", "t2_s"))
-    (FIXTURES / "scaling_synthetic.json").write_text(json.dumps(meta, indent=2) + "\n")
+    (out / "scaling_synthetic.json").write_text(json.dumps(meta, indent=2) + "\n")
 
     # multi-power spectral-diffusion set with ionization in the forward counts
     meta = {"gamma_i_MHz": 117.0, "gamma_h_MHz": 22.0, "forward_rescale": 0.96,
@@ -62,22 +69,22 @@ def main() -> None:
         backward = backward + rng.normal(0.0, meta["noise_counts"], taus.size)
         forward = forward + rng.normal(0.0, meta["noise_counts"], taus.size)
         name = f"diffusion_{power:g}nW.csv"
-        write_diffusion_csv(FIXTURES / name, taus, forward, backward, err)
+        write_diffusion_csv(out / name, taus, forward, backward, err)
         lines.append(f"{power:g} {name}")
-    (FIXTURES / "diffusion_manifest.txt").write_text(
+    (out / "diffusion_manifest.txt").write_text(
         "# power_nW file\n" + "\n".join(lines) + "\n")
-    (FIXTURES / "diffusion_synthetic.json").write_text(json.dumps(meta, indent=2) + "\n")
+    (out / "diffusion_synthetic.json").write_text(json.dumps(meta, indent=2) + "\n")
 
     # leak-rate Arrhenius points
     meta = {"q_leak": 1.5e-8, "q0": 1.885e-5, "e_a": 4.01e-20, "volume": 11.3e-3}
     leak = LeakModel(**meta)
     temps = np.linspace(295.0, 588.0, 9)
     dpdt = leak.throughput(temps) / leak.volume
-    write_decay_csv(FIXTURES / "arrhenius_synthetic.csv", DecayCurve(temps, dpdt),
+    write_decay_csv(out / "arrhenius_synthetic.csv", DecayCurve(temps, dpdt),
                     header=("temperature_K", "dpdt_Pa_per_s"))
-    (FIXTURES / "arrhenius_synthetic.json").write_text(json.dumps(meta, indent=2) + "\n")
+    (out / "arrhenius_synthetic.json").write_text(json.dumps(meta, indent=2) + "\n")
 
-    print(f"fixtures written to {FIXTURES}")
+    print(f"fixtures written to {out}")
 
 
 if __name__ == "__main__":

@@ -240,16 +240,28 @@ def counts_no_ionization(model: OuDiffusionModel, line: HomogeneousLine, tau_d,
     tau_d may be an array (one value per time) or a scalar (a float); at
     tau_d = 0 the counts are the bare Lorentzian.
     """
-    t = np.asarray(tau_d, dtype=float)
-    if np.any(t < 0.0):
-        raise ValueError("tau_d must be >= 0")
-    out = np.full(t.shape, line.counts(probe_detuning))
-    diffused = t > 0.0
-    t = t[diffused]
-    hw = 0.5 * line.gamma_h
-    out[diffused] = line.c0 * math.pi * hw * voigt_density(
-        probe_detuning - ou_mean(model, t), np.sqrt(ou_variance(model, t)), hw)
-    return float(out) if out.ndim == 0 else out
+    scalar = np.ndim(tau_d) == 0
+    t = np.atleast_1d(np.asarray(tau_d, dtype=float))
+    out = _gaussian_averaged_counts(line.c0, line.gamma_h, ou_mean(model, t),
+                                    ou_variance(model, t), probe_detuning)
+    return float(out[0]) if scalar else out
+
+
+def _gaussian_averaged_counts(c0, gamma_h: float, mean: np.ndarray, variance: np.ndarray,
+                              probe_detuning: float) -> np.ndarray:
+    """Counts of a Lorentzian line (peak c0, FWHM gamma_h) whose centre is
+    Gaussian with the given mean and variance: c0 pi hw V(probe - mean), or
+    the bare Lorentzian where the variance is 0.  c0 is a scalar or, like
+    mean and variance, one value per point, so one Voigt call serves many
+    models."""
+    d = probe_detuning - mean
+    c0 = np.broadcast_to(c0, d.shape)
+    hw = 0.5 * gamma_h
+    out = c0 * hw * hw / (d * d + hw * hw)
+    spread = variance > 0.0
+    out[spread] = c0[spread] * math.pi * hw * voigt_density(
+        d[spread], np.sqrt(variance[spread]), hw)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -281,23 +293,11 @@ def _x_units(model: OuDiffusionModel) -> float:
     return math.sqrt(model.theta / (2.0 * model.d_coeff))
 
 
-def _weight_table(model: OuDiffusionModel, f: np.ndarray, n_eigen: int) -> np.ndarray:
-    """w_n(f) for n < n_eigen with the source at f = 0; shape (n_eigen, len(f))."""
-    scale = _x_units(model)
-    x = np.atleast_1d(np.asarray(f, dtype=float)) * scale
-    x0 = np.array([0.0])
-    table = hermite_phi_table(n_eigen, x)
-    table0 = hermite_phi_table(n_eigen, x0)[:, 0]
-    phi0_x = table[0]
-    phi0_src = table0[0]
-    return scale * phi0_x * table * (table0[:, None] / phi0_src)
-
-
 # ---------------------------------------------------------------------------
 # fixed-Talbot inversion
 # ---------------------------------------------------------------------------
 
-def _checked_times(t, min_valid_time: float | None) -> np.ndarray:
+def _checked_times(t, min_valid_time: float | None = None) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if not np.all(t > 0.0):
         raise ValueError("t must be > 0")
@@ -322,18 +322,15 @@ def _talbot_nodes(t: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.multiply.outer(1.0 / t, ts), gamma
 
 
-def invert_laplace(transform: Callable, t, settings: SolverSettings = SolverSettings(),
-                   min_valid_time: float | None = None):
+def invert_laplace(transform: Callable, t, settings: SolverSettings = SolverSettings()):
     """Invert a Laplace transform at time(s) t with the fixed-Talbot contour:
     f(t) = 2/(5t) Re sum_k gamma_k F(s_k).
 
     ``transform`` receives the complex nodes, shape t.shape + (m,), and
     returns F at them with optional leading axes (..., *t.shape, m); the
-    result has shape (..., *t.shape), a float when that is empty.  When
-    ``min_valid_time`` is given, times below it raise ValidityError (the
-    truncated eigen-expansion is only valid for t >> 1/(theta N_eigen)).
+    result has shape (..., *t.shape), a float when that is empty.
     """
-    t = _checked_times(t, min_valid_time)
+    t = _checked_times(t)
     s, gamma = _talbot_nodes(t, settings.inversion_nodes)
     vals = np.asarray(transform(s), dtype=complex)
     out = 2.0 / (5.0 * t) * np.real(vals @ gamma)
@@ -373,20 +370,27 @@ class SinkSolver:
         self.settings = settings
         half = settings.grid_halfwidth_sigmas * math.sqrt(model.stationary_variance)
         self.grid = np.linspace(-half, half, settings.grid_points)
-        self._w_f = _weight_table(model, self.grid, settings.n_eigen)
-        self._w_sink = _weight_table(model, np.array([0.0]), settings.n_eigen)[:, 0]
+        # eigen-weights w_n(f) = scale phi_0(x) phi_n(x) phi_n(0) / phi_0(0),
+        # x = f scale, with the source at f = 0: one table over the grid and
+        # the sink point x = 0, appended as the last column
+        scale = _x_units(model)
+        phi = hermite_phi_table(settings.n_eigen, np.append(self.grid * scale, 0.0))
+        src = phi[:, -1] / phi[0, -1]
+        self._w_f = scale * phi[0, :-1] * phi[:, :-1] * src[:, None]
+        self._w_sink = scale * phi[0, -1] * phi[:, -1] * src
         self._n_theta = np.arange(settings.n_eigen) * model.theta
 
     @property
     def min_valid_time(self) -> float:
         return self.settings.min_valid_time_factor / (self.model.theta * self.settings.n_eigen)
 
-    def _p0(self, coef: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """Sinkless transform P~0(f, s) = sum_n w_n(f) / (n theta + s) at nodes s,
-        projected on coef (..., n_eigen): shape coef.shape[:-1] + s.shape."""
+    def _resolvent(self, s: np.ndarray) -> np.ndarray:
+        """1 / (n theta + s) at nodes s, shape (n_eigen,) + s.shape.  Its
+        projection on coef (..., n_eigen) is the sinkless transform
+        P~0(f, s) = sum_n w_n(f) / (n theta + s)."""
         res = np.add.outer(self._n_theta, s)
         np.reciprocal(res, out=res)
-        return np.tensordot(coef, res, axes=(-1, 0))
+        return res
 
     def _inverse(self, coef: np.ndarray, taus) -> Callable[[float], np.ndarray]:
         """S -> inverse transform of the sink solution projected on coef, at taus.
@@ -397,8 +401,9 @@ class SinkSolver:
         """
         taus = _checked_times(taus, self.min_valid_time)
         s, _ = _talbot_nodes(taus, self.settings.inversion_nodes)
-        p0 = self._p0(coef, s)
-        p0_sink = self._p0(self._w_sink, s)
+        res = self._resolvent(s)
+        p0 = np.tensordot(coef, res, axes=(-1, 0))
+        p0_sink = np.tensordot(self._w_sink, res, axes=(-1, 0))
 
         def invert(strength: float) -> np.ndarray:
             # the transform ignores its argument: p0 and p0_sink are already
@@ -467,12 +472,16 @@ def joint_fit_backward(datasets: Sequence[PowerDataset], gamma_h_fixed: float) -
                if all(ds.curve.sigma is not None for ds in datasets) else None)
 
     def model_fn(x, params):
-        out = np.empty_like(x)
+        # counts_no_ionization per power, with one Voigt call for all powers
+        mean, variance, c0 = [], [], []
         for i, sl in enumerate(slices):
             model = OuDiffusionModel(d_coeff=params[1 + 2 * i], gamma_i=params[0])
             line = HomogeneousLine(c0=params[2 + 2 * i], gamma_h=gamma_h_fixed)
-            out[sl] = counts_no_ionization(model, line, x[sl])
-        return out
+            mean.append(ou_mean(model, x[sl]))
+            variance.append(ou_variance(model, x[sl]))
+            c0.append(np.full(sl.stop - sl.start, line.c0))
+        return _gaussian_averaged_counts(np.concatenate(c0), gamma_h_fixed,
+                                         np.concatenate(mean), np.concatenate(variance), 0.0)
 
     # initial guesses: C0 from the first point, gamma_i from the plateau
     # ratio, D from the half-decay time

@@ -116,6 +116,8 @@ def run_feedforward(model: AcFieldModel, taus, cfg: ShotConfig,
     estimate_each_repetition=False the estimate from the first repetition
     corrects every later C block.
     """
+    if n_repetitions < 1:
+        raise ValueError("n_repetitions must be >= 1")
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     n = cfg.n_shots
     shot_times = np.arange(3 * n * n_repetitions) * SHOT_PERIOD

@@ -121,7 +121,7 @@ class AmplitudeScaleProcess:
             raise ValueError("bounds must satisfy 0 < a_min <= 1 <= a_max")
         if not self.correlation_time > 0.0:
             raise ValueError("correlation_time must be > 0")
-        if self.sigma < 0.0:
+        if not self.sigma >= 0.0:
             raise ValueError("sigma must be >= 0")
 
 

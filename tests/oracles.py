@@ -8,7 +8,10 @@ arbitrary-precision recurrence, Voigt values and the filtered-bath mean of
 1/T2*^2 from adaptive quadrature, T2* distributions from the
 brute-force sum over every bath spin, and the drift trajectory and
 feedforward protocol from one scalar random draw per step and one
-array per shot block.
+array per shot block.  The sink solver's eigen-weights come from one
+Hermite recurrence per evaluation set and its inversion from one
+resolvent per projection; the joint backward-fit model from one
+``counts_no_ionization`` call per power.
 """
 
 from __future__ import annotations
@@ -21,6 +24,9 @@ import numpy as np
 
 from decolab.bath import BathConfig, _coupling_prefactor
 from decolab.constants import CONSTANTS, TWO_PI
+from decolab.diffusion import (HomogeneousLine, OuDiffusionModel, SinkSolver,
+                               _talbot_nodes, _trapezoid_weights, _x_units,
+                               counts_no_ionization, hermite_phi_table)
 from decolab.feedforward import SHOT_PERIOD, FeedforwardOutcome
 from decolab.noise import AcFieldModel
 from decolab.sequences import PulseSequence, phase_of
@@ -108,6 +114,60 @@ def hermite_phi_mp(n: int, x: float, dps: int = 60) -> float:
             h, h_prev = xm * mpmath.sqrt(mpmath.mpf(2) / (k + 1)) * h - \
                 mpmath.sqrt(mpmath.mpf(k) / (k + 1)) * h_prev, h
         return float(h)
+
+
+def weight_table(model: OuDiffusionModel, f: np.ndarray, n_eigen: int) -> np.ndarray:
+    """Eigen-weights w_n(f) for n < n_eigen with the source at f = 0, shape
+    (n_eigen, len(f)): one Hermite table for f and a second for the source."""
+    scale = _x_units(model)
+    x = np.atleast_1d(np.asarray(f, dtype=float)) * scale
+    table = hermite_phi_table(n_eigen, x)
+    table0 = hermite_phi_table(n_eigen, np.array([0.0]))[:, 0]
+    return scale * table[0] * table * (table0[:, None] / table0[0])
+
+
+def reference_sink_solver(model, sink, settings) -> SinkSolver:
+    """A SinkSolver whose eigen-weights are rebuilt by ``weight_table``, once
+    over the grid and once at the sink point f = 0."""
+    solver = SinkSolver(model, sink, settings)
+    solver._w_f = weight_table(model, solver.grid, settings.n_eigen)
+    solver._w_sink = weight_table(model, np.array([0.0]), settings.n_eigen)[:, 0]
+    return solver
+
+
+def sink_inverse_two_resolvents(solver: SinkSolver, coef: np.ndarray, taus,
+                                strength: float) -> np.ndarray:
+    """Fixed-Talbot inverse of the sink solution projected on coef, with a
+    separate resolvent table 1/(n theta + s) for P~0(coef) and P~0(sink)."""
+    taus = np.asarray(taus, dtype=float)
+    s, gamma = _talbot_nodes(taus, solver.settings.inversion_nodes)
+    p0 = np.tensordot(coef, np.reciprocal(np.add.outer(solver._n_theta, s)), axes=(-1, 0))
+    p0_sink = np.tensordot(solver._w_sink, np.reciprocal(np.add.outer(solver._n_theta, s)),
+                           axes=(-1, 0))
+    vals = p0 / (1.0 + strength * p0_sink)
+    out = 2.0 / (5.0 * taus) * np.real(vals @ gamma)
+    return float(out) if out.ndim == 0 else out
+
+
+def sink_counts_reference(solver: SinkSolver, line: HomogeneousLine, taus,
+                          strength: float) -> np.ndarray:
+    """Counts of ``SinkSolver.counts_factorized`` through
+    ``sink_inverse_two_resolvents``."""
+    weights = _trapezoid_weights(solver.grid) * line.counts(-solver.grid)
+    return sink_inverse_two_resolvents(solver, solver._w_f @ weights, taus, strength)
+
+
+def joint_backward_model_per_power(x: np.ndarray, params, sizes, gamma_h: float) -> np.ndarray:
+    """The joint backward-fit model, one ``counts_no_ionization`` call per
+    power; params are gamma_i, then D and C0 per power."""
+    out = np.empty_like(x)
+    start = 0
+    for i, n in enumerate(sizes):
+        sl = slice(start, start + n)
+        model = OuDiffusionModel(d_coeff=params[1 + 2 * i], gamma_i=params[0])
+        out[sl] = counts_no_ionization(model, HomogeneousLine(params[2 + 2 * i], gamma_h), x[sl])
+        start += n
+    return out
 
 
 def voigt_quadrature(x: float, sigma: float, gamma_hwhm: float) -> float:

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -332,12 +335,30 @@ def test_exit_code_nonconvergence(tmp_path):
     ["bath", "t2star", "--chi", "0.01", "--n-baths", "0"],
     ["growth", "chi", "--f0", "-1", "--f1", "1"],
     ["diffusion", "predict", "--gamma-i", "-5", "--d-coeff", "1e4"],
+    ["simulate", "feedforward", "--tau-range", "1ms:2ms:1ms", "--drift-sigma", "nan"],
+    ["simulate", "feedforward", "--tau-range", "1ms:2ms:1ms", "--repetitions", "0"],
+    ["simulate", "feedforward", "--tau-range", "1ms:2ms:1ms", "--repetitions", "-1"],
 ])
-def test_invalid_values_exit_2_without_traceback(tmp_path, capsys, argv):
+def test_invalid_values_exit_2_without_traceback(tmp_path, capsys, recwarn, argv):
     assert run(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("decolab: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_no_repetitions_exits_2_without_runtime_warning(tmp_path):
+    # a run without repetitions once averaged an empty list: numpy's
+    # RuntimeWarnings on stderr, all-nan rows and exit 0
+    done = subprocess.run(
+        [sys.executable, "-m", "decolab", "simulate", "feedforward", "--tau-range",
+         "1ms:2ms:1ms", "--repetitions", "0", "--out", str(tmp_path / "ff")],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))),
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stderr == "decolab: n_repetitions must be >= 1\n"
+    assert not (tmp_path / "ff" / "feedforward.csv").exists()
 
 
 @pytest.mark.parametrize("flag", [["--q-leak", "5"], ["--pressure", "1Pa"]])

@@ -10,7 +10,7 @@ from scipy.special import wofz
 
 from decolab.diffusion import (HomogeneousLine, IonizationSink, OuDiffusionModel,
                                PowerDataset, SinkSolver, SolverSettings,
-                               ValidityError, _weight_table, counts_no_ionization,
+                               ValidityError, counts_no_ionization,
                                faddeeva_w, fit_ionization_rate, hermite_phi_table,
                                invert_laplace, joint_fit_backward, ou_mean, ou_pdf,
                                ou_variance, power_broadened_linewidth,
@@ -18,7 +18,7 @@ from decolab.diffusion import (HomogeneousLine, IonizationSink, OuDiffusionModel
                                voigt_density, write_diffusion_csv, LN2_8)
 from decolab.fitting import DecayCurve, fit_power_scaling
 from conftest import make_rng
-from oracles import hermite_phi_mp, voigt_quadrature
+from oracles import hermite_phi_mp, voigt_quadrature, weight_table
 
 MODEL = OuDiffusionModel(d_coeff=4.4e4, gamma_i=117.0)
 LINE = HomogeneousLine(c0=40.0, gamma_h=22.0)
@@ -205,7 +205,7 @@ def test_hermite_recurrence_matches_mp():
 
 def test_eigen_weight_ground_state_and_parity():
     f = np.linspace(-150.0, 150.0, 7)
-    table = _weight_table(MODEL, f, 8)
+    table = weight_table(MODEL, f, 8)
     sigma2 = MODEL.stationary_variance
     gaussian = np.exp(-f ** 2 / (2 * sigma2)) / math.sqrt(2 * math.pi * sigma2)
     assert np.allclose(table[0], gaussian, rtol=1e-10)
@@ -214,7 +214,7 @@ def test_eigen_weight_ground_state_and_parity():
 
 def test_eigen_series_reproduces_gaussian():
     f = np.linspace(-250.0, 250.0, 41)
-    table = _weight_table(MODEL, f, 2000)
+    table = weight_table(MODEL, f, 2000)
     n = np.arange(2000)
     for theta_tau in (0.05, 0.2, 1.0, 5.0):
         tau = theta_tau / MODEL.theta
@@ -231,15 +231,15 @@ def test_laplace_p0_large_s_decay():
     # once |s| dwarfs the truncated spectrum (n_eigen * theta), the sum
     # decays as 1/|s|
     solver = SinkSolver(MODEL, IonizationSink(strength_s=0.0))
-    v1 = solver._p0(solver._w_sink, np.complex128(1e6))
-    v2 = solver._p0(solver._w_sink, np.complex128(1e7))
+    v1 = solver._w_sink @ solver._resolvent(np.complex128(1e6))
+    v2 = solver._w_sink @ solver._resolvent(np.complex128(1e7))
     assert abs(v2) == pytest.approx(abs(v1) * 0.1, rel=0.05)
 
 
 def test_laplace_p0_tail_suppressed():
     # the grid spans +-6.5 stationary sigmas around the source at f = 0
     solver = SinkSolver(MODEL, IonizationSink(strength_s=0.0))
-    p0 = solver._p0(solver._w_f.T, np.complex128(50.0))
+    p0 = solver._w_f.T @ solver._resolvent(np.complex128(50.0))
     sigma_inf = math.sqrt(MODEL.stationary_variance)
     assert solver.grid[-1] == pytest.approx(6.5 * sigma_inf, rel=1e-12)
     assert abs(p0[-1]) < 1e-8 * abs(p0[solver.grid.size // 2])
@@ -260,7 +260,8 @@ def test_sink_solver_rejects_off_centre_line():
 def test_sink_reduces_to_p0_at_zero_strength():
     solver = SinkSolver(MODEL, IonizationSink(strength_s=500.0))
     tau = 0.4 / MODEL.theta
-    sinkless = invert_laplace(lambda s: solver._p0(solver._w_f.T, s), tau)
+    sinkless = invert_laplace(
+        lambda s: np.tensordot(solver._w_f.T, solver._resolvent(s), axes=(-1, 0)), tau)
     assert np.allclose(solver.pdf(tau, strength_s=0.0), sinkless, rtol=1e-12, atol=0.0)
 
 
@@ -296,8 +297,6 @@ def test_validity_guard():
     bound = solver.min_valid_time
     with pytest.raises(ValidityError, match="theta"):
         solver.pdf(0.5 * bound)
-    with pytest.raises(ValidityError):
-        invert_laplace(lambda s: 1.0 / s, 1e-9, min_valid_time=1e-6)
 
 
 def test_sinkless_round_trip_grid():

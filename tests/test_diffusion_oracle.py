@@ -1,0 +1,112 @@
+"""The sink solver and the joint backward fit do the same float arithmetic as
+the references in ``oracles.py`` with less repeated work: one Hermite table
+per solver, one resolvent table per inversion and one Voigt call per
+joint-fit model evaluation.  Results agree bit for bit."""
+
+import numpy as np
+import pytest
+
+import decolab.diffusion as diffusion
+from decolab.diffusion import (HomogeneousLine, IonizationSink, OuDiffusionModel,
+                               PowerDataset, SinkSolver, SolverSettings, joint_fit_backward)
+from decolab.fitting import DecayCurve
+from oracles import (joint_backward_model_per_power, reference_sink_solver,
+                     sink_counts_reference, sink_inverse_two_resolvents, weight_table)
+
+MODELS = [OuDiffusionModel(d_coeff=d, gamma_i=117.0) for d in (8.0e3, 1.6e4, 3.2e4)]
+LINE = HomogeneousLine(c0=38.0, gamma_h=22.0)
+SETTINGS = [
+    SolverSettings(),                                # every CLI command
+    SolverSettings(n_eigen=1200, grid_points=601),   # scripts/make_fixtures.py
+    SolverSettings(n_eigen=900, grid_points=501),    # acceptance criterion 10
+    SolverSettings(n_eigen=1),
+    SolverSettings(n_eigen=2),
+]
+SETTING_IDS = ["default", "fixtures", "criterion10", "n1", "n2"]
+
+
+def bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("settings", SETTINGS, ids=SETTING_IDS)
+@pytest.mark.parametrize("model", MODELS, ids=["D8e3", "D1.6e4", "D3.2e4"])
+def test_eigen_weights_match_separate_recurrences(model, settings):
+    solver = SinkSolver(model, IonizationSink(strength_s=150.0), settings)
+    assert np.array_equal(bits(solver._w_f),
+                          bits(weight_table(model, solver.grid, settings.n_eigen)))
+    assert np.array_equal(bits(solver._w_sink),
+                          bits(weight_table(model, np.array([0.0]), settings.n_eigen)[:, 0]))
+    assert solver._w_f.flags.c_contiguous
+
+
+@pytest.mark.parametrize("settings", SETTINGS[:3], ids=SETTING_IDS[:3])
+def test_counts_and_pdf_match_reference(settings):
+    model = MODELS[1]
+    sink = IonizationSink(strength_s=150.0)
+    solver = SinkSolver(model, sink, settings)
+    ref = reference_sink_solver(model, sink, settings)
+    taus = np.geomspace(3e-3, 0.6, 12)
+    counts_of_s = solver.counts_factorized(LINE, taus)
+    for strength in (0.0, 60.0, 400.0):
+        assert np.array_equal(bits(counts_of_s(strength)),
+                              bits(sink_counts_reference(ref, LINE, taus, strength)))
+    assert bits(solver.counts(LINE, taus[-1])) == bits(
+        sink_counts_reference(ref, LINE, taus[-1], 150.0))
+    for tau in (taus[0], 0.05):
+        assert np.array_equal(bits(solver.pdf(tau)),
+                              bits(sink_inverse_two_resolvents(ref, ref._w_f.T, tau, 150.0)))
+
+
+def test_one_hermite_table_per_solver(monkeypatch):
+    calls = []
+
+    def counting(n_max, x):
+        calls.append(np.size(x))
+        return hermite_phi_table(n_max, x)
+
+    hermite_phi_table = diffusion.hermite_phi_table
+    monkeypatch.setattr(diffusion, "hermite_phi_table", counting)
+    solver = SinkSolver(MODELS[1], IonizationSink(strength_s=150.0))
+    solver.counts_factorized(LINE, np.geomspace(3e-3, 0.6, 12))(150.0)
+    solver.pdf(0.05)
+    assert calls == [solver.grid.size + 1]
+
+
+def _captured_joint_model(monkeypatch, datasets):
+    captured = {}
+
+    def capture(model_fn, p0, x, y, **kwargs):
+        captured.update(model_fn=model_fn, p0=np.asarray(p0), x=x)
+
+    monkeypatch.setattr(diffusion, "least_squares", capture)
+    joint_fit_backward(datasets, gamma_h_fixed=LINE.gamma_h)
+    return captured["model_fn"], captured["p0"], captured["x"]
+
+
+@pytest.mark.parametrize("first_tau", [0.0, 3e-3], ids=["with-tau0", "diffused"])
+def test_joint_model_matches_per_power_counts(monkeypatch, first_tau):
+    taus = np.r_[first_tau, np.geomspace(5e-3, 0.6, 11)]
+    datasets = [PowerDataset(250.0, DecayCurve(taus, np.linspace(40.0, 10.0, taus.size))),
+                PowerDataset(500.0, DecayCurve(taus[1:], np.linspace(38.0, 9.0, taus.size - 1))),
+                PowerDataset(1000.0, DecayCurve(taus[:5], np.linspace(36.0, 20.0, 5)))]
+    model_fn, p0, x = _captured_joint_model(monkeypatch, datasets)
+    voigt_calls = []
+    voigt_density = diffusion.voigt_density
+
+    def counting(x, sigma, gamma_hwhm):
+        voigt_calls.append(np.size(x))
+        return voigt_density(x, sigma, gamma_hwhm)
+
+    monkeypatch.setattr(diffusion, "voigt_density", counting)
+    sizes = [len(ds.curve) for ds in datasets]
+    rng = np.random.default_rng(3)
+    for params in [p0, np.array([117.0, 8e3, 40.0, 1.6e4, 38.0, 3.2e4, 36.0])] + \
+            [p0 * rng.uniform(0.5, 2.0, p0.size) for _ in range(4)]:
+        got = model_fn(x, params)
+        assert voigt_calls == [np.count_nonzero(x > 0.0)]
+        want = joint_backward_model_per_power(x, params, sizes, LINE.gamma_h)
+        voigt_calls.clear()
+        assert np.array_equal(bits(got), bits(want))
+    if first_tau == 0.0:
+        assert got[0] == params[2]  # the bare Lorentzian on resonance is C0
