@@ -158,12 +158,23 @@ def t2star_distribution(cfg: BathConfig, n_baths: int, rng: np.random.Generator,
         counts = base + (rng.random(nb) < mean - base)
         n_near = rng.binomial(counts, v0)
         width = int(n_near.max())
-        v = v0 * (1.0 - rng.random((nb, width)))
-        g = 3.0 * (2.0 * rng.random((nb, width)) - 1.0) ** 2 - 1.0
-        keep = np.arange(width) < n_near[:, None]
+        # in place on the two draws: v = v0 (1 - r), g = 3 (2 r' - 1)^2 - 1, (g / v)^2
+        v = rng.random((nb, width))
+        np.subtract(1.0, v, out=v)
+        v *= v0
+        g = rng.random((nb, width))
+        g *= 2.0
+        g -= 1.0
+        g *= g
+        g *= 3.0
+        g -= 1.0
+        drop = np.arange(width) >= n_near[:, None]
         if h is not None:
-            keep &= np.abs(g) * v_c <= 2.0 * v
-        sums = np.where(keep, (g / v) ** 2, 0.0).sum(axis=1)
+            drop |= np.abs(g) * v_c > 2.0 * v
+        g /= v
+        g *= g
+        np.copyto(g, 0.0, where=drop)
+        sums = g.sum(axis=1)
         if v0 < 1.0:
             n_far = counts - n_near
             sums += np.maximum(rng.normal(n_far * far_mean, np.sqrt(n_far * far_var)), 0.0)

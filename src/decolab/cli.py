@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 configuration error, 3 data error,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -30,8 +29,8 @@ from . import bath as bathmod
 from . import diffusion as diff
 from . import growth
 from .feedforward import ShotConfig, run_feedforward
-from .fitting import (DataError, DecayCurve, FitError, FitResult, fit_power_scaling,
-                      fit_stretched_exp, read_decay_csv, stretched_exp)
+from .fitting import (DataError, DecayCurve, FitError, FitResult, _write_csv,
+                      fit_power_scaling, fit_stretched_exp, read_decay_csv, stretched_exp)
 from .plotsvg import SvgPlot, histogram_plot, quick_line_plot
 from .sequences import PulseSequence, expectation_unsynchronized, ramsey_envelope
 
@@ -166,17 +165,11 @@ class OutputWriter:
             self._manifest = None
         return self.out_dir / name
 
-    def _stamp(self) -> str:
-        return f"# decolab {__version__} command={self.command} seed={self.seed}"
-
-    def csv(self, name: str, header: list[str], rows) -> Path:
+    def csv(self, name: str, header: list[str], columns) -> Path:
+        """One column (floats, ints or strings) per header name, after a stamp line."""
         path = self._path(name)
-        with open(path, "w", newline="\n", encoding="utf-8") as fh:
-            fh.write(self._stamp() + "\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
+        _write_csv(path, header, columns,
+                   [f"# decolab {__version__} command={self.command} seed={self.seed}"])
         return path
 
     def json(self, name: str, payload: dict) -> Path:
@@ -196,14 +189,6 @@ def _finite_or_null(value):
     if isinstance(value, float) and not math.isfinite(value):
         return None
     return value
-
-
-def _fmt(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, str):
-        return v
-    return repr(float(v))
 
 
 def _fit_payload(fit: FitResult) -> dict:
@@ -238,7 +223,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     model = _load_model(args.config)
     _print_config(args, model)
     out = OutputWriter(Path(args.out), f"simulate {args.sequence}", args.seed, args.config)
-    rows = []
     if args.sequence == "feedforward":
         taus = _positive_times(args, "tau_range", 101)
         rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(args.seed)))
@@ -247,16 +231,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         cfg = ShotConfig(n_shots=args.shots)
         outcomes = run_feedforward(model, taus, cfg, drift, rng,
                                    n_repetitions=args.repetitions)
-        for o in outcomes:
-            rows.append([o.tau, o.x_raw, o.y_raw, o.phi_estimate, o.c_expectation,
-                         args.seed])
+        tau = [o.tau for o in outcomes]
+        c = [o.c_expectation for o in outcomes]
         path = out.csv("feedforward.csv",
                        ["tau_s", "x_raw", "y_raw", "phi_estimate_rad", "c_expectation",
-                        "seed"], rows)
-        cs = [o.c_expectation for o in outcomes]
-        quick_line_plot(out.out_dir / "feedforward.svg", [o.tau for o in outcomes],
-                        [cs], ["<C>"], title="feedforward echo", xlabel="tau (s)",
-                        ylabel="<C>", styles=["points"])
+                        "seed"],
+                       [tau, [o.x_raw for o in outcomes], [o.y_raw for o in outcomes],
+                        [o.phi_estimate for o in outcomes], c, [args.seed] * len(outcomes)])
+        quick_line_plot(out.out_dir / "feedforward.svg", tau, [c], ["<C>"],
+                        title="feedforward echo", xlabel="tau (s)", ylabel="<C>",
+                        styles=["points"])
         print(path)
         return EXIT_OK
 
@@ -267,24 +251,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                                    n_t0=args.n_t0, n_a=args.n_a)
         else:
             vals = expectation_unsynchronized(model, PulseSequence.ramsey(times), args.n_t0)
-        for t, v in zip(times, vals):
-            rows.append(["ramsey", 0, t, t, v])
+        n_pulses, taus, t_total = 0, times, times
     else:
         n_pulses = 1 if args.sequence == "hahn" else args.n
         taus = _positive_times(args, "tau_range", 101)
         seq = (PulseSequence.hahn(taus) if args.sequence == "hahn"
                else PulseSequence.cpmg(n_pulses, taus))
         vals = expectation_unsynchronized(model, seq, args.n_t0)
-        for tau, t_total, val in zip(taus, seq.total_time, vals):
-            rows.append([args.sequence, n_pulses, tau, t_total, val])
+        t_total = seq.total_time
 
+    n = len(vals)
     path = out.csv("sweep.csv",
                    ["sequence_kind", "n_pulses", "tau_s", "t_total_s", "expectation"],
-                   rows)
-    if rows:
-        xs = [r[3] for r in rows]
-        ys = [r[4] for r in rows]
-        quick_line_plot(out.out_dir / "sweep.svg", xs, [ys], [args.sequence],
+                   [[args.sequence] * n, [n_pulses] * n, taus, t_total, vals])
+    if n:
+        quick_line_plot(out.out_dir / "sweep.svg", t_total, [vals], [args.sequence],
                         title=f"{args.sequence} sweep", xlabel="total time (s)",
                         ylabel="expectation")
     print(path)
@@ -302,7 +283,7 @@ def cmd_bath(args: argparse.Namespace) -> int:
         out = OutputWriter(Path(args.out), "bath t2star", args.seed, "-")
         cfg = bathmod.BathConfig(concentration=args.chi)
         dist = bathmod.t2star_distribution(cfg, args.n_baths, rng)
-        out.csv("t2star.csv", ["t2star_us"], [[v * 1e6] for v in dist.samples])
+        out.csv("t2star.csv", ["t2star_us"], [dist.samples * 1e6])
         scale_us = dist.half_normal_scale * 1e6
         ci = 1.96 * dist.scale_stderr() * 1e6
         out.json("t2star_summary.json", {
@@ -486,13 +467,12 @@ def cmd_diffusion(args: argparse.Namespace) -> int:
             forward = solver.counts_factorized(line, taus, args.detuning)(args.sink_s)
         except diff.ValidityError as exc:
             raise ConfigError(f"--tau-range: {exc}") from None
-    rows = [[t, args.forward_rescale * f, b, 0.0] for t, f, b in zip(taus, forward, backward)]
+    forward = args.forward_rescale * forward
     path = out.csv("diffusion_predict.csv",
-                   ["tau_d_s", "counts_forward", "counts_backward", "stderr"], rows)
-    if rows:
-        quick_line_plot(out.out_dir / "diffusion_predict.svg",
-                        [r[0] for r in rows],
-                        [[r[2] for r in rows], [r[1] for r in rows]],
+                   ["tau_d_s", "counts_forward", "counts_backward", "stderr"],
+                   [taus, forward, backward, np.zeros(taus.size)])
+    if taus.size:
+        quick_line_plot(out.out_dir / "diffusion_predict.svg", taus, [backward, forward],
                         ["backward", "forward"], title="check-probe counts",
                         xlabel="tau_d (s)", ylabel="counts")
     print(path)
@@ -627,7 +607,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"decolab: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, OSError) as exc:  # unreadable files too, e.g. a directory
         print(f"decolab: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (NonConvergence, FitError) as exc:

@@ -3,13 +3,12 @@ check-probe photon-count models built on it.
 
 Frequencies and linewidths are in MHz, the diffusion coefficient D in
 MHz^2 s^-1, times in seconds.  In model coordinates the probe/sink laser
-sits at f = 0 and the line centre f0 and the heralded starting frequency
-default to 0 as well; the count models and the sink solver start at f = 0,
-and the sink solver also needs f0 = 0.
+and the heralded starting frequency sit at f = 0, and the line centre f0
+defaults to 0 as well; the sink solver needs f0 = 0.
 
 Without ionization the frequency distribution stays Gaussian,
 
-    P(f, t) = N(mu(t), V(t)),  mu(t) = f_start e^{-theta t} + f0 (1 - e^{-theta t}),
+    P(f, t) = N(mu(t), V(t)),  mu(t) = f0 (1 - e^{-theta t}),
     V(t) = (D / theta) (1 - e^{-2 theta t}),   theta = D (2 sqrt(2 ln 2) / gamma_i)^2,
 
 and the expected counts are a Voigt profile (Gaussian (*) homogeneous
@@ -31,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fitting import DataError, DecayCurve, FitResult, FitError, least_squares
+from .fitting import DataError, DecayCurve, FitResult, FitError, _write_csv, least_squares
 
 __all__ = [
     "OuDiffusionModel",
@@ -156,19 +155,20 @@ def ou_variance(model: OuDiffusionModel, tau_d):
     return float(out) if out.ndim == 0 else out
 
 
-def ou_mean(model: OuDiffusionModel, tau_d, f_start: float = 0.0):
+def ou_mean(model: OuDiffusionModel, tau_d):
+    """Mean frequency (MHz) after diffusion time tau_d from a start at f = 0."""
     t = np.asarray(tau_d, dtype=float)
-    decay = np.exp(-model.theta * t)
-    out = f_start * decay + model.f0 * (1.0 - decay)
+    out = model.f0 * (1.0 - np.exp(-model.theta * t))
     return float(out) if out.ndim == 0 else out
 
 
-def ou_pdf(model: OuDiffusionModel, f, tau_d: float, f_start: float = 0.0):
-    """Gaussian density (MHz^-1) of the transition frequency at tau_d > 0."""
+def ou_pdf(model: OuDiffusionModel, f, tau_d: float):
+    """Gaussian density (MHz^-1) of the transition frequency at tau_d > 0,
+    starting from f = 0."""
     if not tau_d > 0.0:
         raise ValueError("tau_d must be > 0")
     f = np.asarray(f, dtype=float)
-    mu = ou_mean(model, tau_d, f_start)
+    mu = ou_mean(model, tau_d)
     var = ou_variance(model, tau_d)
     out = np.exp(-0.5 * (f - mu) ** 2 / var) / math.sqrt(2.0 * math.pi * var)
     return float(out) if out.ndim == 0 else out
@@ -419,8 +419,9 @@ class SinkSolver:
         return self._inverse(self._w_f.T, tau_d)(strength)
 
     def survival(self, tau_d: float, strength_s: float | None = None) -> float:
-        """Integral of P over the grid (1 when S = 0, up to inversion error)."""
-        return float(np.trapezoid(self.pdf(tau_d, strength_s), self.grid))
+        """Trapezoid integral of P over the grid (1 when S = 0, up to inversion error)."""
+        strength = self.sink.strength_s if strength_s is None else strength_s
+        return float(self._inverse(self._w_f @ _trapezoid_weights(self.grid), tau_d)(strength))
 
     def counts(self, line: HomogeneousLine, tau_d: float, probe_detuning: float = 0.0,
                strength_s: float | None = None) -> float:
@@ -533,11 +534,8 @@ def fit_ionization_rate(dataset: PowerDataset, backward_model: OuDiffusionModel,
 
 def write_diffusion_csv(path: str | Path, taus: np.ndarray, forward: np.ndarray,
                         backward: np.ndarray, stderr: np.ndarray) -> None:
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["tau_d_s", "counts_forward", "counts_backward", "stderr"])
-        for row in zip(taus, forward, backward, stderr):
-            writer.writerow([repr(float(v)) for v in row])
+    _write_csv(path, ["tau_d_s", "counts_forward", "counts_backward", "stderr"],
+               [np.asarray(c, dtype=float) for c in (taus, forward, backward, stderr)])
 
 
 def read_diffusion_csv(path: str | Path) -> tuple[DecayCurve, DecayCurve]:

@@ -356,13 +356,19 @@ def read_decay_csv(path: str | Path) -> DecayCurve:
 
 def write_decay_csv(path: str | Path, curve: DecayCurve,
                     header: tuple[str, ...] = ("x", "y", "sigma")) -> None:
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        cols = 3 if curve.sigma is not None else 2
-        writer.writerow(header[:cols])
-        for i in range(len(curve)):
-            row = [repr(float(curve.x[i])), repr(float(curve.y[i]))]
-            if curve.sigma is not None:
-                row.append(repr(float(curve.sigma[i])))
-            writer.writerow(row)
+    columns = [curve.x, curve.y] if curve.sigma is None else [curve.x, curve.y, curve.sigma]
+    _write_csv(path, header[:len(columns)], columns)
 
+
+def _write_csv(path: str | Path, header: Sequence[str], columns: Sequence,
+               preamble: Sequence[str] = ()) -> None:
+    """Write the preamble lines, then one column per header name: float cells
+    as repr (the shortest text that reads back to the same double), integer
+    cells as str, strings unchanged."""
+    cells = []
+    for column in columns:
+        values = np.asarray(column)
+        cells.append(map(repr if values.dtype.kind == "f" else str, values.tolist()))
+    lines = [*preamble, ",".join(header), *map(",".join, zip(*cells, strict=True))]
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")

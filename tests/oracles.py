@@ -11,18 +11,22 @@ feedforward protocol from one scalar random draw per step and one
 array per shot block.  The sink solver's eigen-weights come from one
 Hermite recurrence per evaluation set and its inversion from one
 resolvent per projection; the joint backward-fit model from one
-``counts_no_ionization`` call per power.
+``counts_no_ionization`` call per power.  For bitwise checks, the near/far
+bath sampler is kept with one temporary array per operation and the CSV
+writer with one ``csv.writer`` row per record.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, replace
 
 import mpmath
 import numpy as np
 
-from decolab.bath import BathConfig, _coupling_prefactor
+from decolab.bath import (_BATCH_SPINS, _G2_MEAN, _G4_MEAN, NEAR_SPINS, BathConfig,
+                          _coupling_prefactor)
 from decolab.constants import CONSTANTS, TWO_PI
 from decolab.diffusion import (HomogeneousLine, OuDiffusionModel, SinkSolver,
                                _talbot_nodes, _trapezoid_weights, _x_units,
@@ -342,6 +346,41 @@ def brute_force_t2star(cfg: BathConfig, n_baths: int, rng: np.random.Generator,
     return np.concatenate(samples)
 
 
+def t2star_with_temporaries(cfg: BathConfig, n_baths: int, rng: np.random.Generator,
+                            constants=CONSTANTS, batch_size: int = 2048) -> np.ndarray:
+    """The near/far sampler with one fresh (baths x width) array per
+    near-shell operation and np.where for the padding: the same draws and
+    arithmetic as ``t2star_distribution``, which works in place."""
+    mean = cfg.mean_spin_count(constants)
+    p = _coupling_prefactor(cfg.species, constants)
+    h = cfg.exclude_above_hz
+    v_c = 0.0 if h is None else 2.0 * p / (TWO_PI * cfg.r_max ** 3 * h)
+    v0 = min(1.0, max(NEAR_SPINS / mean, v_c))
+    if v0 < 1.0:
+        far_mean = _G2_MEAN / v0
+        far_var = _G4_MEAN * (1.0 / v0 ** 3 - 1.0) / (3.0 * (1.0 - v0)) - far_mean ** 2
+    samples = np.empty(n_baths)
+    batch_size = max(1, min(batch_size, int(_BATCH_SPINS / max(mean * v0, 1.0))))
+    for done in range(0, n_baths, batch_size):
+        nb = min(batch_size, n_baths - done)
+        counts = _draw_counts(mean, rng, nb)
+        n_near = rng.binomial(counts, v0)
+        width = int(n_near.max())
+        v = v0 * (1.0 - rng.random((nb, width)))
+        g = 3.0 * (2.0 * rng.random((nb, width)) - 1.0) ** 2 - 1.0
+        keep = np.arange(width) < n_near[:, None]
+        if h is not None:
+            keep &= np.abs(g) * v_c <= 2.0 * v
+        sums = np.where(keep, (g / v) ** 2, 0.0).sum(axis=1)
+        if v0 < 1.0:
+            n_far = counts - n_near
+            sums += np.maximum(rng.normal(n_far * far_mean, np.sqrt(n_far * far_var)), 0.0)
+        gamma2 = 0.25 * (p / cfg.r_max ** 3) ** 2 * sums
+        with np.errstate(divide="ignore"):
+            samples[done:done + nb] = np.sqrt(2.0 / gamma2)
+    return samples
+
+
 def filtered_inverse_square_mean(cfg: BathConfig, constants=CONSTANTS) -> float:
     """E[1 / T2*^2] (s^-2) of a bath with |A| > exclude_above_hz removed, by
     adaptive quadrature over cos theta.
@@ -430,3 +469,27 @@ def feedforward_loop(model: AcFieldModel, taus, cfg, drift, rng: np.random.Gener
             tau=float(tau), phi_estimate=phi_est, c_expectation=float(np.mean(c_values)),
             x_raw=x_raw, y_raw=y_raw))
     return outcomes
+
+
+# ---------------------------------------------------------------------------
+# CSV output: one csv.writer row per record, each cell formatted by type
+# ---------------------------------------------------------------------------
+
+def _format_cell(v) -> str:
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, str):
+        return v
+    return repr(float(v))
+
+
+def write_csv_rows(path, header, rows, comment: str | None = None) -> None:
+    """Row-wise CSV writer: an optional comment line, the header, then one
+    ``csv.writer`` row per record."""
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
+        if comment is not None:
+            fh.write(comment + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_format_cell(v) for v in row])

@@ -1,0 +1,86 @@
+"""Every command line, malformed or not, ends with one of the documented exit
+codes (0 success, 2 configuration error, 3 data error, 4 non-convergence):
+as ``main``'s return value or as argparse's SystemExit, never as another
+exception.  The arguments are drawn from a fixed vocabulary of small valid
+and malformed tokens, so each run stays cheap."""
+
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from decolab.cli import main
+
+FIXTURES = Path(__file__).parent / "fixtures"
+EXIT_CODES = {0, 2, 3, 4}
+
+NUMBERS = ["1", "0.5", "0", "-1", "nan", "inf", "-inf", "1e400", "1e-300", "3.2e4", "abc", ""]
+COUNTS = ["1", "2", "6", "0", "-1", "1.5", "x"]
+N_BATHS = ["1", "17", "50", "0", "-3", "x"]
+FRACTIONS = ["0.0013%", "1.0937%", "1e-9", "0.5", "0", "1", "100%", "-1%", "nan", "inf%",
+             "abc%", "%"]
+TIMES = ["280us", "1ms", "0.5", "0", "-1ms", "nanms", "infs", "1xs", "ms"]
+FREQS = ["117", "22MHz", "30kHz", "0", "-5MHz", "nanMHz", "1xHz"]
+RANGES = [
+    "1ms:2ms", "0:1ms", "-1ms:1ms", "2ms:1ms", "-5ms:-1ms", "1ms:1ms",  # start:stop
+    "1ms:2ms:0.5ms", "0.1ms:20ms:0.1ms", "0:0ms:1ms",                  # stepped, <= 200 points
+    "2ms:1ms:0.5ms", "1ms:2ms:-1ms", "1ms:2ms:0", "1ms:2ms:nanms",      # bad steps
+    "nan:1ms", "1ms:inf", "-infs:1ms", "1ms", "1ms:2ms:3ms:4ms", "a:b", "1xs:2ms", ":", "",
+]
+POINTS = ["2", "7", "200", "1", "0", "-3", "1.5", "abc"]
+PRESSURES = ["120Torr", "1.6e4Pa", "100mbar", "0", "-1Torr", "nanPa", "1atm"]
+FILES = [str(FIXTURES / "decay_synthetic.csv"), str(FIXTURES / "arrhenius_synthetic.csv"),
+         str(FIXTURES / "diffusion_500nW.csv"), str(FIXTURES / "diffusion_manifest.txt"),
+         str(FIXTURES / "missing.csv"), str(FIXTURES)]
+
+#: command words -> (required options, optional options), each option with
+#: the vocabulary its value is drawn from
+GRAMMAR = {
+    ("bath", "t2star"): ({"--chi": FRACTIONS, "--n-baths": N_BATHS}, {}),
+    ("bath", "likelihood"): (
+        {"--rho-ppb": NUMBERS, "--t2-lower": TIMES, "--n-centres": COUNTS,
+         "--n-baths": N_BATHS}, {"--chi": FRACTIONS}),
+    ("simulate", "hahn"): ({"--tau-range": RANGES, "--n-t0": COUNTS}, {"--points": POINTS}),
+    ("simulate", "cpmg"): ({"--n": COUNTS, "--tau-range": RANGES, "--n-t0": COUNTS},
+                           {"--points": POINTS}),
+    ("simulate", "ramsey"): ({"--t-range": RANGES, "--n-t0": COUNTS},
+                             {"--points": POINTS, "--n-a": COUNTS, "--a-min": NUMBERS}),
+    ("simulate", "feedforward"): (
+        {"--tau-range": ["1ms:3ms:1ms", "1ms:2ms", "2ms:1ms:1ms", "nan:1ms", "0:1ms:1ms"],
+         "--shots": COUNTS, "--repetitions": COUNTS},
+        {"--drift-sigma": NUMBERS, "--drift-correlation": NUMBERS, "--points": POINTS}),
+    ("diffusion", "predict"): (
+        {"--gamma-i": FREQS, "--d-coeff": NUMBERS},
+        {"--sink-s": ["0", "150", "-1", "nan"], "--tau-range": RANGES, "--points": POINTS,
+         "--detuning": FREQS, "--c0": NUMBERS}),
+    ("growth", "chi"): ({"--f0": NUMBERS, "--f1": NUMBERS}, {}),
+    ("growth", "nitrogen"): ({"--ch4-sccm": NUMBERS},
+                             {"--eta": NUMBERS, "--pressure": PRESSURES, "--n2-molps": NUMBERS,
+                              "--q-leak": NUMBERS}),
+    ("growth", "leak"): ({"--data": FILES}, {"--volume": NUMBERS}),
+    ("fit", "decay"): ({"--data": FILES}, {"--fix-n": NUMBERS}),
+    ("fit", "scaling"): ({"--data": FILES}, {}),
+}
+
+
+@st.composite
+def command_lines(draw) -> list[str]:
+    words = draw(st.sampled_from(sorted(GRAMMAR)))
+    required, optional = GRAMMAR[words]
+    chosen = dict(required)
+    chosen.update({k: v for k, v in optional.items() if draw(st.booleans())})
+    if draw(st.integers(0, 9)) == 0:  # now and then leave a required option out
+        chosen.pop(draw(st.sampled_from(sorted(required))))
+    return [*words, *(f"{k}={draw(st.sampled_from(v))}" for k, v in chosen.items())]
+
+
+@given(command_lines())
+@settings(max_examples=150, deadline=None)
+def test_every_command_line_exits_with_a_documented_code(argv):
+    with tempfile.TemporaryDirectory() as out:
+        try:
+            code = main([*argv, "--out", out])
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    assert code in EXIT_CODES, argv

@@ -1,0 +1,172 @@
+"""The column-wise CSV writer reproduces the row-wise ``csv.writer`` output
+kept in ``oracles.py`` byte for byte, for every CSV the CLI writes, and the
+in-place near-shell arithmetic of the bath sampler reproduces the
+temporaries-based sampler bit for bit."""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from decolab import __version__
+from decolab.bath import ELECTRON_R_MAX, BathConfig, t2star_distribution
+from decolab.cli import OutputWriter, main, parse_quantity, parse_range
+from decolab.diffusion import (HomogeneousLine, IonizationSink, OuDiffusionModel, SinkSolver,
+                               counts_no_ionization, write_diffusion_csv)
+from decolab.feedforward import ShotConfig, run_feedforward
+from decolab.fitting import DecayCurve, write_decay_csv
+from decolab.noise import AmplitudeScaleProcess, table1_model
+from decolab.sequences import PulseSequence, expectation_unsynchronized
+from conftest import make_rng
+from oracles import t2star_with_temporaries, write_csv_rows
+
+
+def stamp(command: str, seed: int) -> str:
+    return f"# decolab {__version__} command={command} seed={seed}"
+
+
+def run_cli(tmp_path, *argv) -> Path:
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    return out
+
+
+def assert_same_bytes(got, header, rows, comment, tmp_path) -> str:
+    want = tmp_path / "want.csv"
+    write_csv_rows(want, header, rows, comment)
+    assert got.read_bytes() == want.read_bytes()
+    return got.read_text()
+
+
+# ---------------------------------------------------------------------------
+# CLI CSV files
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("chi, n_baths", [("1e-9", 60), ("0.0013%", 3000), ("1.0937%", 20)])
+def test_t2star_csv(tmp_path, chi, n_baths):
+    out = run_cli(tmp_path, "bath", "t2star", "--chi", chi, "--n-baths", str(n_baths),
+                  "--seed", "5")
+    cfg = BathConfig(concentration=parse_quantity(chi, "fraction"))
+    samples = t2star_distribution(cfg, n_baths, make_rng(5)).samples
+    text = assert_same_bytes(out / "t2star.csv", ["t2star_us"], [[v * 1e6] for v in samples],
+                             stamp("bath t2star", 5), tmp_path)
+    assert ("\ninf\n" in text) == (chi == "1e-9")
+
+
+@pytest.mark.parametrize("kind, n_pulses, range_text, points", [
+    ("cpmg", 4, "0.02ms:0.3ms:0.02ms", None),
+    ("hahn", 1, "-0.1ms:1ms", 12),
+    ("ramsey", 0, "0.005ms:0.2ms", 9),
+])
+def test_sweep_csv(tmp_path, kind, n_pulses, range_text, points):
+    option = "--t-range" if kind == "ramsey" else "--tau-range"
+    argv = ["simulate", kind, f"{option}={range_text}", "--n-t0", "40"]
+    argv += ["--n", str(n_pulses)] if kind == "cpmg" else ["--points", str(points)]
+    out = run_cli(tmp_path, *argv)
+    times = parse_range(range_text, "time", points or 101)
+    times = times[times > 0.0]
+    seq = {"cpmg": lambda: PulseSequence.cpmg(n_pulses, times),
+           "hahn": lambda: PulseSequence.hahn(times),
+           "ramsey": lambda: PulseSequence.ramsey(times)}[kind]()
+    vals = expectation_unsynchronized(table1_model(), seq, 40)
+    rows = [[kind, n_pulses, tau, t_total, v]
+            for tau, t_total, v in zip(times, seq.total_time, vals)]
+    assert_same_bytes(out / "sweep.csv",
+                      ["sequence_kind", "n_pulses", "tau_s", "t_total_s", "expectation"], rows,
+                      stamp(f"simulate {kind}", 0), tmp_path)
+
+
+@pytest.mark.parametrize("extra, seed", [
+    (["--shots", "2", "--repetitions", "1", "--frozen-drift"], 1),
+    (["--shots", "20", "--repetitions", "2"], 7),
+], ids=["nan-phase", "drift"])
+def test_feedforward_csv(tmp_path, extra, seed):
+    out = run_cli(tmp_path, "simulate", "feedforward", "--tau-range", "1ms:3ms:1ms",
+                  "--seed", str(seed), *extra)
+    shots, reps = int(extra[1]), int(extra[3])
+    drift = None if "--frozen-drift" in extra else AmplitudeScaleProcess()
+    outcomes = run_feedforward(table1_model(), parse_range("1ms:3ms:1ms", "time"),
+                               ShotConfig(n_shots=shots), drift, make_rng(seed),
+                               n_repetitions=reps)
+    rows = [[o.tau, o.x_raw, o.y_raw, o.phi_estimate, o.c_expectation, seed] for o in outcomes]
+    text = assert_same_bytes(out / "feedforward.csv",
+                             ["tau_s", "x_raw", "y_raw", "phi_estimate_rad", "c_expectation",
+                              "seed"], rows, stamp("simulate feedforward", seed), tmp_path)
+    assert (",nan," in text) == (seed == 1)
+
+
+@pytest.mark.parametrize("sink_s", [0.0, 150.0])
+def test_diffusion_predict_csv(tmp_path, sink_s):
+    out = run_cli(tmp_path, "diffusion", "predict", "--gamma-i", "117", "--d-coeff", "1.6e4",
+                  "--sink-s", str(sink_s), "--tau-range", "2ms:200ms", "--points", "7",
+                  "--forward-rescale", "0.9")
+    model = OuDiffusionModel(d_coeff=1.6e4, gamma_i=117.0)
+    line = HomogeneousLine(c0=1.0, gamma_h=22.0)
+    taus = parse_range("2ms:200ms", "time", 7)
+    backward = forward = counts_no_ionization(model, line, taus)
+    if sink_s:
+        solver = SinkSolver(model, IonizationSink(strength_s=sink_s))
+        forward = solver.counts_factorized(line, taus)(sink_s)
+    rows = [[t, 0.9 * f, b, 0.0] for t, f, b in zip(taus, forward, backward)]
+    assert_same_bytes(out / "diffusion_predict.csv",
+                      ["tau_d_s", "counts_forward", "counts_backward", "stderr"], rows,
+                      stamp("diffusion predict", 0), tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# the writer itself and the library's dataset files
+# ---------------------------------------------------------------------------
+
+def test_output_writer_cell_types(tmp_path):
+    floats = np.array([0.1, -0.0, 1e-300, 5e-324, 1.7976931348623157e308, np.inf, -np.inf,
+                       np.nan, 2.0 / 3.0])
+    n = floats.size
+    columns = [floats, list(floats), ["cpmg"] * n, [7] * n, list(np.arange(n, dtype=np.int64)),
+               np.arange(n, dtype=np.uint32), [np.float64(v) for v in floats]]
+    header = ["f", "f_list", "s", "i", "np_int64", "np_uint32", "np_float"]
+    writer = OutputWriter(tmp_path / "got", "simulate cpmg", 3, "-")
+    got = writer.csv("cells.csv", header, columns)
+    text = assert_same_bytes(got, header, list(zip(*columns)), stamp("simulate cpmg", 3),
+                             tmp_path)
+    assert text.splitlines()[3] == "-0.0,-0.0,cpmg,7,1,1,-0.0"
+
+
+def test_output_writer_no_rows(tmp_path):
+    got = OutputWriter(tmp_path / "got", "bath t2star", 0, "-").csv(
+        "empty.csv", ["a", "b"], [np.empty(0), []])
+    assert_same_bytes(got, ["a", "b"], [], stamp("bath t2star", 0), tmp_path)
+
+
+def test_dataset_writers(tmp_path):
+    rng = make_rng(2)
+    x = np.cumsum(rng.random(30)) + 1e-3
+    y, s = rng.normal(size=30), rng.random(30)
+    write_decay_csv(tmp_path / "decay.csv", DecayCurve(x, y, s))
+    assert_same_bytes(tmp_path / "decay.csv", ["x", "y", "sigma"], zip(x, y, s), None, tmp_path)
+    write_decay_csv(tmp_path / "xy.csv", DecayCurve(x, y), header=("n_pulses", "t2_s"))
+    assert_same_bytes(tmp_path / "xy.csv", ["n_pulses", "t2_s"], zip(x, y), None, tmp_path)
+    err = np.full(30, 2)  # integer stderr values are written as floats
+    write_diffusion_csv(tmp_path / "diff.csv", x, y, s, err)
+    assert_same_bytes(tmp_path / "diff.csv",
+                      ["tau_d_s", "counts_forward", "counts_backward", "stderr"],
+                      [[float(v) for v in row] for row in zip(x, y, s, err)], None, tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# the near/far bath sampler
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("cfg, n_baths, kwargs", [
+    (BathConfig(concentration=4.42e-4, exclude_above_hz=5e3), 200, {}),
+    (BathConfig(concentration=1e-9), 300, {}),
+    (BathConfig(concentration=1.0937e-2), 300, {"batch_size": 128}),
+    (BathConfig(concentration=21e-9, r_max=ELECTRON_R_MAX, species="electron"), 3000, {}),
+    (BathConfig(concentration=1.3e-5), 3000, {}),
+], ids=["filtered-5kHz", "near-empty", "dense-multi-batch", "electron-21ppb", "chi-0.0013%"])
+@pytest.mark.parametrize("seed", [0, 55])
+def test_sampler_matches_temporaries(cfg, n_baths, kwargs, seed):
+    got = t2star_distribution(cfg, n_baths, make_rng(seed), **kwargs).samples
+    want = t2star_with_temporaries(cfg, n_baths, make_rng(seed), **kwargs)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    if cfg.concentration == 1e-9:
+        assert np.isinf(got).any() and np.isfinite(got).any()
