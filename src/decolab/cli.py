@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration error, 3 data error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -207,8 +208,7 @@ def _load_model(name: str) -> AcFieldModel:
 def _print_config(args: argparse.Namespace, model: AcFieldModel | None = None) -> None:
     if not getattr(args, "print_config", False):
         return
-    resolved = {k: v for k, v in vars(args).items() if k != "func"}
-    print(json.dumps(resolved, default=str, indent=2))
+    print(json.dumps(vars(args), default=str, indent=2))
     if model is not None:
         for c in model.components:
             print(f"# component f={c.frequency} Hz B={c.amplitude / MG_TO_TESLA} mG "
@@ -483,7 +483,10 @@ def cmd_diffusion(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    ``main`` call; callers must not modify it."""
     parser = argparse.ArgumentParser(prog="decolab",
                                      description="decoherence / spectral-diffusion toolkit")
     parser.add_argument("--version", action="version", version=f"decolab {__version__}")
@@ -520,14 +523,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--drift-sigma", type=float, default=0.01)
             p.add_argument("--drift-correlation", type=float, default=3.0)
             p.add_argument("--frozen-drift", action="store_true")
-        p.set_defaults(func=cmd_simulate)
 
     bath_p = sub.add_parser("bath", help="spin-bath Monte Carlo")
     bath_sub = bath_p.add_subparsers(dest="bath_command", required=True)
     p = bath_sub.add_parser("t2star", parents=[common])
     p.add_argument("--chi", type=_fraction, required=True)
     p.add_argument("--n-baths", type=int, default=10000)
-    p.set_defaults(func=cmd_bath)
     p = bath_sub.add_parser("likelihood", parents=[common])
     p.add_argument("--rho-ppb", type=float, required=True)
     p.add_argument("--t2-lower", type=_time, required=True)
@@ -535,21 +536,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chi", type=_fraction, default=None,
                    help="13C fraction of the host; adds each centre's own 13C bath")
     p.add_argument("--n-baths", type=int, default=20000)
-    p.set_defaults(func=cmd_bath)
 
     fit_p = sub.add_parser("fit", help="curve fits")
     fit_sub = fit_p.add_subparsers(dest="fit_command", required=True)
     p = fit_sub.add_parser("decay", parents=[common])
     p.add_argument("--data", required=True)
     p.add_argument("--fix-n", type=float, default=None)
-    p.set_defaults(func=cmd_fit)
     p = fit_sub.add_parser("scaling", parents=[common])
     p.add_argument("--data", required=True)
-    p.set_defaults(func=cmd_fit)
     p = fit_sub.add_parser("diffusion", parents=[common])
     p.add_argument("--manifest", required=True)
     p.add_argument("--gamma-h", type=lambda s: parse_quantity(s, "freq_mhz"), default=22.0)
-    p.set_defaults(func=cmd_fit)
     p = fit_sub.add_parser("ionization", parents=[common])
     p.add_argument("--data", required=True)
     p.add_argument("--power", type=lambda s: parse_quantity(s, "power_nw"), default=0.0)
@@ -558,14 +555,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c0", type=float, required=True)
     p.add_argument("--gamma-h", type=lambda s: parse_quantity(s, "freq_mhz"), default=22.0)
     p.add_argument("--forward-rescale", type=float, default=0.96)
-    p.set_defaults(func=cmd_fit)
 
     growth_p = sub.add_parser("growth", help="growth calculators")
     growth_sub = growth_p.add_subparsers(dest="growth_command", required=True)
     p = growth_sub.add_parser("chi", parents=[common])
     p.add_argument("--f0", type=float, required=True, help="enriched methane flow (sccm)")
     p.add_argument("--f1", type=float, required=True, help="natural methane flow (sccm)")
-    p.set_defaults(func=cmd_growth)
     p = growth_sub.add_parser("nitrogen", parents=[common])
     p.add_argument("--eta", type=float, default=None)
     p.add_argument("--ch4-sccm", type=float, required=True)
@@ -575,11 +570,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="leak throughput (Pa m^3/s, default 1.5e-8)")
     p.add_argument("--pressure", type=lambda s: parse_quantity(s, "pressure"), default=None,
                    help="growth pressure (default 120Torr)")
-    p.set_defaults(func=cmd_growth)
     p = growth_sub.add_parser("leak", parents=[common])
     p.add_argument("--data", required=True, help="CSV with T_K, dPdt_Pa_per_s")
     p.add_argument("--volume", type=float, default=11.3e-3)
-    p.set_defaults(func=cmd_growth)
 
     diff_p = sub.add_parser("diffusion", help="spectral-diffusion prediction")
     diff_sub = diff_p.add_subparsers(dest="diff_command", required=True)
@@ -594,16 +587,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-range", default="1ms:500ms")
     p.add_argument("--points", type=int, default=None,
                    help="grid size of a start:stop range (default 40)")
-    p.set_defaults(func=cmd_diffusion)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up per call, so the cached parser pins no handler: a replaced
+    # cmd_* function (a wrapper or a stub) is the one that runs
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return handler(args)
     except ConfigError as exc:
         print(f"decolab: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -61,43 +61,70 @@ class FeedforwardOutcome:
     y_raw: float
 
 
-def _correct_and_clip(p_click: float, cfg: ShotConfig) -> float:
-    f0, f1 = cfg.readout_fidelity_0, cfg.readout_fidelity_1
-    p_up = (p_click - (1.0 - f0)) / (f1 + f0 - 1.0)
-    return min(max(2.0 * p_up - 1.0, -1.0), 1.0)
+#: most drift samples held at once; longer runs take their delays in chunks
+_CHUNK_SAMPLES = 1 << 20
 
 
-def _sample_shotwise(true_expectations: np.ndarray, cfg: ShotConfig,
-                     rng: np.random.Generator) -> float:
-    """Fidelity-corrected block estimate of a Pauli expectation that may
-    drift shot to shot.
+def _block_estimate(true_expectations: np.ndarray, cfg: ShotConfig,
+                    uniforms: np.ndarray | None) -> np.ndarray:
+    """Fidelity-corrected block estimates of Pauli expectations that may
+    drift shot to shot, one per row of ``true_expectations`` (..., n_shots).
 
     Each shot is a Bernoulli outcome with p = (1 + E)/2 passed through the
-    binary readout confusion matrix; the block estimate is inverted through
-    the same matrix and clipped to [-1, 1].
+    binary readout confusion matrix: it clicks when its uniform (same shape
+    as the expectations) lies below the click probability.  The block
+    estimate is inverted through the same matrix and clipped to [-1, 1].
+    With cfg.exact the uniforms are unused and the clipped mean of E is
+    returned.
     """
     if cfg.exact:
-        return min(max(float(np.mean(true_expectations)), -1.0), 1.0)
+        # over C-contiguous rows this is the pairwise sum of one block's mean
+        return np.clip(np.mean(true_expectations, axis=-1), -1.0, 1.0)
     p_up = 0.5 * (1.0 + true_expectations)
     f0, f1 = cfg.readout_fidelity_0, cfg.readout_fidelity_1
     p_click = np.clip(p_up * f1 + (1.0 - p_up) * (1.0 - f0), 0.0, 1.0)
-    clicks = rng.random(p_click.size) < p_click
-    return _correct_and_clip(np.count_nonzero(clicks) / clicks.size, cfg)
+    clicked = np.count_nonzero(uniforms < p_click, axis=-1) / true_expectations.shape[-1]
+    p_up = (clicked - (1.0 - f0)) / (f1 + f0 - 1.0)
+    return np.clip(2.0 * p_up - 1.0, -1.0, 1.0)
 
 
-def _xy_phase(phi_x: np.ndarray, phi_y: np.ndarray, cfg: ShotConfig,
-                    rng: np.random.Generator) -> tuple[float, float, float]:
-    """(Phi, <X>, <Y>) from an X block and a Y block whose shots see the true
-    phases phi_x and phi_y.
+def _estimate_lanes(phases: np.ndarray, cfg: ShotConfig, uniforms: np.ndarray,
+                    estimate_each_repetition: bool):
+    """The X / Y / C blocks of several delays (lanes) at once.
 
-    Phi = atan2(<Y>, <X>) resolves the quadrant (the estimate is the true
-    phase modulo 2 pi); <X> = <Y> = 0 leaves it undefined (nan).
+    ``phases`` holds every shot's true phase as (lane, repetition, X/Y/C
+    block, shot); each lane reads its blocks' uniforms in order from its row
+    of ``uniforms``.  Phi = atan2(<Y>, <X>) resolves the quadrant (the
+    estimate is the true phase modulo 2 pi); <X> = <Y> = 0 leaves it
+    undefined (nan), and a C block under an undefined estimate is skipped:
+    it counts <C> = 0 and draws no uniforms.  Returns Phi, <X>, <Y> (of the
+    last estimate) and <C> (mean over repetitions) per lane, and the number
+    of uniforms each lane used.
     """
-    x_raw = _sample_shotwise(np.cos(phi_x), cfg, rng)
-    y_raw = _sample_shotwise(np.sin(phi_y), cfg, rng)
-    if x_raw == 0.0 and y_raw == 0.0:
-        return float("nan"), x_raw, y_raw
-    return math.atan2(y_raw, x_raw), x_raw, y_raw
+    n_lanes, n_repetitions, _, n = phases.shape
+    cursor = np.zeros(n_lanes, dtype=np.intp)
+    shots = np.arange(n)
+
+    def next_block(lanes: np.ndarray) -> np.ndarray | None:
+        if cfg.exact:
+            return None
+        block = uniforms[lanes[:, None], cursor[lanes, None] + shots]
+        cursor[lanes] += n
+        return block
+
+    every_lane = np.arange(n_lanes)
+    nan = float("nan")
+    c_values = np.zeros((n_lanes, n_repetitions))
+    for rep in range(n_repetitions):
+        if estimate_each_repetition or rep == 0:
+            x_raw = _block_estimate(np.cos(phases[:, rep, 0]), cfg, next_block(every_lane))
+            y_raw = _block_estimate(np.sin(phases[:, rep, 1]), cfg, next_block(every_lane))
+            phi = np.array([nan if x == 0.0 and y == 0.0 else math.atan2(y, x)
+                            for x, y in zip(x_raw.tolist(), y_raw.tolist())])
+            defined = np.flatnonzero(~np.isnan(phi))
+        c_values[defined, rep] = _block_estimate(
+            np.cos(phases[defined, rep, 2] - phi[defined, None]), cfg, next_block(defined))
+    return phi, x_raw, y_raw, np.mean(c_values, axis=-1), cursor
 
 
 def run_feedforward(model: AcFieldModel, taus, cfg: ShotConfig,
@@ -115,6 +142,13 @@ def run_feedforward(model: AcFieldModel, taus, cfg: ShotConfig,
     per-shot true phase is a(t) * Phi_echo.  With
     estimate_each_repetition=False the estimate from the first repetition
     corrects every later C block.
+
+    The random stream is consumed tau by tau: the trajectory's normals, then
+    the uniforms of the shot blocks in order.  All taus are computed at once,
+    each drawing the uniforms of a run without skipped C blocks; the
+    generator state after each tau's normals is kept, so after the first tau
+    that skipped a C block the generator is rewound to where that tau's own
+    draws end and the later taus are drawn and computed again.
     """
     if n_repetitions < 1:
         raise ValueError("n_repetitions must be >= 1")
@@ -122,25 +156,32 @@ def run_feedforward(model: AcFieldModel, taus, cfg: ShotConfig,
     n = cfg.n_shots
     shot_times = np.arange(3 * n * n_repetitions) * SHOT_PERIOD
     phis = phase_of(model, PulseSequence.hahn(taus), constants=constants)
+    n_uniforms = 0 if cfg.exact else n * (3 * n_repetitions if estimate_each_repetition
+                                          else 2 + n_repetitions)
+    chunk = max(1, _CHUNK_SAMPLES // shot_times.size)
     outcomes: list[FeedforwardOutcome] = []
-    for tau, phi_unit in zip(taus, phis):
-        if drift is None:
-            a_traj = np.ones(shot_times.size)
-        else:
-            a_traj = sample_amplitude_trajectory(drift, shot_times, rng)
-        # true phase of every shot, as (repetition, X/Y/C block, shot)
-        blocks = (a_traj * phi_unit).reshape(n_repetitions, 3, n)
-        phi_est = float("nan")
-        x_raw = y_raw = float("nan")
-        c_values = []
-        for rep, (phi_x, phi_y, phi_c) in enumerate(blocks):
-            if estimate_each_repetition or rep == 0:
-                phi_est, x_raw, y_raw = _xy_phase(phi_x, phi_y, cfg, rng)
-            if math.isnan(phi_est):
-                c_values.append(0.0)
-                continue
-            c_values.append(_sample_shotwise(np.cos(phi_c - phi_est), cfg, rng))
-        outcomes.append(FeedforwardOutcome(
-            tau=float(tau), phi_estimate=phi_est, c_expectation=float(np.mean(c_values)),
-            x_raw=x_raw, y_raw=y_raw))
+    while len(outcomes) < taus.size:
+        lanes = np.arange(len(outcomes), min(taus.size, len(outcomes) + chunk))
+        normals = np.empty((lanes.size, shot_times.size))
+        uniforms = np.empty((lanes.size, n_uniforms))
+        states = []
+        for lane in range(lanes.size):
+            if drift is not None:
+                rng.standard_normal(out=normals[lane])
+            states.append(rng.bit_generator.state)
+            rng.random(out=uniforms[lane])
+        phases = (np.ones_like(normals) if drift is None
+                  else sample_amplitude_trajectory(drift, shot_times, normals))
+        phases *= phis[lanes, None]
+        phases = phases.reshape(lanes.size, n_repetitions, 3, n)
+        phi, x_raw, y_raw, c_mean, used = _estimate_lanes(
+            phases, cfg, uniforms, estimate_each_repetition)
+        short = np.flatnonzero(used < n_uniforms)
+        final = lanes.size if short.size == 0 else short[0] + 1
+        outcomes.extend(FeedforwardOutcome(*fields) for fields in zip(
+            taus[lanes[:final]].tolist(), phi[:final].tolist(), c_mean[:final].tolist(),
+            x_raw[:final].tolist(), y_raw[:final].tolist()))
+        if short.size:
+            rng.bit_generator.state = states[short[0]]
+            rng.random(used[short[0]])
     return outcomes

@@ -215,11 +215,19 @@ def stretched_exp(x, params):
     return a * np.exp(-np.power(np.asarray(x, dtype=float) / t2, n))
 
 
+#: bounds of the stretch exponent n, fitted or fixed
+_STRETCH_N_BOUNDS = (1e-6, 5.0)
+
+
 def fit_stretched_exp(curve: DecayCurve, fix_n: float | None = None) -> FitResult:
-    """Fit A exp[-(x/T2)^n]; the stretch exponent is bounded to (0, 5].
+    """Fit A exp[-(x/T2)^n]; the stretch exponent, fitted or fixed, lies in
+    [1e-6, 5].
 
     Initial guesses come from a log-log linearization of -ln(y/A).
     """
+    n_lo, n_hi = _STRETCH_N_BOUNDS
+    if fix_n is not None and not n_lo <= fix_n <= n_hi:
+        raise ValueError(f"fixed n must lie in [{n_lo:g}, {n_hi:g}], not {fix_n!r}")
     if len(curve) < 4:
         raise FitError("need at least 4 points")
     x, y = curve.x, curve.y
@@ -252,7 +260,7 @@ def fit_stretched_exp(curve: DecayCurve, fix_n: float | None = None) -> FitResul
         res.param_names = ["A", "T2", "n"]
         return res
     return least_squares(stretched_exp, [a0, t20, n0], x, y, sigma=curve.sigma,
-                         bounds=[(0.0, np.inf), (1e-300, np.inf), (1e-6, 5.0)],
+                         bounds=[(0.0, np.inf), (1e-300, np.inf), _STRETCH_N_BOUNDS],
                          param_names=["A", "T2", "n"])
 
 

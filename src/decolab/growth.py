@@ -123,6 +123,8 @@ def fit_arrhenius(temps_k, dpdt_pa_s, volume: float = 11.3e-3) -> tuple[LeakMode
     guesses come from the coldest point (leak) and a log-linearization of
     the remainder.
     """
+    if not 0.0 < volume < math.inf:
+        raise ValueError(f"volume must be positive and finite, not {volume!r}")
     temps = np.asarray(temps_k, dtype=float)
     dpdt = np.asarray(dpdt_pa_s, dtype=float)
     if temps.size < 3:

@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from decolab.cli import MAX_RANGE_POINTS, main, parse_quantity, parse_range
+from decolab import cli
+from decolab.cli import MAX_RANGE_POINTS, build_parser, main, parse_quantity, parse_range
 
 FIXTURES = Path(__file__).parent / "fixtures"
 ROOT = Path(__file__).parents[1]
@@ -338,6 +339,10 @@ def test_exit_code_nonconvergence(tmp_path):
     ["simulate", "feedforward", "--tau-range", "1ms:2ms:1ms", "--drift-sigma", "nan"],
     ["simulate", "feedforward", "--tau-range", "1ms:2ms:1ms", "--repetitions", "0"],
     ["simulate", "feedforward", "--tau-range", "1ms:2ms:1ms", "--repetitions", "-1"],
+    *(["growth", "leak", "--data", str(FIXTURES / "arrhenius_synthetic.csv"), "--volume", v]
+      for v in ("0", "-1", "nan")),
+    *(["fit", "decay", "--data", str(FIXTURES / "decay_synthetic.csv"), f"--fix-n={n}"]
+      for n in ("inf", "1e400", "-1", "0")),
 ])
 def test_invalid_values_exit_2_without_traceback(tmp_path, capsys, recwarn, argv):
     assert run(argv + ["--out", str(tmp_path)]) == 2
@@ -529,3 +534,28 @@ def test_benchmark_tracer_records_sequences_and_diffusion(tmp_path):
     assert math.isfinite(tracer.counters["bath.scale_z.chi4.42e-4"])
     for cls, methods in TRACED_METHODS.items():
         assert all(m in vars(cls) for m in methods)
+
+
+def test_consecutive_runs_share_the_parser_but_no_options(tmp_path, capsys):
+    """The parser is built once per process; options given to one run do
+    not carry over to the next."""
+    assert build_parser() is build_parser()
+    argv = ["simulate", "feedforward", "--tau-range", "1ms:3ms:1ms", "--shots", "5",
+            "--repetitions", "2", "--seed", "3"]
+    assert main(argv + ["--out", str(tmp_path / "a")]) == 0
+    first = capsys.readouterr().out
+    assert main(argv + ["--print-config", "--frozen-drift", "--out", str(tmp_path / "b")]) == 0
+    second = capsys.readouterr().out
+    assert main(argv + ["--out", str(tmp_path / "c")]) == 0
+    third = capsys.readouterr().out
+    assert '"frozen_drift": true' in second and '"print_config": true' in second
+    assert first.count("\n") == third.count("\n") == 1  # only the output path
+    data = {k: (tmp_path / k / "feedforward.csv").read_text() for k in "abc"}
+    assert data["a"] == data["c"] != data["b"]
+
+
+def test_handler_is_looked_up_per_call(monkeypatch):
+    """A command handler replaced after the parser was built is the one that runs."""
+    build_parser()
+    monkeypatch.setattr(cli, "cmd_growth", lambda args: 7)
+    assert main(["growth", "chi", "--f0", "1", "--f1", "1"]) == 7

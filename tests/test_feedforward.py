@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from decolab.feedforward import (FeedforwardOutcome, ShotConfig, _xy_phase,
-                                 _sample_shotwise, run_feedforward)
+from decolab.feedforward import (FeedforwardOutcome, ShotConfig, _block_estimate,
+                                 run_feedforward)
 from decolab.noise import (AcComponent, AcFieldModel, AmplitudeScaleProcess,
                            table1_model)
 from decolab.sequences import PulseSequence, phase_of
@@ -15,13 +15,18 @@ EMPTY = AcFieldModel()
 
 def sample_block(true_expectation: float, cfg: ShotConfig, rng) -> float:
     """One block of the shot sampler run_feedforward uses, at a fixed expectation."""
-    return _sample_shotwise(np.full(cfg.n_shots, true_expectation), cfg, rng)
+    return float(_block_estimate(np.full(cfg.n_shots, true_expectation), cfg,
+                                 rng.random(cfg.n_shots)))
+
+
+def first_estimate(model: AcFieldModel, tau: float, cfg: ShotConfig, rng) -> FeedforwardOutcome:
+    """One repetition of run_feedforward for the echo at tau without drift."""
+    return run_feedforward(model, [tau], cfg, None, rng, n_repetitions=1)[0]
 
 
 def estimate_phase(model: AcFieldModel, tau: float, cfg: ShotConfig, rng) -> float:
     """run_feedforward's X/Y phase estimate for the echo at tau without drift."""
-    shots = np.full(cfg.n_shots, phase_of(model, PulseSequence.hahn(tau), 0.0))
-    return _xy_phase(shots, shots, cfg, rng)[0]
+    return first_estimate(model, tau, cfg, rng).phi_estimate
 
 
 def test_shot_config_validation():
@@ -88,10 +93,10 @@ def test_estimate_phase_undefined_flag():
     # pi/2 phase: <X> = 0 and shot noise can land both estimators on zero,
     # which leaves the phase undefined (nan)
     m = AcFieldModel((AcComponent(2.95e-7, 50.0, 0.0),))
-    shots = np.full(cfg.n_shots, phase_of(m, PulseSequence.hahn(19e-3), 0.0))
     undefined = 0
     for seed in range(300):
-        phi, x_raw, y_raw = _xy_phase(shots, shots, cfg, make_rng(seed))
+        out = first_estimate(m, 19e-3, cfg, make_rng(seed))
+        phi, x_raw, y_raw = out.phi_estimate, out.x_raw, out.y_raw
         assert math.isnan(phi) == (x_raw == 0.0 and y_raw == 0.0)
         undefined += math.isnan(phi)
     assert undefined > 0

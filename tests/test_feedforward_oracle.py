@@ -1,6 +1,7 @@
 """The feedforward hot path consumes the same random stream and does the same
 float arithmetic as the per-step reference in ``oracles.py``: trajectories
-and outcomes agree bit for bit."""
+and outcomes agree bit for bit, and the generator ends where the reference
+leaves it."""
 
 import math
 from dataclasses import astuple
@@ -8,6 +9,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+from decolab import feedforward
 from decolab.feedforward import ShotConfig, run_feedforward
 from decolab.noise import AmplitudeScaleProcess, sample_amplitude_trajectory, table1_model
 from conftest import make_rng
@@ -36,13 +38,27 @@ def assert_same_outcomes(got, want) -> None:
     (CLIPPING, np.sort(make_rng(99).random(500)) * 2.0),
 ], ids=["default", "clipping", "geometric-steps", "random-times"])
 def test_trajectory_matches_scalar_draw_loop(proc, times, seed):
-    got = sample_amplitude_trajectory(proc, times, make_rng(seed))
+    got = sample_amplitude_trajectory(proc, times, make_rng(seed).standard_normal(times.size))
     want = amplitude_trajectory_loop(proc, times, make_rng(seed))
     assert np.array_equal(bits(got), bits(want))
 
 
+@pytest.mark.parametrize("proc", [DEFAULT, CLIPPING], ids=["default", "clipping"])
+def test_trajectory_batch_matches_loop_rows(proc):
+    """A (3, L) block of normals gives the three trajectories that three
+    consecutive per-step loops draw from one generator."""
+    times = np.arange(1800) * 0.02
+    got = sample_amplitude_trajectory(proc, times, make_rng(5).standard_normal((3, times.size)))
+    rng = make_rng(5)
+    want = [amplitude_trajectory_loop(proc, times, rng) for _ in range(3)]
+    assert got.shape == (3, times.size)
+    assert np.array_equal(bits(got), bits(want))
+
+
 def test_clipping_case_reaches_both_bounds():
-    traj = sample_amplitude_trajectory(CLIPPING, np.arange(1800) * 0.02, make_rng(SEEDS[0]))
+    times = np.arange(1800) * 0.02
+    traj = sample_amplitude_trajectory(CLIPPING, times,
+                                       make_rng(SEEDS[0]).standard_normal(times.size))
     assert traj.min() == CLIPPING.a_min and traj.max() == CLIPPING.a_max
 
 
@@ -61,9 +77,11 @@ FEEDFORWARD_CASES = {
 @pytest.mark.parametrize("case", FEEDFORWARD_CASES)
 def test_feedforward_matches_block_loop(case, seed):
     cfg, drift, kwargs = FEEDFORWARD_CASES[case]
-    got = run_feedforward(table1_model(), TAUS, cfg, drift, make_rng(seed), **kwargs)
-    want = feedforward_loop(table1_model(), TAUS, cfg, drift, make_rng(seed), **kwargs)
+    rng, ref_rng = make_rng(seed), make_rng(seed)
+    got = run_feedforward(table1_model(), TAUS, cfg, drift, rng, **kwargs)
+    want = feedforward_loop(table1_model(), TAUS, cfg, drift, ref_rng, **kwargs)
     assert_same_outcomes(got, want)
+    assert rng.random() == ref_rng.random()
 
 
 def test_nan_case_leaves_estimates_undefined():
@@ -75,3 +93,58 @@ def test_nan_case_leaves_estimates_undefined():
                     for seed in SEEDS
                     for o in run_feedforward(table1_model(), TAUS, cfg, drift, make_rng(seed)))
     assert undefined > 0
+
+
+def _record_passes(monkeypatch) -> list[int]:
+    """Patch the lane estimator to record how many taus each pass computes."""
+    passes = []
+    estimate_lanes = feedforward._estimate_lanes
+
+    def recording(phases, *args):
+        passes.append(phases.shape[0])
+        return estimate_lanes(phases, *args)
+
+    monkeypatch.setattr(feedforward, "_estimate_lanes", recording)
+    return passes
+
+
+@pytest.mark.parametrize("case", ["default-drift", "frozen", "exact", "estimate-once"])
+def test_runs_without_skipped_blocks_take_one_pass(case, monkeypatch):
+    """Each tau draws exactly the uniforms its blocks use, so a run whose C
+    blocks all run needs no rewind."""
+    cfg, drift, kwargs = FEEDFORWARD_CASES[case]
+    passes = _record_passes(monkeypatch)
+    run_feedforward(table1_model(), TAUS, cfg, drift, make_rng(0), **kwargs)
+    assert passes == [len(TAUS)]
+
+
+def test_rewind_reruns_the_later_taus(monkeypatch):
+    """Twelve two-shot taus, several of which skip C blocks: the first pass
+    computes all twelve; the generator is rewound to the end of the second
+    tau's draws, and the last ten are drawn and computed again, and so on
+    down to the last two.  Outcomes and the generator still match the
+    block-by-block reference."""
+    cfg, drift, _ = FEEDFORWARD_CASES["nan-estimate"]
+    taus = np.linspace(0.5e-3, 6e-3, 12)
+    passes = _record_passes(monkeypatch)
+    rng, ref_rng = make_rng(0), make_rng(0)
+    got = run_feedforward(table1_model(), taus, cfg, drift, rng)
+    want = feedforward_loop(table1_model(), taus, cfg, drift, ref_rng)
+    assert passes == [12, 10, 8, 7, 4, 3, 2]
+    assert math.isnan(got[4].phi_estimate)
+    assert_same_outcomes(got, want)
+    assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("case", ["default-drift", "nan-estimate"])
+def test_chunked_run_matches_block_loop(case, monkeypatch):
+    """A run longer than one chunk of drift samples takes its taus a few at a
+    time (here three per chunk) and still matches the reference."""
+    cfg, drift, _ = FEEDFORWARD_CASES[case]
+    monkeypatch.setattr(feedforward, "_CHUNK_SAMPLES", 3 * 3 * cfg.n_shots * 12)
+    taus = np.linspace(0.5e-3, 6e-3, 12)
+    rng, ref_rng = make_rng(1), make_rng(1)
+    got = run_feedforward(table1_model(), taus, cfg, drift, rng)
+    want = feedforward_loop(table1_model(), taus, cfg, drift, ref_rng)
+    assert_same_outcomes(got, want)
+    assert rng.random() == ref_rng.random()

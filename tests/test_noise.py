@@ -101,15 +101,16 @@ def test_amplitude_process_validation():
 
 def test_trajectory_empty_and_frozen():
     proc = AmplitudeScaleProcess()
-    assert sample_amplitude_trajectory(proc, [], make_rng(1)).size == 0
+    assert sample_amplitude_trajectory(proc, [], make_rng(1).standard_normal(0)).size == 0
     frozen = AmplitudeScaleProcess(correlation_time=math.inf)
-    traj = sample_amplitude_trajectory(frozen, np.arange(50) * 0.02, make_rng(2))
+    traj = sample_amplitude_trajectory(frozen, np.arange(50) * 0.02,
+                                       make_rng(2).standard_normal(50))
     assert np.all(traj == traj[0])
 
 
 def test_trajectory_degenerate_bounds():
     proc = AmplitudeScaleProcess(a_min=1.0, a_max=1.0, sigma=0.3)
-    traj = sample_amplitude_trajectory(proc, np.arange(100.0), make_rng(3))
+    traj = sample_amplitude_trajectory(proc, np.arange(100.0), make_rng(3).standard_normal(100))
     assert np.all(traj == 1.0)
 
 
@@ -117,7 +118,7 @@ def test_trajectory_stationary_mean():
     proc = AmplitudeScaleProcess()
     # sample far apart so draws are effectively independent
     times = np.arange(1000) * 10.0 * proc.correlation_time
-    traj = sample_amplitude_trajectory(proc, times, make_rng(4))
+    traj = sample_amplitude_trajectory(proc, times, make_rng(4).standard_normal(times.size))
     assert np.all((traj >= proc.a_min) & (traj <= proc.a_max))
     assert abs(traj.mean() - 1.0) < 3.0 * proc.sigma / math.sqrt(times.size)
 
