@@ -17,7 +17,9 @@ the solution is built in the Laplace domain from the eigenfunction
 expansion of the sinkless propagator (quantum-harmonic-oscillator
 eigenfunctions, lambda_n = n theta), then inverted numerically with the
 fixed-Talbot contour.  The truncated expansion is only valid for
-t >> 1/(theta N_eigen); the solver enforces that bound.
+t >> 1/(theta N_eigen); the solver enforces that bound.  Source and sink
+both sit at f = 0, where every odd eigenfunction vanishes, so only the even
+modes n < N_eigen carry weight and only they are computed.
 """
 
 from __future__ import annotations
@@ -59,6 +61,9 @@ __all__ = [
 
 FWHM_PER_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 LN2_8 = 8.0 * math.log(2.0)
+
+#: element budget of one resolvent block in SinkSolver._inverse (16 B each)
+_RESOLVENT_BLOCK = 1 << 18
 
 
 class ValidityError(ValueError):
@@ -126,6 +131,9 @@ class IonizationSink:
 class SolverSettings:
     """Sink-solver controls.
 
+    n_eigen truncates the eigen-expansion to the orders n < n_eigen; of
+    these the solver computes the even ones only, because the odd modes
+    vanish at the source and sink f = 0 and contribute exactly zero.
     inversion_nodes defaults to 24: in double precision the fixed-Talbot
     error decreases with node count only up to ~24 nodes, beyond which the
     e^{2M/5} contour amplification of roundoff dominates and accuracy
@@ -272,19 +280,35 @@ _PI_QUARTER = math.pi ** 0.25
 
 
 def hermite_phi_table(n_max: int, x: np.ndarray) -> np.ndarray:
-    """All normalized Hermite functions 0..n_max-1 at x, shape (n_max, len(x)).
+    """Normalized Hermite functions of the even orders 0, 2, ... < n_max at x,
+    shape ((n_max + 1) // 2, len(x)); row k holds order 2k.
 
-    The normalized recurrence is bounded, so this is overflow-safe at any
-    order; it is the evaluation path used inside the sink solver.
+    The sink solver needs no odd order: its source and sink sit at x = 0,
+    where every odd Hermite function vanishes, so an odd mode carries zero
+    weight.  The odd orders still feed the recurrence; they live in two
+    rolling buffers, and each step is computed in place with the same
+    floating-point operations, in the same order, as the all-orders
+    recurrence.  The normalized recurrence is bounded, so this is
+    overflow-safe at any order.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    table = np.empty((n_max, x.size))
+    table = np.empty(((n_max + 1) // 2, x.size))
     table[0] = np.exp(-0.5 * x * x) / _PI_QUARTER
-    if n_max > 1:
-        table[1] = math.sqrt(2.0) * x * table[0]
-    for k in range(1, n_max - 1):
-        table[k + 1] = x * math.sqrt(2.0 / (k + 1)) * table[k] - \
-            math.sqrt(k / (k + 1.0)) * table[k - 1]
+    odd = np.zeros_like(x)  # phi_{-1}, then phi_1, phi_3, ...
+    tmp = np.empty_like(x)
+    # phi_{k+1} = x sqrt(2/(k+1)) phi_k - sqrt(k/(k+1)) phi_{k-1}, two orders
+    # per row: the odd one into odd, the even one into table[j]
+    for j in range(1, table.shape[0]):
+        k = 2 * j - 2
+        np.multiply(x, math.sqrt(2.0 / (k + 1)), out=tmp)
+        tmp *= table[j - 1]
+        odd *= math.sqrt(k / (k + 1.0))
+        np.subtract(tmp, odd, out=odd)
+        k += 1
+        np.multiply(x, math.sqrt(2.0 / (k + 1)), out=table[j])
+        table[j] *= odd
+        np.multiply(table[j - 1], math.sqrt(k / (k + 1.0)), out=tmp)
+        table[j] -= tmp
     return table
 
 
@@ -372,22 +396,24 @@ class SinkSolver:
         self.grid = np.linspace(-half, half, settings.grid_points)
         # eigen-weights w_n(f) = scale phi_0(x) phi_n(x) phi_n(0) / phi_0(0),
         # x = f scale, with the source at f = 0: one table over the grid and
-        # the sink point x = 0, appended as the last column
+        # the sink point x = 0, appended as the last column.  Odd modes vanish
+        # at the source, so only the even n enter; _w_f is scaled in place.
         scale = _x_units(model)
         phi = hermite_phi_table(settings.n_eigen, np.append(self.grid * scale, 0.0))
         src = phi[:, -1] / phi[0, -1]
-        self._w_f = scale * phi[0, :-1] * phi[:, :-1] * src[:, None]
+        self._w_f = np.multiply(scale * phi[0, :-1], phi[:, :-1])
+        self._w_f *= src[:, None]
         self._w_sink = scale * phi[0, -1] * phi[:, -1] * src
-        self._n_theta = np.arange(settings.n_eigen) * model.theta
+        self._n_theta = np.arange(0, settings.n_eigen, 2) * model.theta
 
     @property
     def min_valid_time(self) -> float:
         return self.settings.min_valid_time_factor / (self.model.theta * self.settings.n_eigen)
 
     def _resolvent(self, s: np.ndarray) -> np.ndarray:
-        """1 / (n theta + s) at nodes s, shape (n_eigen,) + s.shape.  Its
-        projection on coef (..., n_eigen) is the sinkless transform
-        P~0(f, s) = sum_n w_n(f) / (n theta + s)."""
+        """1 / (n theta + s) over the even n at nodes s, shape
+        (len(_n_theta),) + s.shape.  Its projection on coef (..., len(_n_theta))
+        is the sinkless transform P~0(f, s) = sum_n w_n(f) / (n theta + s)."""
         res = np.add.outer(self._n_theta, s)
         np.reciprocal(res, out=res)
         return res
@@ -397,13 +423,25 @@ class SinkSolver:
 
         With the sink at f = 0, P~(f, s) = P~0(f, s) / (1 + S P~0(0, s)).
         S enters only through that per-node factor, so the sinkless sums are
-        evaluated once, at the contour nodes of taus.
+        evaluated once, at the contour nodes of taus.  The resolvent is formed
+        for a block of nodes at a time, at most _RESOLVENT_BLOCK elements.
         """
         taus = _checked_times(taus, self.min_valid_time)
         s, _ = _talbot_nodes(taus, self.settings.inversion_nodes)
-        res = self._resolvent(s)
-        p0 = np.tensordot(coef, res, axes=(-1, 0))
-        p0_sink = np.tensordot(self._w_sink, res, axes=(-1, 0))
+        nodes = s.ravel()
+        p0 = np.empty(coef.shape[:-1] + nodes.shape, dtype=complex)
+        p0_sink = np.empty(nodes.shape, dtype=complex)
+        # whole groups of 8 nodes per block: BLAS then reduces each node as it
+        # does in one block (bit for bit at the default 24 nodes per time), so
+        # the result does not depend on the budget
+        block = max(8, _RESOLVENT_BLOCK // self._n_theta.size // 8 * 8)
+        for start in range(0, nodes.size, block):
+            sl = slice(start, start + block)
+            res = self._resolvent(nodes[sl])
+            p0[..., sl] = np.tensordot(coef, res, axes=(-1, 0))
+            p0_sink[sl] = np.tensordot(self._w_sink, res, axes=(-1, 0))
+        p0 = p0.reshape(coef.shape[:-1] + s.shape)
+        p0_sink = p0_sink.reshape(s.shape)
 
         def invert(strength: float) -> np.ndarray:
             # the transform ignores its argument: p0 and p0_sink are already

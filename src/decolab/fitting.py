@@ -322,12 +322,15 @@ def read_decay_csv(path: str | Path) -> DecayCurve:
 
     A header row before the data is detected and skipped.  A sweep header
     (as written by ``decolab simulate``) names the columns: x is t_total_s
-    and y is expectation.
+    and y is expectation.  A feedforward header (``decolab simulate
+    feedforward``) gives x = 2 tau_s, the total echo time, and y =
+    c_expectation.  Every sigma must be positive and finite.
     """
     xs: list[float] = []
     ys: list[float] = []
     ss: list[float] = []
-    columns = None  # (x, y) column indices of a sweep
+    columns = None  # (x, y) column indices of a sweep or feedforward run
+    x_factor = 1.0
     header = False
     with open(path, newline="", encoding="utf-8") as fh:
         for lineno, row in enumerate(csv.reader(fh), 1):
@@ -346,15 +349,22 @@ def read_decay_csv(path: str | Path) -> DecayCurve:
                 names = [h.strip() for h in row]
                 if "t_total_s" in names and "expectation" in names:
                     columns = (names.index("t_total_s"), names.index("expectation"))
+                elif "tau_s" in names and "c_expectation" in names:
+                    columns = (names.index("tau_s"), names.index("c_expectation"))
+                    x_factor = 2.0
                 continue
             if len(vals) < 2:
                 raise DataError("expected at least two columns (x, y)", line=lineno)
-            if xs and not vals[0] > xs[-1]:
-                raise DataError(f"x = {vals[0]!r} does not increase", line=lineno)
-            xs.append(vals[0])
-            ys.append(vals[1])
+            x = x_factor * vals[0]
+            if xs and not x > xs[-1]:
+                raise DataError(f"x = {x!r} does not increase", line=lineno)
             if len(vals) >= 3:
+                if not (math.isfinite(vals[2]) and vals[2] > 0.0):
+                    raise DataError(f"sigma = {vals[2]!r} is not positive and finite",
+                                    line=lineno)
                 ss.append(vals[2])
+            xs.append(x)
+            ys.append(vals[1])
     if not xs:
         raise DataError("file contains no data rows")
     if ss and len(ss) != len(xs):

@@ -8,7 +8,8 @@ arbitrary-precision recurrence, Voigt values and the filtered-bath mean of
 1/T2*^2 from adaptive quadrature, T2* distributions from the
 brute-force sum over every bath spin, and the drift trajectory and
 feedforward protocol from one scalar random draw per step and one
-array per shot block.  The sink solver's eigen-weights come from one
+array per shot block.  The float Hermite recurrence is kept over all
+orders, odd ones included.  The sink solver's eigen-weights come from one
 Hermite recurrence per evaluation set and its inversion from one
 resolvent per projection; the joint backward-fit model from one
 ``counts_no_ionization`` call per power.  For bitwise checks, the near/far
@@ -24,6 +25,7 @@ from dataclasses import dataclass, replace
 
 import mpmath
 import numpy as np
+from scipy.linalg import solve_banded
 
 from decolab.bath import (_BATCH_SPINS, _G2_MEAN, _G4_MEAN, NEAR_SPINS, BathConfig,
                           _coupling_prefactor)
@@ -120,9 +122,24 @@ def hermite_phi_mp(n: int, x: float, dps: int = 60) -> float:
         return float(h)
 
 
+def hermite_phi_all_orders(n_max: int, x: np.ndarray) -> np.ndarray:
+    """All normalized Hermite functions 0..n_max-1 at x, shape (n_max, len(x)),
+    by the float recurrence whose even rows ``hermite_phi_table`` returns."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    table = np.empty((n_max, x.size))
+    table[0] = np.exp(-0.5 * x * x) / math.pi ** 0.25
+    if n_max > 1:
+        table[1] = math.sqrt(2.0) * x * table[0]
+    for k in range(1, n_max - 1):
+        table[k + 1] = x * math.sqrt(2.0 / (k + 1)) * table[k] - \
+            math.sqrt(k / (k + 1.0)) * table[k - 1]
+    return table
+
+
 def weight_table(model: OuDiffusionModel, f: np.ndarray, n_eigen: int) -> np.ndarray:
-    """Eigen-weights w_n(f) for n < n_eigen with the source at f = 0, shape
-    (n_eigen, len(f)): one Hermite table for f and a second for the source."""
+    """Eigen-weights w_n(f) for the even n < n_eigen with the source at f = 0,
+    shape ((n_eigen + 1) // 2, len(f)): one Hermite table for f and a second
+    for the source."""
     scale = _x_units(model)
     x = np.atleast_1d(np.asarray(f, dtype=float)) * scale
     table = hermite_phi_table(n_eigen, x)
@@ -213,33 +230,34 @@ def fokker_planck_fd(theta: float, d_coeff: float, strength_s: float,
     main = np.full(n_cells, -2.0 * d_coeff / df ** 2)
     upper = np.full(n_cells - 1, d_coeff / df ** 2)
     lower = np.full(n_cells - 1, d_coeff / df ** 2)
-    # conservative drift flux J = -theta f P: dP/dt += -(J_{i+1/2}-J_{i-1/2})/df
-    for i in range(n_cells):
-        if i + 1 < n_cells:
-            # flux between i and i+1 at f_{i+1/2}
-            fm = 0.5 * (f[i] + f[i + 1])
-            # upwind: for fm > 0 the drift -theta*f pushes left (uses right cell)
-            if fm > 0:
-                upper[i] += theta * fm / df
-                main[i + 1] -= theta * fm / df
-            else:
-                main[i] += theta * fm / df
-                lower[i] -= theta * fm / df
+    # conservative drift flux J = -theta f P: dP/dt += -(J_{i+1/2}-J_{i-1/2})/df,
+    # flux between cells i and i+1 at f_{i+1/2}; upwind: for fm > 0 the drift
+    # -theta*f pushes left (uses the right cell)
+    fm = 0.5 * (f[:-1] + f[1:])
+    right = np.where(fm > 0, theta * fm / df, 0.0)
+    left = np.where(fm > 0, 0.0, theta * fm / df)
+    upper += right
+    main[1:] -= right
+    main[:-1] += left
+    lower -= left
     centre = n_cells // 2
     main[centre] -= strength_s / df
 
-    # dense solve is fine at this size; build A P' = B P for Crank-Nicolson
-    lmat = np.diag(main) + np.diag(upper, 1) + np.diag(lower, -1)
+    # Crank-Nicolson A P' = B P, with A = 1 - dt/2 L tridiagonal: one banded
+    # solve per step
     dt = tau / n_steps
-    eye = np.eye(n_cells)
-    a = eye - 0.5 * dt * lmat
-    b = eye + 0.5 * dt * lmat
+    banded = np.zeros((3, n_cells))
+    banded[0, 1:] = -0.5 * dt * upper
+    banded[1] = 1.0 - 0.5 * dt * main
+    banded[2, :-1] = -0.5 * dt * lower
     sigma0 = 1.5 * df
     p = np.exp(-0.5 * (f / sigma0) ** 2)
     p /= np.trapezoid(p, f)
-    step = np.linalg.solve(a, b)
     for _ in range(n_steps):
-        p = step @ p
+        lp = main * p
+        lp[:-1] += upper * p[1:]
+        lp[1:] += lower * p[:-1]
+        p = solve_banded((1, 1), banded, p + 0.5 * dt * lp, check_finite=False)
     return f, p
 
 

@@ -87,6 +87,30 @@ def test_sweep_roundtrips_into_fit(tmp_path):
     assert payload["converged"]
 
 
+def test_feedforward_output_roundtrips_into_fit(tmp_path):
+    # x is the total echo time 2 tau, y the corrected <C>; at seed 2 most
+    # y_raw values are <= 0, so read as (tau, x_raw, y_raw) the fit ran into
+    # the T2 bound and still reported convergence
+    assert run(["simulate", "feedforward", "--tau-range", "0.25ms:7.5ms:0.25ms",
+                "--seed", "2", "--out", str(tmp_path)]) == 0
+    out2 = tmp_path / "fit"
+    assert run(["fit", "decay", "--data", str(tmp_path / "feedforward.csv"),
+                "--fix-n", "4", "--out", str(out2)]) == 0
+    payload = json.loads((out2 / "fit_decay.json").read_text())
+    assert payload["converged"]
+    assert 1e-3 < payload["params"]["T2"] < 0.1
+
+
+@pytest.mark.parametrize("sigma", ["0.0", "-0.01", "nan", "inf"])
+def test_non_positive_sigma_is_data_error(tmp_path, capsys, sigma):
+    data = tmp_path / "decay.csv"
+    data.write_text(f"x,y,sigma\n0.001,0.9,0.01\n0.002,0.8,{sigma}\n0.003,0.7,0.01\n",
+                    encoding="utf-8")
+    assert run(["fit", "decay", "--data", str(data), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("decolab: data error (line 3)") and err.count("\n") == 1
+
+
 def test_fit_decay_fixture_recovers_metadata(tmp_path):
     meta = json.loads((FIXTURES / "decay_synthetic.json").read_text())
     assert run(["fit", "decay", "--data", str(FIXTURES / "decay_synthetic.csv"),

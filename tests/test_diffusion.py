@@ -178,18 +178,21 @@ def test_power_broadening_chain():
 # ---------------------------------------------------------------------------
 
 def test_hermite_low_orders():
+    # the table holds the even orders only: rows 0 and 1 are phi_0 and phi_2
     xs = np.linspace(-3.0, 3.0, 13)
-    table = hermite_phi_table(2, xs)
-    assert np.allclose(table[0], np.exp(-xs ** 2 / 2) / math.pi ** 0.25, rtol=1e-12)
-    assert hermite_phi_table(2, 0.0)[1, 0] == 0.0
+    table = hermite_phi_table(3, xs)
+    assert table.shape == (2, xs.size) and hermite_phi_table(2, xs).shape == (1, xs.size)
+    phi0 = np.exp(-xs ** 2 / 2) / math.pi ** 0.25
+    assert np.allclose(table[0], phi0, rtol=1e-12)
+    assert np.allclose(table[1], (2 * xs ** 2 - 1) / math.sqrt(2) * phi0, rtol=1e-12)
 
 
 def test_hermite_table_matches_scalar():
     xs = np.linspace(-4.0, 4.0, 9)
     table = hermite_phi_table(40, xs)
-    for n in (0, 1, 7, 39):
+    for n in (0, 2, 8, 38):
         scalar = [hermite_phi_mp(n, float(x)) for x in xs]
-        assert np.allclose(table[n], scalar, rtol=1e-10)
+        assert np.allclose(table[n // 2], scalar, rtol=1e-10)
 
 
 def test_hermite_recurrence_matches_mp():
@@ -197,7 +200,7 @@ def test_hermite_recurrence_matches_mp():
     points = ((20, 0.5), (50, 2.0), (120, 1.3), (500, 1.0))
     table = hermite_phi_table(501, np.array([x for _, x in points]))
     for i, (n, x) in enumerate(points):
-        assert table[n, i] == pytest.approx(hermite_phi_mp(n, x), rel=1e-9)
+        assert table[n // 2, i] == pytest.approx(hermite_phi_mp(n, x), rel=1e-9)
 
 
 def test_eigen_weight_ground_state_and_parity():
@@ -205,14 +208,15 @@ def test_eigen_weight_ground_state_and_parity():
     table = weight_table(MODEL, f, 8)
     sigma2 = MODEL.stationary_variance
     gaussian = np.exp(-f ** 2 / (2 * sigma2)) / math.sqrt(2 * math.pi * sigma2)
+    assert table.shape == (4, f.size)  # orders 0, 2, 4, 6: odd ones vanish at f = 0
     assert np.allclose(table[0], gaussian, rtol=1e-10)
-    assert np.all(table[7] == 0.0)  # odd orders vanish at the source f = 0
+    assert np.allclose(table, table[:, ::-1], rtol=1e-10)  # even modes are even in f
 
 
 def test_eigen_series_reproduces_gaussian():
     f = np.linspace(-250.0, 250.0, 41)
     table = weight_table(MODEL, f, 2000)
-    n = np.arange(2000)
+    n = np.arange(0, 2000, 2)
     for theta_tau in (0.05, 0.2, 1.0, 5.0):
         tau = theta_tau / MODEL.theta
         series = (table * np.exp(-n * MODEL.theta * tau)[:, None]).sum(axis=0)

@@ -1,17 +1,22 @@
 """The sink solver and the joint backward fit do the same float arithmetic as
 the references in ``oracles.py`` with less repeated work: one Hermite table
-per solver, one resolvent table per inversion and one Voigt call per
-joint-fit model evaluation.  Results agree bit for bit."""
+of the even orders per solver, one resolvent table per inversion (formed in
+blocks of nodes) and one Voigt call per joint-fit model evaluation.  Results
+agree bit for bit."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import decolab.diffusion as diffusion
 from decolab.diffusion import (HomogeneousLine, IonizationSink, OuDiffusionModel,
-                               PowerDataset, SinkSolver, SolverSettings, joint_fit_backward)
+                               PowerDataset, SinkSolver, SolverSettings, hermite_phi_table,
+                               joint_fit_backward)
 from decolab.fitting import DecayCurve
-from oracles import (joint_backward_model_per_power, reference_sink_solver,
-                     sink_counts_reference, sink_inverse_two_resolvents, weight_table)
+from oracles import (hermite_phi_all_orders, joint_backward_model_per_power,
+                     reference_sink_solver, sink_counts_reference,
+                     sink_inverse_two_resolvents, weight_table)
 
 MODELS = [OuDiffusionModel(d_coeff=d, gamma_i=117.0) for d in (8.0e3, 1.6e4, 3.2e4)]
 LINE = HomogeneousLine(c0=38.0, gamma_h=22.0)
@@ -56,6 +61,62 @@ def test_counts_and_pdf_match_reference(settings):
     for tau in (taus[0], 0.05):
         assert np.array_equal(bits(solver.pdf(tau)),
                               bits(sink_inverse_two_resolvents(ref, ref._w_f.T, tau, 150.0)))
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4, 41, 1200, 2000, 2001])
+def test_even_hermite_rows_match_all_orders_recurrence(n_max):
+    x = np.append(np.r_[np.linspace(-4.6, 4.6, 801), np.random.default_rng(5).normal(0, 9, 50)],
+                  0.0)
+    table = hermite_phi_all_orders(n_max, x)
+    assert np.array_equal(bits(hermite_phi_table(n_max, x)), bits(table[0::2]))
+    assert np.all(table[1::2, -1] == 0.0)  # odd orders vanish at the source x = 0
+
+
+def test_resolvent_blocks_do_not_change_results(monkeypatch):
+    solver = SinkSolver(MODELS[1], IonizationSink(strength_s=150.0))
+    taus = np.geomspace(3e-3, 0.6, 12)
+    blocks = []
+    resolvent = solver._resolvent
+
+    def counting(s):
+        blocks[-1] += 1
+        return resolvent(s)
+
+    monkeypatch.setattr(solver, "_resolvent", counting)
+
+    def evaluate():
+        out = []
+        for run in (lambda: solver.counts_factorized(LINE, taus)(150.0),
+                    lambda: solver.survival(0.05), lambda: solver.pdf(0.05)):
+            blocks.append(0)
+            out.append(run())
+        return out
+
+    monkeypatch.setattr(diffusion, "_RESOLVENT_BLOCK", 1 << 40)
+    one = evaluate()
+    assert blocks == [1, 1, 1]
+    blocks.clear()
+    monkeypatch.setattr(diffusion, "_RESOLVENT_BLOCK", 8 * solver._n_theta.size)
+    many = evaluate()
+    assert blocks == [taus.size * 3, 3, 3]  # 8 of the 24 Talbot nodes per block
+    for a, b in zip(one, many):
+        assert np.array_equal(bits(a), bits(b))
+
+
+def test_counts_factorized_memory_is_bounded():
+    # one resolvent over all 2000 x 24 nodes would take 768 MB (1.5 GB with
+    # the odd modes)
+    solver = SinkSolver(MODELS[1], IonizationSink(strength_s=150.0))
+    taus = np.geomspace(3e-3, 0.6, 2000)
+    tracemalloc.start()
+    try:
+        counts_of_s = solver.counts_factorized(LINE, taus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
+    counts = counts_of_s(150.0)
+    assert np.all(np.isfinite(counts)) and np.all(np.diff(counts) < 0.0)
 
 
 def test_one_hermite_table_per_solver(monkeypatch):
