@@ -32,7 +32,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fitting import DataError, DecayCurve, FitResult, FitError, _write_csv, least_squares
+from .fitting import (DataError, DecayCurve, FitResult, FitError, _write_csv, least_squares,
+                      _positive_finite)
 
 __all__ = [
     "OuDiffusionModel",
@@ -577,8 +578,12 @@ def write_diffusion_csv(path: str | Path, taus: np.ndarray, forward: np.ndarray,
 
 
 def read_diffusion_csv(path: str | Path) -> tuple[DecayCurve, DecayCurve]:
-    """Returns (forward, backward) curves with shared tau axis and stderr."""
-    taus, fwd, bwd, err = [], [], [], []
+    """Returns (forward, backward) curves with shared tau axis and stderr.
+
+    Every stderr must be positive and finite, except that a column of zeros
+    (as ``diffusion predict`` writes) means the file has no standard errors.
+    """
+    taus, fwd, bwd, err, lines = [], [], [], [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -598,7 +603,10 @@ def read_diffusion_csv(path: str | Path) -> tuple[DecayCurve, DecayCurve]:
             fwd.append(forward)
             bwd.append(backward)
             err.append(stderr)
-    taus_a, err_a = np.array(taus), np.array(err)
+            lines.append(reader.line_num)
+    taus_a = np.array(taus)
+    err_a = (None if all(e == 0.0 for e in err)
+             else np.array([_positive_finite("stderr", e, line) for e, line in zip(err, lines)]))
     try:
         return (DecayCurve(taus_a, np.array(fwd), err_a),
                 DecayCurve(taus_a, np.array(bwd), err_a))

@@ -66,7 +66,7 @@ _CHUNK_SAMPLES = 1 << 20
 
 
 def _block_estimate(true_expectations: np.ndarray, cfg: ShotConfig,
-                    uniforms: np.ndarray | None) -> np.ndarray:
+                    uniforms: np.ndarray) -> np.ndarray:
     """Fidelity-corrected block estimates of Pauli expectations that may
     drift shot to shot, one per row of ``true_expectations`` (..., n_shots).
 
@@ -93,38 +93,24 @@ def _estimate_lanes(phases: np.ndarray, cfg: ShotConfig, uniforms: np.ndarray,
     """The X / Y / C blocks of several delays (lanes) at once.
 
     ``phases`` holds every shot's true phase as (lane, repetition, X/Y/C
-    block, shot); each lane reads its blocks' uniforms in order from its row
-    of ``uniforms``.  Phi = atan2(<Y>, <X>) resolves the quadrant (the
-    estimate is the true phase modulo 2 pi); <X> = <Y> = 0 leaves it
-    undefined (nan), and a C block under an undefined estimate is skipped:
-    it counts <C> = 0 and draws no uniforms.  Returns Phi, <X>, <Y> (of the
-    last estimate) and <C> (mean over repetitions) per lane, and the number
-    of uniforms each lane used.
+    block, shot); ``uniforms`` has the same layout (with no shots under
+    cfg.exact), so each block reads its own fixed slice.  A block that does
+    not run leaves its uniforms unused: the X and Y blocks after repetition
+    0 with estimate_each_repetition=False, and a C block under an undefined
+    estimate.  Phi = atan2(<Y>, <X>) resolves the quadrant (the estimate is
+    the true phase modulo 2 pi); <X> = <Y> = 0 leaves it undefined (nan),
+    and the C block it would correct counts <C> = 0.  Returns Phi, <X>, <Y>
+    (of the last estimate) and <C> (mean over repetitions) per lane.
     """
-    n_lanes, n_repetitions, _, n = phases.shape
-    cursor = np.zeros(n_lanes, dtype=np.intp)
-    shots = np.arange(n)
-
-    def next_block(lanes: np.ndarray) -> np.ndarray | None:
-        if cfg.exact:
-            return None
-        block = uniforms[lanes[:, None], cursor[lanes, None] + shots]
-        cursor[lanes] += n
-        return block
-
-    every_lane = np.arange(n_lanes)
-    nan = float("nan")
-    c_values = np.zeros((n_lanes, n_repetitions))
-    for rep in range(n_repetitions):
-        if estimate_each_repetition or rep == 0:
-            x_raw = _block_estimate(np.cos(phases[:, rep, 0]), cfg, next_block(every_lane))
-            y_raw = _block_estimate(np.sin(phases[:, rep, 1]), cfg, next_block(every_lane))
-            phi = np.array([nan if x == 0.0 and y == 0.0 else math.atan2(y, x)
-                            for x, y in zip(x_raw.tolist(), y_raw.tolist())])
-            defined = np.flatnonzero(~np.isnan(phi))
-        c_values[defined, rep] = _block_estimate(
-            np.cos(phases[defined, rep, 2] - phi[defined, None]), cfg, next_block(defined))
-    return phi, x_raw, y_raw, np.mean(c_values, axis=-1), cursor
+    reps = slice(None) if estimate_each_repetition else slice(0, 1)
+    x_raw = _block_estimate(np.cos(phases[:, reps, 0]), cfg, uniforms[:, reps, 0])
+    y_raw = _block_estimate(np.sin(phases[:, reps, 1]), cfg, uniforms[:, reps, 1])
+    phi = np.array([math.nan if x == 0.0 and y == 0.0 else math.atan2(y, x)
+                    for x, y in zip(x_raw.ravel().tolist(), y_raw.ravel().tolist())]
+                   ).reshape(x_raw.shape)
+    c_values = np.where(np.isnan(phi), 0.0, _block_estimate(
+        np.cos(phases[:, :, 2] - phi[..., None]), cfg, uniforms[:, :, 2]))
+    return phi[:, -1], x_raw[:, -1], y_raw[:, -1], np.mean(c_values, axis=-1)
 
 
 def run_feedforward(model: AcFieldModel, taus, cfg: ShotConfig,
@@ -143,45 +129,35 @@ def run_feedforward(model: AcFieldModel, taus, cfg: ShotConfig,
     estimate_each_repetition=False the estimate from the first repetition
     corrects every later C block.
 
-    The random stream is consumed tau by tau: the trajectory's normals, then
-    the uniforms of the shot blocks in order.  All taus are computed at once,
-    each drawing the uniforms of a run without skipped C blocks; the
-    generator state after each tau's normals is kept, so after the first tau
-    that skipped a C block the generator is rewound to where that tau's own
-    draws end and the later taus are drawn and computed again.
+    The random stream is consumed tau by tau: the trajectory's normals
+    (none with drift=None), then 3 * n_shots * n_repetitions uniforms laid
+    out as (repetition, X/Y/C block, shot) (none with cfg.exact).  A block
+    that does not run leaves its uniforms unused, so every tau draws the
+    same amount and a tau's draws do not depend on the outcomes of the taus
+    before it.
     """
     if n_repetitions < 1:
         raise ValueError("n_repetitions must be >= 1")
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    n = cfg.n_shots
-    shot_times = np.arange(3 * n * n_repetitions) * SHOT_PERIOD
+    layout = (n_repetitions, 3, cfg.n_shots)
+    shot_times = np.arange(math.prod(layout)) * SHOT_PERIOD
     phis = phase_of(model, PulseSequence.hahn(taus), constants=constants)
-    n_uniforms = 0 if cfg.exact else n * (3 * n_repetitions if estimate_each_repetition
-                                          else 2 + n_repetitions)
     chunk = max(1, _CHUNK_SAMPLES // shot_times.size)
     outcomes: list[FeedforwardOutcome] = []
-    while len(outcomes) < taus.size:
-        lanes = np.arange(len(outcomes), min(taus.size, len(outcomes) + chunk))
-        normals = np.empty((lanes.size, shot_times.size))
-        uniforms = np.empty((lanes.size, n_uniforms))
-        states = []
-        for lane in range(lanes.size):
+    for start in range(0, taus.size, chunk):
+        lanes = slice(start, start + chunk)
+        n_lanes = taus[lanes].size
+        normals = np.empty((n_lanes, shot_times.size))
+        uniforms = np.empty((n_lanes, *layout[:2], 0 if cfg.exact else cfg.n_shots))
+        for lane in range(n_lanes):
             if drift is not None:
                 rng.standard_normal(out=normals[lane])
-            states.append(rng.bit_generator.state)
             rng.random(out=uniforms[lane])
         phases = (np.ones_like(normals) if drift is None
                   else sample_amplitude_trajectory(drift, shot_times, normals))
         phases *= phis[lanes, None]
-        phases = phases.reshape(lanes.size, n_repetitions, 3, n)
-        phi, x_raw, y_raw, c_mean, used = _estimate_lanes(
-            phases, cfg, uniforms, estimate_each_repetition)
-        short = np.flatnonzero(used < n_uniforms)
-        final = lanes.size if short.size == 0 else short[0] + 1
+        phi, x_raw, y_raw, c_mean = _estimate_lanes(
+            phases.reshape(n_lanes, *layout), cfg, uniforms, estimate_each_repetition)
         outcomes.extend(FeedforwardOutcome(*fields) for fields in zip(
-            taus[lanes[:final]].tolist(), phi[:final].tolist(), c_mean[:final].tolist(),
-            x_raw[:final].tolist(), y_raw[:final].tolist()))
-        if short.size:
-            rng.bit_generator.state = states[short[0]]
-            rng.random(used[short[0]])
+            taus[lanes].tolist(), phi.tolist(), c_mean.tolist(), x_raw.tolist(), y_raw.tolist()))
     return outcomes

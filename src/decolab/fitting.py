@@ -317,6 +317,13 @@ class DataError(ValueError):
         super().__init__(f"data error{where}: {message}")
 
 
+def _positive_finite(name: str, value: float, line: int) -> float:
+    """``value`` if it is positive and finite; else a DataError at ``line``."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise DataError(f"{name} = {value!r} is not positive and finite", line=line)
+    return value
+
+
 def read_decay_csv(path: str | Path) -> DecayCurve:
     """Read x,y[,sigma] rows with x strictly increasing.
 
@@ -359,10 +366,7 @@ def read_decay_csv(path: str | Path) -> DecayCurve:
             if xs and not x > xs[-1]:
                 raise DataError(f"x = {x!r} does not increase", line=lineno)
             if len(vals) >= 3:
-                if not (math.isfinite(vals[2]) and vals[2] > 0.0):
-                    raise DataError(f"sigma = {vals[2]!r} is not positive and finite",
-                                    line=lineno)
-                ss.append(vals[2])
+                ss.append(_positive_finite("sigma", vals[2], lineno))
             xs.append(x)
             ys.append(vals[1])
     if not xs:

@@ -458,7 +458,9 @@ def _shot_block(true_expectations: np.ndarray, cfg, rng: np.random.Generator) ->
 def feedforward_loop(model: AcFieldModel, taus, cfg, drift, rng: np.random.Generator,
                      n_repetitions: int = 12,
                      estimate_each_repetition: bool = True) -> list[FeedforwardOutcome]:
-    """The X / Y / C block protocol shot block by shot block."""
+    """The X / Y / C block protocol shot block by shot block.  Each block
+    draws its n_shots uniforms in turn (none in exact mode), and a block that
+    does not run draws and discards them."""
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     n = cfg.n_shots
     phis = phase_of(model, PulseSequence.hahn(taus))
@@ -479,7 +481,11 @@ def feedforward_loop(model: AcFieldModel, taus, cfg, drift, rng: np.random.Gener
                 y_raw = _shot_block(np.sin(a_y * phi_unit), cfg, rng)
                 phi_est = (float("nan") if x_raw == 0.0 and y_raw == 0.0
                            else math.atan2(y_raw, x_raw))
+            elif not cfg.exact:
+                rng.random(2 * n)  # the X and Y blocks that do not run
             if math.isnan(phi_est):
+                if not cfg.exact:
+                    rng.random(n)  # the C block that does not run
                 c_values.append(0.0)
                 continue
             c_values.append(_shot_block(np.cos(a_c * phi_unit - phi_est), cfg, rng))

@@ -111,6 +111,27 @@ def test_non_positive_sigma_is_data_error(tmp_path, capsys, sigma):
     assert err.startswith("decolab: data error (line 3)") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["ionization", "diffusion"])
+@pytest.mark.parametrize("stderr", ["0.0", "-0.01", "nan", "inf"])
+def test_non_positive_diffusion_stderr_is_data_error(tmp_path, capsys, recwarn, command,
+                                                     stderr):
+    lines = (FIXTURES / "diffusion_500nW.csv").read_text(encoding="utf-8").splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0] + "," + stderr  # the second data row, line 3
+    data = tmp_path / "diffusion_500nW.csv"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if command == "ionization":
+        argv = ["fit", "ionization", "--data", str(data), "--gamma-i", "117",
+                "--d-coeff", "1.6e4", "--c0", "38"]
+    else:
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(f"500 {data.name}\n", encoding="utf-8")
+        argv = ["fit", "diffusion", "--manifest", str(manifest), "--gamma-h", "22MHz"]
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("decolab: data error (line 3): stderr = ") and err.count("\n") == 1
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_fit_decay_fixture_recovers_metadata(tmp_path):
     meta = json.loads((FIXTURES / "decay_synthetic.json").read_text())
     assert run(["fit", "decay", "--data", str(FIXTURES / "decay_synthetic.csv"),

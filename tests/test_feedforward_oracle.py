@@ -3,7 +3,6 @@ float arithmetic as the per-step reference in ``oracles.py``: trajectories
 and outcomes agree bit for bit, and the generator ends where the reference
 leaves it."""
 
-import math
 from dataclasses import astuple
 
 import numpy as np
@@ -84,15 +83,43 @@ def test_feedforward_matches_block_loop(case, seed):
     assert rng.random() == ref_rng.random()
 
 
-def test_nan_case_leaves_estimates_undefined():
+def test_nan_case_leaves_estimates_undefined(monkeypatch):
     """Two perfect-readout shots land <X> = <Y> = 0 in up to 1/16 of the
-    estimates (phase near pi/4 at 0.85 ms): the outcomes compared above
-    include nan estimates, so the skipped C blocks are covered."""
+    estimates (phase near pi/4 at 0.85 ms), which leaves them undefined: the
+    outcomes compared above include skipped C blocks.  The X, Y and C block
+    estimates of each pass are recorded in that order."""
     cfg, drift, _ = FEEDFORWARD_CASES["nan-estimate"]
-    undefined = sum(math.isnan(o.phi_estimate)
-                    for seed in SEEDS
-                    for o in run_feedforward(table1_model(), TAUS, cfg, drift, make_rng(seed)))
-    assert undefined > 0
+    blocks = []
+    block_estimate = feedforward._block_estimate
+
+    def recording(*args):
+        blocks.append(block_estimate(*args))
+        return blocks[-1]
+
+    monkeypatch.setattr(feedforward, "_block_estimate", recording)
+    for seed in SEEDS:
+        run_feedforward(table1_model(), TAUS, cfg, drift, make_rng(seed))
+    x_raw, y_raw = np.array(blocks[0::3]), np.array(blocks[1::3])
+    assert np.count_nonzero((x_raw == 0.0) & (y_raw == 0.0)) > 0
+
+
+@pytest.mark.parametrize("case", ["default-drift", "frozen", "exact", "estimate-once",
+                                  "nan-estimate"])
+def test_stream_advances_by_a_fixed_budget_per_tau(case):
+    """Whatever blocks run, each tau draws its trajectory's normals and then
+    3 * n_shots * n_repetitions uniforms (none in exact mode)."""
+    cfg, drift, kwargs = FEEDFORWARD_CASES[case]
+    n_draws = 3 * cfg.n_shots * 12
+    for seed in SEEDS:
+        rng, ref_rng = make_rng(seed), make_rng(seed)
+        run_feedforward(table1_model(), TAUS, cfg, drift, rng, **kwargs)
+        for _ in TAUS:
+            if drift is not None:
+                ref_rng.standard_normal(n_draws)
+            if not cfg.exact:
+                ref_rng.random(n_draws)
+        assert np.array_equal(rng.bit_generator.state["state"]["state"],
+                              ref_rng.bit_generator.state["state"]["state"])
 
 
 def _record_passes(monkeypatch) -> list[int]:
@@ -108,32 +135,16 @@ def _record_passes(monkeypatch) -> list[int]:
     return passes
 
 
-@pytest.mark.parametrize("case", ["default-drift", "frozen", "exact", "estimate-once"])
+@pytest.mark.parametrize("case", ["default-drift", "frozen", "exact", "estimate-once",
+                                  "nan-estimate"])
 def test_runs_without_skipped_blocks_take_one_pass(case, monkeypatch):
-    """Each tau draws exactly the uniforms its blocks use, so a run whose C
-    blocks all run needs no rewind."""
+    """Each tau draws a fixed number of uniforms whether or not its blocks
+    run, so every run that fits in one chunk, with skipped C blocks or
+    without, computes all its taus in one pass."""
     cfg, drift, kwargs = FEEDFORWARD_CASES[case]
     passes = _record_passes(monkeypatch)
     run_feedforward(table1_model(), TAUS, cfg, drift, make_rng(0), **kwargs)
     assert passes == [len(TAUS)]
-
-
-def test_rewind_reruns_the_later_taus(monkeypatch):
-    """Twelve two-shot taus, several of which skip C blocks: the first pass
-    computes all twelve; the generator is rewound to the end of the second
-    tau's draws, and the last ten are drawn and computed again, and so on
-    down to the last two.  Outcomes and the generator still match the
-    block-by-block reference."""
-    cfg, drift, _ = FEEDFORWARD_CASES["nan-estimate"]
-    taus = np.linspace(0.5e-3, 6e-3, 12)
-    passes = _record_passes(monkeypatch)
-    rng, ref_rng = make_rng(0), make_rng(0)
-    got = run_feedforward(table1_model(), taus, cfg, drift, rng)
-    want = feedforward_loop(table1_model(), taus, cfg, drift, ref_rng)
-    assert passes == [12, 10, 8, 7, 4, 3, 2]
-    assert math.isnan(got[4].phi_estimate)
-    assert_same_outcomes(got, want)
-    assert rng.random() == ref_rng.random()
 
 
 @pytest.mark.parametrize("case", ["default-drift", "nan-estimate"])
