@@ -18,7 +18,7 @@ from decolab.diffusion import (HomogeneousLine, IonizationSink, OuDiffusionModel
                                SinkSolver, SolverSettings, counts_no_ionization,
                                write_diffusion_csv)
 from decolab.fitting import DecayCurve, stretched_exp, write_decay_csv
-from decolab.growth import LeakModel
+from decolab.growth import CHAMBER_VOLUME_M3, LeakModel
 
 FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
 
@@ -76,7 +76,7 @@ def main() -> None:
     (out / "diffusion_synthetic.json").write_text(json.dumps(meta, indent=2) + "\n")
 
     # leak-rate Arrhenius points
-    meta = {"q_leak": 1.5e-8, "q0": 1.885e-5, "e_a": 4.01e-20, "volume": 11.3e-3}
+    meta = {"q_leak": 1.5e-8, "q0": 1.885e-5, "e_a": 4.01e-20, "volume": CHAMBER_VOLUME_M3}
     leak = LeakModel(**meta)
     temps = np.linspace(295.0, 588.0, 9)
     dpdt = leak.throughput(temps) / leak.volume

@@ -186,7 +186,6 @@ def t2star_distribution(cfg: BathConfig, n_baths: int, rng: np.random.Generator,
 
 def exceedance_probability(cfg: BathConfig, t2_lower: float, n_baths: int,
                            rng: np.random.Generator,
-                           constants: PhysicalConstants = CONSTANTS,
                            background: BathConfig | None = None) -> tuple[float, float]:
     """Monte Carlo P(T2* > t2_lower) with its binomial standard error.
 
@@ -194,9 +193,9 @@ def exceedance_probability(cfg: BathConfig, t2_lower: float, n_baths: int,
     draws of the main bath.  The two baths dephase the same centre, so their
     Gamma_z^2 add: 1/T2*^2 = 1/T2*_main^2 + 1/T2*_background^2.
     """
-    t2 = t2star_distribution(cfg, n_baths, rng, constants).samples
+    t2 = t2star_distribution(cfg, n_baths, rng).samples
     if background is not None:
-        t2_bg = t2star_distribution(background, n_baths, rng, constants).samples
+        t2_bg = t2star_distribution(background, n_baths, rng).samples
         with np.errstate(divide="ignore"):
             t2 = 1.0 / np.sqrt(1.0 / t2 ** 2 + 1.0 / t2_bg ** 2)
     p = float(np.mean(t2 > t2_lower))
@@ -206,7 +205,6 @@ def exceedance_probability(cfg: BathConfig, t2_lower: float, n_baths: int,
 
 def electron_bath_likelihood(rho_e_ppb: float, t2_lower: float, n_centres: int,
                              rng: np.random.Generator, n_baths: int = 20000,
-                             constants: PhysicalConstants = CONSTANTS,
                              chi: float | None = None) -> LikelihoodEstimate:
     """Likelihood that n_centres measured centres all show T2* above t2_lower
     if the electron-spin concentration were rho_e (ppb):
@@ -227,7 +225,7 @@ def electron_bath_likelihood(rho_e_ppb: float, t2_lower: float, n_centres: int,
     cfg = BathConfig(concentration=rho_e_ppb * 1e-9, r_max=ELECTRON_R_MAX,
                      species="electron")
     background = None if chi is None else BathConfig(concentration=chi)
-    p, se = exceedance_probability(cfg, t2_lower, n_baths, rng, constants, background)
+    p, se = exceedance_probability(cfg, t2_lower, n_baths, rng, background)
     like = p ** n_centres
     like_se = n_centres * p ** (n_centres - 1) * se if p > 0 else 0.0
     return LikelihoodEstimate(likelihood=like, stderr=like_se,

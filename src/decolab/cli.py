@@ -41,10 +41,6 @@ EXIT_DATA = 3
 EXIT_NOCONV = 4
 
 
-class NonConvergence(RuntimeError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # unit parsing
 # ---------------------------------------------------------------------------
@@ -318,10 +314,8 @@ def cmd_bath(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _plot_fit(out: OutputWriter, name: str, curve: DecayCurve, model_y, label: str) -> None:
-    plot = SvgPlot(title=label, xlabel="x", ylabel="y")
-    plot.add_line(curve.x, curve.y, "data", "points")
-    plot.add_line(curve.x, model_y, "fit")
-    plot.write(out.out_dir / name)
+    quick_line_plot(out.out_dir / name, curve.x, [curve.y, model_y], ["data", "fit"],
+                    title=label, xlabel="x", ylabel="y", styles=["points", "line"])
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
@@ -336,7 +330,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
                   "stretched exponential fit")
         print(out.out_dir / "fit_decay.json")
         if not fit.converged:
-            raise NonConvergence(fit.message)
+            raise FitError(fit.message)
         return EXIT_OK
 
     if args.fit_command == "scaling":
@@ -379,7 +373,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         plot.write(out.out_dir / "fit_diffusion.svg")
         print(out.out_dir / "fit_diffusion.json")
         if not fit.converged:
-            raise NonConvergence(fit.message)
+            raise FitError(fit.message)
         return EXIT_OK
 
     # ionization
@@ -394,7 +388,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     })
     print(out.out_dir / "fit_ionization.json")
     if not fit.converged:
-        raise NonConvergence(fit.message)
+        raise FitError(fit.message)
     return EXIT_OK
 
 
@@ -446,7 +440,7 @@ def cmd_growth(args: argparse.Namespace) -> int:
               "Arrhenius throughput fit")
     print(out.out_dir / "growth_leak.json")
     if not fit.converged:
-        raise NonConvergence(fit.message)
+        raise FitError(fit.message)
     return EXIT_OK
 
 
@@ -572,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="growth pressure (default 120Torr)")
     p = growth_sub.add_parser("leak", parents=[common])
     p.add_argument("--data", required=True, help="CSV with T_K, dPdt_Pa_per_s")
-    p.add_argument("--volume", type=float, default=11.3e-3)
+    p.add_argument("--volume", type=float, default=growth.CHAMBER_VOLUME_M3)
 
     diff_p = sub.add_parser("diffusion", help="spectral-diffusion prediction")
     diff_sub = diff_p.add_subparsers(dest="diff_command", required=True)
@@ -604,7 +598,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DataError, OSError) as exc:  # unreadable files too, e.g. a directory
         print(f"decolab: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (NonConvergence, FitError) as exc:
+    except FitError as exc:
         print(f"decolab: fit did not converge: {exc}", file=sys.stderr)
         return EXIT_NOCONV
     except ValueError as exc:

@@ -2,13 +2,12 @@
 check-probe photon-count models built on it.
 
 Frequencies and linewidths are in MHz, the diffusion coefficient D in
-MHz^2 s^-1, times in seconds.  In model coordinates the probe/sink laser
-and the heralded starting frequency sit at f = 0, and the line centre f0
-defaults to 0 as well; the sink solver needs f0 = 0.
+MHz^2 s^-1, times in seconds.  In model coordinates the probe/sink laser,
+the heralded starting frequency and the line centre all sit at f = 0.
 
-Without ionization the frequency distribution stays Gaussian,
+Without ionization the frequency distribution stays Gaussian about f = 0,
 
-    P(f, t) = N(mu(t), V(t)),  mu(t) = f0 (1 - e^{-theta t}),
+    P(f, t) = N(0, V(t)),
     V(t) = (D / theta) (1 - e^{-2 theta t}),   theta = D (2 sqrt(2 ln 2) / gamma_i)^2,
 
 and the expected counts are a Voigt profile (Gaussian (*) homogeneous
@@ -33,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .fitting import (DataError, DecayCurve, FitResult, FitError, _write_csv, least_squares,
-                      _positive_finite)
+                      _increasing_finite, _positive_finite)
 
 __all__ = [
     "OuDiffusionModel",
@@ -42,7 +41,6 @@ __all__ = [
     "SolverSettings",
     "ValidityError",
     "ou_variance",
-    "ou_mean",
     "ou_pdf",
     "tau_c",
     "power_broadened_linewidth",
@@ -66,6 +64,16 @@ LN2_8 = 8.0 * math.log(2.0)
 #: element budget of one resolvent block in SinkSolver._inverse (16 B each)
 _RESOLVENT_BLOCK = 1 << 18
 
+#: fixed-Talbot nodes per inversion: in double precision the error decreases
+#: with the node count only up to ~24 nodes, beyond which the e^{2M/5}
+#: contour amplification of roundoff dominates and accuracy degrades
+INVERSION_NODES = 24
+#: the sink solver's validity bound is this factor over theta * n_eigen
+MIN_VALID_TIME_FACTOR = 10.0
+#: the sink solver's grid spans this many stationary standard deviations
+#: on either side of f = 0
+GRID_HALFWIDTH_SIGMAS = 6.5
+
 
 class ValidityError(ValueError):
     """Requested time below the truncated-expansion validity bound."""
@@ -73,12 +81,11 @@ class ValidityError(ValueError):
 
 @dataclass(frozen=True)
 class OuDiffusionModel:
-    """Diffusion coefficient D (MHz^2/s), inhomogeneous FWHM gamma_i (MHz),
-    line centre f0 (MHz)."""
+    """Diffusion coefficient D (MHz^2/s) and inhomogeneous FWHM gamma_i (MHz)
+    of a line centred at f = 0."""
 
     d_coeff: float
     gamma_i: float
-    f0: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.d_coeff > 0.0:
@@ -135,23 +142,15 @@ class SolverSettings:
     n_eigen truncates the eigen-expansion to the orders n < n_eigen; of
     these the solver computes the even ones only, because the odd modes
     vanish at the source and sink f = 0 and contribute exactly zero.
-    inversion_nodes defaults to 24: in double precision the fixed-Talbot
-    error decreases with node count only up to ~24 nodes, beyond which the
-    e^{2M/5} contour amplification of roundoff dominates and accuracy
-    degrades.
+    grid_points is the size of the frequency grid.
     """
 
     n_eigen: int = 2000
-    inversion_nodes: int = 24
-    min_valid_time_factor: float = 10.0
-    grid_halfwidth_sigmas: float = 6.5
     grid_points: int = 801
 
     def __post_init__(self) -> None:
         if self.n_eigen < 1:
             raise ValueError("n_eigen must be >= 1")
-        if self.inversion_nodes < 4:
-            raise ValueError("inversion_nodes must be >= 4")
 
 
 def ou_variance(model: OuDiffusionModel, tau_d):
@@ -164,22 +163,14 @@ def ou_variance(model: OuDiffusionModel, tau_d):
     return float(out) if out.ndim == 0 else out
 
 
-def ou_mean(model: OuDiffusionModel, tau_d):
-    """Mean frequency (MHz) after diffusion time tau_d from a start at f = 0."""
-    t = np.asarray(tau_d, dtype=float)
-    out = model.f0 * (1.0 - np.exp(-model.theta * t))
-    return float(out) if out.ndim == 0 else out
-
-
 def ou_pdf(model: OuDiffusionModel, f, tau_d: float):
     """Gaussian density (MHz^-1) of the transition frequency at tau_d > 0,
     starting from f = 0."""
     if not tau_d > 0.0:
         raise ValueError("tau_d must be > 0")
     f = np.asarray(f, dtype=float)
-    mu = ou_mean(model, tau_d)
     var = ou_variance(model, tau_d)
-    out = np.exp(-0.5 * (f - mu) ** 2 / var) / math.sqrt(2.0 * math.pi * var)
+    out = np.exp(-0.5 * f ** 2 / var) / math.sqrt(2.0 * math.pi * var)
     return float(out) if out.ndim == 0 else out
 
 
@@ -251,22 +242,22 @@ def counts_no_ionization(model: OuDiffusionModel, line: HomogeneousLine, tau_d,
     """
     scalar = np.ndim(tau_d) == 0
     t = np.atleast_1d(np.asarray(tau_d, dtype=float))
-    out = _gaussian_averaged_counts(line.c0, line.gamma_h, ou_mean(model, t),
-                                    ou_variance(model, t), probe_detuning)
+    out = _gaussian_averaged_counts(line.c0, line.gamma_h, ou_variance(model, t),
+                                    probe_detuning)
     return float(out[0]) if scalar else out
 
 
-def _gaussian_averaged_counts(c0, gamma_h: float, mean: np.ndarray, variance: np.ndarray,
+def _gaussian_averaged_counts(c0, gamma_h: float, variance: np.ndarray,
                               probe_detuning: float) -> np.ndarray:
     """Counts of a Lorentzian line (peak c0, FWHM gamma_h) whose centre is
-    Gaussian with the given mean and variance: c0 pi hw V(probe - mean), or
-    the bare Lorentzian where the variance is 0.  c0 is a scalar or, like
-    mean and variance, one value per point, so one Voigt call serves many
-    models."""
-    d = probe_detuning - mean
+    Gaussian about f = 0 with the given variance: c0 pi hw V(probe), the
+    bare Lorentzian where the variance is 0, and nan where it is nan (a nan
+    time).  c0 is a scalar or, like variance, one value per point, so one
+    Voigt call serves many models."""
+    d = np.full(variance.shape, probe_detuning, dtype=float)
     c0 = np.broadcast_to(c0, d.shape)
     hw = 0.5 * gamma_h
-    out = c0 * hw * hw / (d * d + hw * hw)
+    out = np.where(np.isnan(variance), math.nan, c0 * hw * hw / (d * d + hw * hw))
     spread = variance > 0.0
     out[spread] = c0[spread] * math.pi * hw * voigt_density(
         d[spread], np.sqrt(variance[spread]), hw)
@@ -347,16 +338,16 @@ def _talbot_nodes(t: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.multiply.outer(1.0 / t, ts), gamma
 
 
-def invert_laplace(transform: Callable, t, settings: SolverSettings = SolverSettings()):
-    """Invert a Laplace transform at time(s) t with the fixed-Talbot contour:
-    f(t) = 2/(5t) Re sum_k gamma_k F(s_k).
+def invert_laplace(transform: Callable, t):
+    """Invert a Laplace transform at time(s) t with the fixed-Talbot contour
+    of INVERSION_NODES nodes: f(t) = 2/(5t) Re sum_k gamma_k F(s_k).
 
     ``transform`` receives the complex nodes, shape t.shape + (m,), and
     returns F at them with optional leading axes (..., *t.shape, m); the
     result has shape (..., *t.shape), a float when that is empty.
     """
     t = _checked_times(t)
-    s, gamma = _talbot_nodes(t, settings.inversion_nodes)
+    s, gamma = _talbot_nodes(t, INVERSION_NODES)
     vals = np.asarray(transform(s), dtype=complex)
     out = 2.0 / (5.0 * t) * np.real(vals @ gamma)
     return float(out) if out.ndim == 0 else out
@@ -379,21 +370,19 @@ class SinkSolver:
     """Diffusion with a delta ionization sink, solved per diffusion time on a
     fixed frequency grid.
 
-    The heralded start, the sink and the line centre all sit at f = 0: the
-    Hermite basis is centred there, so a model with f0 != 0 is rejected.
-    Caches the eigen-weight tables, so repeated evaluations (fits, S sweeps)
-    are cheap.  All returned densities are MHz^-1 on ``grid``, which spans
-    +-grid_halfwidth_sigmas stationary standard deviations around f = 0.
+    The heralded start, the sink and the line centre all sit at f = 0, where
+    the Hermite basis is centred.  Caches the eigen-weight tables, so
+    repeated evaluations (fits, S sweeps) are cheap.  All returned densities
+    are MHz^-1 on ``grid``, which spans +-GRID_HALFWIDTH_SIGMAS stationary
+    standard deviations around f = 0.
     """
 
     def __init__(self, model: OuDiffusionModel, sink: IonizationSink,
                  settings: SolverSettings = SolverSettings()):
-        if model.f0 != 0.0:
-            raise ValueError(f"the sink solver needs f0 = 0 (got f0 = {model.f0!r} MHz)")
         self.model = model
         self.sink = sink
         self.settings = settings
-        half = settings.grid_halfwidth_sigmas * math.sqrt(model.stationary_variance)
+        half = GRID_HALFWIDTH_SIGMAS * math.sqrt(model.stationary_variance)
         self.grid = np.linspace(-half, half, settings.grid_points)
         # eigen-weights w_n(f) = scale phi_0(x) phi_n(x) phi_n(0) / phi_0(0),
         # x = f scale, with the source at f = 0: one table over the grid and
@@ -409,7 +398,7 @@ class SinkSolver:
 
     @property
     def min_valid_time(self) -> float:
-        return self.settings.min_valid_time_factor / (self.model.theta * self.settings.n_eigen)
+        return MIN_VALID_TIME_FACTOR / (self.model.theta * self.settings.n_eigen)
 
     def _resolvent(self, s: np.ndarray) -> np.ndarray:
         """1 / (n theta + s) over the even n at nodes s, shape
@@ -428,7 +417,7 @@ class SinkSolver:
         for a block of nodes at a time, at most _RESOLVENT_BLOCK elements.
         """
         taus = _checked_times(taus, self.min_valid_time)
-        s, _ = _talbot_nodes(taus, self.settings.inversion_nodes)
+        s, _ = _talbot_nodes(taus, INVERSION_NODES)
         nodes = s.ravel()
         p0 = np.empty(coef.shape[:-1] + nodes.shape, dtype=complex)
         p0_sink = np.empty(nodes.shape, dtype=complex)
@@ -447,8 +436,7 @@ class SinkSolver:
         def invert(strength: float) -> np.ndarray:
             # the transform ignores its argument: p0 and p0_sink are already
             # evaluated at the contour nodes of taus
-            return invert_laplace(lambda _: p0 / (1.0 + strength * p0_sink), taus,
-                                  self.settings)
+            return invert_laplace(lambda _: p0 / (1.0 + strength * p0_sink), taus)
 
         return invert
 
@@ -462,11 +450,12 @@ class SinkSolver:
         strength = self.sink.strength_s if strength_s is None else strength_s
         return float(self._inverse(self._w_f @ _trapezoid_weights(self.grid), tau_d)(strength))
 
-    def counts(self, line: HomogeneousLine, tau_d: float, probe_detuning: float = 0.0,
+    def counts(self, line: HomogeneousLine, tau_d: float,
                strength_s: float | None = None) -> float:
-        """Counts from convolving the sink solution with the homogeneous line."""
+        """Counts at the line centre from convolving the sink solution with
+        the homogeneous line."""
         strength = self.sink.strength_s if strength_s is None else strength_s
-        return float(self.counts_factorized(line, tau_d, probe_detuning)(strength))
+        return float(self.counts_factorized(line, tau_d)(strength))
 
     def counts_factorized(self, line: HomogeneousLine, taus,
                           probe_detuning: float = 0.0) -> Callable[[float], np.ndarray]:
@@ -513,15 +502,14 @@ def joint_fit_backward(datasets: Sequence[PowerDataset], gamma_h_fixed: float) -
 
     def model_fn(x, params):
         # counts_no_ionization per power, with one Voigt call for all powers
-        mean, variance, c0 = [], [], []
+        variance, c0 = [], []
         for i, sl in enumerate(slices):
             model = OuDiffusionModel(d_coeff=params[1 + 2 * i], gamma_i=params[0])
             line = HomogeneousLine(c0=params[2 + 2 * i], gamma_h=gamma_h_fixed)
-            mean.append(ou_mean(model, x[sl]))
             variance.append(ou_variance(model, x[sl]))
             c0.append(np.full(sl.stop - sl.start, line.c0))
         return _gaussian_averaged_counts(np.concatenate(c0), gamma_h_fixed,
-                                         np.concatenate(mean), np.concatenate(variance), 0.0)
+                                         np.concatenate(variance), 0.0)
 
     # initial guesses: C0 from the first point, gamma_i from the plateau
     # ratio, D from the half-decay time
@@ -580,8 +568,9 @@ def write_diffusion_csv(path: str | Path, taus: np.ndarray, forward: np.ndarray,
 def read_diffusion_csv(path: str | Path) -> tuple[DecayCurve, DecayCurve]:
     """Returns (forward, backward) curves with shared tau axis and stderr.
 
-    Every stderr must be positive and finite, except that a column of zeros
-    (as ``diffusion predict`` writes) means the file has no standard errors.
+    tau_d_s must be positive, finite and strictly increasing.  Every stderr
+    must be positive and finite, except that a column of zeros (as
+    ``diffusion predict`` writes) means the file has no standard errors.
     """
     taus, fwd, bwd, err, lines = [], [], [], [], []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -599,19 +588,19 @@ def read_diffusion_csv(path: str | Path) -> tuple[DecayCurve, DecayCurve]:
             except ValueError:
                 raise DataError(f"expected four numbers, got {row!r}",
                                 line=reader.line_num) from None
-            taus.append(tau)
+            taus.append(_increasing_finite("tau_d_s", tau, taus[-1] if taus else 0.0,
+                                           reader.line_num))
             fwd.append(forward)
             bwd.append(backward)
             err.append(stderr)
             lines.append(reader.line_num)
+    if not taus:
+        raise DataError("file contains no data rows")
     taus_a = np.array(taus)
     err_a = (None if all(e == 0.0 for e in err)
              else np.array([_positive_finite("stderr", e, line) for e, line in zip(err, lines)]))
-    try:
-        return (DecayCurve(taus_a, np.array(fwd), err_a),
-                DecayCurve(taus_a, np.array(bwd), err_a))
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
+    return (DecayCurve(taus_a, np.array(fwd), err_a),
+            DecayCurve(taus_a, np.array(bwd), err_a))
 
 
 def read_manifest(path: str | Path) -> list[tuple[float, Path]]:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CONSTANTS, PhysicalConstants
 from .noise import AcFieldModel, AmplitudeScaleProcess, sample_amplitude_trajectory
 from .sequences import PulseSequence, phase_of
 
@@ -88,23 +87,21 @@ def _block_estimate(true_expectations: np.ndarray, cfg: ShotConfig,
     return np.clip(2.0 * p_up - 1.0, -1.0, 1.0)
 
 
-def _estimate_lanes(phases: np.ndarray, cfg: ShotConfig, uniforms: np.ndarray,
-                    estimate_each_repetition: bool):
+def _estimate_lanes(phases: np.ndarray, cfg: ShotConfig, uniforms: np.ndarray):
     """The X / Y / C blocks of several delays (lanes) at once.
 
     ``phases`` holds every shot's true phase as (lane, repetition, X/Y/C
     block, shot); ``uniforms`` has the same layout (with no shots under
-    cfg.exact), so each block reads its own fixed slice.  A block that does
-    not run leaves its uniforms unused: the X and Y blocks after repetition
-    0 with estimate_each_repetition=False, and a C block under an undefined
-    estimate.  Phi = atan2(<Y>, <X>) resolves the quadrant (the estimate is
-    the true phase modulo 2 pi); <X> = <Y> = 0 leaves it undefined (nan),
-    and the C block it would correct counts <C> = 0.  Returns Phi, <X>, <Y>
-    (of the last estimate) and <C> (mean over repetitions) per lane.
+    cfg.exact), so each block reads its own fixed slice.  Every repetition
+    estimates Phi = atan2(<Y>, <X>) afresh and corrects its own C block.
+    atan2 resolves the quadrant (the estimate is the true phase modulo
+    2 pi); <X> = <Y> = 0 leaves it undefined (nan), and the C block it
+    would correct does not run, leaves its uniforms unused and counts
+    <C> = 0.  Returns Phi, <X>, <Y> (of the last repetition) and <C> (mean
+    over repetitions) per lane.
     """
-    reps = slice(None) if estimate_each_repetition else slice(0, 1)
-    x_raw = _block_estimate(np.cos(phases[:, reps, 0]), cfg, uniforms[:, reps, 0])
-    y_raw = _block_estimate(np.sin(phases[:, reps, 1]), cfg, uniforms[:, reps, 1])
+    x_raw = _block_estimate(np.cos(phases[:, :, 0]), cfg, uniforms[:, :, 0])
+    y_raw = _block_estimate(np.sin(phases[:, :, 1]), cfg, uniforms[:, :, 1])
     phi = np.array([math.nan if x == 0.0 and y == 0.0 else math.atan2(y, x)
                     for x, y in zip(x_raw.ravel().tolist(), y_raw.ravel().tolist())]
                    ).reshape(x_raw.shape)
@@ -116,18 +113,15 @@ def _estimate_lanes(phases: np.ndarray, cfg: ShotConfig, uniforms: np.ndarray,
 def run_feedforward(model: AcFieldModel, taus, cfg: ShotConfig,
                     drift: AmplitudeScaleProcess | None,
                     rng: np.random.Generator,
-                    n_repetitions: int = 12,
-                    estimate_each_repetition: bool = True,
-                    constants: PhysicalConstants = CONSTANTS) -> list[FeedforwardOutcome]:
+                    n_repetitions: int = 12) -> list[FeedforwardOutcome]:
     """Simulate the X / Y / C block protocol for each echo time.
 
     Per repetition the wall clock advances one SHOT_PERIOD per shot through
     the X, Y and C blocks in order; the comb amplitude follows one drift
     trajectory across all blocks and repetitions of a given tau (drift=None
     freezes a = 1).  Phases are linear in the comb amplitude, so the
-    per-shot true phase is a(t) * Phi_echo.  With
-    estimate_each_repetition=False the estimate from the first repetition
-    corrects every later C block.
+    per-shot true phase is a(t) * Phi_echo.  Each repetition's X and Y
+    blocks estimate the phase that its own C block corrects.
 
     The random stream is consumed tau by tau: the trajectory's normals
     (none with drift=None), then 3 * n_shots * n_repetitions uniforms laid
@@ -141,7 +135,7 @@ def run_feedforward(model: AcFieldModel, taus, cfg: ShotConfig,
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     layout = (n_repetitions, 3, cfg.n_shots)
     shot_times = np.arange(math.prod(layout)) * SHOT_PERIOD
-    phis = phase_of(model, PulseSequence.hahn(taus), constants=constants)
+    phis = phase_of(model, PulseSequence.hahn(taus))
     chunk = max(1, _CHUNK_SAMPLES // shot_times.size)
     outcomes: list[FeedforwardOutcome] = []
     for start in range(0, taus.size, chunk):
@@ -157,7 +151,7 @@ def run_feedforward(model: AcFieldModel, taus, cfg: ShotConfig,
                   else sample_amplitude_trajectory(drift, shot_times, normals))
         phases *= phis[lanes, None]
         phi, x_raw, y_raw, c_mean = _estimate_lanes(
-            phases.reshape(n_lanes, *layout), cfg, uniforms, estimate_each_repetition)
+            phases.reshape(n_lanes, *layout), cfg, uniforms)
         outcomes.extend(FeedforwardOutcome(*fields) for fields in zip(
             taus[lanes].tolist(), phi.tolist(), c_mean.tolist(), x_raw.tolist(), y_raw.tolist()))
     return outcomes

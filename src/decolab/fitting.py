@@ -78,15 +78,14 @@ class FitResult:
 
 
 def _forward_jacobian(fn: Callable[[np.ndarray], np.ndarray], p: np.ndarray,
-                      r0: np.ndarray, rel_step: float = 1e-6,
-                      scale: np.ndarray | None = None) -> np.ndarray:
+                      r0: np.ndarray, scale: np.ndarray) -> np.ndarray:
     jac = np.empty((r0.size, p.size))
     for i in range(p.size):
         # relative step on the larger of the current value and the typical
         # scale (from the initial guess), so parameters converging to zero
         # keep a resolvable step; absolute fallback if both vanish
-        typ = abs(p[i]) if scale is None else max(abs(p[i]), scale[i])
-        h = rel_step * typ if typ != 0.0 else rel_step
+        typ = max(abs(p[i]), scale[i])
+        h = 1e-6 * typ if typ != 0.0 else 1e-6
         pp = p.copy()
         pp[i] += h
         jac[:, i] = (fn(pp) - r0) / h
@@ -103,8 +102,10 @@ def least_squares(model_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     """Levenberg-Marquardt fit of model_fn(x, params) to y.
 
     Weighted by 1/sigma when sigma is given.  Bounds are (lo, hi) pairs per
-    parameter; trial steps are projected into the box.  On reaching MAX_ITER
-    the last iterate is returned with converged=False.
+    parameter; trial steps are projected into the box.  A start point whose
+    cost is not finite is a ValueError; trial steps with a non-finite cost
+    are rejected.  On reaching MAX_ITER the last iterate is returned with
+    converged=False.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -141,7 +142,10 @@ def least_squares(model_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
         return hs, dinv, ok
 
     r = residuals(p)
-    cost = float(r @ r)
+    with np.errstate(over="ignore"):  # an overflow is reported just below
+        cost = float(r @ r)
+    if not math.isfinite(cost):
+        raise ValueError(f"the cost at the start point is {cost!r}, not finite")
     lam = 1e-3
     converged = False
     message = "max iterations reached"
@@ -324,8 +328,19 @@ def _positive_finite(name: str, value: float, line: int) -> float:
     return value
 
 
+def _increasing_finite(name: str, value: float, previous: float, line: int) -> float:
+    """``value`` if it is finite and above ``previous``, the value of the row
+    before (on the first row, the bound that every value must exceed); else
+    a DataError at ``line``.  Both CSV readers check their x column with it."""
+    if not math.isfinite(value):
+        raise DataError(f"{name} = {value!r} is not finite", line=line)
+    if not value > previous:
+        raise DataError(f"{name} = {value!r} is not above {previous!r}", line=line)
+    return value
+
+
 def read_decay_csv(path: str | Path) -> DecayCurve:
-    """Read x,y[,sigma] rows with x strictly increasing.
+    """Read x,y[,sigma] rows with x finite and strictly increasing.
 
     A header row before the data is detected and skipped.  A sweep header
     (as written by ``decolab simulate``) names the columns: x is t_total_s
@@ -362,9 +377,7 @@ def read_decay_csv(path: str | Path) -> DecayCurve:
                 continue
             if len(vals) < 2:
                 raise DataError("expected at least two columns (x, y)", line=lineno)
-            x = x_factor * vals[0]
-            if xs and not x > xs[-1]:
-                raise DataError(f"x = {x!r} does not increase", line=lineno)
+            x = _increasing_finite("x", x_factor * vals[0], xs[-1] if xs else -math.inf, lineno)
             if len(vals) >= 3:
                 ss.append(_positive_finite("sigma", vals[2], lineno))
             xs.append(x)

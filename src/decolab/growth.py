@@ -33,6 +33,7 @@ __all__ = [
     "SCCM_PER_MOL_S",
     "ETA_LOWER",
     "ETA_UPPER",
+    "CHAMBER_VOLUME_M3",
 ]
 
 #: sccm per (mol/s) at standard conditions, for flows referenced to 298 K.
@@ -55,6 +56,9 @@ AIR_N2_FRACTION = 0.78
 #: reference temperature (K) for ideal-gas conversion of leak throughput.
 T_REF = 298.0
 
+#: volume (m^3) of the growth chamber whose pressure rise gives the leak rate.
+CHAMBER_VOLUME_M3 = 11.3e-3
+
 
 @dataclass(frozen=True)
 class LeakModel:
@@ -63,7 +67,7 @@ class LeakModel:
     q_leak: float
     q0: float = 0.0
     e_a: float = 0.0
-    volume: float = 11.3e-3
+    volume: float = CHAMBER_VOLUME_M3
 
     def __post_init__(self) -> None:
         if self.q_leak < 0.0:
@@ -116,7 +120,8 @@ def nitrogen_bounds(n2_flow_mol_s: float, ch4_flow_sccm: float) -> NitrogenEstim
         upper_ppb=nitrogen_ppb(ETA_UPPER, n2_flow_mol_s, ch4_flow_sccm))
 
 
-def fit_arrhenius(temps_k, dpdt_pa_s, volume: float = 11.3e-3) -> tuple[LeakModel, FitResult]:
+def fit_arrhenius(temps_k, dpdt_pa_s,
+                  volume: float = CHAMBER_VOLUME_M3) -> tuple[LeakModel, FitResult]:
     """Split Q = V dP/dt into a leak floor and a thermally activated part.
 
     Fits q_leak + q0 exp(-e_a / kB T) by nonlinear least squares; initial

@@ -38,7 +38,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .constants import CONSTANTS, TWO_PI, PhysicalConstants
+from .constants import CONSTANTS, TWO_PI
 from .noise import AcFieldModel
 
 __all__ = [
@@ -168,8 +168,7 @@ def filter_function(omega, n_pulses: int, tau):
     return complex(out) if out.ndim == 0 else out
 
 
-def phase_of(model: AcFieldModel, seq: PulseSequence, t0=0.0,
-             constants: PhysicalConstants = CONSTANTS):
+def phase_of(model: AcFieldModel, seq: PulseSequence, t0=0.0):
     """Phase (rad) accumulated by seq started at mains offset t0.
 
     The result has shape tau.shape + t0.shape (a float when both are
@@ -180,7 +179,7 @@ def phase_of(model: AcFieldModel, seq: PulseSequence, t0=0.0,
     omega = TWO_PI * np.array([c.frequency for c in model.components])
     phase = np.array([c.phase for c in model.components])
     tau = np.asarray(seq.tau, dtype=float)
-    r = (constants.gamma_nv * amplitude * np.exp(1j * phase)
+    r = (CONSTANTS.gamma_nv * amplitude * np.exp(1j * phase)
          * np.conj(filter_function(omega, seq.n_pulses, tau[..., None])))
     t0 = np.asarray(t0, dtype=float) + model.t0
     e = np.exp(-1j * np.outer(omega, t0))
@@ -189,8 +188,7 @@ def phase_of(model: AcFieldModel, seq: PulseSequence, t0=0.0,
 
 
 def expectation_unsynchronized(model: AcFieldModel, seq: PulseSequence,
-                               n_t0: int = 400,
-                               constants: PhysicalConstants = CONSTANTS):
+                               n_t0: int = 400):
     """<X> averaged over the sequence trigger offset, one value per delay.
 
     Midpoint average of cos(Phi(t0)) over n_t0 offsets spanning one
@@ -203,7 +201,7 @@ def expectation_unsynchronized(model: AcFieldModel, seq: PulseSequence,
         out = np.ones(np.shape(seq.tau))
     else:
         t0s = (np.arange(n_t0) + 0.5) * (period / n_t0)
-        out = np.mean(np.cos(phase_of(model, seq, t0s, constants)), axis=-1)
+        out = np.mean(np.cos(phase_of(model, seq, t0s)), axis=-1)
     return float(out) if out.ndim == 0 else out
 
 
@@ -233,8 +231,7 @@ def is_revival(t_dd: float, tau: float, f_ac: float) -> bool:
 
 
 def ramsey_envelope(model: AcFieldModel, amplitude_range: tuple[float, float],
-                    times, n_t0: int = 400, n_a: int = 21,
-                    constants: PhysicalConstants = CONSTANTS) -> np.ndarray:
+                    times, n_t0: int = 400, n_a: int = 21) -> np.ndarray:
     """Ramsey expectation averaged over trigger offset and comb amplitude scale.
 
     For each total evolution time the t0-averaged expectation is further
@@ -250,6 +247,6 @@ def ramsey_envelope(model: AcFieldModel, amplitude_range: tuple[float, float],
     if period is None:
         return np.ones_like(times)
     t0s = (np.arange(n_t0) + 0.5) * (period / n_t0)
-    phi = phase_of(model, PulseSequence.ramsey(times), t0s, constants)
+    phi = phase_of(model, PulseSequence.ramsey(times), t0s)
     # one scale at a time keeps the temporaries at times x n_t0
     return sum(np.mean(np.cos(a * phi), axis=-1) for a in a_grid) / a_grid.size

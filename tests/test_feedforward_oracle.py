@@ -62,23 +62,22 @@ def test_clipping_case_reaches_both_bounds():
 
 
 FEEDFORWARD_CASES = {
-    "default-drift": (ShotConfig(), DEFAULT, {}),
-    "clipping": (ShotConfig(), CLIPPING, {}),
-    "frozen": (ShotConfig(), None, {}),
-    "exact": (ShotConfig(exact=True), DEFAULT, {}),
-    "estimate-once": (ShotConfig(), DEFAULT, {"estimate_each_repetition": False}),
+    "default-drift": (ShotConfig(), DEFAULT),
+    "clipping": (ShotConfig(), CLIPPING),
+    "frozen": (ShotConfig(), None),
+    "exact": (ShotConfig(exact=True), DEFAULT),
     "nan-estimate": (ShotConfig(n_shots=2, readout_fidelity_0=1.0, readout_fidelity_1=1.0),
-                     DEFAULT, {}),
+                     DEFAULT),
 }
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("case", FEEDFORWARD_CASES)
 def test_feedforward_matches_block_loop(case, seed):
-    cfg, drift, kwargs = FEEDFORWARD_CASES[case]
+    cfg, drift = FEEDFORWARD_CASES[case]
     rng, ref_rng = make_rng(seed), make_rng(seed)
-    got = run_feedforward(table1_model(), TAUS, cfg, drift, rng, **kwargs)
-    want = feedforward_loop(table1_model(), TAUS, cfg, drift, ref_rng, **kwargs)
+    got = run_feedforward(table1_model(), TAUS, cfg, drift, rng)
+    want = feedforward_loop(table1_model(), TAUS, cfg, drift, ref_rng)
     assert_same_outcomes(got, want)
     assert rng.random() == ref_rng.random()
 
@@ -88,7 +87,7 @@ def test_nan_case_leaves_estimates_undefined(monkeypatch):
     estimates (phase near pi/4 at 0.85 ms), which leaves them undefined: the
     outcomes compared above include skipped C blocks.  The X, Y and C block
     estimates of each pass are recorded in that order."""
-    cfg, drift, _ = FEEDFORWARD_CASES["nan-estimate"]
+    cfg, drift = FEEDFORWARD_CASES["nan-estimate"]
     blocks = []
     block_estimate = feedforward._block_estimate
 
@@ -103,16 +102,15 @@ def test_nan_case_leaves_estimates_undefined(monkeypatch):
     assert np.count_nonzero((x_raw == 0.0) & (y_raw == 0.0)) > 0
 
 
-@pytest.mark.parametrize("case", ["default-drift", "frozen", "exact", "estimate-once",
-                                  "nan-estimate"])
+@pytest.mark.parametrize("case", ["default-drift", "frozen", "exact", "nan-estimate"])
 def test_stream_advances_by_a_fixed_budget_per_tau(case):
     """Whatever blocks run, each tau draws its trajectory's normals and then
     3 * n_shots * n_repetitions uniforms (none in exact mode)."""
-    cfg, drift, kwargs = FEEDFORWARD_CASES[case]
+    cfg, drift = FEEDFORWARD_CASES[case]
     n_draws = 3 * cfg.n_shots * 12
     for seed in SEEDS:
         rng, ref_rng = make_rng(seed), make_rng(seed)
-        run_feedforward(table1_model(), TAUS, cfg, drift, rng, **kwargs)
+        run_feedforward(table1_model(), TAUS, cfg, drift, rng)
         for _ in TAUS:
             if drift is not None:
                 ref_rng.standard_normal(n_draws)
@@ -135,15 +133,14 @@ def _record_passes(monkeypatch) -> list[int]:
     return passes
 
 
-@pytest.mark.parametrize("case", ["default-drift", "frozen", "exact", "estimate-once",
-                                  "nan-estimate"])
+@pytest.mark.parametrize("case", ["default-drift", "frozen", "exact", "nan-estimate"])
 def test_runs_without_skipped_blocks_take_one_pass(case, monkeypatch):
     """Each tau draws a fixed number of uniforms whether or not its blocks
     run, so every run that fits in one chunk, with skipped C blocks or
     without, computes all its taus in one pass."""
-    cfg, drift, kwargs = FEEDFORWARD_CASES[case]
+    cfg, drift = FEEDFORWARD_CASES[case]
     passes = _record_passes(monkeypatch)
-    run_feedforward(table1_model(), TAUS, cfg, drift, make_rng(0), **kwargs)
+    run_feedforward(table1_model(), TAUS, cfg, drift, make_rng(0))
     assert passes == [len(TAUS)]
 
 
@@ -151,7 +148,7 @@ def test_runs_without_skipped_blocks_take_one_pass(case, monkeypatch):
 def test_chunked_run_matches_block_loop(case, monkeypatch):
     """A run longer than one chunk of drift samples takes its taus a few at a
     time (here three per chunk) and still matches the reference."""
-    cfg, drift, _ = FEEDFORWARD_CASES[case]
+    cfg, drift = FEEDFORWARD_CASES[case]
     monkeypatch.setattr(feedforward, "_CHUNK_SAMPLES", 3 * 3 * cfg.n_shots * 12)
     taus = np.linspace(0.5e-3, 6e-3, 12)
     rng, ref_rng = make_rng(1), make_rng(1)

@@ -171,7 +171,7 @@ def test_forward_jacobian_matches_central_difference():
         return np.array([math.sin(p[0]) * p[1], p[0] * p[1] ** 2, math.exp(0.3 * p[0])])
 
     p = np.array([0.7, 1.9])
-    jac = _forward_jacobian(model, p, model(p))
+    jac = _forward_jacobian(model, p, model(p), np.abs(p))
     central = np.empty_like(jac)
     for i in range(2):
         h = 1e-6 * abs(p[i])
