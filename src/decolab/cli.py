@@ -380,6 +380,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     forward, _ = diff.read_diffusion_csv(args.data)
     model = diff.OuDiffusionModel(d_coeff=args.d_coeff, gamma_i=args.gamma_i)
     line = diff.HomogeneousLine(c0=args.c0, gamma_h=args.gamma_h)
+    _check_forward_rescale(args.forward_rescale)
     fit = diff.fit_ionization_rate(diff.PowerDataset(args.power, forward), model, line,
                                    forward_rescale=args.forward_rescale)
     out.json("fit_ionization.json", {
@@ -448,17 +449,26 @@ def cmd_growth(args: argparse.Namespace) -> int:
 # diffusion predict
 # ---------------------------------------------------------------------------
 
+def _check_forward_rescale(value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise ConfigError(f"--forward-rescale must be finite and > 0, got {value!r}")
+
+
 def cmd_diffusion(args: argparse.Namespace) -> int:
     _print_config(args)
     out = OutputWriter(Path(args.out), "diffusion predict", args.seed, "-")
     model = diff.OuDiffusionModel(d_coeff=args.d_coeff, gamma_i=args.gamma_i)
     line = diff.HomogeneousLine(c0=args.c0, gamma_h=args.gamma_h)
+    sink = diff.IonizationSink(strength_s=args.sink_s)
+    _check_forward_rescale(args.forward_rescale)
+    if not math.isfinite(args.detuning):
+        raise ConfigError(f"--detuning must be finite, got {args.detuning!r}")
     taus = _positive_times(args, "tau_range", 40)
     forward = backward = diff.counts_no_ionization(model, line, taus, args.detuning)
-    if args.sink_s > 0.0:
-        solver = diff.SinkSolver(model, diff.IonizationSink(strength_s=args.sink_s))
+    if sink.strength_s > 0.0:
+        solver = diff.SinkSolver(model, sink)
         try:
-            forward = solver.counts_factorized(line, taus, args.detuning)(args.sink_s)
+            forward = solver.counts_factorized(line, taus, args.detuning)(sink.strength_s)
         except diff.ValidityError as exc:
             raise ConfigError(f"--tau-range: {exc}") from None
     forward = args.forward_rescale * forward

@@ -19,11 +19,19 @@ fixed-Talbot contour.  The truncated expansion is only valid for
 t >> 1/(theta N_eigen); the solver enforces that bound.  Source and sink
 both sit at f = 0, where every odd eigenfunction vanishes, so only the even
 modes n < N_eigen carry weight and only they are computed.
+
+In the oscillator coordinate x = f sqrt(theta / 2D) the frequency grid
+always spans the same +-GRID_HALFWIDTH_SIGMAS / sqrt(2), so the eigen-weights
+there depend on (N_eigen, grid points) only, not on the model: they are
+computed once per process for each such pair and shared, read-only, by every
+solver.  The fixed-Talbot contour likewise depends on its node count only
+and is computed once per count.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -88,10 +96,17 @@ class OuDiffusionModel:
     gamma_i: float
 
     def __post_init__(self) -> None:
-        if not self.d_coeff > 0.0:
-            raise ValueError("d_coeff must be > 0")
-        if not self.gamma_i > 0.0:
-            raise ValueError("gamma_i must be > 0")
+        if not 0.0 < self.d_coeff < math.inf:
+            raise ValueError("d_coeff must be finite and > 0")
+        if not 0.0 < self.gamma_i < math.inf:
+            raise ValueError("gamma_i must be finite and > 0")
+        try:
+            ok = 0.0 < self.theta < math.inf and 0.0 < self.stationary_variance < math.inf
+        except OverflowError:
+            ok = False
+        if not ok:
+            raise ValueError(f"d_coeff {self.d_coeff!r} and gamma_i {self.gamma_i!r} give a "
+                             "mean-reversion rate or stationary variance outside (0, inf)")
 
     @property
     def theta(self) -> float:
@@ -112,10 +127,10 @@ class HomogeneousLine:
     gamma_h: float
 
     def __post_init__(self) -> None:
-        if self.c0 < 0.0:
-            raise ValueError("c0 must be >= 0")
-        if not self.gamma_h > 0.0:
-            raise ValueError("gamma_h must be > 0")
+        if not 0.0 <= self.c0 < math.inf:
+            raise ValueError("c0 must be finite and >= 0")
+        if not 0.0 < self.gamma_h < math.inf:
+            raise ValueError("gamma_h must be finite and > 0")
 
     def counts(self, detuning):
         hw = 0.5 * self.gamma_h
@@ -131,8 +146,8 @@ class IonizationSink:
     strength_s: float
 
     def __post_init__(self) -> None:
-        if self.strength_s < 0.0:
-            raise ValueError("strength_s must be >= 0")
+        if not 0.0 <= self.strength_s < math.inf:
+            raise ValueError("strength_s must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -309,6 +324,29 @@ def _x_units(model: OuDiffusionModel) -> float:
     return math.sqrt(model.theta / (2.0 * model.d_coeff))
 
 
+@functools.lru_cache(maxsize=4)
+def _unit_weights(n_eigen: int, grid_points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sink solver's grid and eigen-weights in oscillator units, read-only.
+
+    The grid x spans +-GRID_HALFWIDTH_SIGMAS stationary standard deviations,
+    +-GRID_HALFWIDTH_SIGMAS / sqrt(2) in x for every model.  The weights
+    u_n(x) = phi_0(x) phi_n(x) phi_n(0) / phi_0(0) of the even n < n_eigen
+    (the source at x = 0) come from one Hermite table over the grid and the
+    sink point x = 0, appended as the last column; u_n(0) is returned apart.
+    In frequency units w_n(f) = scale u_n(f scale), scale = _x_units(model).
+    """
+    half = GRID_HALFWIDTH_SIGMAS / math.sqrt(2.0)
+    x = np.linspace(-half, half, grid_points)
+    phi = hermite_phi_table(n_eigen, np.append(x, 0.0))
+    src = phi[:, -1] / phi[0, -1]
+    w_f = np.multiply(phi[0, :-1], phi[:, :-1])
+    w_f *= src[:, None]
+    w_sink = phi[0, -1] * phi[:, -1] * src
+    for a in (x, w_f, w_sink):
+        a.flags.writeable = False
+    return x, w_f, w_sink
+
+
 # ---------------------------------------------------------------------------
 # fixed-Talbot inversion
 # ---------------------------------------------------------------------------
@@ -325,16 +363,26 @@ def _checked_times(t, min_valid_time: float | None = None) -> np.ndarray:
     return t
 
 
-def _talbot_nodes(t: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-Talbot nodes s, shape t.shape + (m,), and their weights gamma, shape (m,).
+@functools.lru_cache(maxsize=None)
+def _talbot_contour(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The fixed-Talbot contour of m nodes in units of 1/t: t s_k and the
+    weights gamma_k, each shape (m,), read-only.
 
     The contour is s_k = r theta_k (cot theta_k + i) with r = 2 m / (5 t), so
-    t s_k and hence the weights gamma_k do not depend on t.
+    t s_k and hence the weights gamma_k do not depend on t: they are computed
+    once per node count.
     """
     theta = np.arange(1, m) * math.pi / m
     cot = 1.0 / np.tan(theta)
     ts = 0.4 * m * np.concatenate(([1.0], theta * (cot + 1j)))
     gamma = np.exp(ts) * np.concatenate(([0.5], 1.0 + 1j * theta * (1.0 + cot * cot) - 1j * cot))
+    ts.flags.writeable = gamma.flags.writeable = False
+    return ts, gamma
+
+
+def _talbot_nodes(t: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed-Talbot nodes s, shape t.shape + (m,), and their weights gamma, shape (m,)."""
+    ts, gamma = _talbot_contour(m)
     return np.multiply.outer(1.0 / t, ts), gamma
 
 
@@ -371,8 +419,12 @@ class SinkSolver:
     fixed frequency grid.
 
     The heralded start, the sink and the line centre all sit at f = 0, where
-    the Hermite basis is centred.  Caches the eigen-weight tables, so
-    repeated evaluations (fits, S sweeps) are cheap.  All returned densities
+    the Hermite basis is centred.  The eigen-weights in oscillator units are
+    a per-process constant of (n_eigen, grid_points), shared by every solver
+    (``_unit_weights``); a solver holds only its grid, its sink weights and
+    its eigenvalues, and folds the unit scale into each projection, so
+    building one and repeated evaluations (fits, S sweeps) are cheap.  The
+    Talbot contour is a constant of its node count.  All returned densities
     are MHz^-1 on ``grid``, which spans +-GRID_HALFWIDTH_SIGMAS stationary
     standard deviations around f = 0.
     """
@@ -382,18 +434,12 @@ class SinkSolver:
         self.model = model
         self.sink = sink
         self.settings = settings
-        half = GRID_HALFWIDTH_SIGMAS * math.sqrt(model.stationary_variance)
-        self.grid = np.linspace(-half, half, settings.grid_points)
-        # eigen-weights w_n(f) = scale phi_0(x) phi_n(x) phi_n(0) / phi_0(0),
-        # x = f scale, with the source at f = 0: one table over the grid and
-        # the sink point x = 0, appended as the last column.  Odd modes vanish
-        # at the source, so only the even n enter; _w_f is scaled in place.
-        scale = _x_units(model)
-        phi = hermite_phi_table(settings.n_eigen, np.append(self.grid * scale, 0.0))
-        src = phi[:, -1] / phi[0, -1]
-        self._w_f = np.multiply(scale * phi[0, :-1], phi[:, :-1])
-        self._w_f *= src[:, None]
-        self._w_sink = scale * phi[0, -1] * phi[:, -1] * src
+        # w_n(f) = scale u_n(x) at x = f scale; only the even n enter, because
+        # odd modes vanish at the source.  _w_f holds the shared u_n(x).
+        self._scale = _x_units(model)
+        x, self._w_f, w_sink = _unit_weights(settings.n_eigen, settings.grid_points)
+        self.grid = x / self._scale
+        self._w_sink = self._scale * w_sink
         self._n_theta = np.arange(0, settings.n_eigen, 2) * model.theta
 
     @property
@@ -443,12 +489,13 @@ class SinkSolver:
     def pdf(self, tau_d: float, strength_s: float | None = None) -> np.ndarray:
         """P(f, tau_d) on the grid, by Talbot inversion of the sink solution."""
         strength = self.sink.strength_s if strength_s is None else strength_s
-        return self._inverse(self._w_f.T, tau_d)(strength)
+        return self._inverse(self._scale * self._w_f.T, tau_d)(strength)
 
     def survival(self, tau_d: float, strength_s: float | None = None) -> float:
         """Trapezoid integral of P over the grid (1 when S = 0, up to inversion error)."""
         strength = self.sink.strength_s if strength_s is None else strength_s
-        return float(self._inverse(self._w_f @ _trapezoid_weights(self.grid), tau_d)(strength))
+        coef = self._scale * (self._w_f @ _trapezoid_weights(self.grid))
+        return float(self._inverse(coef, tau_d)(strength))
 
     def counts(self, line: HomogeneousLine, tau_d: float,
                strength_s: float | None = None) -> float:
@@ -466,7 +513,7 @@ class SinkSolver:
         are evaluated once per contour node and each call costs O(taus x nodes).
         """
         weights = _trapezoid_weights(self.grid) * line.counts(probe_detuning - self.grid)
-        return self._inverse(self._w_f @ weights, taus)
+        return self._inverse(self._scale * (self._w_f @ weights), taus)
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +536,8 @@ def joint_fit_backward(datasets: Sequence[PowerDataset], gamma_h_fixed: float) -
     """
     if not datasets:
         raise FitError("need at least one dataset")
+    if not 0.0 < gamma_h_fixed < math.inf:
+        raise ValueError("gamma_h must be finite and > 0")
     slices = []
     start = 0
     for ds in datasets:
@@ -505,9 +554,8 @@ def joint_fit_backward(datasets: Sequence[PowerDataset], gamma_h_fixed: float) -
         variance, c0 = [], []
         for i, sl in enumerate(slices):
             model = OuDiffusionModel(d_coeff=params[1 + 2 * i], gamma_i=params[0])
-            line = HomogeneousLine(c0=params[2 + 2 * i], gamma_h=gamma_h_fixed)
             variance.append(ou_variance(model, x[sl]))
-            c0.append(np.full(sl.stop - sl.start, line.c0))
+            c0.append(np.full(sl.stop - sl.start, params[2 + 2 * i]))
         return _gaussian_averaged_counts(np.concatenate(c0), gamma_h_fixed,
                                          np.concatenate(variance), 0.0)
 

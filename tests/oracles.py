@@ -10,9 +10,10 @@ brute-force sum over every bath spin, and the drift trajectory and
 feedforward protocol from one scalar random draw per step and one
 array per shot block.  The float Hermite recurrence is kept over all
 orders, odd ones included.  The sink solver's eigen-weights come from one
-Hermite recurrence per evaluation set and its inversion from one
-resolvent per projection; the joint backward-fit model from one
-``counts_no_ionization`` call per power.  For bitwise checks, the near/far
+Hermite recurrence per evaluation set, in frequency units per model or in
+oscillator units, its inversion from one resolvent per projection and its
+Talbot contour from the formula on every call; the joint backward-fit
+model from one ``counts_no_ionization`` call per power.  For bitwise checks, the near/far
 bath sampler is kept with one temporary array per operation and the CSV
 writer with one ``csv.writer`` row per record.
 """
@@ -30,8 +31,8 @@ from scipy.linalg import solve_banded
 from decolab.bath import (_BATCH_SPINS, _G2_MEAN, _G4_MEAN, NEAR_SPINS, BathConfig,
                           _coupling_prefactor)
 from decolab.constants import CONSTANTS, TWO_PI
-from decolab.diffusion import (INVERSION_NODES, HomogeneousLine, OuDiffusionModel, SinkSolver,
-                               _talbot_nodes, _trapezoid_weights, _x_units,
+from decolab.diffusion import (GRID_HALFWIDTH_SIGMAS, INVERSION_NODES, HomogeneousLine,
+                               OuDiffusionModel, _talbot_nodes, _trapezoid_weights, _x_units,
                                counts_no_ionization, hermite_phi_table)
 from decolab.feedforward import SHOT_PERIOD, FeedforwardOutcome
 from decolab.noise import AcFieldModel
@@ -147,35 +148,93 @@ def weight_table(model: OuDiffusionModel, f: np.ndarray, n_eigen: int) -> np.nda
     return scale * table[0] * table * (table0[:, None] / table0[0])
 
 
-def reference_sink_solver(model, sink, settings) -> SinkSolver:
-    """A SinkSolver whose eigen-weights are rebuilt by ``weight_table``, once
-    over the grid and once at the sink point f = 0."""
-    solver = SinkSolver(model, sink, settings)
-    solver._w_f = weight_table(model, solver.grid, settings.n_eigen)
-    solver._w_sink = weight_table(model, np.array([0.0]), settings.n_eigen)[:, 0]
-    return solver
+def unit_weight_table(x: np.ndarray, n_eigen: int) -> np.ndarray:
+    """Eigen-weights u_n(x) = w_n(x / scale) / scale in oscillator units,
+    shape ((n_eigen + 1) // 2, len(x)): one Hermite table for x and a second
+    for the source."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    table = hermite_phi_table(n_eigen, x)
+    table0 = hermite_phi_table(n_eigen, np.array([0.0]))[:, 0]
+    return table[0] * table * (table0[:, None] / table0[0])
 
 
-def sink_inverse_two_resolvents(solver: SinkSolver, coef: np.ndarray, taus,
+@dataclass(frozen=True)
+class EigenSink:
+    """A sink solver's frequency grid (MHz), its eigen-weights over the grid
+    and at the sink (MHz^-1), the eigenvalues n theta of the even n, and the
+    scale that turns w_f into MHz^-1 (1 for w_f already in MHz^-1)."""
+
+    grid: np.ndarray
+    w_f: np.ndarray
+    w_sink: np.ndarray
+    n_theta: np.ndarray
+    scale: float
+
+
+def model_unit_sink(model: OuDiffusionModel, settings) -> EigenSink:
+    """Eigen-weights in frequency units, rebuilt per model by ``weight_table``
+    over a grid of +-GRID_HALFWIDTH_SIGMAS stationary standard deviations in
+    MHz and at the sink point f = 0."""
+    half = GRID_HALFWIDTH_SIGMAS * math.sqrt(model.stationary_variance)
+    grid = np.linspace(-half, half, settings.grid_points)
+    return EigenSink(grid, weight_table(model, grid, settings.n_eigen),
+                     weight_table(model, np.array([0.0]), settings.n_eigen)[:, 0],
+                     np.arange(0, settings.n_eigen, 2) * model.theta, 1.0)
+
+
+def folded_unit_sink(model: OuDiffusionModel, settings) -> EigenSink:
+    """Eigen-weights in oscillator units by ``unit_weight_table`` over a grid
+    of +-GRID_HALFWIDTH_SIGMAS / sqrt(2) and at x = 0; the frequency grid is
+    x / scale and the sink weights carry the scale."""
+    half = GRID_HALFWIDTH_SIGMAS / math.sqrt(2.0)
+    x = np.linspace(-half, half, settings.grid_points)
+    scale = _x_units(model)
+    return EigenSink(x / scale, unit_weight_table(x, settings.n_eigen),
+                     scale * unit_weight_table(np.array([0.0]), settings.n_eigen)[:, 0],
+                     np.arange(0, settings.n_eigen, 2) * model.theta, scale)
+
+
+def sink_inverse_two_resolvents(ref: EigenSink, coef: np.ndarray, taus,
                                 strength: float) -> np.ndarray:
     """Fixed-Talbot inverse of the sink solution projected on coef, with a
     separate resolvent table 1/(n theta + s) for P~0(coef) and P~0(sink)."""
     taus = np.asarray(taus, dtype=float)
     s, gamma = _talbot_nodes(taus, INVERSION_NODES)
-    p0 = np.tensordot(coef, np.reciprocal(np.add.outer(solver._n_theta, s)), axes=(-1, 0))
-    p0_sink = np.tensordot(solver._w_sink, np.reciprocal(np.add.outer(solver._n_theta, s)),
+    p0 = np.tensordot(coef, np.reciprocal(np.add.outer(ref.n_theta, s)), axes=(-1, 0))
+    p0_sink = np.tensordot(ref.w_sink, np.reciprocal(np.add.outer(ref.n_theta, s)),
                            axes=(-1, 0))
     vals = p0 / (1.0 + strength * p0_sink)
     out = 2.0 / (5.0 * taus) * np.real(vals @ gamma)
     return float(out) if out.ndim == 0 else out
 
 
-def sink_counts_reference(solver: SinkSolver, line: HomogeneousLine, taus,
+def sink_counts_reference(ref: EigenSink, line: HomogeneousLine, taus,
                           strength: float) -> np.ndarray:
     """Counts of ``SinkSolver.counts_factorized`` through
     ``sink_inverse_two_resolvents``."""
-    weights = _trapezoid_weights(solver.grid) * line.counts(-solver.grid)
-    return sink_inverse_two_resolvents(solver, solver._w_f @ weights, taus, strength)
+    weights = _trapezoid_weights(ref.grid) * line.counts(-ref.grid)
+    return sink_inverse_two_resolvents(ref, ref.scale * (ref.w_f @ weights), taus, strength)
+
+
+def sink_pdf_reference(ref: EigenSink, tau: float, strength: float) -> np.ndarray:
+    """``SinkSolver.pdf`` through ``sink_inverse_two_resolvents``."""
+    return sink_inverse_two_resolvents(ref, ref.scale * ref.w_f.T, tau, strength)
+
+
+def sink_survival_reference(ref: EigenSink, tau: float, strength: float) -> float:
+    """``SinkSolver.survival`` through ``sink_inverse_two_resolvents``."""
+    coef = ref.scale * (ref.w_f @ _trapezoid_weights(ref.grid))
+    return float(sink_inverse_two_resolvents(ref, coef, tau, strength))
+
+
+def talbot_contour_per_call(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The fixed-Talbot contour t s_k and weights gamma_k of m nodes, by the
+    formula evaluated afresh on every call."""
+    theta = np.arange(1, m) * math.pi / m
+    cot = 1.0 / np.tan(theta)
+    ts = 0.4 * m * np.concatenate(([1.0], theta * (cot + 1j)))
+    gamma = np.exp(ts) * np.concatenate(([0.5], 1.0 + 1j * theta * (1.0 + cot * cot) - 1j * cot))
+    return ts, gamma
 
 
 def joint_backward_model_per_power(x: np.ndarray, params, sizes, gamma_h: float) -> np.ndarray:

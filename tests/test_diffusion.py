@@ -251,7 +251,8 @@ def test_sink_reduces_to_p0_at_zero_strength():
     solver = SinkSolver(MODEL, IonizationSink(strength_s=500.0))
     tau = 0.4 / MODEL.theta
     sinkless = invert_laplace(
-        lambda s: np.tensordot(solver._w_f.T, solver._resolvent(s), axes=(-1, 0)), tau)
+        lambda s: np.tensordot(solver._scale * solver._w_f.T, solver._resolvent(s),
+                               axes=(-1, 0)), tau)
     assert np.allclose(solver.pdf(tau, strength_s=0.0), sinkless, rtol=1e-12, atol=0.0)
 
 

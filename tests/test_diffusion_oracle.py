@@ -1,8 +1,10 @@
 """The sink solver and the joint backward fit do the same float arithmetic as
 the references in ``oracles.py`` with less repeated work: one Hermite table
-of the even orders per solver, one resolvent table per inversion (formed in
-blocks of nodes) and one Voigt call per joint-fit model evaluation.  Results
-agree bit for bit."""
+of the even orders per process and (n_eigen, grid_points), one Talbot
+contour per node count, one resolvent table per inversion (formed in blocks
+of nodes) and one Voigt call per joint-fit model evaluation.  Results agree
+bit for bit; with the per-model eigen-weights in frequency units they agree
+to rounding."""
 
 import tracemalloc
 
@@ -14,9 +16,9 @@ from decolab.diffusion import (HomogeneousLine, IonizationSink, OuDiffusionModel
                                PowerDataset, SinkSolver, SolverSettings, hermite_phi_table,
                                joint_fit_backward)
 from decolab.fitting import DecayCurve
-from oracles import (hermite_phi_all_orders, joint_backward_model_per_power,
-                     reference_sink_solver, sink_counts_reference,
-                     sink_inverse_two_resolvents, weight_table)
+from oracles import (folded_unit_sink, hermite_phi_all_orders, joint_backward_model_per_power,
+                     model_unit_sink, sink_counts_reference, sink_pdf_reference,
+                     sink_survival_reference, talbot_contour_per_call)
 
 MODELS = [OuDiffusionModel(d_coeff=d, gamma_i=117.0) for d in (8.0e3, 1.6e4, 3.2e4)]
 LINE = HomogeneousLine(c0=38.0, gamma_h=22.0)
@@ -38,10 +40,10 @@ def bits(values) -> np.ndarray:
 @pytest.mark.parametrize("model", MODELS, ids=["D8e3", "D1.6e4", "D3.2e4"])
 def test_eigen_weights_match_separate_recurrences(model, settings):
     solver = SinkSolver(model, IonizationSink(strength_s=150.0), settings)
-    assert np.array_equal(bits(solver._w_f),
-                          bits(weight_table(model, solver.grid, settings.n_eigen)))
-    assert np.array_equal(bits(solver._w_sink),
-                          bits(weight_table(model, np.array([0.0]), settings.n_eigen)[:, 0]))
+    ref = folded_unit_sink(model, settings)
+    assert np.array_equal(bits(solver.grid), bits(ref.grid))
+    assert np.array_equal(bits(solver._w_f), bits(ref.w_f))
+    assert np.array_equal(bits(solver._w_sink), bits(ref.w_sink))
     assert solver._w_f.flags.c_contiguous
 
 
@@ -50,7 +52,7 @@ def test_counts_and_pdf_match_reference(settings):
     model = MODELS[1]
     sink = IonizationSink(strength_s=150.0)
     solver = SinkSolver(model, sink, settings)
-    ref = reference_sink_solver(model, sink, settings)
+    ref = folded_unit_sink(model, settings)
     taus = np.geomspace(3e-3, 0.6, 12)
     counts_of_s = solver.counts_factorized(LINE, taus)
     for strength in (0.0, 60.0, 400.0):
@@ -59,8 +61,46 @@ def test_counts_and_pdf_match_reference(settings):
     assert bits(solver.counts(LINE, taus[-1])) == bits(
         sink_counts_reference(ref, LINE, taus[-1], 150.0))
     for tau in (taus[0], 0.05):
-        assert np.array_equal(bits(solver.pdf(tau)),
-                              bits(sink_inverse_two_resolvents(ref, ref._w_f.T, tau, 150.0)))
+        assert np.array_equal(bits(solver.pdf(tau)), bits(sink_pdf_reference(ref, tau, 150.0)))
+        assert bits(solver.survival(tau)) == bits(sink_survival_reference(ref, tau, 150.0))
+
+
+@pytest.mark.parametrize("settings", SETTINGS[:3], ids=SETTING_IDS[:3])
+@pytest.mark.parametrize("model", MODELS, ids=["D8e3", "D1.6e4", "D3.2e4"])
+def test_shared_weights_match_model_unit_weights(model, settings):
+    # the shared oscillator-unit table moves results only at the rounding
+    # level against eigen-weights built per model in frequency units
+    solver = SinkSolver(model, IonizationSink(strength_s=150.0), settings)
+    ref = model_unit_sink(model, settings)
+    taus = np.geomspace(5e-3, 0.6, 12)
+    counts_of_s = solver.counts_factorized(LINE, taus)
+    for strength in (0.0, 60.0, 400.0, 2000.0):
+        np.testing.assert_allclose(counts_of_s(strength),
+                                   sink_counts_reference(ref, LINE, taus, strength),
+                                   rtol=1e-9, atol=0.0)
+        pdf = sink_pdf_reference(ref, 0.05, strength)
+        assert np.max(np.abs(solver.pdf(0.05, strength) - pdf)) <= 1e-10 * np.max(pdf)
+        assert solver.survival(0.05, strength) == pytest.approx(
+            sink_survival_reference(ref, 0.05, strength), rel=1e-11, abs=0.0)
+
+
+def test_shared_weights_are_read_only():
+    solver = SinkSolver(MODELS[0], IonizationSink(strength_s=150.0))
+    x, w_f, w_sink = diffusion._unit_weights(solver.settings.n_eigen,
+                                             solver.settings.grid_points)
+    assert solver._w_f is w_f
+    for shared in (x, w_f, w_sink, *diffusion._talbot_contour(diffusion.INVERSION_NODES)):
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            shared *= 2.0
+
+
+@pytest.mark.parametrize("m", [4, 24])
+def test_talbot_contour_matches_per_call_formula(m):
+    for got, want in zip(diffusion._talbot_contour(m), talbot_contour_per_call(m)):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert diffusion._talbot_contour(m)[0] is diffusion._talbot_contour(m)[0]
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 3, 4, 41, 1200, 2000, 2001])
@@ -119,19 +159,23 @@ def test_counts_factorized_memory_is_bounded():
     assert np.all(np.isfinite(counts)) and np.all(np.diff(counts) < 0.0)
 
 
-def test_one_hermite_table_per_solver(monkeypatch):
+def test_one_hermite_table_per_settings_in_a_process(monkeypatch):
     calls = []
 
     def counting(n_max, x):
-        calls.append(np.size(x))
+        calls.append((n_max, np.size(x)))
         return hermite_phi_table(n_max, x)
 
     hermite_phi_table = diffusion.hermite_phi_table
     monkeypatch.setattr(diffusion, "hermite_phi_table", counting)
-    solver = SinkSolver(MODELS[1], IonizationSink(strength_s=150.0))
-    solver.counts_factorized(LINE, np.geomspace(3e-3, 0.6, 12))(150.0)
-    solver.pdf(0.05)
-    assert calls == [solver.grid.size + 1]
+    diffusion._unit_weights.cache_clear()
+    taus = np.geomspace(5e-3, 0.6, 12)
+    for settings in SETTINGS[:3:2]:
+        for model in MODELS:
+            solver = SinkSolver(model, IonizationSink(strength_s=150.0), settings)
+            solver.counts_factorized(LINE, taus)(150.0)
+            solver.pdf(0.05)
+    assert calls == [(s.n_eigen, s.grid_points + 1) for s in SETTINGS[:3:2]]
 
 
 def _captured_joint_model(monkeypatch, datasets):

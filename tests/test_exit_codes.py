@@ -7,6 +7,7 @@ and malformed tokens, so each run stays cheap."""
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +22,7 @@ N_BATHS = ["1", "17", "50", "0", "-3", "x"]
 FRACTIONS = ["0.0013%", "1.0937%", "1e-9", "0.5", "0", "1", "100%", "-1%", "nan", "inf%",
              "abc%", "%"]
 TIMES = ["280us", "1ms", "0.5", "0", "-1ms", "nanms", "infs", "1xs", "ms"]
-FREQS = ["117", "22MHz", "30kHz", "0", "-5MHz", "nanMHz", "1xHz"]
+FREQS = ["117", "22MHz", "30kHz", "0", "-5MHz", "nanMHz", "1xHz", "inf", "infMHz", "1e-300"]
 RANGES = [
     "1ms:2ms", "0:1ms", "-1ms:1ms", "2ms:1ms", "-5ms:-1ms", "1ms:1ms",  # start:stop
     "1ms:2ms:0.5ms", "0.1ms:20ms:0.1ms", "0:0ms:1ms",                  # stepped, <= 200 points
@@ -52,8 +53,9 @@ GRAMMAR = {
         {"--drift-sigma": NUMBERS, "--drift-correlation": NUMBERS, "--points": POINTS}),
     ("diffusion", "predict"): (
         {"--gamma-i": FREQS, "--d-coeff": NUMBERS},
-        {"--sink-s": ["0", "150", "-1", "nan"], "--tau-range": RANGES, "--points": POINTS,
-         "--detuning": FREQS, "--c0": NUMBERS}),
+        {"--sink-s": ["0", "150", "-1", "nan", "inf"], "--tau-range": RANGES,
+         "--points": POINTS, "--detuning": FREQS, "--c0": NUMBERS, "--gamma-h": FREQS,
+         "--forward-rescale": NUMBERS}),
     ("growth", "chi"): ({"--f0": NUMBERS, "--f1": NUMBERS}, {}),
     ("growth", "nitrogen"): ({"--ch4-sccm": NUMBERS},
                              {"--eta": NUMBERS, "--pressure": PRESSURES, "--n2-molps": NUMBERS,
@@ -61,6 +63,10 @@ GRAMMAR = {
     ("growth", "leak"): ({"--data": FILES}, {"--volume": NUMBERS}),
     ("fit", "decay"): ({"--data": FILES}, {"--fix-n": NUMBERS}),
     ("fit", "scaling"): ({"--data": FILES}, {}),
+    ("fit", "diffusion"): ({"--manifest": FILES}, {"--gamma-h": FREQS}),
+    ("fit", "ionization"): (
+        {"--data": FILES, "--gamma-i": FREQS, "--d-coeff": NUMBERS, "--c0": NUMBERS},
+        {"--gamma-h": FREQS, "--forward-rescale": NUMBERS}),
 }
 
 
@@ -84,3 +90,26 @@ def test_every_command_line_exits_with_a_documented_code(argv):
         except SystemExit as exc:  # argparse rejects the command line
             code = exc.code
     assert code in EXIT_CODES, argv
+
+
+PREDICT = ["diffusion", "predict", "--gamma-i", "117", "--d-coeff", "1.6e4", "--sink-s", "150"]
+IONIZATION = ["fit", "ionization", "--data", str(FIXTURES / "diffusion_500nW.csv"),
+              "--gamma-i", "117", "--d-coeff", "1.6e4", "--c0", "36"]
+
+
+@pytest.mark.parametrize("argv", [
+    *([*cmd, "--gamma-i", g] for cmd in (PREDICT, IONIZATION) for g in ("inf", "1e-300")),
+    *([*PREDICT, "--sink-s", s] for s in ("-1", "nan", "inf")),
+    *([*PREDICT, "--c0", c] for c in ("nan", "inf")),
+    *([*PREDICT, "--forward-rescale", r] for r in ("nan", "-1")),
+    [*PREDICT, "--d-coeff", "inf"],
+    [*PREDICT, "--gamma-h", "inf"],
+    *([*PREDICT, "--detuning", d] for d in ("nan", "inf")),
+], ids=lambda argv: f"{argv[1]}{''.join(argv[-2:])}")
+def test_invalid_diffusion_input_exits_2(tmp_path, capsys, recwarn, argv):
+    # later options override the valid defaults above
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("decolab: ") and err.count("\n") == 1
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert not (tmp_path / "out").exists()
