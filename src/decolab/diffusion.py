@@ -459,8 +459,11 @@ class SinkSolver:
 
         With the sink at f = 0, P~(f, s) = P~0(f, s) / (1 + S P~0(0, s)).
         S enters only through that per-node factor, so the sinkless sums are
-        evaluated once, at the contour nodes of taus.  The resolvent is formed
-        for a block of nodes at a time, at most _RESOLVENT_BLOCK elements.
+        evaluated once, at the contour nodes of taus, and each S costs one
+        weighted sum over the nodes.  S may be an array of strengths (of
+        scalar-valued projections): the result then has shape
+        (*S.shape, *taus.shape).  The resolvent is formed for a block of
+        nodes at a time, at most _RESOLVENT_BLOCK elements.
         """
         taus = _checked_times(taus, self.min_valid_time)
         s, _ = _talbot_nodes(taus, INVERSION_NODES)
@@ -478,11 +481,16 @@ class SinkSolver:
             p0_sink[sl] = np.tensordot(self._w_sink, res, axes=(-1, 0))
         p0 = p0.reshape(coef.shape[:-1] + s.shape)
         p0_sink = p0_sink.reshape(s.shape)
+        # invert_laplace's sum at these nodes, with its prefactor and weights
+        # formed once
+        front = 2.0 / (5.0 * taus)
+        _, gamma = _talbot_contour(INVERSION_NODES)
 
-        def invert(strength: float) -> np.ndarray:
-            # the transform ignores its argument: p0 and p0_sink are already
-            # evaluated at the contour nodes of taus
-            return invert_laplace(lambda _: p0 / (1.0 + strength * p0_sink), taus)
+        def invert(strength) -> np.ndarray:
+            strength = np.asarray(strength, dtype=float)
+            factor = 1.0 + strength.reshape(strength.shape + (1,) * p0_sink.ndim) * p0_sink
+            out = front * np.real((p0 / factor) @ gamma)
+            return float(out) if out.ndim == 0 else out
 
         return invert
 
@@ -506,11 +514,15 @@ class SinkSolver:
 
     def counts_factorized(self, line: HomogeneousLine, taus,
                           probe_detuning: float = 0.0) -> Callable[[float], np.ndarray]:
-        """S -> counts at taus (an array, or one time) for repeated evaluation.
+        """S -> counts at taus (an array, or one time) for repeated evaluation;
+        S may be an array of strengths, with counts of shape
+        (*S.shape, *taus.shape), each row equal bit for bit to a call with
+        that strength alone.
 
         The counts integrate the density against the homogeneous line on the
         grid, a fixed projection of the eigen-weights, so the sinkless sums
-        are evaluated once per contour node and each call costs O(taus x nodes).
+        are evaluated once per contour node and each call costs O(S x taus x
+        nodes).
         """
         weights = _trapezoid_weights(self.grid) * line.counts(probe_detuning - self.grid)
         return self._inverse(self._scale * (self._w_f @ weights), taus)
@@ -538,26 +550,37 @@ def joint_fit_backward(datasets: Sequence[PowerDataset], gamma_h_fixed: float) -
         raise FitError("need at least one dataset")
     if not 0.0 < gamma_h_fixed < math.inf:
         raise ValueError("gamma_h must be finite and > 0")
-    slices = []
-    start = 0
-    for ds in datasets:
-        n = len(ds.curve)
-        slices.append(slice(start, start + n))
-        start += n
+    sizes = [len(ds.curve) for ds in datasets]
+    slices = [slice(start - n, start) for start, n in zip(np.cumsum(sizes), sizes)]
     x_all = np.concatenate([ds.curve.x for ds in datasets])
     y_all = np.concatenate([ds.curve.y for ds in datasets])
     sig_all = (np.concatenate([ds.curve.sigma for ds in datasets])
                if all(ds.curve.sigma is not None for ds in datasets) else None)
+    negative = np.array([np.any(x_all[sl] < 0.0) for sl in slices])
 
     def model_fn(x, params):
-        # counts_no_ionization per power, with one Voigt call for all powers
-        variance, c0 = [], []
-        for i, sl in enumerate(slices):
-            model = OuDiffusionModel(d_coeff=params[1 + 2 * i], gamma_i=params[0])
-            variance.append(ou_variance(model, x[sl]))
-            c0.append(np.full(sl.stop - sl.start, params[2 + 2 * i]))
-        return _gaussian_averaged_counts(np.concatenate(c0), gamma_h_fixed,
-                                         np.concatenate(variance), 0.0)
+        # ou_variance and counts_no_ionization for every row of params and
+        # every power, with one Voigt call for all of them
+        gamma_i, d, c0 = params[..., :1], params[..., 1::2], params[..., 2::2]
+        # OuDiffusionModel's stationary variance and theta / D in its own
+        # scalar arithmetic (an array square can differ in the last bit); an
+        # overflow or a division by zero marks a row invalid, reported below
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            v_inf = np.reshape([g ** 2 / LN2_8 for g in gamma_i.flat], gamma_i.shape)
+            theta = d * np.reshape([(FWHM_PER_SIGMA / g) ** 2 for g in gamma_i.flat],
+                                   gamma_i.shape)
+            valid = np.logical_and.reduce([(0.0 < a) & (a < math.inf)
+                                           for a in np.broadcast_arrays(d, gamma_i, theta, v_inf)])
+            if not valid.all() or negative.any():
+                # the ValueError of the first power, rows in order, whose
+                # model or times are invalid
+                row, i = divmod(int(np.argmax(~valid | negative)), len(sizes))
+                model = OuDiffusionModel(d_coeff=d.reshape(-1, len(sizes))[row, i],
+                                         gamma_i=gamma_i.flat[row])
+                ou_variance(model, x[slices[i]])
+        variance = v_inf * -np.expm1(-2.0 * np.repeat(d, sizes, axis=-1) * x / v_inf)
+        return _gaussian_averaged_counts(np.repeat(c0, sizes, axis=-1), gamma_h_fixed,
+                                         variance, 0.0)
 
     # initial guesses: C0 from the first point, gamma_i from the plateau
     # ratio, D from the half-decay time
@@ -596,7 +619,7 @@ def fit_ionization_rate(dataset: PowerDataset, backward_model: OuDiffusionModel,
     counts_of_s = solver.counts_factorized(line, dataset.curve.x)
 
     def model_fn(x, params):
-        return forward_rescale * counts_of_s(float(params[0]))
+        return forward_rescale * counts_of_s(params[..., 0])
 
     return least_squares(model_fn, [1.0], dataset.curve.x, dataset.curve.y,
                          sigma=dataset.curve.sigma, bounds=[(0.0, np.inf)],

@@ -4,6 +4,14 @@ The engine is a damped Gauss-Newton (Levenberg-Marquardt) minimizer of
 weighted squared residuals with a forward-difference Jacobian (relative
 step 1e-6) and box bounds enforced by projection.  It is deterministic:
 same inputs, same iterates.
+
+Models take rows of parameter vectors: model_fn(x, params) accepts params
+with leading axes (parameter i read as params[..., i, None] broadcasts
+against x) and returns one row of values per row of params, each equal bit
+for bit to a call with that row alone.  The engine evaluates the whole
+Jacobian in one call and its damped trial steps in doubling batches, one
+call each, holding at most max(number of parameters, 29) rows of len(x)
+model values at a time.
 """
 
 from __future__ import annotations
@@ -79,17 +87,16 @@ class FitResult:
 
 def _forward_jacobian(fn: Callable[[np.ndarray], np.ndarray], p: np.ndarray,
                       r0: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    jac = np.empty((r0.size, p.size))
-    for i in range(p.size):
-        # relative step on the larger of the current value and the typical
-        # scale (from the initial guess), so parameters converging to zero
-        # keep a resolvable step; absolute fallback if both vanish
-        typ = max(abs(p[i]), scale[i])
-        h = 1e-6 * typ if typ != 0.0 else 1e-6
-        pp = p.copy()
-        pp[i] += h
-        jac[:, i] = (fn(pp) - r0) / h
-    return jac
+    """Forward-difference Jacobian of fn at p, shape (r0.size, p.size) and
+    C-contiguous, from one call of fn on the p.size stepped rows."""
+    # relative step on the larger of the current value and the typical
+    # scale (from the initial guess), so parameters converging to zero
+    # keep a resolvable step; absolute fallback if both vanish
+    typ = np.where(scale > np.abs(p), scale, np.abs(p))
+    h = np.where(typ != 0.0, 1e-6 * typ, 1e-6)
+    rows = np.full((p.size, p.size), p)
+    rows.flat[::p.size + 1] = p + h
+    return ((fn(rows) - r0) / h[:, None]).T.copy()
 
 
 def least_squares(model_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -100,6 +107,17 @@ def least_squares(model_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
                   bounds: Sequence[tuple[float, float]] | None = None,
                   param_names: Sequence[str] | None = None) -> FitResult:
     """Levenberg-Marquardt fit of model_fn(x, params) to y.
+
+    model_fn takes rows of parameter vectors and returns one row of values
+    per row, each equal bit for bit to a call with that row alone.  One call
+    evaluates the forward-difference Jacobian; the damped trials lambda 2^j,
+    j < 60, go in batches of 1, 2, 4, 8, 16 and 29 rows, one call each, and
+    the first row in lambda order whose cost is finite and lower is taken.
+    A trial equal to the current point or to the trial before it is not
+    evaluated, nor is the Jacobian for the covariance when the point has not
+    moved: their results are known.  So the iterates, n_iter and message are
+    those of one call per Jacobian column and per trial, and a call holds at
+    most max(len(params0), 29) rows of len(x) values.
 
     Weighted by 1/sigma when sigma is given.  Bounds are (lo, hi) pairs per
     parameter; trial steps are projected into the box.  A start point whose
@@ -147,6 +165,9 @@ def least_squares(model_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     if not math.isfinite(cost):
         raise ValueError(f"the cost at the start point is {cost!r}, not finite")
     lam = 1e-3
+    # the damping loop tries lam 2^j, j < 60, in batches of 1, 2, 4, 8, 16, 29
+    doubling = np.ldexp(1.0, np.arange(60))
+    eye = np.eye(npar)
     converged = False
     message = "max iterations reached"
     it = 0
@@ -160,27 +181,33 @@ def least_squares(model_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
         hs, dinv, ok = scaled_normal(jac)
         grad_s = dinv * grad
         accepted = False
-        for _ in range(60):
-            try:
-                ys = np.linalg.solve(hs + lam * np.eye(npar), -grad_s)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            step = dinv * ys
-            p_trial = np.clip(p + step, lo, hi)
-            r_trial = residuals(p_trial)
-            cost_trial = float(r_trial @ r_trial)
-            if np.isfinite(cost_trial) and cost_trial < cost:
-                rel_step = float(np.max(np.abs(p_trial - p) / np.maximum(np.abs(p), 1e-30)))
-                df = cost - cost_trial
-                p, r, cost = p_trial, r_trial, cost_trial
-                lam = max(lam / 3.0, 1e-14)
-                accepted = True
-                if rel_step < XTOL or df < FTOL * max(cost, 1e-300):
-                    converged = True
-                    message = "step/cost below tolerance"
-                break
-            lam *= 2.0
+        start, size = 0, 1
+        at_p = last = p.tobytes()  # the bits of p and of the latest trial
+        while start < 60 and not accepted:
+            lams = lam * doubling[start:start + size]
+            ys = np.linalg.solve(hs + lams[:, None, None] * eye, -grad_s[:, None])
+            trials = np.clip(p + dinv * ys[..., 0], lo, hi)
+            # a trial equal, bit for bit, to p or to the trial before it has a
+            # cost known not to be lower: it is rejected without evaluation
+            keys = [last] + [row.tobytes() for row in trials]
+            fresh = [k for k in range(len(trials)) if keys[k + 1] not in (at_p, keys[k])]
+            last = keys[-1]
+            for k, r_trial in zip(fresh, residuals(trials[fresh]) if fresh else ()):
+                cost_trial = float(r_trial @ r_trial)
+                if math.isfinite(cost_trial) and cost_trial < cost:
+                    p_trial = trials[k]
+                    rel_step = float(np.max(np.abs(p_trial - p) / np.maximum(np.abs(p), 1e-30)))
+                    df = cost - cost_trial
+                    p, r, cost = p_trial, r_trial, cost_trial
+                    lam = max(float(lams[k]) / 3.0, 1e-14)
+                    accepted = True
+                    jac = None  # p moved
+                    if rel_step < XTOL or df < FTOL * max(cost, 1e-300):
+                        converged = True
+                        message = "step/cost below tolerance"
+                    break
+            start += size
+            size *= 2
         if converged:
             break
         if not accepted:
@@ -189,7 +216,8 @@ def least_squares(model_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
             break
 
     # covariance at the solution, via the scaled normal matrix
-    jac = _forward_jacobian(residuals, p, r, scale=typical)
+    if jac is None:
+        jac = _forward_jacobian(residuals, p, r, scale=typical)
     dof = max(len(y) - npar, 1)
     chi2 = cost
     reduced = chi2 / dof if len(y) > npar else float("nan")
@@ -214,9 +242,19 @@ def least_squares(model_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
 
 def stretched_exp(x, params):
-    """A exp[-(x / t2)^n]."""
+    """A exp[-(x / t2)^n] for params (A, t2, n), or for rows of them along
+    leading axes, one row of values each.
+
+    Rows are evaluated one at a time, with scalar parameters: numpy takes
+    other paths for a scalar exponent of 0.5, 2 or -1 (a square root, a
+    square, a reciprocal) than for a broadcast column of exponents, so only
+    this keeps every row equal, bit for bit, to a call with that row alone."""
+    x = np.asarray(x, dtype=float)
+    params = np.asarray(params, dtype=float)
+    if params.ndim > 1:
+        return np.array([stretched_exp(x, row) for row in params])
     a, t2, n = params
-    return a * np.exp(-np.power(np.asarray(x, dtype=float) / t2, n))
+    return a * np.exp(-np.power(x / t2, n))
 
 
 #: bounds of the stretch exponent n, fitted or fixed
@@ -254,7 +292,8 @@ def fit_stretched_exp(curve: DecayCurve, fix_n: float | None = None) -> FitResul
         n0, t20 = 1.0, float(np.median(x))
     if fix_n is not None:
         def model(xv, params):
-            return stretched_exp(xv, (params[0], params[1], fix_n))
+            n = np.full(params.shape[:-1] + (1,), fix_n)
+            return stretched_exp(xv, np.concatenate([params, n], axis=-1))
 
         res = least_squares(model, [a0, t20], x, y, sigma=curve.sigma,
                             bounds=[(0.0, np.inf), (1e-300, np.inf)],
@@ -262,6 +301,8 @@ def fit_stretched_exp(curve: DecayCurve, fix_n: float | None = None) -> FitResul
         res.params["n"] = fix_n
         res.stderr["n"] = 0.0
         res.param_names = ["A", "T2", "n"]
+        # n is held, so its row and column of the covariance are zero
+        res.covariance = np.pad(res.covariance, (0, 1))
         return res
     return least_squares(stretched_exp, [a0, t20, n0], x, y, sigma=curve.sigma,
                          bounds=[(0.0, np.inf), (1e-300, np.inf), _STRETCH_N_BOUNDS],

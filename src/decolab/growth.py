@@ -147,7 +147,8 @@ def fit_arrhenius(temps_k, dpdt_pa_s,
         e_a0, q00 = 1e-20, q_leak0
 
     def model(t, params):
-        return params[0] + params[1] * np.exp(-params[2] / (CONSTANTS.kB * t))
+        q_leak, q0, e_a = (params[..., i, None] for i in range(3))
+        return q_leak + q0 * np.exp(-e_a / (CONSTANTS.kB * t))
 
     fit = least_squares(model, [q_leak0, q00, e_a0], temps, q,
                         bounds=[(0.0, np.inf), (0.0, np.inf), (0.0, np.inf)],

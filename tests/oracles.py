@@ -13,7 +13,9 @@ orders, odd ones included.  The sink solver's eigen-weights come from one
 Hermite recurrence per evaluation set, in frequency units per model or in
 oscillator units, its inversion from one resolvent per projection and its
 Talbot contour from the formula on every call; the joint backward-fit
-model from one ``counts_no_ionization`` call per power.  For bitwise checks, the near/far
+model from one ``counts_no_ionization`` call per power.  The
+Levenberg-Marquardt engine is kept with one model call per Jacobian column
+and per damped trial step.  For bitwise checks, the near/far
 bath sampler is kept with one temporary array per operation and the CSV
 writer with one ``csv.writer`` row per record.
 """
@@ -23,6 +25,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
+from typing import Callable, Sequence
 
 import mpmath
 import numpy as np
@@ -35,6 +38,7 @@ from decolab.diffusion import (GRID_HALFWIDTH_SIGMAS, INVERSION_NODES, Homogeneo
                                OuDiffusionModel, _talbot_nodes, _trapezoid_weights, _x_units,
                                counts_no_ionization, hermite_phi_table)
 from decolab.feedforward import SHOT_PERIOD, FeedforwardOutcome
+from decolab.fitting import FTOL, MAX_ITER, XTOL, FitError, FitResult
 from decolab.noise import AcFieldModel
 from decolab.sequences import PulseSequence, phase_of
 
@@ -271,6 +275,144 @@ def wls_normal_equations(design: np.ndarray, y: np.ndarray, weights: np.ndarray)
     params, *_ = np.linalg.lstsq(a, b, rcond=None)
     cov = np.linalg.inv(a.T @ a)
     return params, cov
+
+
+def forward_jacobian_per_column(fn: Callable[[np.ndarray], np.ndarray], p: np.ndarray,
+                                r0: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    jac = np.empty((r0.size, p.size))
+    for i in range(p.size):
+        # relative step on the larger of the current value and the typical
+        # scale (from the initial guess), so parameters converging to zero
+        # keep a resolvable step; absolute fallback if both vanish
+        typ = max(abs(p[i]), scale[i])
+        h = 1e-6 * typ if typ != 0.0 else 1e-6
+        pp = p.copy()
+        pp[i] += h
+        jac[:, i] = (fn(pp) - r0) / h
+    return jac
+
+
+def least_squares_sequential(model_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                             params0: Sequence[float],
+                             x: np.ndarray,
+                             y: np.ndarray,
+                             sigma: np.ndarray | None = None,
+                             bounds: Sequence[tuple[float, float]] | None = None,
+                             param_names: Sequence[str] | None = None) -> FitResult:
+    """``fitting.least_squares`` as it was before batched model calls: one
+    call per Jacobian column and one per damped trial step, each with one
+    parameter vector.  Levenberg-Marquardt fit of model_fn(x, params) to y.
+
+    Weighted by 1/sigma when sigma is given.  Bounds are (lo, hi) pairs per
+    parameter; trial steps are projected into the box.  A start point whose
+    cost is not finite is a ValueError; trial steps with a non-finite cost
+    are rejected.  On reaching MAX_ITER the last iterate is returned with
+    converged=False.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    p = np.array(params0, dtype=float)
+    npar = p.size
+    names = list(param_names) if param_names is not None else [f"p{i}" for i in range(npar)]
+    if sigma is not None:
+        w = 1.0 / np.asarray(sigma, dtype=float)
+    else:
+        w = np.ones_like(y)
+    lo = np.full(npar, -np.inf)
+    hi = np.full(npar, np.inf)
+    if bounds is not None:
+        for i, (l, h) in enumerate(bounds):
+            lo[i], hi[i] = l, h
+        if np.any(p < lo) or np.any(p > hi):
+            raise FitError("initial parameters must lie within bounds")
+
+    def residuals(params: np.ndarray) -> np.ndarray:
+        return (model_fn(x, params) - y) * w
+
+    typical = np.abs(p)
+
+    def scaled_normal(jac: np.ndarray):
+        # rescale to a unit-diagonal normal matrix; parameters with zero
+        # sensitivity get scale 0 and are frozen
+        hess = jac.T @ jac
+        d = np.sqrt(np.diag(hess))
+        ok = np.isfinite(d) & (d > 0.0)
+        dinv = np.zeros_like(d)
+        dinv[ok] = 1.0 / d[ok]
+        hs = dinv[:, None] * hess * dinv[None, :]
+        np.fill_diagonal(hs, np.where(ok, 1.0, 0.0))
+        return hs, dinv, ok
+
+    r = residuals(p)
+    with np.errstate(over="ignore"):  # an overflow is reported just below
+        cost = float(r @ r)
+    if not math.isfinite(cost):
+        raise ValueError(f"the cost at the start point is {cost!r}, not finite")
+    lam = 1e-3
+    converged = False
+    message = "max iterations reached"
+    it = 0
+    for it in range(1, MAX_ITER + 1):
+        jac = forward_jacobian_per_column(residuals, p, r, scale=typical)
+        grad = jac.T @ r
+        if float(np.max(np.abs(grad), initial=0.0)) < 1e-16 * max(cost, 1e-30):
+            converged = True
+            message = "gradient below tolerance"
+            break
+        hs, dinv, ok = scaled_normal(jac)
+        grad_s = dinv * grad
+        accepted = False
+        for _ in range(60):
+            try:
+                ys = np.linalg.solve(hs + lam * np.eye(npar), -grad_s)
+            except np.linalg.LinAlgError:
+                lam *= 10.0
+                continue
+            step = dinv * ys
+            p_trial = np.clip(p + step, lo, hi)
+            r_trial = residuals(p_trial)
+            cost_trial = float(r_trial @ r_trial)
+            if np.isfinite(cost_trial) and cost_trial < cost:
+                rel_step = float(np.max(np.abs(p_trial - p) / np.maximum(np.abs(p), 1e-30)))
+                df = cost - cost_trial
+                p, r, cost = p_trial, r_trial, cost_trial
+                lam = max(lam / 3.0, 1e-14)
+                accepted = True
+                if rel_step < XTOL or df < FTOL * max(cost, 1e-300):
+                    converged = True
+                    message = "step/cost below tolerance"
+                break
+            lam *= 2.0
+        if converged:
+            break
+        if not accepted:
+            converged = True
+            message = "no downhill step found (local minimum or stalled)"
+            break
+
+    # covariance at the solution, via the scaled normal matrix
+    jac = forward_jacobian_per_column(residuals, p, r, scale=typical)
+    dof = max(len(y) - npar, 1)
+    chi2 = cost
+    reduced = chi2 / dof if len(y) > npar else float("nan")
+    hs, dinv, ok = scaled_normal(jac)
+    try:
+        if not np.all(ok):
+            raise np.linalg.LinAlgError
+        cov = dinv[:, None] * np.linalg.inv(hs) * dinv[None, :]
+        if sigma is None:
+            cov = cov * (chi2 / dof)
+    except np.linalg.LinAlgError:
+        cov = np.full((npar, npar), np.nan)
+        converged = False
+        message = "singular normal equations (unidentifiable parameters)"
+    stderr = {n: float(math.sqrt(abs(cov[i, i]))) if np.isfinite(cov[i, i]) else float("nan")
+              for i, n in enumerate(names)}
+    return FitResult(param_names=names,
+                     params={n: float(v) for n, v in zip(names, p)},
+                     stderr=stderr, covariance=cov,
+                     reduced_chi2=float(reduced) if reduced == reduced else float("nan"),
+                     converged=converged, n_iter=it, message=message)
 
 
 def fokker_planck_fd(theta: float, d_coeff: float, strength_s: float,

@@ -215,3 +215,22 @@ def test_joint_model_matches_per_power_counts(monkeypatch, first_tau):
         assert np.array_equal(bits(got), bits(want))
     if first_tau == 0.0:
         assert got[0] == params[2]  # the bare Lorentzian on resonance is C0
+
+
+def test_joint_model_rows_match_per_power_counts(monkeypatch):
+    # gamma_i values whose scalar square (C pow, as OuDiffusionModel forms
+    # it) and array square (a multiplication) differ in the last bit: each
+    # row must take the diffusion model's own arithmetic
+    candidates = np.random.default_rng(7).uniform(60.0, 200.0, 40000)
+    gammas = [g for g in candidates if np.float64(g) ** 2 != np.square(g)][:12]
+    assert len(gammas) == 12
+    taus = np.geomspace(3e-3, 0.6, 12)
+    datasets = [PowerDataset(250.0, DecayCurve(taus, np.linspace(40.0, 10.0, taus.size))),
+                PowerDataset(500.0, DecayCurve(taus[:7], np.linspace(38.0, 9.0, 7)))]
+    model_fn, p0, x = _captured_joint_model(monkeypatch, datasets)
+    rows = np.tile(p0, (len(gammas), 1))
+    rows[:, 0] = gammas
+    got = model_fn(x, rows)
+    for row, values in zip(rows, got):
+        want = joint_backward_model_per_power(x, row, [taus.size, 7], LINE.gamma_h)
+        assert np.array_equal(bits(values), bits(want))

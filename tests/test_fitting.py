@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
@@ -97,7 +96,7 @@ def test_power_scaling_nonlinear_option_agrees():
     a = fit_power_scaling(n, t2)
 
     def power_law(xv, p):
-        return p[0] * np.power(xv, p[1])
+        return p[..., 0, None] * np.power(xv, p[..., 1, None])
 
     b = least_squares(power_law, [a.params["T0"], a.params["eta"]], n, t2,
                       bounds=[(1e-300, np.inf), (-10.0, 10.0)], param_names=["T0", "eta"])
@@ -107,7 +106,7 @@ def test_power_scaling_nonlinear_option_agrees():
 
 def test_engine_zero_residual_is_immediate():
     def lin(x, p):
-        return p[0] * x + p[1]
+        return p[..., 0, None] * x + p[..., 1, None]
 
     res = least_squares(lin, [2.0, -1.0], X20, 2.0 * X20 - 1.0)
     assert res.converged and res.n_iter == 1
@@ -120,7 +119,7 @@ def test_engine_matches_normal_equations():
     sigma = np.full(40, 0.02)
 
     def lin(xv, p):
-        return p[0] * xv + p[1]
+        return p[..., 0, None] * xv + p[..., 1, None]
 
     fit = least_squares(lin, [0.0, 0.0], x, y, sigma=sigma)
     design = np.column_stack([x, np.ones_like(x)])
@@ -132,7 +131,7 @@ def test_engine_matches_normal_equations():
 
 def test_engine_rosenbrock_valley():
     def rosen(xv, p):
-        return np.array([10.0 * (p[1] - p[0] ** 2), 1.0 - p[0]])
+        return np.stack([10.0 * (p[..., 1] - p[..., 0] ** 2), 1.0 - p[..., 0]], axis=-1)
 
     res = least_squares(rosen, [-1.2, 1.0], np.zeros(2), np.zeros(2))
     assert res.converged
@@ -142,7 +141,7 @@ def test_engine_rosenbrock_valley():
 
 def test_engine_bounds_enforced():
     def lin(x, p):
-        return p[0] * x
+        return p[..., 0, None] * x
 
     with pytest.raises(FitError):
         least_squares(lin, [2.0], X20, X20, bounds=[(0.0, 1.0)])
@@ -168,7 +167,8 @@ def test_forward_jacobian_matches_central_difference():
     from decolab.fitting import _forward_jacobian
 
     def model(p):
-        return np.array([math.sin(p[0]) * p[1], p[0] * p[1] ** 2, math.exp(0.3 * p[0])])
+        return np.stack([np.sin(p[..., 0]) * p[..., 1], p[..., 0] * p[..., 1] ** 2,
+                         np.exp(0.3 * p[..., 0])], axis=-1)
 
     p = np.array([0.7, 1.9])
     jac = _forward_jacobian(model, p, model(p), np.abs(p))
@@ -216,6 +216,17 @@ def test_fit_result_json(tmp_path):
     assert payload["params"]["T2"] == pytest.approx(5.0, rel=1e-3)
     assert set(payload["stderr"]) == set(payload["params"]) == {"A", "T2", "n"}
     assert np.shape(payload["covariance"]) == (3, 3)
+    # with n held, its row and column of the covariance are zero
+    assert main(["fit", "decay", "--data", str(tmp_path / "curve.csv"), "--fix-n", "1",
+                 "--out", str(tmp_path / "fixed")]) == 0
+    fixed = json.loads((tmp_path / "fixed" / "fit_decay.json").read_text(encoding="utf-8"))
+    assert fixed["params"]["n"] == 1.0 and fixed["stderr"]["n"] == 0.0
+    assert set(fixed["stderr"]) == set(fixed["params"]) == {"A", "T2", "n"}
+    cov = np.array(fixed["covariance"])
+    assert cov.shape == (3, 3)
+    assert np.all(cov[2] == 0.0) and np.all(cov[:, 2] == 0.0)
+    assert np.sqrt(np.diag(cov)[:2]) == pytest.approx([fixed["stderr"]["A"],
+                                                       fixed["stderr"]["T2"]], rel=1e-12)
 
 
 def test_csv_errors_carry_line_numbers(tmp_path):
