@@ -17,7 +17,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
@@ -132,15 +131,6 @@ def _fraction(text: str) -> float:
 # output helpers
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RunManifest:
-    command: str
-    config_path: str
-    seed: int
-    output_dir: str
-    version: str
-
-
 class OutputWriter:
     """Writes a command's data files; the output directory and its
     run_manifest.json appear with the first data file, so a run that fails
@@ -150,7 +140,7 @@ class OutputWriter:
         self.out_dir = out_dir
         self.seed = seed
         self.command = command
-        self._manifest: RunManifest | None = RunManifest(
+        self._manifest: dict | None = dict(
             command=command, config_path=config_path, seed=seed,
             output_dir=str(out_dir), version=__version__)
 
@@ -158,7 +148,7 @@ class OutputWriter:
         if self._manifest is not None:
             self.out_dir.mkdir(parents=True, exist_ok=True)
             (self.out_dir / "run_manifest.json").write_text(
-                json.dumps(asdict(self._manifest), indent=2) + "\n", encoding="utf-8")
+                json.dumps(self._manifest, indent=2) + "\n", encoding="utf-8")
             self._manifest = None
         return self.out_dir / name
 
@@ -196,9 +186,12 @@ def _fit_payload(fit: FitResult) -> dict:
 
 
 def _load_model(name: str) -> AcFieldModel:
-    if name in ("table1", "default"):
-        return table1_model()
-    return load_field_config(name)
+    return table1_model() if name == "table1" else load_field_config(name)
+
+
+def _given(**options) -> dict:
+    """The options that were set on the command line (those not None)."""
+    return {k: v for k, v in options.items() if v is not None}
 
 
 def _print_config(args: argparse.Namespace, model: AcFieldModel | None = None) -> None:
@@ -220,10 +213,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _print_config(args, model)
     out = OutputWriter(Path(args.out), f"simulate {args.sequence}", args.seed, args.config)
     if args.sequence == "feedforward":
+        drift_options = _given(sigma=args.drift_sigma, correlation_time=args.drift_correlation)
+        if args.frozen_drift and drift_options:
+            raise ConfigError("--frozen-drift excludes --drift-sigma and --drift-correlation")
         taus = _positive_times(args, "tau_range", 101)
         rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(args.seed)))
-        drift = None if args.frozen_drift else AmplitudeScaleProcess(
-            sigma=args.drift_sigma, correlation_time=args.drift_correlation)
+        drift = None if args.frozen_drift else AmplitudeScaleProcess(**drift_options)
         cfg = ShotConfig(n_shots=args.shots)
         outcomes = run_feedforward(model, taus, cfg, drift, rng,
                                    n_repetitions=args.repetitions)
@@ -241,10 +236,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.sequence == "ramsey":
+        if not args.envelope and _given(a_min=args.a_min, a_max=args.a_max, n_a=args.n_a):
+            raise ConfigError("--a-min, --a-max and --n-a apply only with --envelope")
         times = _positive_times(args, "t_range", 101)
         if args.envelope:
-            vals = ramsey_envelope(model, (args.a_min, args.a_max), times,
-                                   n_t0=args.n_t0, n_a=args.n_a)
+            # the amplitude range defaults to the clip bounds of the drift process
+            a_range = (AmplitudeScaleProcess.a_min if args.a_min is None else args.a_min,
+                       AmplitudeScaleProcess.a_max if args.a_max is None else args.a_max)
+            vals = ramsey_envelope(model, a_range, times, n_t0=args.n_t0,
+                                   **_given(n_a=args.n_a))
         else:
             vals = expectation_unsynchronized(model, PulseSequence.ramsey(times), args.n_t0)
         n_pulses, taus, t_total = 0, times, times
@@ -352,8 +352,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
             datasets.append(diff.PowerDataset(power, backward))
         fit = diff.joint_fit_backward(datasets, gamma_h_fixed=args.gamma_h)
         payload = {"gamma_i_MHz": fit.params["gamma_i"],
-                   "gamma_h_MHz_fixed": args.gamma_h,
-                   "reduced_chi2": fit.reduced_chi2, "converged": fit.converged,
+                   "gamma_h_MHz_fixed": args.gamma_h, **_fit_payload(fit),
                    "per_power": {}}
         for ds in datasets:
             tag = f"{ds.power_nw:g}nW"
@@ -386,6 +385,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     out.json("fit_ionization.json", {
         **_fit_payload(fit),
         "S_per_s": fit.params["S"], "forward_rescale": args.forward_rescale,
+        "power_nW": args.power,
     })
     print(out.out_dir / "fit_ionization.json")
     if not fit.converged:
@@ -434,8 +434,7 @@ def cmd_growth(args: argparse.Namespace) -> int:
     leak, fit = growth.fit_arrhenius(curve.x, curve.y, volume=args.volume)
     out.json("growth_leak.json", {
         "q_leak_Pa_m3_s": leak.q_leak, "q0_Pa_m3_s": leak.q0, "e_a_J": leak.e_a,
-        "volume_m3": leak.volume, "converged": fit.converged,
-        "stderr": fit.stderr,
+        "volume_m3": leak.volume, **_fit_payload(fit),
     })
     _plot_fit(out, "growth_leak.svg", curve, leak.throughput(curve.x) / leak.volume,
               "Arrhenius throughput fit")
@@ -514,9 +513,9 @@ def build_parser() -> argparse.ArgumentParser:
         if kind == "ramsey":
             p.add_argument("--t-range", required=True)
             p.add_argument("--envelope", action="store_true")
-            p.add_argument("--a-min", type=float, default=0.85)
-            p.add_argument("--a-max", type=float, default=1.27)
-            p.add_argument("--n-a", type=int, default=21)
+            p.add_argument("--a-min", type=float, default=None)
+            p.add_argument("--a-max", type=float, default=None)
+            p.add_argument("--n-a", type=int, default=None)
         else:
             p.add_argument("--tau-range", required=True)
         if kind == "cpmg":
@@ -524,8 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
         if kind == "feedforward":
             p.add_argument("--shots", type=int, default=50)
             p.add_argument("--repetitions", type=int, default=12)
-            p.add_argument("--drift-sigma", type=float, default=0.01)
-            p.add_argument("--drift-correlation", type=float, default=3.0)
+            p.add_argument("--drift-sigma", type=float, default=None)
+            p.add_argument("--drift-correlation", type=float, default=None)
             p.add_argument("--frozen-drift", action="store_true")
 
     bath_p = sub.add_parser("bath", help="spin-bath Monte Carlo")

@@ -7,12 +7,10 @@ widely quoted "GHz/T" numbers are gamma/(2*pi).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
 class PhysicalConstants:
     """Constants used by the noise, sequence and bath models.
 
@@ -25,18 +23,13 @@ class PhysicalConstants:
     kB:           Boltzmann constant, J / K.
     """
 
-    gamma_nv: float = TWO_PI * 28.0e9
-    gamma_e: float = TWO_PI * 28.024951e9
-    gamma_c: float = TWO_PI * 10.7084e6
-    mu0_over_4pi: float = 1.0e-7
-    hbar: float = 1.054571817e-34
-    n_d: float = 1.76e29
-    kB: float = 1.380649e-23
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            if getattr(self, f.name) <= 0.0:
-                raise ValueError(f"constant {f.name} must be strictly positive")
+    gamma_nv = TWO_PI * 28.0e9
+    gamma_e = TWO_PI * 28.024951e9
+    gamma_c = TWO_PI * 10.7084e6
+    mu0_over_4pi = 1.0e-7
+    hbar = 1.054571817e-34
+    n_d = 1.76e29
+    kB = 1.380649e-23
 
 
 #: Default constant set used everywhere unless a caller overrides it.

@@ -395,9 +395,15 @@ def invert_laplace(transform: Callable, t):
     result has shape (..., *t.shape), a float when that is empty.
     """
     t = _checked_times(t)
-    s, gamma = _talbot_nodes(t, INVERSION_NODES)
-    vals = np.asarray(transform(s), dtype=complex)
-    out = 2.0 / (5.0 * t) * np.real(vals @ gamma)
+    s, _ = _talbot_nodes(t, INVERSION_NODES)
+    return _talbot_sum(np.asarray(transform(s), dtype=complex), t)
+
+
+def _talbot_sum(values: np.ndarray, t: np.ndarray):
+    """2/(5t) Re sum_k gamma_k F(s_k) from F at the INVERSION_NODES contour
+    nodes of t along the last axis; a float when the result is 0-d."""
+    _, gamma = _talbot_contour(INVERSION_NODES)
+    out = 2.0 / (5.0 * t) * np.real(values @ gamma)
     return float(out) if out.ndim == 0 else out
 
 
@@ -481,16 +487,11 @@ class SinkSolver:
             p0_sink[sl] = np.tensordot(self._w_sink, res, axes=(-1, 0))
         p0 = p0.reshape(coef.shape[:-1] + s.shape)
         p0_sink = p0_sink.reshape(s.shape)
-        # invert_laplace's sum at these nodes, with its prefactor and weights
-        # formed once
-        front = 2.0 / (5.0 * taus)
-        _, gamma = _talbot_contour(INVERSION_NODES)
 
         def invert(strength) -> np.ndarray:
             strength = np.asarray(strength, dtype=float)
             factor = 1.0 + strength.reshape(strength.shape + (1,) * p0_sink.ndim) * p0_sink
-            out = front * np.real((p0 / factor) @ gamma)
-            return float(out) if out.ndim == 0 else out
+            return _talbot_sum(p0 / factor, taus)
 
         return invert
 

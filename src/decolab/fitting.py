@@ -192,8 +192,12 @@ def least_squares(model_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
             keys = [last] + [row.tobytes() for row in trials]
             fresh = [k for k in range(len(trials)) if keys[k + 1] not in (at_p, keys[k])]
             last = keys[-1]
-            for k, r_trial in zip(fresh, residuals(trials[fresh]) if fresh else ()):
-                cost_trial = float(r_trial @ r_trial)
+            # a trial whose model or cost overflows is rejected by its
+            # non-finite cost, so it raises no warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                r_trials = residuals(trials[fresh]) if fresh else ()
+                costs = [float(r_trial @ r_trial) for r_trial in r_trials]
+            for k, r_trial, cost_trial in zip(fresh, r_trials, costs):
                 if math.isfinite(cost_trial) and cost_trial < cost:
                     p_trial = trials[k]
                     rel_step = float(np.max(np.abs(p_trial - p) / np.maximum(np.abs(p), 1e-30)))

@@ -57,43 +57,41 @@ POLE_WINDOW = 1e-6
 
 @dataclass(frozen=True)
 class PulseSequence:
-    """Ramsey(T), Hahn(tau) or CPMG(N, tau); tau is the half inter-pulse
-    delay for Hahn/CPMG and the total free-evolution time for Ramsey.
+    """Ramsey(T) (n_pulses = 0) or CPMG(N, tau) (N >= 1; Hahn is N = 1); tau
+    is the half inter-pulse delay for CPMG and the total free-evolution time
+    for Ramsey.
 
     tau may be a numpy array of delays: the sequence then stands for the
     family of sequences at those delays, and the functions below return one
     value per delay.
     """
 
-    kind: str
     n_pulses: int
     tau: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if self.kind not in ("ramsey", "hahn", "cpmg"):
-            raise ValueError(f"unknown sequence kind {self.kind!r}")
         if not np.all(np.asarray(self.tau) > 0.0):
             raise ValueError("tau must be > 0")
-        expected = {"ramsey": self.n_pulses == 0, "hahn": self.n_pulses == 1,
-                    "cpmg": self.n_pulses >= 1}
-        if not expected[self.kind]:
-            raise ValueError(f"invalid n_pulses={self.n_pulses} for {self.kind}")
+        if self.n_pulses < 0:
+            raise ValueError(f"invalid n_pulses={self.n_pulses}")
 
     @classmethod
     def ramsey(cls, total_time: float | np.ndarray) -> "PulseSequence":
-        return cls("ramsey", 0, total_time)
+        return cls(0, total_time)
 
     @classmethod
     def hahn(cls, tau: float | np.ndarray) -> "PulseSequence":
-        return cls("hahn", 1, tau)
+        return cls(1, tau)
 
     @classmethod
     def cpmg(cls, n_pulses: int, tau: float | np.ndarray) -> "PulseSequence":
-        return cls("cpmg", n_pulses, tau)
+        if not n_pulses >= 1:
+            raise ValueError(f"invalid n_pulses={n_pulses} for cpmg")
+        return cls(n_pulses, tau)
 
     @property
     def total_time(self) -> float | np.ndarray:
-        return self.tau if self.kind == "ramsey" else 2.0 * self.n_pulses * self.tau
+        return self.tau if self.n_pulses == 0 else 2.0 * self.n_pulses * self.tau
 
 
 def _one_minus_sec(alpha):
@@ -187,21 +185,25 @@ def phase_of(model: AcFieldModel, seq: PulseSequence, t0=0.0):
     return float(out) if out.ndim == 0 else out
 
 
-def expectation_unsynchronized(model: AcFieldModel, seq: PulseSequence,
-                               n_t0: int = 400):
-    """<X> averaged over the sequence trigger offset, one value per delay.
+def _trigger_offsets(model: AcFieldModel, n_t0: int) -> np.ndarray:
+    """n_t0 >= 2 midpoint trigger offsets spanning one fundamental period
+    (20 ms for a 50 Hz comb).
 
-    Midpoint average of cos(Phi(t0)) over n_t0 offsets spanning one
-    fundamental period (20 ms for a 50 Hz comb).
+    An empty comb has no period; any offsets serve it, since its phase is 0
+    and every average of cos(Phi) is exactly 1.
     """
     if n_t0 < 2:
         raise ValueError("n_t0 must be >= 2")
-    period = model.fundamental_period
-    if period is None:
-        out = np.ones(np.shape(seq.tau))
-    else:
-        t0s = (np.arange(n_t0) + 0.5) * (period / n_t0)
-        out = np.mean(np.cos(phase_of(model, seq, t0s)), axis=-1)
+    period = model.fundamental_period or 1.0
+    return (np.arange(n_t0) + 0.5) * (period / n_t0)
+
+
+def expectation_unsynchronized(model: AcFieldModel, seq: PulseSequence,
+                               n_t0: int = 400):
+    """<X> averaged over the sequence trigger offset, one value per delay:
+    the mean of cos(Phi(t0)) over the n_t0 offsets of one fundamental period.
+    """
+    out = np.mean(np.cos(phase_of(model, seq, _trigger_offsets(model, n_t0))), axis=-1)
     return float(out) if out.ndim == 0 else out
 
 
@@ -241,12 +243,10 @@ def ramsey_envelope(model: AcFieldModel, amplitude_range: tuple[float, float],
     a_min, a_max = amplitude_range
     if not (0.0 < a_min <= a_max):
         raise ValueError("need 0 < a_min <= a_max")
+    if n_a < 1:
+        raise ValueError("n_a must be >= 1")
     a_grid = np.linspace(a_min, a_max, n_a) if n_a > 1 else np.array([0.5 * (a_min + a_max)])
-    period = model.fundamental_period
-    times = np.asarray(times, dtype=float)
-    if period is None:
-        return np.ones_like(times)
-    t0s = (np.arange(n_t0) + 0.5) * (period / n_t0)
-    phi = phase_of(model, PulseSequence.ramsey(times), t0s)
+    phi = phase_of(model, PulseSequence.ramsey(np.asarray(times, dtype=float)),
+                   _trigger_offsets(model, n_t0))
     # one scale at a time keeps the temporaries at times x n_t0
     return sum(np.mean(np.cos(a * phi), axis=-1) for a in a_grid) / a_grid.size

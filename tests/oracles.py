@@ -71,7 +71,7 @@ def scale_amplitudes(model: AcFieldModel, a: float) -> AcFieldModel:
 
 def toggled_segments(seq: PulseSequence) -> list[tuple[float, float, int]]:
     """(start, end, sign) free-evolution segments of a sequence."""
-    if seq.kind == "ramsey":
+    if seq.n_pulses == 0:  # Ramsey
         return [(0.0, seq.tau, +1)]
     n, tau = seq.n_pulses, seq.tau
     bounds = [0.0] + [(2 * k - 1) * tau for k in range(1, n + 1)] + [2 * n * tau]
@@ -370,8 +370,9 @@ def least_squares_sequential(model_fn: Callable[[np.ndarray, np.ndarray], np.nda
                 continue
             step = dinv * ys
             p_trial = np.clip(p + step, lo, hi)
-            r_trial = residuals(p_trial)
-            cost_trial = float(r_trial @ r_trial)
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite cost rejects it
+                r_trial = residuals(p_trial)
+                cost_trial = float(r_trial @ r_trial)
             if np.isfinite(cost_trial) and cost_trial < cost:
                 rel_step = float(np.max(np.abs(p_trial - p) / np.maximum(np.abs(p), 1e-30)))
                 df = cost - cost_trial

@@ -192,6 +192,26 @@ def test_fit_diffusion_fixture_shared_gamma(tmp_path):
             pytest.approx(d_true, rel=0.05)
 
 
+@pytest.mark.parametrize("name, argv", [
+    ("fit_decay.json", ["fit", "decay", "--data", str(FIXTURES / "decay_synthetic.csv")]),
+    ("fit_scaling.json", ["fit", "scaling", "--data", str(FIXTURES / "scaling_synthetic.csv")]),
+    ("fit_diffusion.json",
+     ["fit", "diffusion", "--manifest", str(FIXTURES / "diffusion_manifest.txt")]),
+    ("fit_ionization.json",
+     ["fit", "ionization", "--data", str(FIXTURES / "diffusion_500nW.csv"), "--gamma-i", "117",
+      "--d-coeff", "1.6e4", "--c0", "38", "--power", "0.5uW"]),
+    ("growth_leak.json", ["growth", "leak", "--data", str(FIXTURES / "arrhenius_synthetic.csv")]),
+])
+def test_fit_json_holds_the_standard_fit_keys(tmp_path, name, argv):
+    assert run(argv + ["--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / name).read_text())
+    assert {"params", "stderr", "covariance", "reduced_chi2", "converged", "n_iter",
+            "message"} <= payload.keys()
+    assert len(payload["covariance"]) == len(payload["params"])
+    if name == "fit_ionization.json":
+        assert payload["power_nW"] == 500.0
+
+
 def test_fit_ionization_fixture(tmp_path):
     meta = json.loads((FIXTURES / "diffusion_synthetic.json").read_text())
     assert run(["fit", "ionization", "--data", str(FIXTURES / "diffusion_500nW.csv"),
@@ -398,6 +418,23 @@ def test_exit_code_data_error(tmp_path):
                 "--out", str(tmp_path)]) == 3
 
 
+def test_rejected_overflowing_trial_step_does_not_warn(tmp_path):
+    # a damped trial of this fixed-n fit overflows np.power; its non-finite
+    # cost rejects it, and no RuntimeWarning reaches the user
+    data = tmp_path / "decay.csv"
+    data.write_text("0.1,0.13948335627135897\n0.575,0.08008832128047169\n"
+                    "1.05,0.11068453754241583\n1.525,0.06419744495826976\n"
+                    "2.0,-0.017459844646617033\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(["fit", "decay", "--data", str(data), "--fix-n", "2",
+                    "--out", str(tmp_path / "out")]) == 0
+    payload = json.loads((tmp_path / "out" / "fit_decay.json").read_text())
+    assert payload["converged"] is True
+    assert payload["params"] == pytest.approx(
+        {"A": 0.130561369425183, "T2": 1.4967650769724876, "n": 2.0}, rel=1e-9)
+
+
 def test_exit_code_nonconvergence(tmp_path):
     bad = tmp_path / "flat.csv"
     rows = "\n".join(f"{x},0.7" for x in range(1, 10))
@@ -428,6 +465,13 @@ def test_exit_code_nonconvergence(tmp_path):
       for n in ("inf", "1e400", "-1", "0")),
     # the fit's start cost overflows: an error before any output, not exit 4
     ["growth", "leak", "--data", str(FIXTURES / "arrhenius_synthetic.csv"), "--volume", "1e300"],
+    *(["simulate", "ramsey", "--t-range", "0.1ms:0.3ms:0.1ms", "--envelope", f"--n-t0={n}"]
+      for n in ("0", "1", "-3")),
+    ["simulate", "ramsey", "--t-range", "0.1ms:0.3ms:0.1ms", "--envelope", "--n-a", "0"],
+    # flags that would change nothing
+    ["simulate", "ramsey", "--t-range", "0.1ms:0.3ms:0.1ms", "--a-min", "0.9"],
+    ["simulate", "feedforward", "--tau-range", "1ms:2ms:1ms", "--frozen-drift",
+     "--drift-sigma", "0.5"],
 ])
 def test_invalid_values_exit_2_without_traceback(tmp_path, capsys, recwarn, argv):
     assert run(argv + ["--out", str(tmp_path)]) == 2

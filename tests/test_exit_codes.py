@@ -4,6 +4,7 @@ as ``main``'s return value or as argparse's SystemExit, never as another
 exception.  The arguments are drawn from a fixed vocabulary of small valid
 and malformed tokens, so each run stays cheap."""
 
+import argparse
 import tempfile
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decolab.cli import main
+from decolab.cli import build_parser, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 EXIT_CODES = {0, 2, 3, 4}
@@ -31,6 +32,9 @@ RANGES = [
 ]
 POINTS = ["2", "7", "200", "1", "0", "-3", "1.5", "abc"]
 PRESSURES = ["120Torr", "1.6e4Pa", "100mbar", "0", "-1Torr", "nanPa", "1atm"]
+POWERS = ["500nW", "0.5uW", "0", "-1nW", "nannW", "1xW"]
+#: the vocabulary of a flag that takes no value
+FLAG = [None]
 FILES = [str(FIXTURES / "decay_synthetic.csv"), str(FIXTURES / "arrhenius_synthetic.csv"),
          str(FIXTURES / "diffusion_500nW.csv"), str(FIXTURES / "diffusion_manifest.txt"),
          str(FIXTURES / "missing.csv"), str(FIXTURES)]
@@ -46,11 +50,13 @@ GRAMMAR = {
     ("simulate", "cpmg"): ({"--n": COUNTS, "--tau-range": RANGES, "--n-t0": COUNTS},
                            {"--points": POINTS}),
     ("simulate", "ramsey"): ({"--t-range": RANGES, "--n-t0": COUNTS},
-                             {"--points": POINTS, "--n-a": COUNTS, "--a-min": NUMBERS}),
+                             {"--points": POINTS, "--envelope": FLAG, "--n-a": COUNTS,
+                              "--a-min": NUMBERS, "--a-max": NUMBERS}),
     ("simulate", "feedforward"): (
         {"--tau-range": ["1ms:3ms:1ms", "1ms:2ms", "2ms:1ms:1ms", "nan:1ms", "0:1ms:1ms"],
          "--shots": COUNTS, "--repetitions": COUNTS},
-        {"--drift-sigma": NUMBERS, "--drift-correlation": NUMBERS, "--points": POINTS}),
+        {"--drift-sigma": NUMBERS, "--drift-correlation": NUMBERS, "--frozen-drift": FLAG,
+         "--points": POINTS}),
     ("diffusion", "predict"): (
         {"--gamma-i": FREQS, "--d-coeff": NUMBERS},
         {"--sink-s": ["0", "150", "-1", "nan", "inf"], "--tau-range": RANGES,
@@ -66,7 +72,7 @@ GRAMMAR = {
     ("fit", "diffusion"): ({"--manifest": FILES}, {"--gamma-h": FREQS}),
     ("fit", "ionization"): (
         {"--data": FILES, "--gamma-i": FREQS, "--d-coeff": NUMBERS, "--c0": NUMBERS},
-        {"--gamma-h": FREQS, "--forward-rescale": NUMBERS}),
+        {"--power": POWERS, "--gamma-h": FREQS, "--forward-rescale": NUMBERS}),
 }
 
 
@@ -78,7 +84,29 @@ def command_lines(draw) -> list[str]:
     chosen.update({k: v for k, v in optional.items() if draw(st.booleans())})
     if draw(st.integers(0, 9)) == 0:  # now and then leave a required option out
         chosen.pop(draw(st.sampled_from(sorted(required))))
-    return [*words, *(f"{k}={draw(st.sampled_from(v))}" for k, v in chosen.items())]
+    argv = list(words)
+    for option, vocabulary in chosen.items():
+        value = draw(st.sampled_from(vocabulary))
+        argv.append(option if value is None else f"{option}={value}")
+    return argv
+
+
+def _leaf_options(parser: argparse.ArgumentParser, words=()) -> dict:
+    """{command words: long options} of every command of the parser."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {words: {o for a in parser._actions for o in a.option_strings
+                        if o.startswith("--")}}
+    return {k: v for a in subs for name, p in a.choices.items()
+            for k, v in _leaf_options(p, (*words, name)).items()}
+
+
+def test_grammar_draws_every_option_of_every_command():
+    # the options every command shares, and the field-model file, are not drawn
+    shared = {"--help", "--seed", "--out", "--print-config", "--config"}
+    assert {words: set(required) | set(optional)
+            for words, (required, optional) in GRAMMAR.items()} == \
+        {words: options - shared for words, options in _leaf_options(build_parser()).items()}
 
 
 @given(command_lines())

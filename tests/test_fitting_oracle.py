@@ -102,10 +102,7 @@ def test_drawn_stretched_exp_fit_matches_sequential_engine(a, t2, n, noise, poin
     y = stretched_exp(x, (a, t2, n)) + noise * np.random.default_rng(seed).normal(size=points)
     curve = DecayCurve(x, y, np.full(points, max(noise, 1e-3)) if seed % 2 else None)
     fit = lambda: fit_stretched_exp(curve, fix_n=fix_n)  # noqa: E731
-    # results are compared; a trial step whose model overflows warns in both
-    # engines (and is rejected), which a run with warnings as errors would stop
-    with np.errstate(over="ignore"):
-        assert_same_fit(fit(), sequential(fitting, fit))
+    assert_same_fit(fit(), sequential(fitting, fit))
 
 
 def _captured_model(monkeypatch, module, fit):
