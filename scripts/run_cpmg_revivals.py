@@ -13,13 +13,13 @@ import numpy as np
 
 from decolab.noise import TABLE1_COMPONENTS, table1_model
 from decolab.plotsvg import SvgPlot
-from decolab.sequences import PulseSequence, expectation_unsynchronized, is_revival
+from decolab.sequences import N_T0, PulseSequence, expectation_unsynchronized, is_revival
 
 
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--out", default="out-cpmg-revivals")
-    ap.add_argument("--n-t0", type=int, default=400)
+    ap.add_argument("--n-t0", type=int, default=N_T0)
     args = ap.parse_args()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -9,9 +9,9 @@ import argparse
 import json
 from pathlib import Path
 
-from decolab.diffusion import (HomogeneousLine, OuDiffusionModel, PowerDataset,
-                               fit_ionization_rate, joint_fit_backward,
-                               read_diffusion_csv, read_manifest, tau_c)
+from decolab.diffusion import (FORWARD_RESCALE, GAMMA_H, HomogeneousLine,
+                               OuDiffusionModel, PowerDataset, fit_ionization_rate,
+                               joint_fit_backward, read_diffusion_csv, read_manifest, tau_c)
 from decolab.fitting import fit_power_scaling
 
 DEFAULT_MANIFEST = Path(__file__).resolve().parent.parent / "tests" / "fixtures" / \
@@ -21,8 +21,8 @@ DEFAULT_MANIFEST = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--manifest", default=str(DEFAULT_MANIFEST))
-    ap.add_argument("--gamma-h", type=float, default=22.0)
-    ap.add_argument("--forward-rescale", type=float, default=0.96)
+    ap.add_argument("--gamma-h", type=float, default=GAMMA_H)
+    ap.add_argument("--forward-rescale", type=float, default=FORWARD_RESCALE)
     ap.add_argument("--out", default="out-diffusion")
     args = ap.parse_args()
     out = Path(args.out)
@@ -33,7 +33,7 @@ def main() -> None:
     for power, path in entries:
         fwd, bwd = read_diffusion_csv(path)
         backwards.append(PowerDataset(power, bwd))
-        forwards.append(PowerDataset(power, fwd))
+        forwards.append(fwd)
 
     joint = joint_fit_backward(backwards, gamma_h_fixed=args.gamma_h)
     gamma_i = joint.params["gamma_i"]
@@ -43,13 +43,13 @@ def main() -> None:
     payload = {"gamma_i_MHz": gamma_i, "gamma_h_MHz_fixed": args.gamma_h,
                "reduced_chi2": joint.reduced_chi2, "per_power": {}}
     powers, taucs = [], []
-    for ds_b, ds_f in zip(backwards, forwards):
-        tag = f"{ds_b.power_nw:g}nW"
+    for ds_b, fwd in zip(backwards, forwards):
+        tag = ds_b.tag
         d = joint.params[f"D_{tag}"]
         c0 = joint.params[f"C0_{tag}"]
         model = OuDiffusionModel(d, gamma_i)
         line = HomogeneousLine(c0, args.gamma_h)
-        ion = fit_ionization_rate(ds_f, model, line, forward_rescale=args.forward_rescale)
+        ion = fit_ionization_rate(fwd, model, line, forward_rescale=args.forward_rescale)
         tc = tau_c(d, args.gamma_h)
         payload["per_power"][tag] = {"D_MHz2_per_s": d, "C0": c0,
                                      "S_per_s": ion.params["S"],

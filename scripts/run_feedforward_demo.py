@@ -22,8 +22,8 @@ def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--out", default="out-feedforward")
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--shots", type=int, default=50)
-    ap.add_argument("--drift-sigma", type=float, default=0.01)
+    ap.add_argument("--shots", type=int, default=ShotConfig.n_shots)
+    ap.add_argument("--drift-sigma", type=float, default=AmplitudeScaleProcess.sigma)
     args = ap.parse_args()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -32,7 +32,7 @@ def main() -> None:
     rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(args.seed)))
 
     taus_u = np.arange(0.05e-3, 2.0e-3, 0.05e-3)
-    unsync = expectation_unsynchronized(model, PulseSequence.hahn(taus_u), 400)
+    unsync = expectation_unsynchronized(model, PulseSequence.hahn(taus_u))
     fit_u = fit_stretched_exp(DecayCurve(2 * taus_u, unsync))
 
     taus_c = np.arange(0.25e-3, 7.75e-3, 0.25e-3)

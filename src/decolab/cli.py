@@ -28,11 +28,11 @@ from .noise import (AcFieldModel, AmplitudeScaleProcess, ConfigError,
 from . import bath as bathmod
 from . import diffusion as diff
 from . import growth
-from .feedforward import ShotConfig, run_feedforward
+from .feedforward import N_REPETITIONS, ShotConfig, run_feedforward
 from .fitting import (DataError, DecayCurve, FitError, FitResult, _write_csv,
                       fit_power_scaling, fit_stretched_exp, read_decay_csv, stretched_exp)
 from .plotsvg import SvgPlot, histogram_plot, quick_line_plot
-from .sequences import PulseSequence, expectation_unsynchronized, ramsey_envelope
+from .sequences import N_A, N_T0, PulseSequence, expectation_unsynchronized, ramsey_envelope
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -104,9 +104,11 @@ def parse_range(text: str, kind: str, default_points: int = 101) -> np.ndarray:
 def _positive_times(args: argparse.Namespace, name: str, default_points: int) -> np.ndarray:
     """The times t > 0 of the range option ``name``, with a counted warning
     for the times dropped; --points sets the grid size of a start:stop range
-    and is rejected with a stepped one."""
+    (default_points when unset) and is rejected with a stepped one."""
     text = getattr(args, name)
-    if args.points is not None and text.count(":") == 2:
+    if text.count(":") != 2:
+        _fill_unset(args, points=default_points)
+    elif args.points is not None:
         raise ConfigError(f"--points applies only to a start:stop range, not {text!r}")
     times = parse_range(text, "time", default_points if args.points is None else args.points)
     positive = times[times > 0.0]
@@ -185,16 +187,30 @@ def _fit_payload(fit: FitResult) -> dict:
             "n_iter": fit.n_iter, "message": fit.message}
 
 
+def _finish(path: Path, fit: FitResult | None = None) -> int:
+    """Print the main output's path; a fit that did not converge then exits 4."""
+    print(path)
+    if fit is not None and not fit.converged:
+        raise FitError(fit.message)
+    return EXIT_OK
+
+
 def _load_model(name: str) -> AcFieldModel:
     return table1_model() if name == "table1" else load_field_config(name)
 
 
-def _given(**options) -> dict:
-    """The options that were set on the command line (those not None)."""
-    return {k: v for k, v in options.items() if v is not None}
+def _given(*options) -> bool:
+    """Whether any of the options was set on the command line (is not None)."""
+    return any(v is not None for v in options)
+
+
+def _fill_unset(args: argparse.Namespace, **values) -> None:
+    """Set each unset (None) option to the value the run uses, for --print-config."""
+    vars(args).update({k: v for k, v in values.items() if getattr(args, k) is None})
 
 
 def _print_config(args: argparse.Namespace, model: AcFieldModel | None = None) -> None:
+    """The options with the values the run uses; null where one does not apply."""
     if not getattr(args, "print_config", False):
         return
     print(json.dumps(vars(args), default=str, indent=2))
@@ -210,17 +226,27 @@ def _print_config(args: argparse.Namespace, model: AcFieldModel | None = None) -
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     model = _load_model(args.config)
+    if args.sequence == "feedforward" and args.frozen_drift:
+        if _given(args.drift_sigma, args.drift_correlation):
+            raise ConfigError("--frozen-drift excludes --drift-sigma and --drift-correlation")
+    elif args.sequence == "feedforward":
+        _fill_unset(args, drift_sigma=AmplitudeScaleProcess.sigma,
+                    drift_correlation=AmplitudeScaleProcess.correlation_time)
+    elif args.sequence == "ramsey" and args.envelope:
+        # the amplitude range defaults to the clip bounds of the drift process
+        _fill_unset(args, a_min=AmplitudeScaleProcess.a_min, a_max=AmplitudeScaleProcess.a_max,
+                    n_a=N_A)
+    elif args.sequence == "ramsey" and _given(args.a_min, args.a_max, args.n_a):
+        raise ConfigError("--a-min, --a-max and --n-a apply only with --envelope")
+    times = _positive_times(args, "t_range" if args.sequence == "ramsey" else "tau_range", 101)
     _print_config(args, model)
     out = OutputWriter(Path(args.out), f"simulate {args.sequence}", args.seed, args.config)
     if args.sequence == "feedforward":
-        drift_options = _given(sigma=args.drift_sigma, correlation_time=args.drift_correlation)
-        if args.frozen_drift and drift_options:
-            raise ConfigError("--frozen-drift excludes --drift-sigma and --drift-correlation")
-        taus = _positive_times(args, "tau_range", 101)
         rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(args.seed)))
-        drift = None if args.frozen_drift else AmplitudeScaleProcess(**drift_options)
+        drift = None if args.frozen_drift else AmplitudeScaleProcess(
+            sigma=args.drift_sigma, correlation_time=args.drift_correlation)
         cfg = ShotConfig(n_shots=args.shots)
-        outcomes = run_feedforward(model, taus, cfg, drift, rng,
+        outcomes = run_feedforward(model, times, cfg, drift, rng,
                                    n_repetitions=args.repetitions)
         tau = [o.tau for o in outcomes]
         c = [o.c_expectation for o in outcomes]
@@ -232,40 +258,31 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         quick_line_plot(out.out_dir / "feedforward.svg", tau, [c], ["<C>"],
                         title="feedforward echo", xlabel="tau (s)", ylabel="<C>",
                         styles=["points"])
-        print(path)
-        return EXIT_OK
+        return _finish(path)
 
     if args.sequence == "ramsey":
-        if not args.envelope and _given(a_min=args.a_min, a_max=args.a_max, n_a=args.n_a):
-            raise ConfigError("--a-min, --a-max and --n-a apply only with --envelope")
-        times = _positive_times(args, "t_range", 101)
         if args.envelope:
-            # the amplitude range defaults to the clip bounds of the drift process
-            a_range = (AmplitudeScaleProcess.a_min if args.a_min is None else args.a_min,
-                       AmplitudeScaleProcess.a_max if args.a_max is None else args.a_max)
-            vals = ramsey_envelope(model, a_range, times, n_t0=args.n_t0,
-                                   **_given(n_a=args.n_a))
+            vals = ramsey_envelope(model, (args.a_min, args.a_max), times, n_t0=args.n_t0,
+                                   n_a=args.n_a)
         else:
             vals = expectation_unsynchronized(model, PulseSequence.ramsey(times), args.n_t0)
-        n_pulses, taus, t_total = 0, times, times
+        n_pulses, t_total = 0, times
     else:
         n_pulses = 1 if args.sequence == "hahn" else args.n
-        taus = _positive_times(args, "tau_range", 101)
-        seq = (PulseSequence.hahn(taus) if args.sequence == "hahn"
-               else PulseSequence.cpmg(n_pulses, taus))
+        seq = (PulseSequence.hahn(times) if args.sequence == "hahn"
+               else PulseSequence.cpmg(n_pulses, times))
         vals = expectation_unsynchronized(model, seq, args.n_t0)
         t_total = seq.total_time
 
     n = len(vals)
     path = out.csv("sweep.csv",
                    ["sequence_kind", "n_pulses", "tau_s", "t_total_s", "expectation"],
-                   [[args.sequence] * n, [n_pulses] * n, taus, t_total, vals])
+                   [[args.sequence] * n, [n_pulses] * n, times, t_total, vals])
     if n:
         quick_line_plot(out.out_dir / "sweep.svg", t_total, [vals], [args.sequence],
                         title=f"{args.sequence} sweep", xlabel="total time (s)",
                         ylabel="expectation")
-    print(path)
-    return EXIT_OK
+    return _finish(path)
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +307,7 @@ def cmd_bath(args: argparse.Namespace) -> int:
                        overlay_pdf=lambda x: (math.sqrt(2 / math.pi) / scale_us
                                               * np.exp(-x ** 2 / (2 * scale_us ** 2))),
                        title=f"T2* distribution, chi={args.chi}", xlabel="T2* (us)")
-        print(out.out_dir / "t2star_summary.json")
-        return EXIT_OK
+        return _finish(out.out_dir / "t2star_summary.json")
 
     out = OutputWriter(Path(args.out), "bath likelihood", args.seed, "-")
     est = bathmod.electron_bath_likelihood(args.rho_ppb, args.t2_lower, args.n_centres,
@@ -305,8 +321,7 @@ def cmd_bath(args: argparse.Namespace) -> int:
         "stderr": est.stderr, "exceedance": est.exceedance,
         "exceedance_stderr": est.exceedance_stderr, "n_baths": est.n_baths,
     })
-    print(out.out_dir / "likelihood.json")
-    return EXIT_OK
+    return _finish(out.out_dir / "likelihood.json")
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +343,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         out.json("fit_decay.json", _fit_payload(fit))
         _plot_fit(out, "fit_decay.svg", curve, stretched_exp(curve.x, fit.values()),
                   "stretched exponential fit")
-        print(out.out_dir / "fit_decay.json")
-        if not fit.converged:
-            raise FitError(fit.message)
-        return EXIT_OK
+        return _finish(out.out_dir / "fit_decay.json", fit)
 
     if args.fit_command == "scaling":
         curve = read_decay_csv(args.data)
@@ -341,56 +353,42 @@ def cmd_fit(args: argparse.Namespace) -> int:
         out.json("fit_scaling.json", _fit_payload(fit))
         model_y = fit.params["T0"] * np.power(curve.x, fit.params["eta"])
         _plot_fit(out, "fit_scaling.svg", curve, model_y, "power-law scaling fit")
-        print(out.out_dir / "fit_scaling.json")
-        return EXIT_OK
+        return _finish(out.out_dir / "fit_scaling.json")
 
     if args.fit_command == "diffusion":
-        entries = diff.read_manifest(args.manifest)
-        datasets = []
-        for power, path in entries:
-            _, backward = diff.read_diffusion_csv(path)
-            datasets.append(diff.PowerDataset(power, backward))
+        datasets = [diff.PowerDataset(power, diff.read_diffusion_csv(path)[1])
+                    for power, path in diff.read_manifest(args.manifest)]
         fit = diff.joint_fit_backward(datasets, gamma_h_fixed=args.gamma_h)
-        payload = {"gamma_i_MHz": fit.params["gamma_i"],
-                   "gamma_h_MHz_fixed": args.gamma_h, **_fit_payload(fit),
-                   "per_power": {}}
-        for ds in datasets:
-            tag = f"{ds.power_nw:g}nW"
-            payload["per_power"][tag] = {
-                "D_MHz2_per_s": fit.params[f"D_{tag}"], "C0": fit.params[f"C0_{tag}"],
-                "D_stderr": fit.stderr[f"D_{tag}"], "C0_stderr": fit.stderr[f"C0_{tag}"],
-            }
-        out.json("fit_diffusion.json", payload)
+        per_power = {}
         plot = SvgPlot(title="joint backward diffusion fit", xlabel="tau_d (s)",
                        ylabel="counts")
-        for i, ds in enumerate(datasets):
-            tag = f"{ds.power_nw:g}nW"
-            model = diff.OuDiffusionModel(fit.params[f"D_{tag}"], fit.params["gamma_i"])
-            line = diff.HomogeneousLine(fit.params[f"C0_{tag}"], args.gamma_h)
-            plot.add_line(ds.curve.x, ds.curve.y, tag, "points")
+        for ds in datasets:
+            d, c0 = fit.params[f"D_{ds.tag}"], fit.params[f"C0_{ds.tag}"]
+            per_power[ds.tag] = {"D_MHz2_per_s": d, "C0": c0,
+                                 "D_stderr": fit.stderr[f"D_{ds.tag}"],
+                                 "C0_stderr": fit.stderr[f"C0_{ds.tag}"]}
+            model = diff.OuDiffusionModel(d, fit.params["gamma_i"])
+            line = diff.HomogeneousLine(c0, args.gamma_h)
+            plot.add_line(ds.curve.x, ds.curve.y, ds.tag, "points")
             plot.add_line(ds.curve.x, diff.counts_no_ionization(model, line, ds.curve.x), "")
+        out.json("fit_diffusion.json", {"gamma_i_MHz": fit.params["gamma_i"],
+                                        "gamma_h_MHz_fixed": args.gamma_h, **_fit_payload(fit),
+                                        "per_power": per_power})
         plot.write(out.out_dir / "fit_diffusion.svg")
-        print(out.out_dir / "fit_diffusion.json")
-        if not fit.converged:
-            raise FitError(fit.message)
-        return EXIT_OK
+        return _finish(out.out_dir / "fit_diffusion.json", fit)
 
     # ionization
     forward, _ = diff.read_diffusion_csv(args.data)
     model = diff.OuDiffusionModel(d_coeff=args.d_coeff, gamma_i=args.gamma_i)
     line = diff.HomogeneousLine(c0=args.c0, gamma_h=args.gamma_h)
     _check_forward_rescale(args.forward_rescale)
-    fit = diff.fit_ionization_rate(diff.PowerDataset(args.power, forward), model, line,
-                                   forward_rescale=args.forward_rescale)
+    fit = diff.fit_ionization_rate(forward, model, line, forward_rescale=args.forward_rescale)
     out.json("fit_ionization.json", {
         **_fit_payload(fit),
         "S_per_s": fit.params["S"], "forward_rescale": args.forward_rescale,
         "power_nW": args.power,
     })
-    print(out.out_dir / "fit_ionization.json")
-    if not fit.converged:
-        raise FitError(fit.message)
-    return EXIT_OK
+    return _finish(out.out_dir / "fit_ionization.json", fit)
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +396,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_growth(args: argparse.Namespace) -> int:
+    if args.growth_command == "nitrogen" and args.n2_molps is None:
+        _fill_unset(args, q_leak=growth.Q_LEAK_PA_M3_S, pressure=growth.GROWTH_PRESSURE_PA)
     _print_config(args)
     out = OutputWriter(Path(args.out), f"growth {args.growth_command}", args.seed, "-")
     if args.growth_command == "chi":
@@ -406,29 +406,25 @@ def cmd_growth(args: argparse.Namespace) -> int:
             "f0_sccm": args.f0, "f1_sccm": args.f1, "chi": chi,
             "chi_percent": 100.0 * chi, "ratio_13c_12c": growth.chi_to_ratio(chi),
         })
-        print(out.out_dir / "growth_chi.json")
-        return EXIT_OK
+        return _finish(out.out_dir / "growth_chi.json")
     if args.growth_command == "nitrogen":
         n2 = args.n2_molps
         if n2 is None:
-            leak = growth.LeakModel(q_leak=1.5e-8 if args.q_leak is None else args.q_leak)
-            n2 = growth.n2_molar_flow(leak, 120.0 * TORR_TO_PA if args.pressure is None
-                                      else args.pressure)
+            n2 = growth.n2_molar_flow(growth.LeakModel(q_leak=args.q_leak), args.pressure)
         elif args.q_leak is not None or args.pressure is not None:
             raise ConfigError("--n2-molps excludes --q-leak and --pressure")
         if args.eta is not None:
             ppb = growth.nitrogen_ppb(args.eta, n2, args.ch4_sccm)
             payload = {"eta": args.eta, "nitrogen_ppb": ppb}
         else:
-            bounds = growth.nitrogen_bounds(n2, args.ch4_sccm)
+            lower, upper = (growth.nitrogen_ppb(eta, n2, args.ch4_sccm)
+                            for eta in (growth.ETA_LOWER, growth.ETA_UPPER))
             payload = {"eta_lower": growth.ETA_LOWER, "eta_upper": growth.ETA_UPPER,
-                       "nitrogen_ppb_lower": bounds.lower_ppb,
-                       "nitrogen_ppb_upper": bounds.upper_ppb}
+                       "nitrogen_ppb_lower": lower, "nitrogen_ppb_upper": upper}
         payload.update({"n2_mol_per_s": n2, "n2_sccm": growth.molar_flow_to_sccm(n2),
                         "ch4_sccm": args.ch4_sccm})
         out.json("growth_nitrogen.json", payload)
-        print(out.out_dir / "growth_nitrogen.json")
-        return EXIT_OK
+        return _finish(out.out_dir / "growth_nitrogen.json")
     # leak
     curve = read_decay_csv(args.data)
     leak, fit = growth.fit_arrhenius(curve.x, curve.y, volume=args.volume)
@@ -438,10 +434,7 @@ def cmd_growth(args: argparse.Namespace) -> int:
     })
     _plot_fit(out, "growth_leak.svg", curve, leak.throughput(curve.x) / leak.volume,
               "Arrhenius throughput fit")
-    print(out.out_dir / "growth_leak.json")
-    if not fit.converged:
-        raise FitError(fit.message)
-    return EXIT_OK
+    return _finish(out.out_dir / "growth_leak.json", fit)
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +447,6 @@ def _check_forward_rescale(value: float) -> None:
 
 
 def cmd_diffusion(args: argparse.Namespace) -> int:
-    _print_config(args)
-    out = OutputWriter(Path(args.out), "diffusion predict", args.seed, "-")
     model = diff.OuDiffusionModel(d_coeff=args.d_coeff, gamma_i=args.gamma_i)
     line = diff.HomogeneousLine(c0=args.c0, gamma_h=args.gamma_h)
     sink = diff.IonizationSink(strength_s=args.sink_s)
@@ -463,6 +454,8 @@ def cmd_diffusion(args: argparse.Namespace) -> int:
     if not math.isfinite(args.detuning):
         raise ConfigError(f"--detuning must be finite, got {args.detuning!r}")
     taus = _positive_times(args, "tau_range", 40)
+    _print_config(args)
+    out = OutputWriter(Path(args.out), "diffusion predict", args.seed, "-")
     forward = backward = diff.counts_no_ionization(model, line, taus, args.detuning)
     if sink.strength_s > 0.0:
         solver = diff.SinkSolver(model, sink)
@@ -471,15 +464,13 @@ def cmd_diffusion(args: argparse.Namespace) -> int:
         except diff.ValidityError as exc:
             raise ConfigError(f"--tau-range: {exc}") from None
     forward = args.forward_rescale * forward
-    path = out.csv("diffusion_predict.csv",
-                   ["tau_d_s", "counts_forward", "counts_backward", "stderr"],
+    path = out.csv("diffusion_predict.csv", diff.DIFFUSION_COLUMNS,
                    [taus, forward, backward, np.zeros(taus.size)])
     if taus.size:
         quick_line_plot(out.out_dir / "diffusion_predict.svg", taus, [backward, forward],
                         ["backward", "forward"], title="check-probe counts",
                         xlabel="tau_d (s)", ylabel="counts")
-    print(path)
-    return EXIT_OK
+    return _finish(path)
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default="table1",
                        help="'table1' or a field-model config path")
         if kind != "feedforward":
-            p.add_argument("--n-t0", type=int, default=400)
+            p.add_argument("--n-t0", type=int, default=N_T0)
         p.add_argument("--points", type=int, default=None,
                        help="grid size of a start:stop range (default 101)")
         if kind == "ramsey":
@@ -521,8 +512,8 @@ def build_parser() -> argparse.ArgumentParser:
         if kind == "cpmg":
             p.add_argument("--n", type=int, required=True)
         if kind == "feedforward":
-            p.add_argument("--shots", type=int, default=50)
-            p.add_argument("--repetitions", type=int, default=12)
+            p.add_argument("--shots", type=int, default=ShotConfig.n_shots)
+            p.add_argument("--repetitions", type=int, default=N_REPETITIONS)
             p.add_argument("--drift-sigma", type=float, default=None)
             p.add_argument("--drift-correlation", type=float, default=None)
             p.add_argument("--frozen-drift", action="store_true")
@@ -549,15 +540,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p = fit_sub.add_parser("diffusion", parents=[common])
     p.add_argument("--manifest", required=True)
-    p.add_argument("--gamma-h", type=lambda s: parse_quantity(s, "freq_mhz"), default=22.0)
+    p.add_argument("--gamma-h", type=lambda s: parse_quantity(s, "freq_mhz"), default=diff.GAMMA_H)
     p = fit_sub.add_parser("ionization", parents=[common])
     p.add_argument("--data", required=True)
     p.add_argument("--power", type=lambda s: parse_quantity(s, "power_nw"), default=0.0)
     p.add_argument("--gamma-i", type=lambda s: parse_quantity(s, "freq_mhz"), required=True)
     p.add_argument("--d-coeff", type=float, required=True, help="MHz^2/s")
     p.add_argument("--c0", type=float, required=True)
-    p.add_argument("--gamma-h", type=lambda s: parse_quantity(s, "freq_mhz"), default=22.0)
-    p.add_argument("--forward-rescale", type=float, default=0.96)
+    p.add_argument("--gamma-h", type=lambda s: parse_quantity(s, "freq_mhz"), default=diff.GAMMA_H)
+    p.add_argument("--forward-rescale", type=float, default=diff.FORWARD_RESCALE)
 
     growth_p = sub.add_parser("growth", help="growth calculators")
     growth_sub = growth_p.add_subparsers(dest="growth_command", required=True)
@@ -570,9 +561,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n2-molps", type=float, default=None,
                    help="N2 inflow (mol/s); excludes --q-leak and --pressure")
     p.add_argument("--q-leak", type=float, default=None,
-                   help="leak throughput (Pa m^3/s, default 1.5e-8)")
+                   help=f"leak throughput (Pa m^3/s, default {growth.Q_LEAK_PA_M3_S:g})")
     p.add_argument("--pressure", type=lambda s: parse_quantity(s, "pressure"), default=None,
-                   help="growth pressure (default 120Torr)")
+                   help="growth pressure (default "
+                        f"{growth.GROWTH_PRESSURE_PA / TORR_TO_PA:g}Torr)")
     p = growth_sub.add_parser("leak", parents=[common])
     p.add_argument("--data", required=True, help="CSV with T_K, dPdt_Pa_per_s")
     p.add_argument("--volume", type=float, default=growth.CHAMBER_VOLUME_M3)
@@ -582,10 +574,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = diff_sub.add_parser("predict", parents=[common])
     p.add_argument("--gamma-i", type=lambda s: parse_quantity(s, "freq_mhz"), required=True)
     p.add_argument("--d-coeff", type=float, required=True, help="MHz^2/s")
-    p.add_argument("--gamma-h", type=lambda s: parse_quantity(s, "freq_mhz"), default=22.0)
+    p.add_argument("--gamma-h", type=lambda s: parse_quantity(s, "freq_mhz"), default=diff.GAMMA_H)
     p.add_argument("--c0", type=float, default=1.0)
     p.add_argument("--sink-s", type=float, default=0.0)
-    p.add_argument("--forward-rescale", type=float, default=0.96)
+    p.add_argument("--forward-rescale", type=float, default=diff.FORWARD_RESCALE)
     p.add_argument("--detuning", type=lambda s: parse_quantity(s, "freq_mhz"), default=0.0)
     p.add_argument("--tau-range", default="1ms:500ms")
     p.add_argument("--points", type=int, default=None,

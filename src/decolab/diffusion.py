@@ -69,6 +69,13 @@ __all__ = [
 FWHM_PER_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 LN2_8 = 8.0 * math.log(2.0)
 
+#: homogeneous linewidth (MHz) that fits and predictions hold fixed unless told otherwise
+GAMMA_H = 22.0
+#: ratio of forward to backward check-probe counts without ionization
+FORWARD_RESCALE = 0.96
+#: the columns of a diffusion CSV, as read and written
+DIFFUSION_COLUMNS = ("tau_d_s", "counts_forward", "counts_backward", "stderr")
+
 #: element budget of one resolvent block in SinkSolver._inverse (16 B each)
 _RESOLVENT_BLOCK = 1 << 18
 
@@ -116,7 +123,7 @@ class OuDiffusionModel:
     @property
     def stationary_variance(self) -> float:
         """gamma_i^2 / (8 ln 2) = D / theta, in MHz^2."""
-        return self.gamma_i ** 2 / LN2_8
+        return _stationary_variance(self.gamma_i)
 
 
 @dataclass(frozen=True)
@@ -168,13 +175,25 @@ class SolverSettings:
             raise ValueError("n_eigen must be >= 1")
 
 
-def ou_variance(model: OuDiffusionModel, tau_d):
-    """Frequency variance (MHz^2) after diffusion time tau_d."""
+def _stationary_variance(gamma_i):
+    return gamma_i ** 2 / LN2_8
+
+
+def _ou_variance(v_inf, d_coeff, t):
+    """v_inf (1 - e^{-2 theta t}), theta = d_coeff / v_inf; one call serves many models."""
+    return v_inf * -np.expm1(-2.0 * d_coeff * t / v_inf)
+
+
+def _diffusion_times(tau_d) -> np.ndarray:
     t = np.asarray(tau_d, dtype=float)
     if np.any(t < 0.0):
         raise ValueError("tau_d must be >= 0")
-    v_inf = model.stationary_variance
-    out = v_inf * -np.expm1(-2.0 * model.d_coeff * t / v_inf)
+    return t
+
+
+def ou_variance(model: OuDiffusionModel, tau_d):
+    """Frequency variance (MHz^2) after diffusion time tau_d."""
+    out = _ou_variance(model.stationary_variance, model.d_coeff, _diffusion_times(tau_d))
     return float(out) if out.ndim == 0 else out
 
 
@@ -538,6 +557,11 @@ class PowerDataset:
     power_nw: float
     curve: DecayCurve
 
+    @property
+    def tag(self) -> str:
+        """The power as it names the fit parameters and outputs, e.g. '500nW'."""
+        return f"{self.power_nw:g}nW"
+
 
 def joint_fit_backward(datasets: Sequence[PowerDataset], gamma_h_fixed: float) -> FitResult:
     """Joint fit of backward-correlation counts for all powers.
@@ -545,41 +569,32 @@ def joint_fit_backward(datasets: Sequence[PowerDataset], gamma_h_fixed: float) -
     One shared inhomogeneous linewidth gamma_i; a separate diffusion
     coefficient D and peak counts C0 per power.  gamma_h is fixed (strong
     covariance with gamma_i otherwise).  Parameter names: gamma_i, then
-    D_<power>, C0_<power> per dataset.
+    D_<tag>, C0_<tag> per dataset (two datasets of one tag are a DataError).
+    A negative time is a ValueError before the fit; a trial row that
+    overflows gets non-finite counts, which the fit rejects.
     """
     if not datasets:
         raise FitError("need at least one dataset")
     if not 0.0 < gamma_h_fixed < math.inf:
         raise ValueError("gamma_h must be finite and > 0")
+    tags = [ds.tag for ds in datasets]
+    for tag in tags:
+        if tags.count(tag) > 1:
+            raise DataError(f"power {tag} is listed more than once")
     sizes = [len(ds.curve) for ds in datasets]
-    slices = [slice(start - n, start) for start, n in zip(np.cumsum(sizes), sizes)]
-    x_all = np.concatenate([ds.curve.x for ds in datasets])
+    x_all = _diffusion_times(np.concatenate([ds.curve.x for ds in datasets]))
     y_all = np.concatenate([ds.curve.y for ds in datasets])
     sig_all = (np.concatenate([ds.curve.sigma for ds in datasets])
                if all(ds.curve.sigma is not None for ds in datasets) else None)
-    negative = np.array([np.any(x_all[sl] < 0.0) for sl in slices])
 
     def model_fn(x, params):
         # ou_variance and counts_no_ionization for every row of params and
         # every power, with one Voigt call for all of them
         gamma_i, d, c0 = params[..., :1], params[..., 1::2], params[..., 2::2]
-        # OuDiffusionModel's stationary variance and theta / D in its own
-        # scalar arithmetic (an array square can differ in the last bit); an
-        # overflow or a division by zero marks a row invalid, reported below
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            v_inf = np.reshape([g ** 2 / LN2_8 for g in gamma_i.flat], gamma_i.shape)
-            theta = d * np.reshape([(FWHM_PER_SIGMA / g) ** 2 for g in gamma_i.flat],
-                                   gamma_i.shape)
-            valid = np.logical_and.reduce([(0.0 < a) & (a < math.inf)
-                                           for a in np.broadcast_arrays(d, gamma_i, theta, v_inf)])
-            if not valid.all() or negative.any():
-                # the ValueError of the first power, rows in order, whose
-                # model or times are invalid
-                row, i = divmod(int(np.argmax(~valid | negative)), len(sizes))
-                model = OuDiffusionModel(d_coeff=d.reshape(-1, len(sizes))[row, i],
-                                         gamma_i=gamma_i.flat[row])
-                ou_variance(model, x[slices[i]])
-        variance = v_inf * -np.expm1(-2.0 * np.repeat(d, sizes, axis=-1) * x / v_inf)
+        # the stationary variance in OuDiffusionModel's scalar arithmetic (an
+        # array square can differ in the last bit)
+        v_inf = np.reshape([_stationary_variance(g) for g in gamma_i.flat], gamma_i.shape)
+        variance = _ou_variance(v_inf, np.repeat(d, sizes, axis=-1), x)
         return _gaussian_averaged_counts(np.repeat(c0, sizes, axis=-1), gamma_h_fixed,
                                          variance, 0.0)
 
@@ -600,16 +615,15 @@ def joint_fit_backward(datasets: Sequence[PowerDataset], gamma_h_fixed: float) -
         t_half = float(ds.curve.x[below[0]]) if below.size else float(ds.curve.x[-1])
         d_guess = gamma_h_fixed ** 2 / (2.0 * LN2_8 * t_half)
         p0.extend([d_guess, c0_guess])
-        tag = f"{ds.power_nw:g}nW"
-        names.extend([f"D_{tag}", f"C0_{tag}"])
+        names.extend([f"D_{ds.tag}", f"C0_{ds.tag}"])
     p0 = [float(np.median(gammas))] + p0
     bounds = [(1e-6, np.inf)] * len(p0)
     return least_squares(model_fn, p0, x_all, y_all, sigma=sig_all,
                          bounds=bounds, param_names=names)
 
 
-def fit_ionization_rate(dataset: PowerDataset, backward_model: OuDiffusionModel,
-                        line: HomogeneousLine, forward_rescale: float = 0.96,
+def fit_ionization_rate(forward: DecayCurve, backward_model: OuDiffusionModel,
+                        line: HomogeneousLine, forward_rescale: float = FORWARD_RESCALE,
                         settings: SolverSettings = SolverSettings()) -> FitResult:
     """One-parameter fit of the sink strength S to forward-correlation counts.
 
@@ -617,14 +631,13 @@ def fit_ionization_rate(dataset: PowerDataset, backward_model: OuDiffusionModel,
     the model counts are forward_rescale * ionizing counts.
     """
     solver = SinkSolver(backward_model, IonizationSink(strength_s=0.0), settings)
-    counts_of_s = solver.counts_factorized(line, dataset.curve.x)
+    counts_of_s = solver.counts_factorized(line, forward.x)
 
     def model_fn(x, params):
         return forward_rescale * counts_of_s(params[..., 0])
 
-    return least_squares(model_fn, [1.0], dataset.curve.x, dataset.curve.y,
-                         sigma=dataset.curve.sigma, bounds=[(0.0, np.inf)],
-                         param_names=["S"])
+    return least_squares(model_fn, [1.0], forward.x, forward.y, sigma=forward.sigma,
+                         bounds=[(0.0, np.inf)], param_names=["S"])
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +646,7 @@ def fit_ionization_rate(dataset: PowerDataset, backward_model: OuDiffusionModel,
 
 def write_diffusion_csv(path: str | Path, taus: np.ndarray, forward: np.ndarray,
                         backward: np.ndarray, stderr: np.ndarray) -> None:
-    _write_csv(path, ["tau_d_s", "counts_forward", "counts_backward", "stderr"],
+    _write_csv(path, DIFFUSION_COLUMNS,
                [np.asarray(c, dtype=float) for c in (taus, forward, backward, stderr)])
 
 
@@ -650,7 +663,7 @@ def read_diffusion_csv(path: str | Path) -> tuple[DecayCurve, DecayCurve]:
         header = next(reader, [])
         while header and header[0].lstrip().startswith("#"):
             header = next(reader, [])
-        if [h.strip() for h in header] != ["tau_d_s", "counts_forward", "counts_backward", "stderr"]:
+        if tuple(h.strip() for h in header) != DIFFUSION_COLUMNS:
             raise DataError(f"unexpected diffusion CSV header: {header}", line=reader.line_num)
         for row in reader:
             if not row or row[0].lstrip().startswith("#"):

@@ -28,6 +28,8 @@ __all__ = [
 
 #: wall-clock time of one shot (s): one period of the 50 Hz mains
 SHOT_PERIOD = 0.02
+#: X / Y / C block repetitions per echo time
+N_REPETITIONS = 12
 
 
 @dataclass(frozen=True)
@@ -113,7 +115,7 @@ def _estimate_lanes(phases: np.ndarray, cfg: ShotConfig, uniforms: np.ndarray):
 def run_feedforward(model: AcFieldModel, taus, cfg: ShotConfig,
                     drift: AmplitudeScaleProcess | None,
                     rng: np.random.Generator,
-                    n_repetitions: int = 12) -> list[FeedforwardOutcome]:
+                    n_repetitions: int = N_REPETITIONS) -> list[FeedforwardOutcome]:
     """Simulate the X / Y / C block protocol for each echo time.
 
     Per repetition the wall clock advances one SHOT_PERIOD per shot through

@@ -113,11 +113,10 @@ def least_squares(model_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     evaluates the forward-difference Jacobian; the damped trials lambda 2^j,
     j < 60, go in batches of 1, 2, 4, 8, 16 and 29 rows, one call each, and
     the first row in lambda order whose cost is finite and lower is taken.
-    A trial equal to the current point or to the trial before it is not
-    evaluated, nor is the Jacobian for the covariance when the point has not
-    moved: their results are known.  So the iterates, n_iter and message are
-    those of one call per Jacobian column and per trial, and a call holds at
-    most max(len(params0), 29) rows of len(x) values.
+    The Jacobian for the covariance is not evaluated again when the point
+    has not moved since the last one.  So the iterates, n_iter and message
+    are those of one call per Jacobian column and per trial, and a call
+    holds at most max(len(params0), 29) rows of len(x) values.
 
     Weighted by 1/sigma when sigma is given.  Bounds are (lo, hi) pairs per
     parameter; trial steps are projected into the box.  A start point whose
@@ -182,28 +181,21 @@ def least_squares(model_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
         grad_s = dinv * grad
         accepted = False
         start, size = 0, 1
-        at_p = last = p.tobytes()  # the bits of p and of the latest trial
         while start < 60 and not accepted:
             lams = lam * doubling[start:start + size]
             ys = np.linalg.solve(hs + lams[:, None, None] * eye, -grad_s[:, None])
             trials = np.clip(p + dinv * ys[..., 0], lo, hi)
-            # a trial equal, bit for bit, to p or to the trial before it has a
-            # cost known not to be lower: it is rejected without evaluation
-            keys = [last] + [row.tobytes() for row in trials]
-            fresh = [k for k in range(len(trials)) if keys[k + 1] not in (at_p, keys[k])]
-            last = keys[-1]
             # a trial whose model or cost overflows is rejected by its
             # non-finite cost, so it raises no warning
             with np.errstate(over="ignore", invalid="ignore"):
-                r_trials = residuals(trials[fresh]) if fresh else ()
+                r_trials = residuals(trials)
                 costs = [float(r_trial @ r_trial) for r_trial in r_trials]
-            for k, r_trial, cost_trial in zip(fresh, r_trials, costs):
+            for lam_trial, p_trial, r_trial, cost_trial in zip(lams, trials, r_trials, costs):
                 if math.isfinite(cost_trial) and cost_trial < cost:
-                    p_trial = trials[k]
                     rel_step = float(np.max(np.abs(p_trial - p) / np.maximum(np.abs(p), 1e-30)))
                     df = cost - cost_trial
                     p, r, cost = p_trial, r_trial, cost_trial
-                    lam = max(float(lams[k]) / 3.0, 1e-14)
+                    lam = max(float(lam_trial) / 3.0, 1e-14)
                     accepted = True
                     jac = None  # p moved
                     if rel_step < XTOL or df < FTOL * max(cost, 1e-300):

@@ -13,15 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import ATM_PA, R_GAS, CONSTANTS
+from .constants import ATM_PA, R_GAS, TORR_TO_PA, CONSTANTS
 from .fitting import FitResult, least_squares
 
 __all__ = [
     "LeakModel",
-    "NitrogenEstimate",
     "chi_from_flows",
     "nitrogen_ppb",
-    "nitrogen_bounds",
     "fit_arrhenius",
     "n2_molar_flow",
     "molar_flow_to_sccm",
@@ -59,6 +57,10 @@ T_REF = 298.0
 #: volume (m^3) of the growth chamber whose pressure rise gives the leak rate.
 CHAMBER_VOLUME_M3 = 11.3e-3
 
+#: leak throughput (Pa m^3/s) and growth pressure (Pa) of the default N2 inflow
+Q_LEAK_PA_M3_S = 1.5e-8
+GROWTH_PRESSURE_PA = 120.0 * TORR_TO_PA
+
 
 @dataclass(frozen=True)
 class LeakModel:
@@ -76,14 +78,6 @@ class LeakModel:
     def throughput(self, temperature_k):
         t = np.asarray(temperature_k, dtype=float)
         return self.q_leak + self.q0 * np.exp(-self.e_a / (CONSTANTS.kB * t))
-
-
-@dataclass(frozen=True)
-class NitrogenEstimate:
-    """[N] in ppb at the incorporation efficiencies ETA_LOWER and ETA_UPPER."""
-
-    lower_ppb: float
-    upper_ppb: float
 
 
 def chi_from_flows(f0: float, f1: float) -> float:
@@ -112,12 +106,6 @@ def nitrogen_ppb(eta: float, n2_flow_mol_s: float, ch4_flow_sccm: float) -> floa
     if eta <= 0.0 or n2_flow_mol_s <= 0.0 or ch4_flow_sccm <= 0.0:
         raise ValueError("inputs must be positive")
     return eta * (n2_flow_mol_s / sccm_to_molar_flow(ch4_flow_sccm)) * 1e9
-
-
-def nitrogen_bounds(n2_flow_mol_s: float, ch4_flow_sccm: float) -> NitrogenEstimate:
-    return NitrogenEstimate(
-        lower_ppb=nitrogen_ppb(ETA_LOWER, n2_flow_mol_s, ch4_flow_sccm),
-        upper_ppb=nitrogen_ppb(ETA_UPPER, n2_flow_mol_s, ch4_flow_sccm))
 
 
 def fit_arrhenius(temps_k, dpdt_pa_s,

@@ -54,6 +54,11 @@ __all__ = [
 #: near-pole reformulation is used instead of the direct formula
 POLE_WINDOW = 1e-6
 
+#: trigger offsets per fundamental period of the unsynchronized averages
+N_T0 = 400
+#: amplitude scales of the Ramsey envelope
+N_A = 21
+
 
 @dataclass(frozen=True)
 class PulseSequence:
@@ -199,7 +204,7 @@ def _trigger_offsets(model: AcFieldModel, n_t0: int) -> np.ndarray:
 
 
 def expectation_unsynchronized(model: AcFieldModel, seq: PulseSequence,
-                               n_t0: int = 400):
+                               n_t0: int = N_T0):
     """<X> averaged over the sequence trigger offset, one value per delay:
     the mean of cos(Phi(t0)) over the n_t0 offsets of one fundamental period.
     """
@@ -233,7 +238,7 @@ def is_revival(t_dd: float, tau: float, f_ac: float) -> bool:
 
 
 def ramsey_envelope(model: AcFieldModel, amplitude_range: tuple[float, float],
-                    times, n_t0: int = 400, n_a: int = 21) -> np.ndarray:
+                    times, n_t0: int = N_T0, n_a: int = N_A) -> np.ndarray:
     """Ramsey expectation averaged over trigger offset and comb amplitude scale.
 
     For each total evolution time the t0-averaged expectation is further

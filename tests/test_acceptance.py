@@ -286,7 +286,7 @@ def _noisy_trials_ionization(n_trials, rng):
     hits = 0
     for _ in range(n_trials):
         y = clean + rng.normal(0.0, 0.01, taus.size)
-        fit = fit_ionization_rate(PowerDataset(0.0, DecayCurve(taus, y, np.full(taus.size, 0.01))),
+        fit = fit_ionization_rate(DecayCurve(taus, y, np.full(taus.size, 0.01)),
                                   model, line, settings=settings)
         if fit.converged and abs(fit.params["S"] - 300.0) <= 5 * fit.stderr["S"]:
             hits += 1
@@ -319,7 +319,7 @@ def test_acceptance_10_fit_recovery_suite():
     solver = SinkSolver(m, IonizationSink(strength_s=300.0), settings)
     taus_i = np.geomspace(3e-3, 0.4, 10)
     fwd = 0.96 * np.array([solver.counts(HomogeneousLine(1.0, 22.0), t) for t in taus_i])
-    sf = fit_ionization_rate(PowerDataset(0.0, DecayCurve(taus_i, fwd)), m,
+    sf = fit_ionization_rate(DecayCurve(taus_i, fwd), m,
                              HomogeneousLine(1.0, 22.0), settings=settings)
     noiseless_ok &= abs(sf.params["S"] / 300.0 - 1.0) < 0.01
 

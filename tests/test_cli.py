@@ -12,6 +12,11 @@ import pytest
 
 from decolab import cli
 from decolab.cli import MAX_RANGE_POINTS, build_parser, main, parse_quantity, parse_range
+from decolab.diffusion import FORWARD_RESCALE, GAMMA_H
+from decolab.feedforward import ShotConfig
+from decolab.growth import GROWTH_PRESSURE_PA, Q_LEAK_PA_M3_S
+from decolab.noise import AmplitudeScaleProcess
+from decolab.sequences import N_A, N_T0
 
 FIXTURES = Path(__file__).parent / "fixtures"
 ROOT = Path(__file__).parents[1]
@@ -157,6 +162,19 @@ def test_header_only_diffusion_file_is_data_error(tmp_path, capsys, command):
         argv = ["fit", "diffusion", "--manifest", str(manifest)]
     assert run(argv + ["--out", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err == "decolab: data error: file contains no data rows\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("powers", [["500", "500"], ["250", "500", "250.0"]])
+def test_power_listed_twice_is_data_error(tmp_path, capsys, powers):
+    # two datasets of one power would share their fit parameter names
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("".join(f"{p} {FIXTURES / 'diffusion_500nW.csv'}\n" for p in powers),
+                        encoding="utf-8")
+    assert run(["fit", "diffusion", "--manifest", str(manifest),
+                "--out", str(tmp_path / "out")]) == 3
+    tag = f"{float(powers[0]):g}nW"
+    assert capsys.readouterr().err == f"decolab: data error: power {tag} is listed more than once\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -604,6 +622,34 @@ def test_print_config(tmp_path, capsys):
                 "--out", str(tmp_path), "--print-config"]) == 0
     out = capsys.readouterr().out
     assert '"seed": 0' in out and "component" in out
+
+    def config(*argv) -> dict:
+        assert run([*argv, "--out", str(tmp_path / "-".join(argv[:2])), "--print-config"]) == 0
+        return json.JSONDecoder().raw_decode(capsys.readouterr().out)[0]
+
+    # an unset option prints the value the run uses, read from the library;
+    # an option that does not apply to the run stays null
+    assert json.JSONDecoder().raw_decode(out)[0]["points"] is None  # a stepped range
+    drift = AmplitudeScaleProcess()
+    envelope = config("simulate", "ramsey", "--t-range", "0.01ms:0.2ms", "--envelope")
+    assert (envelope["a_min"], envelope["a_max"], envelope["n_a"], envelope["n_t0"],
+            envelope["points"]) == (drift.a_min, drift.a_max, N_A, N_T0, 101)
+    ramsey = config("simulate", "ramsey", "--t-range", "0.01ms:0.2ms", "--points", "3")
+    assert (ramsey["a_min"], ramsey["a_max"], ramsey["n_a"], ramsey["points"]) == \
+        (None, None, None, 3)
+    argv = ["simulate", "feedforward", "--tau-range", "1ms:2ms:1ms", "--repetitions", "1"]
+    feedforward = config(*argv)
+    assert (feedforward["drift_sigma"], feedforward["drift_correlation"],
+            feedforward["shots"]) == (drift.sigma, drift.correlation_time, ShotConfig().n_shots)
+    frozen = config(*argv, "--frozen-drift")
+    assert (frozen["drift_sigma"], frozen["drift_correlation"]) == (None, None)
+    nitrogen = config("growth", "nitrogen", "--ch4-sccm", "0.19")
+    assert (nitrogen["q_leak"], nitrogen["pressure"]) == (Q_LEAK_PA_M3_S, GROWTH_PRESSURE_PA)
+    given = config("growth", "nitrogen", "--ch4-sccm", "0.19", "--n2-molps", "1e-9")
+    assert (given["q_leak"], given["pressure"]) == (None, None)
+    predict = config("diffusion", "predict", "--gamma-i", "117", "--d-coeff", "1.6e4")
+    assert (predict["points"], predict["gamma_h"], predict["forward_rescale"]) == \
+        (40, GAMMA_H, FORWARD_RESCALE)
 
 
 @pytest.mark.parametrize("name, text", [

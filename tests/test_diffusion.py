@@ -403,8 +403,7 @@ def test_ionization_fit_recovery():
     solver = SinkSolver(model, IonizationSink(strength_s=300.0), st_)
     taus = np.geomspace(3e-3, 0.4, 10)
     fwd = 0.96 * np.array([solver.counts(LINE, t) for t in taus])
-    fit = fit_ionization_rate(PowerDataset(500.0, DecayCurve(taus, fwd)), model, LINE,
-                              settings=st_)
+    fit = fit_ionization_rate(DecayCurve(taus, fwd), model, LINE, settings=st_)
     assert fit.converged
     assert fit.params["S"] == pytest.approx(300.0, rel=0.05)
 
@@ -415,8 +414,7 @@ def test_ionization_fit_zero_strength_data():
     solver = SinkSolver(model, IonizationSink(strength_s=0.0), st_)
     taus = np.geomspace(3e-3, 0.4, 8)
     fwd = 0.96 * np.array([solver.counts(LINE, t) for t in taus])
-    fit = fit_ionization_rate(PowerDataset(500.0, DecayCurve(taus, fwd)), model, LINE,
-                              settings=st_)
+    fit = fit_ionization_rate(DecayCurve(taus, fwd), model, LINE, settings=st_)
     assert fit.params["S"] == pytest.approx(0.0, abs=1e-6 + 3 * fit.stderr["S"])
 
 
@@ -428,8 +426,7 @@ def test_ionization_rate_tracks_power_ladder():
     for s_true in (50.0, 200.0, 800.0):
         solver = SinkSolver(model, IonizationSink(strength_s=s_true), st_)
         fwd = 0.96 * np.array([solver.counts(LINE, t) for t in taus])
-        fit = fit_ionization_rate(PowerDataset(0.0, DecayCurve(taus, fwd)), model, LINE,
-                                  settings=st_)
+        fit = fit_ionization_rate(DecayCurve(taus, fwd), model, LINE, settings=st_)
         fitted.append(fit.params["S"])
     assert fitted[0] < fitted[1] < fitted[2]
 

@@ -6,6 +6,7 @@ one call per Jacobian column and per trial (``least_squares_sequential`` in
 
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,6 @@ from hypothesis import strategies as st
 import decolab.diffusion as diffusion
 import decolab.fitting as fitting
 import decolab.growth as growth
-from decolab.cli import main
 from decolab.diffusion import (HomogeneousLine, IonizationSink, OuDiffusionModel, PowerDataset,
                                SinkSolver, fit_ionization_rate, joint_fit_backward,
                                read_diffusion_csv, read_manifest)
@@ -26,8 +26,6 @@ from oracles import least_squares_sequential
 
 FIXTURES = Path(__file__).parent / "fixtures"
 LINE = HomogeneousLine(c0=38.0, gamma_h=22.0)
-README_RUN8 = ["fit", "ionization", "--data", f"{FIXTURES}/diffusion_500nW.csv",
-               "--gamma-i", "117", "--d-coeff", "1.6e4", "--c0", "38"]
 
 
 def bits(values) -> np.ndarray:
@@ -48,8 +46,8 @@ def _backward_datasets() -> list[PowerDataset]:
             for power, path in read_manifest(f"{FIXTURES}/diffusion_manifest.txt")]
 
 
-def _forward(power: str) -> PowerDataset:
-    return PowerDataset(float(power), read_diffusion_csv(f"{FIXTURES}/diffusion_{power}nW.csv")[0])
+def _forward(power: str) -> DecayCurve:
+    return read_diffusion_csv(f"{FIXTURES}/diffusion_{power}nW.csv")[0]
 
 
 #: every library fit on the committed fixtures, as (module holding the
@@ -156,19 +154,33 @@ def test_counts_factorized_with_array_of_strengths(shape):
         assert np.array_equal(bits(got[index]), bits(counts_of_s(float(strengths[index]))))
 
 
-def test_joint_model_rejects_invalid_rows_as_the_diffusion_model_does(monkeypatch):
+def test_joint_model_gives_an_overflowing_row_non_finite_counts(monkeypatch):
     model_fn, p0, x = _captured_model(monkeypatch, *LIBRARY_FITS["joint-backward"])
-    # columns: gamma_i, then D and C0 per power; theta overflows at
-    # gamma_i = 1e-200, and at 1e200 it underflows to 0 while the stationary
-    # variance overflows
-    for column, value in ((3, -1.0), (5, math.inf), (0, math.nan), (0, 1e-200), (0, 1e200)):
-        rows = np.tile(p0, (4, 1))
-        rows[2, column] = value
-        d_column = column if column % 2 else 1  # the first power whose model is invalid
-        with pytest.raises(ValueError) as want, np.errstate(over="ignore"):
-            OuDiffusionModel(d_coeff=rows[2, d_column], gamma_i=rows[2, 0])
-        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
-            model_fn(x, rows)
+    rows = np.tile(p0, (4, 1))
+    rows[2, 0] = 1e200  # gamma_i: the stationary variance overflows
+    # under the errstate the engine evaluates its trial rows in, the row
+    # neither raises nor warns; its non-finite cost rejects it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = model_fn(x, rows)
+    assert not np.isfinite(got[2]).any()
+    for k in (0, 1, 3):
+        assert np.array_equal(bits(got[k]), bits(model_fn(x, rows[k])))
+
+
+def test_joint_fit_rejects_negative_times_before_any_model_call(monkeypatch):
+    fits = []
+    monkeypatch.setattr(diffusion, "least_squares", lambda *args, **kwargs: fits.append(args))
+    datasets = _backward_datasets()
+    curve = datasets[1].curve
+    datasets[1] = PowerDataset(datasets[1].power_nw,
+                               DecayCurve(curve.x - curve.x[2], curve.y, curve.sigma))
+    with pytest.raises(ValueError) as want:
+        diffusion.ou_variance(OuDiffusionModel(1.6e4, 117.0), -1.0)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+        joint_fit_backward(datasets, 22.0)
+    assert fits == []
 
 
 def test_forward_jacobian_is_c_contiguous():
@@ -178,19 +190,3 @@ def test_forward_jacobian_is_c_contiguous():
                                     np.abs(p))
     assert jac.shape == (x.size, p.size)
     assert jac.flags.c_contiguous
-
-
-def test_readme_ionization_fit_never_evaluates_a_point_twice(monkeypatch, tmp_path):
-    least_squares = diffusion.least_squares
-    evaluated = []
-
-    def recording(model_fn, *args, **kwargs):
-        def model(x, params):
-            evaluated.extend(np.atleast_2d(params)[:, 0].tolist())
-            return model_fn(x, params)
-
-        return least_squares(model, *args, **kwargs)
-
-    monkeypatch.setattr(diffusion, "least_squares", recording)
-    assert main(README_RUN8 + ["--out", str(tmp_path)]) == 0
-    assert len(evaluated) == len(set(evaluated)) > 0

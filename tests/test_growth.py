@@ -1,13 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decolab.cli import main
 from decolab.constants import TORR_TO_PA
-from decolab.growth import (ETA_LOWER, ETA_UPPER, LeakModel, NitrogenEstimate, R_VPDB,
-                            chi_from_flows, chi_to_ratio, delta_permil, fit_arrhenius,
-                            molar_flow_to_sccm, n2_molar_flow, nitrogen_bounds,
-                            nitrogen_ppb, ratio_from_delta)
+from decolab.growth import (ETA_LOWER, ETA_UPPER, LeakModel, R_VPDB, chi_from_flows,
+                            chi_to_ratio, delta_permil, fit_arrhenius, molar_flow_to_sccm,
+                            n2_molar_flow, nitrogen_ppb, ratio_from_delta)
 
 
 def test_chi_endpoints():
@@ -49,12 +51,14 @@ def test_nitrogen_linear(eta, n2):
     assert nitrogen_ppb(eta, 3 * n2, 0.5) == pytest.approx(3 * base, rel=1e-12)
 
 
-def test_nitrogen_bounds_ordering():
-    b = nitrogen_bounds(4.0e-12, 0.19)
-    assert isinstance(b, NitrogenEstimate)
-    assert b.lower_ppb < b.upper_ppb
-    assert b.lower_ppb == nitrogen_ppb(ETA_LOWER, 4.0e-12, 0.19)
-    assert b.upper_ppb == nitrogen_ppb(ETA_UPPER, 4.0e-12, 0.19)
+def test_nitrogen_bounds_ordering(tmp_path):
+    # without --eta, growth nitrogen reports [N] at both incorporation bounds
+    assert main(["growth", "nitrogen", "--ch4-sccm", "0.19", "--n2-molps", "4e-12",
+                 "--out", str(tmp_path)]) == 0
+    b = json.loads((tmp_path / "growth_nitrogen.json").read_text())
+    assert b["nitrogen_ppb_lower"] < b["nitrogen_ppb_upper"]
+    assert b["nitrogen_ppb_lower"] == nitrogen_ppb(ETA_LOWER, 4.0e-12, 0.19)
+    assert b["nitrogen_ppb_upper"] == nitrogen_ppb(ETA_UPPER, 4.0e-12, 0.19)
 
 
 def test_n2_molar_flow_and_sccm():
