@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from decolab.noise import TABLE1_COMPONENTS, table1_model
+from decolab.noise import table1_model
 from decolab.plotsvg import SvgPlot
 from decolab.sequences import N_T0, PulseSequence, expectation_unsynchronized, is_revival
 
@@ -25,7 +25,7 @@ def main() -> None:
     out.mkdir(parents=True, exist_ok=True)
 
     model = table1_model()
-    freqs = [f for f, _, _ in TABLE1_COMPONENTS]
+    freqs = [c.frequency for c in model.components]
     plot = SvgPlot(title="CPMG revivals under the 50 Hz comb",
                    xlabel="total decoupling time (s)", ylabel="<X> (offset per N)")
     with open(out / "cpmg_revivals.csv", "w", newline="\n", encoding="utf-8") as fh:

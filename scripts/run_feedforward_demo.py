@@ -38,7 +38,7 @@ def main() -> None:
     taus_c = np.arange(0.25e-3, 7.75e-3, 0.25e-3)
     drift = AmplitudeScaleProcess(sigma=args.drift_sigma)
     outcomes = run_feedforward(model, taus_c, ShotConfig(n_shots=args.shots), drift, rng)
-    corrected = np.clip([o.c_expectation for o in outcomes], -1.0, None)
+    corrected = np.array([o.c_expectation for o in outcomes])
     fit_c = fit_stretched_exp(DecayCurve(2 * taus_c, corrected))
 
     write_decay_csv(out / "echo_unsynchronized.csv", DecayCurve(2 * taus_u, unsync),

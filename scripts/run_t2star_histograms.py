@@ -1,19 +1,18 @@
 #!/usr/bin/env python3
 """T2* distributions over random nuclear-spin baths at three concentrations.
 
-Writes per-concentration sample CSVs, half-normal overlays and a summary of
-the fitted scale against the T0 / chi law.
+Runs ``decolab bath t2star`` once per concentration, the k-th at seed
+``--seed`` + k, each into its own directory (sample CSV, summary JSON and a
+histogram with the half-normal overlay), and writes a summary of the fitted
+scale against the T0 / chi law.
 """
 
 import argparse
 import json
-import math
+import sys
 from pathlib import Path
 
-import numpy as np
-
-from decolab.bath import BathConfig, t2star_distribution
-from decolab.plotsvg import histogram_plot
+from decolab.cli import main as decolab
 
 
 def main() -> None:
@@ -24,25 +23,22 @@ def main() -> None:
                     help="baths at the lowest concentration; higher ones scale down")
     args = ap.parse_args()
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(args.seed)))
 
     summary = {}
-    for chi, frac in ((4.42e-4, 1.0), (1.949e-3, 0.25), (1.0937e-2, 0.05)):
+    for k, (chi, frac) in enumerate(((4.42e-4, 1.0), (1.949e-3, 0.25), (1.0937e-2, 0.05))):
         n_baths = max(500, int(args.n_baths * frac))
-        dist = t2star_distribution(BathConfig(concentration=chi), n_baths, rng)
-        scale = dist.half_normal_scale
         tag = f"{chi:.6f}"
-        np.savetxt(out / f"t2star_chi_{tag}.csv", dist.samples * 1e6,
-                   header="t2star_us", comments="# ")
-        histogram_plot(out / f"t2star_chi_{tag}.svg", dist.samples * 1e6, bins=60,
-                       overlay_pdf=lambda x, s=scale * 1e6: (math.sqrt(2 / math.pi) / s
-                                                             * np.exp(-x ** 2 / (2 * s ** 2))),
-                       title=f"chi = {100 * chi:.4f}%", xlabel="T2* (us)")
-        summary[tag] = {"n_baths": n_baths, "scale_us": scale * 1e6,
-                        "scale_times_chi_us": scale * chi * 1e6}
-        print(f"chi={100 * chi:.4f}%  scale={scale * 1e6:9.2f} us  "
-              f"scale*chi={scale * chi * 1e6:.5f} us")
+        run = out / f"t2star_chi_{tag}"
+        code = decolab(["bath", "t2star", "--chi", repr(chi), "--n-baths", str(n_baths),
+                        "--seed", str(args.seed + k), "--out", str(run)])
+        if code:
+            sys.exit(code)
+        summary_json = (run / "t2star_summary.json").read_text(encoding="utf-8")
+        scale_us = json.loads(summary_json)["scale_us"]
+        summary[tag] = {"n_baths": n_baths, "scale_us": scale_us,
+                        "scale_times_chi_us": scale_us * chi}
+        print(f"chi={100 * chi:.4f}%  scale={scale_us:9.2f} us  "
+              f"scale*chi={scale_us * chi:.5f} us")
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
 
 

@@ -118,15 +118,31 @@ def _positive_times(args: argparse.Namespace, name: str, default_points: int) ->
     return positive
 
 
-def _time(text: str) -> float:
-    return parse_quantity(text, "time")
+def _quantity(kind: str):
+    """The argparse type of an option of the unit kind (see parse_quantity; a
+    fraction must lie in (0, 1)): a rejection keeps its reason, which the
+    parser reports after the option's name."""
+    def parse(text: str) -> float:
+        try:
+            value = parse_quantity(text, kind)
+        except ConfigError as exc:
+            raise argparse.ArgumentTypeError(exc.reason) from None
+        if kind == "fraction" and not 0.0 < value < 1.0:
+            raise argparse.ArgumentTypeError(f"fraction {text!r} must lie in (0, 1)")
+        return value
+    return parse
 
 
-def _fraction(text: str) -> float:
-    chi = parse_quantity(text, "fraction")
-    if not 0.0 < chi < 1.0:
-        raise ConfigError(f"fraction {text!r} must lie in (0, 1)")
-    return chi
+_TIME, _FRACTION, _FREQ, _POWER, _PRESSURE = map(
+    _quantity, ("time", "fraction", "freq_mhz", "power_nw", "pressure"))
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose rejection of a command line is a ConfigError (exit 2
+    with one line), not a usage block and SystemExit."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -481,13 +497,19 @@ def cmd_diffusion(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process and shared by every
     ``main`` call; callers must not modify it."""
-    parser = argparse.ArgumentParser(prog="decolab",
-                                     description="decoherence / spectral-diffusion toolkit")
+    parser = _Parser(prog="decolab", description="decoherence / spectral-diffusion toolkit")
     parser.add_argument("--version", action="version", version=f"decolab {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", default=".", help="output directory")
     common.add_argument("--print-config", action="store_true")
+    # the diffusion commands' line, and the model of the two that take one
+    line = argparse.ArgumentParser(add_help=False)
+    line.add_argument("--gamma-h", type=_FREQ, default=diff.GAMMA_H)
+    model = argparse.ArgumentParser(add_help=False, parents=[line])
+    model.add_argument("--gamma-i", type=_FREQ, required=True)
+    model.add_argument("--d-coeff", type=float, required=True, help="MHz^2/s")
+    model.add_argument("--forward-rescale", type=float, default=diff.FORWARD_RESCALE)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -521,13 +543,13 @@ def build_parser() -> argparse.ArgumentParser:
     bath_p = sub.add_parser("bath", help="spin-bath Monte Carlo")
     bath_sub = bath_p.add_subparsers(dest="bath_command", required=True)
     p = bath_sub.add_parser("t2star", parents=[common])
-    p.add_argument("--chi", type=_fraction, required=True)
+    p.add_argument("--chi", type=_FRACTION, required=True)
     p.add_argument("--n-baths", type=int, default=10000)
     p = bath_sub.add_parser("likelihood", parents=[common])
     p.add_argument("--rho-ppb", type=float, required=True)
-    p.add_argument("--t2-lower", type=_time, required=True)
+    p.add_argument("--t2-lower", type=_TIME, required=True)
     p.add_argument("--n-centres", type=int, required=True)
-    p.add_argument("--chi", type=_fraction, default=None,
+    p.add_argument("--chi", type=_FRACTION, default=None,
                    help="13C fraction of the host; adds each centre's own 13C bath")
     p.add_argument("--n-baths", type=int, default=20000)
 
@@ -538,17 +560,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fix-n", type=float, default=None)
     p = fit_sub.add_parser("scaling", parents=[common])
     p.add_argument("--data", required=True)
-    p = fit_sub.add_parser("diffusion", parents=[common])
+    p = fit_sub.add_parser("diffusion", parents=[common, line])
     p.add_argument("--manifest", required=True)
-    p.add_argument("--gamma-h", type=lambda s: parse_quantity(s, "freq_mhz"), default=diff.GAMMA_H)
-    p = fit_sub.add_parser("ionization", parents=[common])
+    p = fit_sub.add_parser("ionization", parents=[common, model])
     p.add_argument("--data", required=True)
-    p.add_argument("--power", type=lambda s: parse_quantity(s, "power_nw"), default=0.0)
-    p.add_argument("--gamma-i", type=lambda s: parse_quantity(s, "freq_mhz"), required=True)
-    p.add_argument("--d-coeff", type=float, required=True, help="MHz^2/s")
+    p.add_argument("--power", type=_POWER, default=0.0)
     p.add_argument("--c0", type=float, required=True)
-    p.add_argument("--gamma-h", type=lambda s: parse_quantity(s, "freq_mhz"), default=diff.GAMMA_H)
-    p.add_argument("--forward-rescale", type=float, default=diff.FORWARD_RESCALE)
 
     growth_p = sub.add_parser("growth", help="growth calculators")
     growth_sub = growth_p.add_subparsers(dest="growth_command", required=True)
@@ -562,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="N2 inflow (mol/s); excludes --q-leak and --pressure")
     p.add_argument("--q-leak", type=float, default=None,
                    help=f"leak throughput (Pa m^3/s, default {growth.Q_LEAK_PA_M3_S:g})")
-    p.add_argument("--pressure", type=lambda s: parse_quantity(s, "pressure"), default=None,
+    p.add_argument("--pressure", type=_PRESSURE, default=None,
                    help="growth pressure (default "
                         f"{growth.GROWTH_PRESSURE_PA / TORR_TO_PA:g}Torr)")
     p = growth_sub.add_parser("leak", parents=[common])
@@ -571,14 +588,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     diff_p = sub.add_parser("diffusion", help="spectral-diffusion prediction")
     diff_sub = diff_p.add_subparsers(dest="diff_command", required=True)
-    p = diff_sub.add_parser("predict", parents=[common])
-    p.add_argument("--gamma-i", type=lambda s: parse_quantity(s, "freq_mhz"), required=True)
-    p.add_argument("--d-coeff", type=float, required=True, help="MHz^2/s")
-    p.add_argument("--gamma-h", type=lambda s: parse_quantity(s, "freq_mhz"), default=diff.GAMMA_H)
+    p = diff_sub.add_parser("predict", parents=[common, model])
     p.add_argument("--c0", type=float, default=1.0)
     p.add_argument("--sink-s", type=float, default=0.0)
-    p.add_argument("--forward-rescale", type=float, default=diff.FORWARD_RESCALE)
-    p.add_argument("--detuning", type=lambda s: parse_quantity(s, "freq_mhz"), default=0.0)
+    p.add_argument("--detuning", type=_FREQ, default=0.0)
     p.add_argument("--tau-range", default="1ms:500ms")
     p.add_argument("--points", type=int, default=None,
                    help="grid size of a start:stop range (default 40)")
@@ -587,15 +600,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    # looked up per call, so the cached parser pins no handler: a replaced
-    # cmd_* function (a wrapper or a stub) is the one that runs
-    handler = globals()[f"cmd_{args.command}"]
     try:
-        return handler(args)
-    except ConfigError as exc:
-        print(f"decolab: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        args = build_parser().parse_args(argv)
+        # looked up per call, so the cached parser pins no handler: a replaced
+        # cmd_* function (a wrapper or a stub) is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except (DataError, OSError) as exc:  # unreadable files too, e.g. a directory
         print(f"decolab: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -30,7 +30,6 @@ and is computed once per count.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
@@ -40,7 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .fitting import (DataError, DecayCurve, FitResult, FitError, _write_csv, least_squares,
-                      _increasing_finite, _positive_finite)
+                      _csv_rows, _data_lines, _increasing_finite, _positive_finite)
 
 __all__ = [
     "OuDiffusionModel",
@@ -140,9 +139,7 @@ class HomogeneousLine:
             raise ValueError("gamma_h must be finite and > 0")
 
     def counts(self, detuning):
-        hw = 0.5 * self.gamma_h
-        d = np.asarray(detuning, dtype=float)
-        out = self.c0 * hw * hw / (d * d + hw * hw)
+        out = _lorentzian(self.c0, 0.5 * self.gamma_h, np.asarray(detuning, dtype=float))
         return float(out) if out.ndim == 0 else out
 
 
@@ -173,6 +170,11 @@ class SolverSettings:
     def __post_init__(self) -> None:
         if self.n_eigen < 1:
             raise ValueError("n_eigen must be >= 1")
+
+
+def _lorentzian(c0, hw: float, d: np.ndarray) -> np.ndarray:
+    """Counts of a Lorentzian line of peak c0 and half width hw at detuning d."""
+    return c0 * hw * hw / (d * d + hw * hw)
 
 
 def _stationary_variance(gamma_i):
@@ -291,7 +293,7 @@ def _gaussian_averaged_counts(c0, gamma_h: float, variance: np.ndarray,
     d = np.full(variance.shape, probe_detuning, dtype=float)
     c0 = np.broadcast_to(c0, d.shape)
     hw = 0.5 * gamma_h
-    out = np.where(np.isnan(variance), math.nan, c0 * hw * hw / (d * d + hw * hw))
+    out = np.where(np.isnan(variance), math.nan, _lorentzian(c0, hw, d))
     spread = variance > 0.0
     out[spread] = c0[spread] * math.pi * hw * voigt_density(
         d[spread], np.sqrt(variance[spread]), hw)
@@ -613,8 +615,9 @@ def joint_fit_backward(datasets: Sequence[PowerDataset], gamma_h_fixed: float) -
         half_level = 0.5 * (1.0 + plateau) * c0_guess
         below = np.nonzero(y < half_level)[0]
         t_half = float(ds.curve.x[below[0]]) if below.size else float(ds.curve.x[-1])
-        d_guess = gamma_h_fixed ** 2 / (2.0 * LN2_8 * t_half)
-        p0.extend([d_guess, c0_guess])
+        # tau_c(D, gamma_h) = gamma_h^2 / (16 ln 2 D) is symmetric in D and
+        # tau_c, so D at tau_c = t_half is tau_c(t_half, gamma_h)
+        p0.extend([tau_c(t_half, gamma_h_fixed), c0_guess])
         names.extend([f"D_{ds.tag}", f"C0_{ds.tag}"])
     p0 = [float(np.median(gammas))] + p0
     bounds = [(1e-6, np.inf)] * len(p0)
@@ -658,27 +661,20 @@ def read_diffusion_csv(path: str | Path) -> tuple[DecayCurve, DecayCurve]:
     ``diffusion predict`` writes) means the file has no standard errors.
     """
     taus, fwd, bwd, err, lines = [], [], [], [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        while header and header[0].lstrip().startswith("#"):
-            header = next(reader, [])
-        if tuple(h.strip() for h in header) != DIFFUSION_COLUMNS:
-            raise DataError(f"unexpected diffusion CSV header: {header}", line=reader.line_num)
-        for row in reader:
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            try:
-                tau, forward, backward, stderr = (float(v) for v in row)
-            except ValueError:
-                raise DataError(f"expected four numbers, got {row!r}",
-                                line=reader.line_num) from None
-            taus.append(_increasing_finite("tau_d_s", tau, taus[-1] if taus else 0.0,
-                                           reader.line_num))
-            fwd.append(forward)
-            bwd.append(backward)
-            err.append(stderr)
-            lines.append(reader.line_num)
+    rows = _csv_rows(path)
+    header_line, header = rows[0] if rows else (None, [])
+    if tuple(h.strip() for h in header) != DIFFUSION_COLUMNS:
+        raise DataError(f"unexpected diffusion CSV header: {header}", line=header_line)
+    for lineno, row in rows[1:]:
+        try:
+            tau, forward, backward, stderr = (float(v) for v in row)
+        except ValueError:
+            raise DataError(f"expected four numbers, got {row!r}", line=lineno) from None
+        taus.append(_increasing_finite("tau_d_s", tau, taus[-1] if taus else 0.0, lineno))
+        fwd.append(forward)
+        bwd.append(backward)
+        err.append(stderr)
+        lines.append(lineno)
     if not taus:
         raise DataError("file contains no data rows")
     taus_a = np.array(taus)
@@ -692,10 +688,7 @@ def read_manifest(path: str | Path) -> list[tuple[float, Path]]:
     """Manifest lines: '<power_nW> <csv-file>' relative to the manifest."""
     base = Path(path).parent
     out = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _data_lines(path):
         try:
             power, name = line.split(None, 1)
             out.append((float(power), base / name.strip()))

@@ -30,27 +30,24 @@ __all__ = [
 SHOT_PERIOD = 0.02
 #: X / Y / C block repetitions per echo time
 N_REPETITIONS = 12
+#: probability that a shot reads out the spin state it ends in, for either state
+READOUT_FIDELITY = 0.925
 
 
 @dataclass(frozen=True)
 class ShotConfig:
-    """Measurement shots per observable and the readout fidelities.
+    """Measurement shots per observable.
 
     exact=True short-circuits sampling and returns true expectations (the
     infinite-shot limit).
     """
 
     n_shots: int = 50
-    readout_fidelity_0: float = 0.925
-    readout_fidelity_1: float = 0.925
     exact: bool = False
 
     def __post_init__(self) -> None:
         if self.n_shots < 1:
             raise ValueError("n_shots must be >= 1")
-        for f in (self.readout_fidelity_0, self.readout_fidelity_1):
-            if not (0.5 < f <= 1.0):
-                raise ValueError("readout fidelities must lie in (0.5, 1]")
 
 
 @dataclass(frozen=True)
@@ -72,9 +69,10 @@ def _block_estimate(true_expectations: np.ndarray, cfg: ShotConfig,
     drift shot to shot, one per row of ``true_expectations`` (..., n_shots).
 
     Each shot is a Bernoulli outcome with p = (1 + E)/2 passed through the
-    binary readout confusion matrix: it clicks when its uniform (same shape
-    as the expectations) lies below the click probability.  The block
-    estimate is inverted through the same matrix and clipped to [-1, 1].
+    binary readout confusion matrix of READOUT_FIDELITY: it clicks when its
+    uniform (same shape as the expectations) lies below the click
+    probability.  The block estimate is inverted through the same matrix and
+    clipped to [-1, 1].
     With cfg.exact the uniforms are unused and the clipped mean of E is
     returned.
     """
@@ -82,10 +80,10 @@ def _block_estimate(true_expectations: np.ndarray, cfg: ShotConfig,
         # over C-contiguous rows this is the pairwise sum of one block's mean
         return np.clip(np.mean(true_expectations, axis=-1), -1.0, 1.0)
     p_up = 0.5 * (1.0 + true_expectations)
-    f0, f1 = cfg.readout_fidelity_0, cfg.readout_fidelity_1
-    p_click = np.clip(p_up * f1 + (1.0 - p_up) * (1.0 - f0), 0.0, 1.0)
+    f = READOUT_FIDELITY
+    p_click = np.clip(p_up * f + (1.0 - p_up) * (1.0 - f), 0.0, 1.0)
     clicked = np.count_nonzero(uniforms < p_click, axis=-1) / true_expectations.shape[-1]
-    p_up = (clicked - (1.0 - f0)) / (f1 + f0 - 1.0)
+    p_up = (clicked - (1.0 - f)) / (2.0 * f - 1.0)
     return np.clip(2.0 * p_up - 1.0, -1.0, 1.0)
 
 

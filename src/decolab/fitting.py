@@ -376,6 +376,22 @@ def _increasing_finite(name: str, value: float, previous: float, line: int) -> f
     return value
 
 
+def _data_lines(path: str | Path) -> list[tuple[int, str]]:
+    """(line number, text) of each line of an input file that holds data.
+
+    This is the comment rule of every input format: a ``#`` starts a comment
+    anywhere on a line, the text is stripped of surrounding whitespace, and a
+    line left blank is skipped."""
+    with open(path, encoding="utf-8") as fh:
+        lines = [(lineno, raw.split("#", 1)[0].strip()) for lineno, raw in enumerate(fh, 1)]
+    return [(lineno, text) for lineno, text in lines if text]
+
+
+def _csv_rows(path: str | Path) -> list[tuple[int, list[str]]]:
+    """(line number, cells) of each data line of a CSV file (see _data_lines)."""
+    return [(lineno, next(csv.reader([text]))) for lineno, text in _data_lines(path)]
+
+
 def read_decay_csv(path: str | Path) -> DecayCurve:
     """Read x,y[,sigma] rows with x finite and strictly increasing.
 
@@ -391,34 +407,31 @@ def read_decay_csv(path: str | Path) -> DecayCurve:
     columns = None  # (x, y) column indices of a sweep or feedforward run
     x_factor = 1.0
     header = False
-    with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.reader(fh), 1):
-            if not "".join(row).strip() or row[0].lstrip().startswith("#"):
-                continue
-            if columns is not None:
-                if len(row) <= max(columns):
-                    raise DataError(f"short sweep row {row!r}", line=lineno)
-                row = [row[i] for i in columns]
-            try:
-                vals = [float(v) for v in row]
-            except ValueError:
-                if header or xs:
-                    raise DataError(f"non-numeric row {row!r}", line=lineno) from None
-                header = True
-                names = [h.strip() for h in row]
-                if "t_total_s" in names and "expectation" in names:
-                    columns = (names.index("t_total_s"), names.index("expectation"))
-                elif "tau_s" in names and "c_expectation" in names:
-                    columns = (names.index("tau_s"), names.index("c_expectation"))
-                    x_factor = 2.0
-                continue
-            if len(vals) < 2:
-                raise DataError("expected at least two columns (x, y)", line=lineno)
-            x = _increasing_finite("x", x_factor * vals[0], xs[-1] if xs else -math.inf, lineno)
-            if len(vals) >= 3:
-                ss.append(_positive_finite("sigma", vals[2], lineno))
-            xs.append(x)
-            ys.append(vals[1])
+    for lineno, row in _csv_rows(path):
+        if columns is not None:
+            if len(row) <= max(columns):
+                raise DataError(f"short sweep row {row!r}", line=lineno)
+            row = [row[i] for i in columns]
+        try:
+            vals = [float(v) for v in row]
+        except ValueError:
+            if header or xs:
+                raise DataError(f"non-numeric row {row!r}", line=lineno) from None
+            header = True
+            names = [h.strip() for h in row]
+            if "t_total_s" in names and "expectation" in names:
+                columns = (names.index("t_total_s"), names.index("expectation"))
+            elif "tau_s" in names and "c_expectation" in names:
+                columns = (names.index("tau_s"), names.index("c_expectation"))
+                x_factor = 2.0
+            continue
+        if len(vals) < 2:
+            raise DataError("expected at least two columns (x, y)", line=lineno)
+        x = _increasing_finite("x", x_factor * vals[0], xs[-1] if xs else -math.inf, lineno)
+        if len(vals) >= 3:
+            ss.append(_positive_finite("sigma", vals[2], lineno))
+        xs.append(x)
+        ys.append(vals[1])
     if not xs:
         raise DataError("file contains no data rows")
     if ss and len(ss) != len(xs):

@@ -76,8 +76,13 @@ class LeakModel:
             raise ValueError("q_leak must be >= 0")
 
     def throughput(self, temperature_k):
-        t = np.asarray(temperature_k, dtype=float)
-        return self.q_leak + self.q0 * np.exp(-self.e_a / (CONSTANTS.kB * t))
+        return _throughput(self.q_leak, self.q0, self.e_a,
+                           np.asarray(temperature_k, dtype=float))
+
+
+def _throughput(q_leak, q0, e_a, t: np.ndarray):
+    """The leak law at temperatures t (K), for parameters that broadcast against t."""
+    return q_leak + q0 * np.exp(-e_a / (CONSTANTS.kB * t))
 
 
 def chi_from_flows(f0: float, f1: float) -> float:
@@ -135,8 +140,7 @@ def fit_arrhenius(temps_k, dpdt_pa_s,
         e_a0, q00 = 1e-20, q_leak0
 
     def model(t, params):
-        q_leak, q0, e_a = (params[..., i, None] for i in range(3))
-        return q_leak + q0 * np.exp(-e_a / (CONSTANTS.kB * t))
+        return _throughput(*(params[..., i, None] for i in range(3)), t)
 
     fit = least_squares(model, [q_leak0, q00, e_a0], temps, q,
                         bounds=[(0.0, np.inf), (0.0, np.inf), (0.0, np.inf)],

@@ -21,12 +21,14 @@ from typing import Sequence
 import numpy as np
 
 from .constants import MG_TO_TESLA
+from .fitting import _data_lines
 
 
 class ConfigError(ValueError):
     """Malformed field-model configuration file."""
 
     def __init__(self, message: str, line: int | None = None, key: str | None = None):
+        self.reason = message
         self.line = line
         self.key = key
         where = f" (line {line})" if line is not None else ""
@@ -76,28 +78,10 @@ class AcFieldModel:
         return 1.0 / self.components[0].frequency
 
 
-# Fitted interference comb: (frequency Hz, amplitude mG, phase rad).  The
-# 50 Hz phase defines the zero of the phase convention.  There is no 400 Hz
-# component.
-TABLE1_COMPONENTS = (
-    (50.0, 2.95, 0.0),
-    (100.0, 0.024, 3.0),
-    (150.0, 0.490, -1.77),
-    (200.0, 0.0065, -0.4),
-    (250.0, 0.046, 4.33),
-    (300.0, 0.010, 0.0),
-    (350.0, 0.0376, 0.9),
-    (450.0, 0.0409, -1.3),
-)
-
-
 def table1_model() -> AcFieldModel:
-    """The bundled 8-harmonic 50..450 Hz interference model."""
-    comps = tuple(
-        AcComponent(amplitude=amp_mg * MG_TO_TESLA, frequency=f, phase=ph)
-        for f, amp_mg, ph in TABLE1_COMPONENTS
-    )
-    return AcFieldModel(components=comps)
+    """The bundled 8-harmonic 50..450 Hz interference model, the fitted comb
+    of ``data/mains_50hz.cfg``."""
+    return load_field_config(Path(__file__).parent / "data" / "mains_50hz.cfg")
 
 
 @dataclass(frozen=True)
@@ -193,10 +177,7 @@ def load_field_config(path: str | Path) -> AcFieldModel:
     records: list[dict[str, float]] = []
     current: dict[str, float] | None = None
 
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _data_lines(path):
         if line == "[component]":
             current = {}
             records.append(current)

@@ -37,6 +37,7 @@ from decolab.constants import CONSTANTS, TWO_PI
 from decolab.diffusion import (GRID_HALFWIDTH_SIGMAS, INVERSION_NODES, HomogeneousLine,
                                OuDiffusionModel, _talbot_nodes, _trapezoid_weights, _x_units,
                                counts_no_ionization, hermite_phi_table)
+from decolab import feedforward
 from decolab.feedforward import SHOT_PERIOD, FeedforwardOutcome
 from decolab.fitting import FTOL, MAX_ITER, XTOL, FitError, FitResult
 from decolab.noise import AcFieldModel
@@ -649,7 +650,9 @@ def amplitude_trajectory_loop(proc, times, rng: np.random.Generator) -> np.ndarr
 def _shot_block(true_expectations: np.ndarray, cfg, rng: np.random.Generator) -> float:
     if cfg.exact:
         return float(np.clip(np.mean(true_expectations), -1.0, 1.0))
-    f0, f1 = cfg.readout_fidelity_0, cfg.readout_fidelity_1
+    # read at call time, so a test that sets the library's fidelity sets
+    # the reference's too
+    f0 = f1 = feedforward.READOUT_FIDELITY
     p_up = 0.5 * (1.0 + true_expectations)
     p_click = np.clip(p_up * f1 + (1.0 - p_up) * (1.0 - f0), 0.0, 1.0)
     clicks = rng.random(p_click.size) < p_click

@@ -25,8 +25,7 @@ from decolab.diffusion import (HomogeneousLine, IonizationSink, OuDiffusionModel
 from decolab.feedforward import ShotConfig, run_feedforward
 from decolab.fitting import (DecayCurve, fit_power_scaling, fit_stretched_exp,
                              stretched_exp)
-from decolab.noise import (AcComponent, AcFieldModel, AmplitudeScaleProcess,
-                           TABLE1_COMPONENTS, table1_model)
+from decolab.noise import AcComponent, AcFieldModel, AmplitudeScaleProcess, table1_model
 from decolab.sequences import (PulseSequence, expectation_unsynchronized,
                                is_revival, phase_of)
 from conftest import make_rng
@@ -47,7 +46,7 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 
 def test_acceptance_01_filter_revival_law():
     model = table1_model()
-    freqs = [f for f, _, _ in TABLE1_COMPONENTS]
+    freqs = [c.frequency for c in model.components]
     checked = 0
     floor = 1.0
     for n in (4, 8, 16, 32):

@@ -355,10 +355,10 @@ def test_bath_likelihood_with_13c_background(tmp_path):
 @pytest.mark.parametrize("command", [["bath", "t2star"],
                                      ["bath", "likelihood", "--rho-ppb", "21",
                                       "--t2-lower", "280us", "--n-centres", "6"]])
-def test_chi_outside_unit_interval_is_config_error(tmp_path, command):
-    with pytest.raises(SystemExit) as exc:
-        run(command + ["--chi", "2", "--out", str(tmp_path)])
-    assert exc.value.code == 2
+def test_chi_outside_unit_interval_is_config_error(tmp_path, capsys, command):
+    assert run(command + ["--chi", "2", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == \
+        "decolab: config error: argument --chi: fraction '2' must lie in (0, 1)\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -367,10 +367,11 @@ def test_chi_outside_unit_interval_is_config_error(tmp_path, command):
     ["simulate", "hahn", "--tau-range", "1ms:2ms", "--model", "table1"],
     ["simulate", "feedforward", "--tau-range", "1ms:2ms", "--n-t0", "400"],
 ])
-def test_flags_a_command_does_not_read_are_rejected(tmp_path, argv):
-    with pytest.raises(SystemExit) as exc:
-        run(argv + ["--out", str(tmp_path)])
-    assert exc.value.code == 2
+def test_flags_a_command_does_not_read_are_rejected(tmp_path, capsys, argv):
+    assert run(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("decolab: config error: unrecognized arguments: --")
+    assert err.count("\n") == 1
 
 
 def test_simulate_config_is_recorded(tmp_path):
@@ -490,6 +491,14 @@ def test_exit_code_nonconvergence(tmp_path):
     ["simulate", "ramsey", "--t-range", "0.1ms:0.3ms:0.1ms", "--a-min", "0.9"],
     ["simulate", "feedforward", "--tau-range", "1ms:2ms:1ms", "--frozen-drift",
      "--drift-sigma", "0.5"],
+    # rejected by the argument parser
+    ["bath", "t2star", "--chi", "2"],
+    ["fit", "diffusion", "--manifest", str(FIXTURES / "diffusion_manifest.txt"),
+     "--gamma-h", "5xHz"],
+    ["growth", "nitrogen", "--ch4-sccm", "0.19", "--pressure", "1atm"],
+    ["bath", "t2star", "--chi", "0.01", "--n-baths", "x"],
+    ["bath", "t2star", "--n-baths", "10"],
+    ["bath", "t2star", "--chi", "0.01", "--bogus"],
 ])
 def test_invalid_values_exit_2_without_traceback(tmp_path, capsys, recwarn, argv):
     assert run(argv + ["--out", str(tmp_path)]) == 2

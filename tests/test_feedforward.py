@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from decolab import feedforward
 from decolab.feedforward import (FeedforwardOutcome, ShotConfig, _block_estimate,
                                  run_feedforward)
 from decolab.noise import (AcComponent, AcFieldModel, AmplitudeScaleProcess,
@@ -33,19 +34,19 @@ def estimate_phase(model: AcFieldModel, tau: float, cfg: ShotConfig, rng) -> flo
 def test_shot_config_validation():
     with pytest.raises(ValueError):
         ShotConfig(n_shots=0)
-    with pytest.raises(ValueError):
-        ShotConfig(readout_fidelity_0=0.4)
 
 
-def test_sample_observable_perfect():
-    cfg = ShotConfig(n_shots=25, readout_fidelity_0=1.0, readout_fidelity_1=1.0)
+def test_sample_observable_perfect(monkeypatch):
+    monkeypatch.setattr(feedforward, "READOUT_FIDELITY", 1.0)
+    cfg = ShotConfig(n_shots=25)
     assert sample_block(1.0, cfg, make_rng(0)) == 1.0
     assert sample_block(-1.0, cfg, make_rng(0)) == -1.0
 
 
-def test_sample_observable_variance_scaling():
+def test_sample_observable_variance_scaling(monkeypatch):
+    monkeypatch.setattr(feedforward, "READOUT_FIDELITY", 1.0)
     rng = make_rng(1)
-    cfg = ShotConfig(n_shots=400, readout_fidelity_0=1.0, readout_fidelity_1=1.0)
+    cfg = ShotConfig(n_shots=400)
     draws = np.array([sample_block(0.0, cfg, rng) for _ in range(3000)])
     assert abs(draws.mean()) < 4.0 / math.sqrt(400 * 3000)
     assert draws.std() == pytest.approx(1.0 / math.sqrt(400), rel=0.1)
@@ -89,8 +90,9 @@ def test_estimate_phase_circular_mean_unbiased():
     assert abs(mean_angle) < 0.02
 
 
-def test_estimate_phase_undefined_flag():
-    cfg = ShotConfig(n_shots=2, readout_fidelity_0=0.75, readout_fidelity_1=0.75)
+def test_estimate_phase_undefined_flag(monkeypatch):
+    monkeypatch.setattr(feedforward, "READOUT_FIDELITY", 0.75)
+    cfg = ShotConfig(n_shots=2)
     # pi/2 phase: <X> = 0 and shot noise can land both estimators on zero,
     # which leaves the phase undefined (nan)
     m = AcFieldModel((AcComponent(2.95e-7, 50.0, 0.0),))

@@ -61,20 +61,27 @@ def test_clipping_case_reaches_both_bounds():
     assert traj.min() == CLIPPING.a_min and traj.max() == CLIPPING.a_max
 
 
+#: case -> (shot config, drift, readout fidelity)
 FEEDFORWARD_CASES = {
-    "default-drift": (ShotConfig(), DEFAULT),
-    "clipping": (ShotConfig(), CLIPPING),
-    "frozen": (ShotConfig(), None),
-    "exact": (ShotConfig(exact=True), DEFAULT),
-    "nan-estimate": (ShotConfig(n_shots=2, readout_fidelity_0=1.0, readout_fidelity_1=1.0),
-                     DEFAULT),
+    "default-drift": (ShotConfig(), DEFAULT, feedforward.READOUT_FIDELITY),
+    "clipping": (ShotConfig(), CLIPPING, feedforward.READOUT_FIDELITY),
+    "frozen": (ShotConfig(), None, feedforward.READOUT_FIDELITY),
+    "exact": (ShotConfig(exact=True), DEFAULT, feedforward.READOUT_FIDELITY),
+    "nan-estimate": (ShotConfig(n_shots=2), DEFAULT, 1.0),
 }
+
+
+def use_case(case: str, monkeypatch) -> tuple[ShotConfig, AmplitudeScaleProcess | None]:
+    """The case's shot config and drift, with its readout fidelity set."""
+    cfg, drift, fidelity = FEEDFORWARD_CASES[case]
+    monkeypatch.setattr(feedforward, "READOUT_FIDELITY", fidelity)
+    return cfg, drift
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("case", FEEDFORWARD_CASES)
-def test_feedforward_matches_block_loop(case, seed):
-    cfg, drift = FEEDFORWARD_CASES[case]
+def test_feedforward_matches_block_loop(case, seed, monkeypatch):
+    cfg, drift = use_case(case, monkeypatch)
     rng, ref_rng = make_rng(seed), make_rng(seed)
     got = run_feedforward(table1_model(), TAUS, cfg, drift, rng)
     want = feedforward_loop(table1_model(), TAUS, cfg, drift, ref_rng)
@@ -87,7 +94,7 @@ def test_nan_case_leaves_estimates_undefined(monkeypatch):
     estimates (phase near pi/4 at 0.85 ms), which leaves them undefined: the
     outcomes compared above include skipped C blocks.  The X, Y and C block
     estimates of each pass are recorded in that order."""
-    cfg, drift = FEEDFORWARD_CASES["nan-estimate"]
+    cfg, drift = use_case("nan-estimate", monkeypatch)
     blocks = []
     block_estimate = feedforward._block_estimate
 
@@ -103,10 +110,10 @@ def test_nan_case_leaves_estimates_undefined(monkeypatch):
 
 
 @pytest.mark.parametrize("case", ["default-drift", "frozen", "exact", "nan-estimate"])
-def test_stream_advances_by_a_fixed_budget_per_tau(case):
+def test_stream_advances_by_a_fixed_budget_per_tau(case, monkeypatch):
     """Whatever blocks run, each tau draws its trajectory's normals and then
     3 * n_shots * n_repetitions uniforms (none in exact mode)."""
-    cfg, drift = FEEDFORWARD_CASES[case]
+    cfg, drift = use_case(case, monkeypatch)
     n_draws = 3 * cfg.n_shots * 12
     for seed in SEEDS:
         rng, ref_rng = make_rng(seed), make_rng(seed)
@@ -138,7 +145,7 @@ def test_runs_without_skipped_blocks_take_one_pass(case, monkeypatch):
     """Each tau draws a fixed number of uniforms whether or not its blocks
     run, so every run that fits in one chunk, with skipped C blocks or
     without, computes all its taus in one pass."""
-    cfg, drift = FEEDFORWARD_CASES[case]
+    cfg, drift = use_case(case, monkeypatch)
     passes = _record_passes(monkeypatch)
     run_feedforward(table1_model(), TAUS, cfg, drift, make_rng(0))
     assert passes == [len(TAUS)]
@@ -148,7 +155,7 @@ def test_runs_without_skipped_blocks_take_one_pass(case, monkeypatch):
 def test_chunked_run_matches_block_loop(case, monkeypatch):
     """A run longer than one chunk of drift samples takes its taus a few at a
     time (here three per chunk) and still matches the reference."""
-    cfg, drift = FEEDFORWARD_CASES[case]
+    cfg, drift = use_case(case, monkeypatch)
     monkeypatch.setattr(feedforward, "_CHUNK_SAMPLES", 3 * 3 * cfg.n_shots * 12)
     taus = np.linspace(0.5e-3, 6e-3, 12)
     rng, ref_rng = make_rng(1), make_rng(1)

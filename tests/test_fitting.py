@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,11 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decolab.cli import main
+from decolab.diffusion import read_diffusion_csv, read_manifest
 from decolab.fitting import (DataError, DecayCurve, FitError, fit_power_scaling,
                              fit_stretched_exp, least_squares, read_decay_csv,
                              stretched_exp, write_decay_csv)
+from decolab.noise import load_field_config
 from conftest import make_rng
 from oracles import wls_normal_equations
+
+FIXTURES = Path(__file__).parent / "fixtures"
+BUNDLED_CONFIG = Path(__file__).parents[1] / "src" / "decolab" / "data" / "mains_50hz.cfg"
 
 X20 = np.linspace(0.5, 30.0, 20)
 
@@ -235,3 +241,40 @@ def test_csv_errors_carry_line_numbers(tmp_path):
     with pytest.raises(DataError) as err:
         read_decay_csv(path)
     assert err.value.line == 3
+
+
+def _commented(src: Path, dst: Path) -> Path:
+    """src with a blank first line, a comment line, a blank line, and a
+    trailing comment on every line that holds text."""
+    lines = src.read_text(encoding="utf-8").splitlines()
+    dst.write_text("\n# commented copy\n\n" + "".join(
+        f"{line}  # note {i}\n" if line.strip() else "\n" for i, line in enumerate(lines)),
+        encoding="utf-8")
+    return dst
+
+
+@pytest.mark.parametrize("name, reader", [
+    ("diffusion_500nW.csv", lambda p: [(c.x.tolist(), c.y.tolist(), c.sigma.tolist())
+                                       for c in read_diffusion_csv(p)]),
+    ("decay_synthetic.csv", lambda p: [a.tolist() for a in vars(read_decay_csv(p)).values()]),
+    ("diffusion_manifest.txt", lambda p: [(power, path.name) for power, path in read_manifest(p)]),
+    ("mains_50hz.cfg", load_field_config),
+], ids=["diffusion-csv", "decay-csv", "manifest", "config"])
+def test_every_input_format_skips_blank_lines_and_comments_alike(tmp_path, name, reader):
+    # one rule for CSVs, manifests and configs: a '#' starts a comment
+    # anywhere on a line, and a line left blank is skipped
+    src = BUNDLED_CONFIG if name.endswith(".cfg") else FIXTURES / name
+    assert reader(_commented(src, tmp_path / name)) == reader(src)
+
+
+@pytest.mark.parametrize("reader, text, line", [
+    (read_decay_csv, "x,y\n1.0,2.0\n2.0,1.0\n,,\n", 4),
+    (read_diffusion_csv, "tau_d_s,counts_forward,counts_backward,stderr\n"
+                         "0.001,2.0,2.0,0.1\n , , , \n", 3),
+], ids=["decay", "diffusion"])
+def test_row_of_only_commas_is_data_error_at_its_line(tmp_path, reader, text, line):
+    path = tmp_path / "data.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError) as err:
+        reader(path)
+    assert err.value.line == line

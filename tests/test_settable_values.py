@@ -13,7 +13,7 @@ from pathlib import Path
 SRC = Path(__file__).parents[1] / "src" / "decolab"
 
 #: (public parameters, dataclass fields)
-SETTABLE_VALUES = (184, 54)
+SETTABLE_VALUES = (184, 52)
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
