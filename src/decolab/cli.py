@@ -29,7 +29,7 @@ from . import bath as bathmod
 from . import diffusion as diff
 from . import growth
 from .feedforward import N_REPETITIONS, ShotConfig, run_feedforward
-from .fitting import (DataError, DecayCurve, FitError, FitResult, _write_csv,
+from .fitting import (DataError, DecayCurve, FitError, FitResult, _write_csv, _write_text,
                       fit_power_scaling, fit_stretched_exp, read_decay_csv, stretched_exp)
 from .plotsvg import SvgPlot, histogram_plot, quick_line_plot
 from .sequences import N_A, N_T0, PulseSequence, expectation_unsynchronized, ramsey_envelope
@@ -118,23 +118,29 @@ def _positive_times(args: argparse.Namespace, name: str, default_points: int) ->
     return positive
 
 
-def _quantity(kind: str):
-    """The argparse type of an option of the unit kind (see parse_quantity; a
-    fraction must lie in (0, 1)): a rejection keeps its reason, which the
-    parser reports after the option's name."""
+def _quantity(kind: str | None):
+    """The argparse type of a float option: a bare number for kind None, else
+    a quantity of the unit kind (see parse_quantity; a fraction must lie in
+    (0, 1)).  Every float option rejects a value that is not finite.  A
+    rejection keeps its reason, which the parser reports after the option's
+    name."""
     def parse(text: str) -> float:
         try:
-            value = parse_quantity(text, kind)
+            value = float(text) if kind is None else parse_quantity(text, kind)
         except ConfigError as exc:
             raise argparse.ArgumentTypeError(exc.reason) from None
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
         if kind == "fraction" and not 0.0 < value < 1.0:
             raise argparse.ArgumentTypeError(f"fraction {text!r} must lie in (0, 1)")
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
         return value
     return parse
 
 
-_TIME, _FRACTION, _FREQ, _POWER, _PRESSURE = map(
-    _quantity, ("time", "fraction", "freq_mhz", "power_nw", "pressure"))
+_FLOAT, _TIME, _FRACTION, _FREQ, _POWER, _PRESSURE = map(
+    _quantity, (None, "time", "fraction", "freq_mhz", "power_nw", "pressure"))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -165,8 +171,8 @@ class OutputWriter:
     def _path(self, name: str) -> Path:
         if self._manifest is not None:
             self.out_dir.mkdir(parents=True, exist_ok=True)
-            (self.out_dir / "run_manifest.json").write_text(
-                json.dumps(self._manifest, indent=2) + "\n", encoding="utf-8")
+            _write_text(self.out_dir / "run_manifest.json",
+                        json.dumps(self._manifest, indent=2) + "\n")
             self._manifest = None
         return self.out_dir / name
 
@@ -181,8 +187,7 @@ class OutputWriter:
         """Strict JSON: non-finite numbers are written as null."""
         path = self._path(name)
         payload = _finite_or_null({"seed": self.seed, "version": __version__, **payload})
-        path.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n",
-                        encoding="utf-8")
+        _write_text(path, json.dumps(payload, indent=2, allow_nan=False) + "\n")
         return path
 
 
@@ -458,8 +463,8 @@ def cmd_growth(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _check_forward_rescale(value: float) -> None:
-    if not 0.0 < value < math.inf:
-        raise ConfigError(f"--forward-rescale must be finite and > 0, got {value!r}")
+    if not value > 0.0:  # the parser has rejected a value that is not finite
+        raise ConfigError(f"--forward-rescale must be > 0, got {value!r}")
 
 
 def cmd_diffusion(args: argparse.Namespace) -> int:
@@ -467,8 +472,6 @@ def cmd_diffusion(args: argparse.Namespace) -> int:
     line = diff.HomogeneousLine(c0=args.c0, gamma_h=args.gamma_h)
     sink = diff.IonizationSink(strength_s=args.sink_s)
     _check_forward_rescale(args.forward_rescale)
-    if not math.isfinite(args.detuning):
-        raise ConfigError(f"--detuning must be finite, got {args.detuning!r}")
     taus = _positive_times(args, "tau_range", 40)
     _print_config(args)
     out = OutputWriter(Path(args.out), "diffusion predict", args.seed, "-")
@@ -508,8 +511,8 @@ def build_parser() -> argparse.ArgumentParser:
     line.add_argument("--gamma-h", type=_FREQ, default=diff.GAMMA_H)
     model = argparse.ArgumentParser(add_help=False, parents=[line])
     model.add_argument("--gamma-i", type=_FREQ, required=True)
-    model.add_argument("--d-coeff", type=float, required=True, help="MHz^2/s")
-    model.add_argument("--forward-rescale", type=float, default=diff.FORWARD_RESCALE)
+    model.add_argument("--d-coeff", type=_FLOAT, required=True, help="MHz^2/s")
+    model.add_argument("--forward-rescale", type=_FLOAT, default=diff.FORWARD_RESCALE)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -526,8 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
         if kind == "ramsey":
             p.add_argument("--t-range", required=True)
             p.add_argument("--envelope", action="store_true")
-            p.add_argument("--a-min", type=float, default=None)
-            p.add_argument("--a-max", type=float, default=None)
+            p.add_argument("--a-min", type=_FLOAT, default=None)
+            p.add_argument("--a-max", type=_FLOAT, default=None)
             p.add_argument("--n-a", type=int, default=None)
         else:
             p.add_argument("--tau-range", required=True)
@@ -536,8 +539,8 @@ def build_parser() -> argparse.ArgumentParser:
         if kind == "feedforward":
             p.add_argument("--shots", type=int, default=ShotConfig.n_shots)
             p.add_argument("--repetitions", type=int, default=N_REPETITIONS)
-            p.add_argument("--drift-sigma", type=float, default=None)
-            p.add_argument("--drift-correlation", type=float, default=None)
+            p.add_argument("--drift-sigma", type=_FLOAT, default=None)
+            p.add_argument("--drift-correlation", type=_FLOAT, default=None)
             p.add_argument("--frozen-drift", action="store_true")
 
     bath_p = sub.add_parser("bath", help="spin-bath Monte Carlo")
@@ -546,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chi", type=_FRACTION, required=True)
     p.add_argument("--n-baths", type=int, default=10000)
     p = bath_sub.add_parser("likelihood", parents=[common])
-    p.add_argument("--rho-ppb", type=float, required=True)
+    p.add_argument("--rho-ppb", type=_FLOAT, required=True)
     p.add_argument("--t2-lower", type=_TIME, required=True)
     p.add_argument("--n-centres", type=int, required=True)
     p.add_argument("--chi", type=_FRACTION, default=None,
@@ -557,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit_sub = fit_p.add_subparsers(dest="fit_command", required=True)
     p = fit_sub.add_parser("decay", parents=[common])
     p.add_argument("--data", required=True)
-    p.add_argument("--fix-n", type=float, default=None)
+    p.add_argument("--fix-n", type=_FLOAT, default=None)
     p = fit_sub.add_parser("scaling", parents=[common])
     p.add_argument("--data", required=True)
     p = fit_sub.add_parser("diffusion", parents=[common, line])
@@ -565,32 +568,32 @@ def build_parser() -> argparse.ArgumentParser:
     p = fit_sub.add_parser("ionization", parents=[common, model])
     p.add_argument("--data", required=True)
     p.add_argument("--power", type=_POWER, default=0.0)
-    p.add_argument("--c0", type=float, required=True)
+    p.add_argument("--c0", type=_FLOAT, required=True)
 
     growth_p = sub.add_parser("growth", help="growth calculators")
     growth_sub = growth_p.add_subparsers(dest="growth_command", required=True)
     p = growth_sub.add_parser("chi", parents=[common])
-    p.add_argument("--f0", type=float, required=True, help="enriched methane flow (sccm)")
-    p.add_argument("--f1", type=float, required=True, help="natural methane flow (sccm)")
+    p.add_argument("--f0", type=_FLOAT, required=True, help="enriched methane flow (sccm)")
+    p.add_argument("--f1", type=_FLOAT, required=True, help="natural methane flow (sccm)")
     p = growth_sub.add_parser("nitrogen", parents=[common])
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--ch4-sccm", type=float, required=True)
-    p.add_argument("--n2-molps", type=float, default=None,
+    p.add_argument("--eta", type=_FLOAT, default=None)
+    p.add_argument("--ch4-sccm", type=_FLOAT, required=True)
+    p.add_argument("--n2-molps", type=_FLOAT, default=None,
                    help="N2 inflow (mol/s); excludes --q-leak and --pressure")
-    p.add_argument("--q-leak", type=float, default=None,
+    p.add_argument("--q-leak", type=_FLOAT, default=None,
                    help=f"leak throughput (Pa m^3/s, default {growth.Q_LEAK_PA_M3_S:g})")
     p.add_argument("--pressure", type=_PRESSURE, default=None,
                    help="growth pressure (default "
                         f"{growth.GROWTH_PRESSURE_PA / TORR_TO_PA:g}Torr)")
     p = growth_sub.add_parser("leak", parents=[common])
     p.add_argument("--data", required=True, help="CSV with T_K, dPdt_Pa_per_s")
-    p.add_argument("--volume", type=float, default=growth.CHAMBER_VOLUME_M3)
+    p.add_argument("--volume", type=_FLOAT, default=growth.CHAMBER_VOLUME_M3)
 
     diff_p = sub.add_parser("diffusion", help="spectral-diffusion prediction")
     diff_sub = diff_p.add_subparsers(dest="diff_command", required=True)
     p = diff_sub.add_parser("predict", parents=[common, model])
-    p.add_argument("--c0", type=float, default=1.0)
-    p.add_argument("--sink-s", type=float, default=0.0)
+    p.add_argument("--c0", type=_FLOAT, default=1.0)
+    p.add_argument("--sink-s", type=_FLOAT, default=0.0)
     p.add_argument("--detuning", type=_FREQ, default=0.0)
     p.add_argument("--tau-range", default="1ms:500ms")
     p.add_argument("--points", type=int, default=None,

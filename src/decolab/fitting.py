@@ -393,7 +393,8 @@ def _csv_rows(path: str | Path) -> list[tuple[int, list[str]]]:
 
 
 def read_decay_csv(path: str | Path) -> DecayCurve:
-    """Read x,y[,sigma] rows with x finite and strictly increasing.
+    """Read x,y[,sigma] rows with x finite and strictly increasing; a row of
+    fewer than two or more than three cells is a DataError.
 
     A header row before the data is detected and skipped.  A sweep header
     (as written by ``decolab simulate``) names the columns: x is t_total_s
@@ -425,8 +426,8 @@ def read_decay_csv(path: str | Path) -> DecayCurve:
                 columns = (names.index("tau_s"), names.index("c_expectation"))
                 x_factor = 2.0
             continue
-        if len(vals) < 2:
-            raise DataError("expected at least two columns (x, y)", line=lineno)
+        if not 2 <= len(vals) <= 3:
+            raise DataError(f"expected x,y[,sigma], got {len(vals)} cells", line=lineno)
         x = _increasing_finite("x", x_factor * vals[0], xs[-1] if xs else -math.inf, lineno)
         if len(vals) >= 3:
             ss.append(_positive_finite("sigma", vals[2], lineno))
@@ -455,5 +456,16 @@ def _write_csv(path: str | Path, header: Sequence[str], columns: Sequence,
         values = np.asarray(column)
         cells.append(map(repr if values.dtype.kind == "f" else str, values.tolist()))
     lines = [*preamble, ",".join(header), *map(",".join, zip(*cells, strict=True))]
+    _write_text(path, "\n".join(lines) + "\n")
+
+
+def _write_text(path: str | Path, text: str) -> None:
+    """Write text as UTF-8 with \\n newlines to a new file at path; every
+    output file of the package is written here.  Whatever was at path (an
+    earlier output, a link) is removed first rather than rewritten in place:
+    ext4, with its default auto_da_alloc, flushes a truncated and rewritten
+    file to disk when it is closed, which costs more than the write.  A
+    directory at path stays and raises OSError."""
+    Path(path).unlink(missing_ok=True)
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)

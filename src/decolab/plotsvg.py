@@ -12,6 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .fitting import _write_text
+
 _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 64, 16, 20, 46
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -42,7 +44,12 @@ class SvgPlot:
         self.series.append((np.asarray(x, float), np.asarray(y, float), label, style))
 
     def add_histogram(self, edges, counts) -> None:
-        self.bars = (np.asarray(edges, float), np.asarray(counts, float))
+        """Bars of the counts between consecutive edges (one more edge than counts)."""
+        edges, counts = np.asarray(edges, float), np.asarray(counts, float)
+        if edges.shape != (counts.size + 1,):
+            raise ValueError(f"{counts.size} counts need {counts.size + 1} edges, "
+                             f"not {edges.size}")
+        self.bars = (edges, counts)
 
     def _limits(self):
         xs, ys = [], []
@@ -90,28 +97,28 @@ class SvgPlot:
                      f'transform="rotate(-90 16 {_H/2:.0f})">{self.ylabel}</text>')
         if self.bars is not None:
             edges, counts = self.bars
-            peak = counts.max() if counts.size and counts.max() > 0 else 1.0
-            for i, cval in enumerate(counts):
-                xl, xr = sx(edges[i]), sx(edges[i + 1])
-                yb, ytop = sy(0.0), sy(cval)
-                parts.append(f'<rect x="{xl:.1f}" y="{ytop:.1f}" width="{max(xr-xl-0.5,0.5):.1f}" '
-                             f'height="{max(yb-ytop,0):.1f}" fill="#aec7e8" stroke="none"/>')
+            xe, ytop = sx(edges), sy(counts)
+            width = np.maximum(xe[1:] - xe[:-1] - 0.5, 0.5)
+            height = np.maximum(sy(0.0) - ytop, 0.0)
+            parts += map('<rect x="{:.1f}" y="{:.1f}" width="{:.1f}" height="{:.1f}" '
+                         'fill="#aec7e8" stroke="none"/>'.format,
+                         xe[:-1].tolist(), ytop.tolist(), width.tolist(), height.tolist())
         for i, (x, y, label, style) in enumerate(self.series):
             color = _COLORS[i % len(_COLORS)]
             m = np.isfinite(x) & np.isfinite(y)
-            pts = " ".join(f"{sx(a):.1f},{sy(b):.1f}" for a, b in zip(x[m], y[m]))
+            px, py = sx(x[m]).tolist(), sy(y[m]).tolist()
             if style == "line":
+                pts = " ".join(map("{:.1f},{:.1f}".format, px, py))
                 parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                              'stroke-width="1.5"/>')
             else:
-                for a, b in zip(x[m], y[m]):
-                    parts.append(f'<circle cx="{sx(a):.1f}" cy="{sy(b):.1f}" r="2.5" '
-                                 f'fill="{color}"/>')
+                circle = f'<circle cx="{{:.1f}}" cy="{{:.1f}}" r="2.5" fill="{color}"/>'
+                parts += map(circle.format, px, py)
             if label:
                 parts.append(f'<text x="{_W-_MR-8}" y="{_MT+14+14*i}" text-anchor="end" '
                              f'font-size="11" fill="{color}">{label}</text>')
         parts.append("</svg>")
-        Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
+        _write_text(path, "\n".join(parts) + "\n")
 
 
 def quick_line_plot(path: str | Path, x, ys: Sequence, labels: Sequence[str],

@@ -16,8 +16,9 @@ Talbot contour from the formula on every call; the joint backward-fit
 model from one ``counts_no_ionization`` call per power.  The
 Levenberg-Marquardt engine is kept with one model call per Jacobian column
 and per damped trial step.  For bitwise checks, the near/far
-bath sampler is kept with one temporary array per operation and the CSV
-writer with one ``csv.writer`` row per record.
+bath sampler is kept with one temporary array per operation, the CSV
+writer with one ``csv.writer`` row per record and the SVG renderer with one
+coordinate mapping and one f-string per point.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from decolab import feedforward
 from decolab.feedforward import SHOT_PERIOD, FeedforwardOutcome
 from decolab.fitting import FTOL, MAX_ITER, XTOL, FitError, FitResult
 from decolab.noise import AcFieldModel
+from decolab.plotsvg import _COLORS, _H, _MB, _ML, _MR, _MT, _W, SvgPlot, _ticks
 from decolab.sequences import PulseSequence, phase_of
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -722,3 +724,59 @@ def write_csv_rows(path, header, rows, comment: str | None = None) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_format_cell(v) for v in row])
+
+
+# ---------------------------------------------------------------------------
+# SVG output: each point mapped and formatted on its own
+# ---------------------------------------------------------------------------
+
+def svg_per_point(plot: SvgPlot) -> str:
+    """The text of ``plot`` as ``SvgPlot.write`` writes it, from the scale
+    lambdas called once per point on a numpy scalar."""
+    (x0, x1), (y0, y1) = plot._limits()
+    sx = lambda v: _ML + (v - x0) / (x1 - x0) * (_W - _ML - _MR)
+    sy = lambda v: _H - _MB - (v - y0) / (y1 - y0) * (_H - _MT - _MB)
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}">',
+        f'<rect width="{_W}" height="{_H}" fill="white"/>',
+        f'<text x="{_W/2:.0f}" y="14" text-anchor="middle" font-size="13">{plot.title}</text>',
+    ]
+    for tx in _ticks(x0, x1):
+        parts.append(f'<line x1="{sx(tx):.1f}" y1="{_H-_MB}" x2="{sx(tx):.1f}" '
+                     f'y2="{_H-_MB+4}" stroke="black"/>')
+        parts.append(f'<text x="{sx(tx):.1f}" y="{_H-_MB+16}" text-anchor="middle" '
+                     f'font-size="10">{tx:g}</text>')
+    for ty in _ticks(y0, y1):
+        parts.append(f'<line x1="{_ML-4}" y1="{sy(ty):.1f}" x2="{_ML}" '
+                     f'y2="{sy(ty):.1f}" stroke="black"/>')
+        parts.append(f'<text x="{_ML-6}" y="{sy(ty)+3:.1f}" text-anchor="end" '
+                     f'font-size="10">{ty:g}</text>')
+    parts.append(f'<rect x="{_ML}" y="{_MT}" width="{_W-_ML-_MR}" height="{_H-_MT-_MB}" '
+                 'fill="none" stroke="black"/>')
+    parts.append(f'<text x="{_W/2:.0f}" y="{_H-8}" text-anchor="middle" '
+                 f'font-size="12">{plot.xlabel}</text>')
+    parts.append(f'<text x="16" y="{_H/2:.0f}" text-anchor="middle" font-size="12" '
+                 f'transform="rotate(-90 16 {_H/2:.0f})">{plot.ylabel}</text>')
+    if plot.bars is not None:
+        edges, counts = plot.bars
+        for i, cval in enumerate(counts):
+            xl, xr = sx(edges[i]), sx(edges[i + 1])
+            yb, ytop = sy(0.0), sy(cval)
+            parts.append(f'<rect x="{xl:.1f}" y="{ytop:.1f}" width="{max(xr-xl-0.5,0.5):.1f}" '
+                         f'height="{max(yb-ytop,0):.1f}" fill="#aec7e8" stroke="none"/>')
+    for i, (x, y, label, style) in enumerate(plot.series):
+        color = _COLORS[i % len(_COLORS)]
+        m = np.isfinite(x) & np.isfinite(y)
+        pts = " ".join(f"{sx(a):.1f},{sy(b):.1f}" for a, b in zip(x[m], y[m]))
+        if style == "line":
+            parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
+                         'stroke-width="1.5"/>')
+        else:
+            for a, b in zip(x[m], y[m]):
+                parts.append(f'<circle cx="{sx(a):.1f}" cy="{sy(b):.1f}" r="2.5" '
+                             f'fill="{color}"/>')
+        if label:
+            parts.append(f'<text x="{_W-_MR-8}" y="{_MT+14+14*i}" text-anchor="end" '
+                         f'font-size="11" fill="{color}">{label}</text>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"

@@ -419,6 +419,17 @@ def test_malformed_sweep_is_data_error(tmp_path, capsys, recwarn, row, line):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("command", ["scaling", "decay"])
+def test_plain_row_of_more_than_three_cells_is_data_error(tmp_path, capsys, command):
+    # the diffusion fixture's rows are not x,y[,sigma]: its two count columns
+    # were once read as y and sigma and its stderr column dropped
+    assert run(["fit", command, "--data", str(FIXTURES / "diffusion_500nW.csv"),
+                "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == \
+        "decolab: data error (line 2): expected x,y[,sigma], got 4 cells\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_nan_x_in_first_row_is_data_error_at_its_line(tmp_path, capsys):
     # no row before it to compare with: the finiteness check alone catches it
     data = tmp_path / "decay.csv"
@@ -499,6 +510,10 @@ def test_exit_code_nonconvergence(tmp_path):
     ["bath", "t2star", "--chi", "0.01", "--n-baths", "x"],
     ["bath", "t2star", "--n-baths", "10"],
     ["bath", "t2star", "--chi", "0.01", "--bogus"],
+    # not finite: every float option's parser rejects it
+    ["bath", "likelihood", "--rho-ppb", "21", "--t2-lower", "infs", "--n-centres", "6"],
+    ["bath", "likelihood", "--rho-ppb", "nan", "--t2-lower", "280us", "--n-centres", "6"],
+    ["growth", "chi", "--f0", "1e400", "--f1", "1"],
 ])
 def test_invalid_values_exit_2_without_traceback(tmp_path, capsys, recwarn, argv):
     assert run(argv + ["--out", str(tmp_path)]) == 2
@@ -624,6 +639,44 @@ def test_dropped_times_are_counted_on_stderr(tmp_path, capsys, argv, err):
 def test_failed_run_leaves_no_manifest(tmp_path, argv):
     assert run(argv + ["--out", str(tmp_path / "e1")]) in (2, 3)
     assert not (tmp_path / "e1" / "run_manifest.json").exists()
+
+
+T2STAR = ["bath", "t2star", "--chi", "0.0442%", "--n-baths", "200"]
+
+
+def test_rerun_into_one_out_gives_the_same_bytes(tmp_path):
+    files = []
+    for _ in range(2):
+        assert run(T2STAR + ["--seed", "3", "--out", str(tmp_path)]) == 0
+        files.append({p.name: p.read_bytes() for p in tmp_path.iterdir()})
+    assert len(files[0]) == 4 and files[1] == files[0]
+
+
+def test_rerun_replaces_files_so_links_keep_the_old_bytes(tmp_path):
+    out = tmp_path / "out"
+    assert run(T2STAR + ["--seed", "1", "--out", str(out)]) == 0
+    first = (out / "t2star.csv").read_bytes()
+    os.link(out / "t2star.csv", tmp_path / "hard.csv")
+    target = tmp_path / "target.json"
+    target.write_text("kept\n", encoding="utf-8")
+    (out / "t2star_summary.json").unlink()
+    (out / "t2star_summary.json").symlink_to(target)
+    assert run(T2STAR + ["--seed", "2", "--out", str(out)]) == 0
+    assert (tmp_path / "hard.csv").read_bytes() == first
+    assert (out / "t2star.csv").read_bytes() != first
+    assert target.read_text(encoding="utf-8") == "kept\n"
+    assert not (out / "t2star_summary.json").is_symlink()
+    assert json.loads((out / "t2star_summary.json").read_text())["seed"] == 2
+
+
+@pytest.mark.parametrize("name", ["run_manifest.json", "t2star.csv", "t2star_summary.json",
+                                  "t2star_hist.svg"])
+def test_output_name_that_is_a_directory_exits_3(tmp_path, capsys, name):
+    (tmp_path / name).mkdir()
+    assert run(T2STAR + ["--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("decolab: ") and err.count("\n") == 1
+    assert (tmp_path / name).is_dir()
 
 
 def test_print_config(tmp_path, capsys):

@@ -150,6 +150,20 @@ def test_counts_array_matches_scalar_calls():
         counts_no_ionization(MODEL, LINE, np.array([1e-3, -1e-3]))
 
 
+@pytest.mark.parametrize("make", [
+    lambda v: OuDiffusionModel(d_coeff=v, gamma_i=117.0),
+    lambda v: OuDiffusionModel(d_coeff=4.4e4, gamma_i=v),
+    lambda v: HomogeneousLine(c0=v, gamma_h=22.0),
+    lambda v: HomogeneousLine(c0=40.0, gamma_h=v),
+    lambda v: IonizationSink(strength_s=v),
+], ids=["d_coeff", "gamma_i", "c0", "gamma_h", "strength_s"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_parameters_that_are_not_finite_are_rejected(make, value):
+    # the CLI's parser rejects these values before the library sees them
+    with pytest.raises(ValueError, match="must be finite"):
+        make(value)
+
+
 def test_counts_at_nan_time_are_nan():
     # a nan time has a nan variance: nan counts, not the bare Lorentzian
     assert math.isnan(counts_no_ionization(MODEL, LINE, math.nan))

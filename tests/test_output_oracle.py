@@ -1,7 +1,8 @@
 """The column-wise CSV writer reproduces the row-wise ``csv.writer`` output
-kept in ``oracles.py`` byte for byte, for every CSV the CLI writes, and the
-in-place near-shell arithmetic of the bath sampler reproduces the
-temporaries-based sampler bit for bit."""
+kept in ``oracles.py`` byte for byte, for every CSV the CLI writes; the
+array-mapped SVG renderer reproduces the per-point renderer kept there, for
+every SVG the CLI writes; and the in-place near-shell arithmetic of the bath
+sampler reproduces the temporaries-based sampler bit for bit."""
 
 from pathlib import Path
 
@@ -16,9 +17,12 @@ from decolab.diffusion import (HomogeneousLine, IonizationSink, OuDiffusionModel
 from decolab.feedforward import ShotConfig, run_feedforward
 from decolab.fitting import DecayCurve, write_decay_csv
 from decolab.noise import AmplitudeScaleProcess, table1_model
+from decolab.plotsvg import SvgPlot, histogram_plot, quick_line_plot
 from decolab.sequences import PulseSequence, expectation_unsynchronized
 from conftest import make_rng
-from oracles import t2star_with_temporaries, write_csv_rows
+from oracles import svg_per_point, t2star_with_temporaries, write_csv_rows
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def stamp(command: str, seed: int) -> str:
@@ -150,6 +154,100 @@ def test_dataset_writers(tmp_path):
     assert_same_bytes(tmp_path / "diff.csv",
                       ["tau_d_s", "counts_forward", "counts_backward", "stderr"],
                       [[float(v) for v in row] for row in zip(x, y, s, err)], None, tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# SVG files
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def written_plots(monkeypatch):
+    """(plot, path) of every SvgPlot.write call; a check of this list asserts
+    each file's bytes against the per-point renderer."""
+    calls = []
+    write = SvgPlot.write
+
+    def record(plot, path):
+        calls.append((plot, Path(path)))
+        write(plot, path)
+
+    monkeypatch.setattr(SvgPlot, "write", record)
+    return calls
+
+
+def assert_svgs_match_per_point(calls) -> None:
+    assert calls
+    for plot, path in calls:
+        assert path.read_bytes() == svg_per_point(plot).encode("utf-8"), path.name
+
+
+def test_svg_series_with_nan_and_inf(tmp_path, written_plots):
+    x = np.array([0.0, 0.5, np.nan, 1.5, 2.0, np.inf, 3.0, -np.inf])
+    ys = [np.array([1.0, np.nan, 0.2, -0.4, np.inf, 0.3, -1e-9, 0.0]),
+          np.array([np.inf, 2.0, 1.0, -np.inf, 0.5, 0.1, 0.7, 0.0]),
+          np.full(x.size, np.nan)]
+    quick_line_plot(tmp_path / "lines.svg", x, ys, ["line", "points"], title="t",
+                    xlabel="x", ylabel="y", styles=["line", "points", "line"])
+    quick_line_plot(tmp_path / "points.svg", x, ys[::-1], ["", "b", "c"],
+                    styles=["points", "points", "line"])
+    assert_svgs_match_per_point(written_plots)
+    assert '<polyline points=""' in (tmp_path / "lines.svg").read_text()
+
+
+@pytest.mark.parametrize("samples", [
+    np.random.default_rng(4).rayleigh(3.0, 5000),
+    np.full(40, 2.5),
+    np.array([np.nan, np.inf, -np.inf]),
+    np.array([7.0, np.nan, 1e-3, 7.0, np.inf]),
+], ids=["half-normal", "all-equal", "no-finite", "mixed"])
+def test_svg_histogram(tmp_path, written_plots, samples):
+    histogram_plot(tmp_path / "hist.svg", samples, bins=60,
+                   overlay_pdf=lambda v: v / 9.0 * np.exp(-v ** 2 / 18.0), xlabel="T2* (us)")
+    histogram_plot(tmp_path / "bare.svg", samples, bins=7)
+    # bars narrower than a pixel are drawn 0.5 wide
+    histogram_plot(tmp_path / "fine.svg", samples, bins=1000)
+    assert_svgs_match_per_point(written_plots)
+
+
+def test_svg_bars_below_the_axis_and_empty_plots(tmp_path, written_plots):
+    plot = SvgPlot(title="bars")
+    plot.add_histogram([0.0, 1.0, 2.0, 3.0, 4.0], [1.0, -0.5, 0.0, 2.0])
+    plot.write(tmp_path / "bars.svg")
+    SvgPlot().write(tmp_path / "empty.svg")
+    SvgPlot(title="only axes", xlabel="x", ylabel="y").write(tmp_path / "axes.svg")
+    assert_svgs_match_per_point(written_plots)
+    assert 'height="0.0"' in (tmp_path / "bars.svg").read_text()
+    for edges in ([0.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]):
+        with pytest.raises(ValueError, match="4 counts need 5 edges"):
+            plot.add_histogram(edges, [1.0, 2.0, 3.0, 4.0])
+
+
+#: (SVG file, command line) of every command that writes an SVG
+CLI_SVGS = [
+    ("sweep.svg", ["simulate", "cpmg", "--n", "4", "--tau-range", "0.02ms:0.3ms:0.02ms",
+                   "--n-t0", "40"]),
+    ("sweep.svg", ["simulate", "ramsey", "--t-range", "0.005ms:0.2ms", "--points", "9",
+                   "--envelope", "--n-t0", "8"]),
+    ("sweep.svg", ["simulate", "hahn", "--tau-range=-0.1ms:1ms", "--points", "12",
+                   "--n-t0", "40"]),
+    ("feedforward.svg", ["simulate", "feedforward", "--tau-range", "1ms:3ms:1ms",
+                         "--shots", "20", "--repetitions", "2"]),
+    ("t2star_hist.svg", ["bath", "t2star", "--chi", "0.0442%", "--n-baths", "500"]),
+    ("fit_decay.svg", ["fit", "decay", "--data", str(FIXTURES / "decay_synthetic.csv")]),
+    ("fit_scaling.svg", ["fit", "scaling", "--data", str(FIXTURES / "scaling_synthetic.csv")]),
+    ("fit_diffusion.svg", ["fit", "diffusion",
+                           "--manifest", str(FIXTURES / "diffusion_manifest.txt")]),
+    ("growth_leak.svg", ["growth", "leak", "--data", str(FIXTURES / "arrhenius_synthetic.csv")]),
+    ("diffusion_predict.svg", ["diffusion", "predict", "--gamma-i", "117", "--d-coeff", "1.6e4",
+                               "--sink-s", "150", "--points", "7"]),
+]
+
+
+@pytest.mark.parametrize("name, argv", CLI_SVGS, ids=[" ".join(argv[:2]) for _, argv in CLI_SVGS])
+def test_cli_svg(tmp_path, written_plots, name, argv):
+    run_cli(tmp_path, *argv, "--seed", "7")
+    assert [path.name for _, path in written_plots] == [name]
+    assert_svgs_match_per_point(written_plots)
 
 
 # ---------------------------------------------------------------------------
