@@ -9,7 +9,6 @@ tests and CLI examples can assert recovery.
 """
 
 import argparse
-import json
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +16,7 @@ import numpy as np
 from decolab.diffusion import (HomogeneousLine, IonizationSink, OuDiffusionModel,
                                SinkSolver, SolverSettings, counts_no_ionization,
                                write_diffusion_csv)
+from decolab.files import write_json, write_text
 from decolab.fitting import DecayCurve, stretched_exp, write_decay_csv
 from decolab.growth import CHAMBER_VOLUME_M3, LeakModel
 
@@ -38,7 +38,7 @@ def main() -> None:
     y = y + rng.normal(0.0, meta["sigma"], x.size)
     write_decay_csv(out / "decay_synthetic.csv",
                     DecayCurve(x, y, np.full(x.size, meta["sigma"])))
-    (out / "decay_synthetic.json").write_text(json.dumps(meta, indent=2) + "\n")
+    write_json(out / "decay_synthetic.json", meta)
 
     # power-law coherence scaling
     meta = {"T0_s": 16e-3, "eta": 0.67}
@@ -46,7 +46,7 @@ def main() -> None:
     t2 = meta["T0_s"] * n ** meta["eta"]
     write_decay_csv(out / "scaling_synthetic.csv", DecayCurve(n, t2),
                     header=("n_pulses", "t2_s"))
-    (out / "scaling_synthetic.json").write_text(json.dumps(meta, indent=2) + "\n")
+    write_json(out / "scaling_synthetic.json", meta)
 
     # multi-power spectral-diffusion set with ionization in the forward counts
     meta = {"gamma_i_MHz": 117.0, "gamma_h_MHz": 22.0, "forward_rescale": 0.96,
@@ -71,9 +71,8 @@ def main() -> None:
         name = f"diffusion_{power:g}nW.csv"
         write_diffusion_csv(out / name, taus, forward, backward, err)
         lines.append(f"{power:g} {name}")
-    (out / "diffusion_manifest.txt").write_text(
-        "# power_nW file\n" + "\n".join(lines) + "\n")
-    (out / "diffusion_synthetic.json").write_text(json.dumps(meta, indent=2) + "\n")
+    write_text(out / "diffusion_manifest.txt", "# power_nW file\n" + "\n".join(lines) + "\n")
+    write_json(out / "diffusion_synthetic.json", meta)
 
     # leak-rate Arrhenius points
     meta = {"q_leak": 1.5e-8, "q0": 1.885e-5, "e_a": 4.01e-20, "volume": CHAMBER_VOLUME_M3}
@@ -82,7 +81,7 @@ def main() -> None:
     dpdt = leak.throughput(temps) / leak.volume
     write_decay_csv(out / "arrhenius_synthetic.csv", DecayCurve(temps, dpdt),
                     header=("temperature_K", "dpdt_Pa_per_s"))
-    (out / "arrhenius_synthetic.json").write_text(json.dumps(meta, indent=2) + "\n")
+    write_json(out / "arrhenius_synthetic.json", meta)
 
     print(f"fixtures written to {out}")
 

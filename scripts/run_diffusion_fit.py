@@ -2,20 +2,25 @@
 """End-to-end spectral-diffusion analysis on the bundled multi-power fixture.
 
 Joint backward fit (shared inhomogeneous linewidth), per-power
-ionization-rate fits on the forward counts, and the tau_c power-law scaling.
+ionization-rate fits on the forward counts, and the tau_c power-law scaling;
+a value from a fit that did not converge is marked so.
 """
 
 import argparse
-import json
 from pathlib import Path
 
 from decolab.diffusion import (FORWARD_RESCALE, GAMMA_H, HomogeneousLine,
                                OuDiffusionModel, PowerDataset, fit_ionization_rate,
                                joint_fit_backward, read_diffusion_csv, read_manifest, tau_c)
+from decolab.files import write_json
 from decolab.fitting import fit_power_scaling
 
 DEFAULT_MANIFEST = Path(__file__).resolve().parent.parent / "tests" / "fixtures" / \
     "diffusion_manifest.txt"
+
+
+def unless_converged(fit) -> str:
+    return "" if fit.converged else f" (not converged: {fit.message})"
 
 
 def main() -> None:
@@ -38,7 +43,7 @@ def main() -> None:
     joint = joint_fit_backward(backwards, gamma_h_fixed=args.gamma_h)
     gamma_i = joint.params["gamma_i"]
     print(f"shared gamma_i = {gamma_i:.1f} +- {joint.stderr['gamma_i']:.1f} MHz "
-          f"(reduced chi2 = {joint.reduced_chi2:.2f})")
+          f"(reduced chi2 = {joint.reduced_chi2:.2f}){unless_converged(joint)}")
 
     payload = {"gamma_i_MHz": gamma_i, "gamma_h_MHz_fixed": args.gamma_h,
                "reduced_chi2": joint.reduced_chi2, "per_power": {}}
@@ -58,14 +63,14 @@ def main() -> None:
         powers.append(ds_b.power_nw)
         taucs.append(tc)
         print(f"  {tag}: D = {d:.3e} MHz^2/s, C0 = {c0:.2f}, "
-              f"S = {ion.params['S']:.0f} +- {ion.stderr['S']:.0f} /s, "
-              f"tau_c = {tc * 1e3:.2f} ms")
+              f"S = {ion.params['S']:.0f} +- {ion.stderr['S']:.0f} /s{unless_converged(ion)}, "
+              f"tau_c = {tc * 1e3:.2f} ms{unless_converged(joint)}")
 
     if len(powers) >= 3:
         scaling = fit_power_scaling(powers, taucs)
         payload["tau_c_power_exponent"] = scaling.params["eta"]
         print(f"tau_c scales as P^{scaling.params['eta']:.2f}")
-    (out / "diffusion_fit.json").write_text(json.dumps(payload, indent=2) + "\n")
+    write_json(out / "diffusion_fit.json", payload)
     print(out / "diffusion_fit.json")
 
 

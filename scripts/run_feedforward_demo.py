@@ -3,7 +3,8 @@
 
 Simulates the unsynchronized echo and the 50-shot X/Y/C protocol under slow
 amplitude drift, fits both to stretched exponentials and prints the 1/e
-times (total evolution time 2 tau).
+times (total evolution time 2 tau); a time from a fit that did not converge
+is marked so.
 """
 
 import argparse
@@ -16,6 +17,10 @@ from decolab.fitting import DecayCurve, fit_stretched_exp, write_decay_csv
 from decolab.noise import AmplitudeScaleProcess, table1_model
 from decolab.plotsvg import SvgPlot
 from decolab.sequences import PulseSequence, expectation_unsynchronized
+
+
+def unless_converged(fit) -> str:
+    return "" if fit.converged else f" (not converged: {fit.message})"
 
 
 def main() -> None:
@@ -52,9 +57,9 @@ def main() -> None:
     plot.add_line(2 * taus_c, corrected, "feedforward <C>", "points")
     plot.write(out / "feedforward.svg")
 
-    print(f"unsynchronized 1/e: {fit_u.params['T2'] * 1e3:.3f} ms")
+    print(f"unsynchronized 1/e: {fit_u.params['T2'] * 1e3:.3f} ms{unless_converged(fit_u)}")
     print(f"feedforward     1/e: {fit_c.params['T2'] * 1e3:.2f} ms "
-          f"(n = {fit_c.params['n']:.2f})")
+          f"(n = {fit_c.params['n']:.2f}){unless_converged(fit_c)}")
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from decolab.cli import main as decolab
+from decolab.files import write_json
 
 
 def main() -> None:
@@ -39,7 +40,7 @@ def main() -> None:
                         "scale_times_chi_us": scale_us * chi}
         print(f"chi={100 * chi:.4f}%  scale={scale_us:9.2f} us  "
               f"scale*chi={scale_us * chi:.5f} us")
-    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    write_json(out / "summary.json", summary)
 
 
 if __name__ == "__main__":

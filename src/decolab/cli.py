@@ -23,14 +23,14 @@ import numpy as np
 
 from . import __version__
 from .constants import MG_TO_TESLA, TORR_TO_PA
-from .noise import (AcFieldModel, AmplitudeScaleProcess, ConfigError,
-                    load_field_config, table1_model)
+from .noise import AcFieldModel, AmplitudeScaleProcess, load_field_config, table1_model
 from . import bath as bathmod
 from . import diffusion as diff
 from . import growth
 from .feedforward import N_REPETITIONS, ShotConfig, run_feedforward
-from .fitting import (DataError, DecayCurve, FitError, FitResult, _write_csv, _write_text,
-                      fit_power_scaling, fit_stretched_exp, read_decay_csv, stretched_exp)
+from .files import ConfigError, DataError, FitError, write_csv, write_json
+from .fitting import (DecayCurve, FitResult, fit_power_scaling, fit_stretched_exp,
+                      read_decay_csv, stretched_exp)
 from .plotsvg import SvgPlot, histogram_plot, quick_line_plot
 from .sequences import N_A, N_T0, PulseSequence, expectation_unsynchronized, ramsey_envelope
 
@@ -171,34 +171,22 @@ class OutputWriter:
     def _path(self, name: str) -> Path:
         if self._manifest is not None:
             self.out_dir.mkdir(parents=True, exist_ok=True)
-            _write_text(self.out_dir / "run_manifest.json",
-                        json.dumps(self._manifest, indent=2) + "\n")
+            write_json(self.out_dir / "run_manifest.json", self._manifest)
             self._manifest = None
         return self.out_dir / name
 
     def csv(self, name: str, header: list[str], columns) -> Path:
         """One column (floats, ints or strings) per header name, after a stamp line."""
         path = self._path(name)
-        _write_csv(path, header, columns,
-                   [f"# decolab {__version__} command={self.command} seed={self.seed}"])
+        write_csv(path, header, columns,
+                  [f"# decolab {__version__} command={self.command} seed={self.seed}"])
         return path
 
     def json(self, name: str, payload: dict) -> Path:
         """Strict JSON: non-finite numbers are written as null."""
         path = self._path(name)
-        payload = _finite_or_null({"seed": self.seed, "version": __version__, **payload})
-        _write_text(path, json.dumps(payload, indent=2, allow_nan=False) + "\n")
+        write_json(path, {"seed": self.seed, "version": __version__, **payload})
         return path
-
-
-def _finite_or_null(value):
-    if isinstance(value, dict):
-        return {k: _finite_or_null(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_finite_or_null(v) for v in value]
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
 
 
 def _fit_payload(fit: FitResult) -> dict:

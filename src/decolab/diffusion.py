@@ -38,8 +38,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fitting import (DataError, DecayCurve, FitResult, FitError, _write_csv, least_squares,
-                      _csv_rows, _data_lines, _increasing_finite, _positive_finite)
+from .files import (DataError, csv_rows, data_lines, finite, increasing_finite, positive_finite,
+                    write_csv)
+from .fitting import DecayCurve, FitResult, least_squares
 
 __all__ = [
     "OuDiffusionModel",
@@ -571,12 +572,13 @@ def joint_fit_backward(datasets: Sequence[PowerDataset], gamma_h_fixed: float) -
     One shared inhomogeneous linewidth gamma_i; a separate diffusion
     coefficient D and peak counts C0 per power.  gamma_h is fixed (strong
     covariance with gamma_i otherwise).  Parameter names: gamma_i, then
-    D_<tag>, C0_<tag> per dataset (two datasets of one tag are a DataError).
+    D_<tag>, C0_<tag> per dataset (two datasets of one tag, or counts that
+    never rise above the parameters' lower bound, are a DataError).
     A negative time is a ValueError before the fit; a trial row that
     overflows gets non-finite counts, which the fit rejects.
     """
     if not datasets:
-        raise FitError("need at least one dataset")
+        raise DataError("need at least one dataset")
     if not 0.0 < gamma_h_fixed < math.inf:
         raise ValueError("gamma_h must be finite and > 0")
     tags = [ds.tag for ds in datasets]
@@ -601,14 +603,19 @@ def joint_fit_backward(datasets: Sequence[PowerDataset], gamma_h_fixed: float) -
                                          variance, 0.0)
 
     # initial guesses: C0 from the first point, gamma_i from the plateau
-    # ratio, D from the half-decay time
+    # ratio, D from the half-decay time; every parameter is bounded below by
+    # `lower`, so the counts must rise above it
     hw = 0.5 * gamma_h_fixed
+    lower = 1e-6
     names = ["gamma_i"]
     p0 = []
     gammas = []
     for ds in datasets:
         y = ds.curve.y
         c0_guess = float(np.max(y))
+        if not c0_guess > lower:
+            raise DataError(f"counts_backward at {ds.tag} peak at {c0_guess!r}, "
+                            f"not above {lower!r}")
         plateau = max(float(np.mean(y[-2:])) / c0_guess, 1e-3)
         sigma_inf = hw * math.sqrt(math.pi / 2.0) / plateau / math.sqrt(2.0 * math.pi) * 2.0
         gammas.append(FWHM_PER_SIGMA * sigma_inf)
@@ -620,7 +627,7 @@ def joint_fit_backward(datasets: Sequence[PowerDataset], gamma_h_fixed: float) -
         p0.extend([tau_c(t_half, gamma_h_fixed), c0_guess])
         names.extend([f"D_{ds.tag}", f"C0_{ds.tag}"])
     p0 = [float(np.median(gammas))] + p0
-    bounds = [(1e-6, np.inf)] * len(p0)
+    bounds = [(lower, np.inf)] * len(p0)
     return least_squares(model_fn, p0, x_all, y_all, sigma=sig_all,
                          bounds=bounds, param_names=names)
 
@@ -649,19 +656,20 @@ def fit_ionization_rate(forward: DecayCurve, backward_model: OuDiffusionModel,
 
 def write_diffusion_csv(path: str | Path, taus: np.ndarray, forward: np.ndarray,
                         backward: np.ndarray, stderr: np.ndarray) -> None:
-    _write_csv(path, DIFFUSION_COLUMNS,
-               [np.asarray(c, dtype=float) for c in (taus, forward, backward, stderr)])
+    write_csv(path, DIFFUSION_COLUMNS,
+              [np.asarray(c, dtype=float) for c in (taus, forward, backward, stderr)])
 
 
 def read_diffusion_csv(path: str | Path) -> tuple[DecayCurve, DecayCurve]:
     """Returns (forward, backward) curves with shared tau axis and stderr.
 
-    tau_d_s must be positive, finite and strictly increasing.  Every stderr
-    must be positive and finite, except that a column of zeros (as
-    ``diffusion predict`` writes) means the file has no standard errors.
+    tau_d_s must be positive, finite and strictly increasing, and both
+    counts finite.  Every stderr must be positive and finite, except that a
+    column of zeros (as ``diffusion predict`` writes) means the file has no
+    standard errors.
     """
     taus, fwd, bwd, err, lines = [], [], [], [], []
-    rows = _csv_rows(path)
+    rows = csv_rows(path)
     header_line, header = rows[0] if rows else (None, [])
     if tuple(h.strip() for h in header) != DIFFUSION_COLUMNS:
         raise DataError(f"unexpected diffusion CSV header: {header}", line=header_line)
@@ -670,16 +678,16 @@ def read_diffusion_csv(path: str | Path) -> tuple[DecayCurve, DecayCurve]:
             tau, forward, backward, stderr = (float(v) for v in row)
         except ValueError:
             raise DataError(f"expected four numbers, got {row!r}", line=lineno) from None
-        taus.append(_increasing_finite("tau_d_s", tau, taus[-1] if taus else 0.0, lineno))
-        fwd.append(forward)
-        bwd.append(backward)
+        taus.append(increasing_finite("tau_d_s", tau, taus[-1] if taus else 0.0, lineno))
+        fwd.append(finite("counts_forward", forward, lineno))
+        bwd.append(finite("counts_backward", backward, lineno))
         err.append(stderr)
         lines.append(lineno)
     if not taus:
         raise DataError("file contains no data rows")
     taus_a = np.array(taus)
     err_a = (None if all(e == 0.0 for e in err)
-             else np.array([_positive_finite("stderr", e, line) for e, line in zip(err, lines)]))
+             else np.array([positive_finite("stderr", e, line) for e, line in zip(err, lines)]))
     return (DecayCurve(taus_a, np.array(fwd), err_a),
             DecayCurve(taus_a, np.array(bwd), err_a))
 
@@ -688,7 +696,7 @@ def read_manifest(path: str | Path) -> list[tuple[float, Path]]:
     """Manifest lines: '<power_nW> <csv-file>' relative to the manifest."""
     base = Path(path).parent
     out = []
-    for lineno, line in _data_lines(path):
+    for lineno, line in data_lines(path):
         try:
             power, name = line.split(None, 1)
             out.append((float(power), base / name.strip()))

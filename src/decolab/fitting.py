@@ -16,7 +16,6 @@ model values at a time.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,10 +23,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .files import (DataError, FitError, csv_rows, finite, increasing_finite, positive_finite,
+                    write_csv)
+
 __all__ = [
     "DecayCurve",
     "FitResult",
-    "FitError",
     "least_squares",
     "fit_stretched_exp",
     "fit_power_scaling",
@@ -40,10 +41,6 @@ __all__ = [
 MAX_ITER = 500
 #: relative parameter step and relative cost decrease below which it stops
 XTOL, FTOL = 1e-12, 1e-14
-
-
-class FitError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -261,14 +258,20 @@ def fit_stretched_exp(curve: DecayCurve, fix_n: float | None = None) -> FitResul
     """Fit A exp[-(x/T2)^n]; the stretch exponent, fitted or fixed, lies in
     [1e-6, 5].
 
-    Initial guesses come from a log-log linearization of -ln(y/A).
+    Initial guesses come from a log-log linearization of -ln(y/A).  Fewer
+    than 4 points, a negative x or a curve with every y negative is a
+    DataError.
     """
     n_lo, n_hi = _STRETCH_N_BOUNDS
     if fix_n is not None and not n_lo <= fix_n <= n_hi:
         raise ValueError(f"fixed n must lie in [{n_lo:g}, {n_hi:g}], not {fix_n!r}")
     if len(curve) < 4:
-        raise FitError("need at least 4 points")
+        raise DataError(f"need at least 4 points, got {len(curve)}")
     x, y = curve.x, curve.y
+    if x[0] < 0.0:
+        raise DataError(f"x = {float(x[0])!r} is negative; (x/T2)^n needs x >= 0")
+    if np.max(y) < 0.0:
+        raise DataError("every y is negative; the amplitude A is >= 0")
     if float(np.ptp(y)) < 1e-12 * max(1.0, float(np.max(np.abs(y)))):
         # constant data: T2 and n are unidentifiable
         return FitResult(param_names=["A", "T2", "n"],
@@ -308,13 +311,14 @@ def fit_stretched_exp(curve: DecayCurve, fix_n: float | None = None) -> FitResul
 def fit_power_scaling(n_pulses: Sequence[float], t2: Sequence[float],
                       sigma: Sequence[float] | None = None) -> FitResult:
     """Fit T2(N) = T0 N^eta by weighted linear regression in log-log space
-    (exact for power-law data)."""
+    (exact for power-law data).  Fewer than two pairs, or an N or T2 that is
+    not positive and finite, is a DataError."""
     n = np.asarray(n_pulses, dtype=float)
     t = np.asarray(t2, dtype=float)
     if n.size < 2 or n.size != t.size:
-        raise FitError("need at least two (N, T2) pairs of equal length")
-    if np.any(n <= 0.0) or np.any(t <= 0.0):
-        raise FitError("N and T2 values must be positive")
+        raise DataError("need at least two (N, T2) pairs of equal length")
+    if not np.all(np.isfinite(n) & np.isfinite(t) & (n > 0.0) & (t > 0.0)):
+        raise DataError("N and T2 values must be positive and finite")
     ln_n = np.log(n)
     ln_t = np.log(t)
     if sigma is not None:
@@ -349,52 +353,9 @@ def fit_power_scaling(n_pulses: Sequence[float], t2: Sequence[float],
 # file formats
 # ---------------------------------------------------------------------------
 
-class DataError(ValueError):
-    """Unparseable data file; carries the offending line number."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        where = f" (line {line})" if line is not None else ""
-        super().__init__(f"data error{where}: {message}")
-
-
-def _positive_finite(name: str, value: float, line: int) -> float:
-    """``value`` if it is positive and finite; else a DataError at ``line``."""
-    if not (math.isfinite(value) and value > 0.0):
-        raise DataError(f"{name} = {value!r} is not positive and finite", line=line)
-    return value
-
-
-def _increasing_finite(name: str, value: float, previous: float, line: int) -> float:
-    """``value`` if it is finite and above ``previous``, the value of the row
-    before (on the first row, the bound that every value must exceed); else
-    a DataError at ``line``.  Both CSV readers check their x column with it."""
-    if not math.isfinite(value):
-        raise DataError(f"{name} = {value!r} is not finite", line=line)
-    if not value > previous:
-        raise DataError(f"{name} = {value!r} is not above {previous!r}", line=line)
-    return value
-
-
-def _data_lines(path: str | Path) -> list[tuple[int, str]]:
-    """(line number, text) of each line of an input file that holds data.
-
-    This is the comment rule of every input format: a ``#`` starts a comment
-    anywhere on a line, the text is stripped of surrounding whitespace, and a
-    line left blank is skipped."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [(lineno, raw.split("#", 1)[0].strip()) for lineno, raw in enumerate(fh, 1)]
-    return [(lineno, text) for lineno, text in lines if text]
-
-
-def _csv_rows(path: str | Path) -> list[tuple[int, list[str]]]:
-    """(line number, cells) of each data line of a CSV file (see _data_lines)."""
-    return [(lineno, next(csv.reader([text]))) for lineno, text in _data_lines(path)]
-
-
 def read_decay_csv(path: str | Path) -> DecayCurve:
-    """Read x,y[,sigma] rows with x finite and strictly increasing; a row of
-    fewer than two or more than three cells is a DataError.
+    """Read x,y[,sigma] rows with x finite and strictly increasing and y
+    finite; a row of fewer than two or more than three cells is a DataError.
 
     A header row before the data is detected and skipped.  A sweep header
     (as written by ``decolab simulate``) names the columns: x is t_total_s
@@ -408,7 +369,7 @@ def read_decay_csv(path: str | Path) -> DecayCurve:
     columns = None  # (x, y) column indices of a sweep or feedforward run
     x_factor = 1.0
     header = False
-    for lineno, row in _csv_rows(path):
+    for lineno, row in csv_rows(path):
         if columns is not None:
             if len(row) <= max(columns):
                 raise DataError(f"short sweep row {row!r}", line=lineno)
@@ -428,11 +389,11 @@ def read_decay_csv(path: str | Path) -> DecayCurve:
             continue
         if not 2 <= len(vals) <= 3:
             raise DataError(f"expected x,y[,sigma], got {len(vals)} cells", line=lineno)
-        x = _increasing_finite("x", x_factor * vals[0], xs[-1] if xs else -math.inf, lineno)
+        x = increasing_finite("x", x_factor * vals[0], xs[-1] if xs else -math.inf, lineno)
+        ys.append(finite("y", vals[1], lineno))
         if len(vals) >= 3:
-            ss.append(_positive_finite("sigma", vals[2], lineno))
+            ss.append(positive_finite("sigma", vals[2], lineno))
         xs.append(x)
-        ys.append(vals[1])
     if not xs:
         raise DataError("file contains no data rows")
     if ss and len(ss) != len(xs):
@@ -443,29 +404,4 @@ def read_decay_csv(path: str | Path) -> DecayCurve:
 def write_decay_csv(path: str | Path, curve: DecayCurve,
                     header: tuple[str, ...] = ("x", "y", "sigma")) -> None:
     columns = [curve.x, curve.y] if curve.sigma is None else [curve.x, curve.y, curve.sigma]
-    _write_csv(path, header[:len(columns)], columns)
-
-
-def _write_csv(path: str | Path, header: Sequence[str], columns: Sequence,
-               preamble: Sequence[str] = ()) -> None:
-    """Write the preamble lines, then one column per header name: float cells
-    as repr (the shortest text that reads back to the same double), integer
-    cells as str, strings unchanged."""
-    cells = []
-    for column in columns:
-        values = np.asarray(column)
-        cells.append(map(repr if values.dtype.kind == "f" else str, values.tolist()))
-    lines = [*preamble, ",".join(header), *map(",".join, zip(*cells, strict=True))]
-    _write_text(path, "\n".join(lines) + "\n")
-
-
-def _write_text(path: str | Path, text: str) -> None:
-    """Write text as UTF-8 with \\n newlines to a new file at path; every
-    output file of the package is written here.  Whatever was at path (an
-    earlier output, a link) is removed first rather than rewritten in place:
-    ext4, with its default auto_da_alloc, flushes a truncated and rewritten
-    file to disk when it is closed, which costs more than the write.  A
-    directory at path stays and raises OSError."""
-    Path(path).unlink(missing_ok=True)
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write(text)
+    write_csv(path, header[:len(columns)], columns)

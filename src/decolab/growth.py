@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import ATM_PA, R_GAS, TORR_TO_PA, CONSTANTS
+from .files import DataError
 from .fitting import FitResult, least_squares
 
 __all__ = [
@@ -119,14 +120,17 @@ def fit_arrhenius(temps_k, dpdt_pa_s,
 
     Fits q_leak + q0 exp(-e_a / kB T) by nonlinear least squares; initial
     guesses come from the coldest point (leak) and a log-linearization of
-    the remainder.
+    the remainder.  Fewer than 3 points, a temperature that is not above
+    0 K or a negative dP/dt is a DataError.
     """
     if not 0.0 < volume < math.inf:
         raise ValueError(f"volume must be positive and finite, not {volume!r}")
     temps = np.asarray(temps_k, dtype=float)
     dpdt = np.asarray(dpdt_pa_s, dtype=float)
     if temps.size < 3:
-        raise ValueError("need at least 3 temperatures")
+        raise DataError(f"need at least 3 temperatures, got {temps.size}")
+    if not (np.all(temps > 0.0) and np.all(dpdt >= 0.0)):
+        raise DataError("temperatures must be > 0 K and dP/dt >= 0")
     q = volume * dpdt
     q_leak0 = float(np.min(q))
     excess = q - 0.9999 * q_leak0

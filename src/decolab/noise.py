@@ -21,19 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .constants import MG_TO_TESLA
-from .fitting import _data_lines
-
-
-class ConfigError(ValueError):
-    """Malformed field-model configuration file."""
-
-    def __init__(self, message: str, line: int | None = None, key: str | None = None):
-        self.reason = message
-        self.line = line
-        self.key = key
-        where = f" (line {line})" if line is not None else ""
-        what = f" key '{key}'" if key else ""
-        super().__init__(f"config error{where}{what}: {message}")
+from .files import ConfigError, data_lines
 
 
 @dataclass(frozen=True)
@@ -177,7 +165,7 @@ def load_field_config(path: str | Path) -> AcFieldModel:
     records: list[dict[str, float]] = []
     current: dict[str, float] | None = None
 
-    for lineno, line in _data_lines(path):
+    for lineno, line in data_lines(path):
         if line == "[component]":
             current = {}
             records.append(current)

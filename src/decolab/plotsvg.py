@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fitting import _write_text
+from .files import write_text
 
 _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 64, 16, 20, 46
@@ -118,7 +118,7 @@ class SvgPlot:
                 parts.append(f'<text x="{_W-_MR-8}" y="{_MT+14+14*i}" text-anchor="end" '
                              f'font-size="11" fill="{color}">{label}</text>')
         parts.append("</svg>")
-        _write_text(path, "\n".join(parts) + "\n")
+        write_text(path, "\n".join(parts) + "\n")
 
 
 def quick_line_plot(path: str | Path, x, ys: Sequence, labels: Sequence[str],

@@ -40,7 +40,8 @@ from decolab.diffusion import (GRID_HALFWIDTH_SIGMAS, INVERSION_NODES, Homogeneo
                                counts_no_ionization, hermite_phi_table)
 from decolab import feedforward
 from decolab.feedforward import SHOT_PERIOD, FeedforwardOutcome
-from decolab.fitting import FTOL, MAX_ITER, XTOL, FitError, FitResult
+from decolab.files import FitError
+from decolab.fitting import FTOL, MAX_ITER, XTOL, FitResult
 from decolab.noise import AcFieldModel
 from decolab.plotsvg import _COLORS, _H, _MB, _ML, _MR, _MT, _W, SvgPlot, _ticks
 from decolab.sequences import PulseSequence, phase_of

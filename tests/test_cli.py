@@ -116,6 +116,81 @@ def test_non_positive_sigma_is_data_error(tmp_path, capsys, sigma):
     assert err.startswith("decolab: data error (line 3)") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", [["fit", "decay"], ["fit", "scaling"], ["growth", "leak"]],
+                         ids="-".join)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_y_is_data_error(tmp_path, capsys, recwarn, command, value):
+    # fit scaling once wrote "converged": true with every param null, and fit
+    # decay exited 2 on a cost of nan after numpy's RuntimeWarnings
+    data = tmp_path / "data.csv"
+    data.write_text(f"x,y\n300,1e-5\n400,{value}\n500,3e-5\n600,4e-5\n", encoding="utf-8")
+    assert run([*command, "--data", str(data), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == \
+        f"decolab: data error (line 3): y = {float(value)!r} is not finite\n"
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, rows, message", [
+    pytest.param(["fit", "decay"], "1,0.9\n2,0.8\n3,0.5\n",
+                 "need at least 4 points, got 3", id="decay-3-rows"),
+    pytest.param(["fit", "decay"], "-1,0.9\n0,0.8\n1,0.5\n2,0.3\n",
+                 "x = -1.0 is negative; (x/T2)^n needs x >= 0", id="decay-negative-x"),
+    pytest.param(["fit", "decay"], "1,-0.9\n2,-0.8\n3,-0.5\n4,-0.3\n",
+                 "every y is negative; the amplitude A is >= 0", id="decay-negative-y"),
+    pytest.param(["fit", "scaling"], "4,0.1\n",
+                 "need at least two (N, T2) pairs of equal length", id="scaling-1-row"),
+    pytest.param(["fit", "scaling"], "0,0.1\n4,0.2\n",
+                 "N and T2 values must be positive and finite", id="scaling-zero-n"),
+    pytest.param(["fit", "scaling"], "4,0.1\n16,-0.2\n",
+                 "N and T2 values must be positive and finite", id="scaling-negative-t2"),
+    pytest.param(["growth", "leak"], "300,1e-5\n400,2e-5\n",
+                 "need at least 3 temperatures, got 2", id="leak-2-rows"),
+    pytest.param(["growth", "leak"], "300,1e-5\n400,-2e-5\n500,3e-5\n",
+                 "temperatures must be > 0 K and dP/dt >= 0", id="leak-negative-dpdt"),
+    pytest.param(["growth", "leak"], "0,1e-5\n400,2e-5\n500,3e-5\n",
+                 "temperatures must be > 0 K and dP/dt >= 0", id="leak-zero-temperature"),
+])
+def test_input_too_short_or_out_of_domain_is_data_error(tmp_path, capsys, recwarn, command,
+                                                        rows, message):
+    # each of these once exited 4 ("fit did not converge") or 2, some after
+    # a raw RuntimeWarning
+    data = tmp_path / "data.csv"
+    data.write_text("x,y\n" + rows, encoding="utf-8")
+    assert run([*command, "--data", str(data), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == f"decolab: data error: {message}\n"
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert not (tmp_path / "out").exists()
+
+
+def test_manifest_without_data_lines_is_data_error(tmp_path, capsys):
+    # once exit 4, "fit did not converge: need at least one dataset"
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("# power_nW file\n\n", encoding="utf-8")
+    assert run(["fit", "diffusion", "--manifest", str(manifest),
+                "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == "decolab: data error: need at least one dataset\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["0.0", "-1.0", "1e-7"])
+def test_backward_counts_not_above_the_bound_is_data_error(tmp_path, capsys, value):
+    # a zero peak once divided by zero in the start guess (a raw
+    # ZeroDivisionError), a negative one exited 4 on the parameter bounds
+    lines = (FIXTURES / "diffusion_500nW.csv").read_text(encoding="utf-8").splitlines()
+    data = tmp_path / "diffusion_500nW.csv"
+    data.write_text("\n".join([lines[0]] + [",".join([*line.split(",")[:2], value,
+                                                      line.split(",")[3]])
+                                            for line in lines[1:]]) + "\n", encoding="utf-8")
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"500 {data.name}\n", encoding="utf-8")
+    assert run(["fit", "diffusion", "--manifest", str(manifest),
+                "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == (f"decolab: data error: counts_backward at 500nW peak "
+                                       f"at {float(value)!r}, not above 1e-06\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["ionization", "diffusion"])
 @pytest.mark.parametrize("column, value, line", [
     *(pytest.param("stderr", v, 3, id=v) for v in ("0.0", "-0.01", "nan", "inf")),
@@ -125,12 +200,15 @@ def test_non_positive_sigma_is_data_error(tmp_path, capsys, sigma):
     pytest.param("tau_d_s", "-0.003", 2, id="tau-negative"),
     pytest.param("tau_d_s", "0.003", 3, id="tau-repeated"),
     pytest.param("tau_d_s", "inf", 13, id="tau-inf-last-row"),
+    # both counts must be finite: these once exited 2 on a cost of nan
+    *(pytest.param(column, v, 5, id=f"{column}-{v}")
+      for column in ("counts_forward", "counts_backward") for v in ("nan", "inf", "-inf")),
 ])
 def test_non_positive_diffusion_stderr_is_data_error(tmp_path, capsys, recwarn, command,
                                                      column, value, line):
     lines = (FIXTURES / "diffusion_500nW.csv").read_text(encoding="utf-8").splitlines()
     cells = lines[line - 1].split(",")
-    cells[0 if column == "tau_d_s" else -1] = value
+    cells[lines[0].split(",").index(column)] = value
     lines[line - 1] = ",".join(cells)
     data = tmp_path / "diffusion_500nW.csv"
     data.write_text("\n".join(lines) + "\n", encoding="utf-8")

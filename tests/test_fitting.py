@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from decolab.cli import main
 from decolab.diffusion import read_diffusion_csv, read_manifest
-from decolab.fitting import (DataError, DecayCurve, FitError, fit_power_scaling,
-                             fit_stretched_exp, least_squares, read_decay_csv,
-                             stretched_exp, write_decay_csv)
+from decolab.files import DataError, FitError
+from decolab.fitting import (DecayCurve, fit_power_scaling, fit_stretched_exp, least_squares,
+                             read_decay_csv, stretched_exp, write_decay_csv)
 from decolab.noise import load_field_config
 from conftest import make_rng
 from oracles import wls_normal_equations
@@ -44,7 +44,7 @@ def test_stretched_exp_constant_curve_flagged():
 
 
 def test_stretched_exp_requires_points():
-    with pytest.raises(FitError):
+    with pytest.raises(DataError):
         fit_stretched_exp(DecayCurve(np.array([1.0, 2.0, 3.0]), np.array([1.0, 0.5, 0.2])))
 
 
@@ -80,7 +80,7 @@ def test_power_scaling_two_points_exact_interpolation():
 
 
 def test_power_scaling_rejects_nonpositive():
-    with pytest.raises(FitError):
+    with pytest.raises(DataError):
         fit_power_scaling([1.0, 2.0, 4.0], [1.0, -2.0, 4.0])
 
 

@@ -1,0 +1,34 @@
+"""Imports point one way: the file rules and the exit-code exceptions live in
+decolab.files, so the field model and the SVG writer load without the fitting
+engine, and no module reaches into another's private names."""
+
+import ast
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).parents[1] / "src"
+
+
+@pytest.mark.parametrize("module", ["decolab.noise", "decolab.plotsvg"])
+def test_module_loads_without_the_fitting_engine(module):
+    code = f"import sys, {module}; print('decolab.fitting' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
+def test_no_module_imports_a_private_name_of_another():
+    found = []
+    for path in sorted((SRC / "decolab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and not (node.module or "").startswith("decolab"):
+                continue
+            found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                      if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert not found

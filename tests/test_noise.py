@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from decolab.constants import MG_TO_TESLA, TWO_PI, CONSTANTS
 import decolab.noise
-from decolab.noise import (AcComponent, AcFieldModel, AmplitudeScaleProcess,
-                           ConfigError, load_field_config,
+from decolab.files import ConfigError
+from decolab.noise import (AcComponent, AcFieldModel, AmplitudeScaleProcess, load_field_config,
                            sample_amplitude_trajectory, table1_model)
 from conftest import make_rng
 from oracles import field_at, field_sum_mp, scale_amplitudes

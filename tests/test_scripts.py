@@ -7,6 +7,7 @@ renamed function or parameter shows up here.
 
 import csv
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -38,6 +39,16 @@ def test_study_script_runs(tmp_path, script):
     run_script(script, tmp_path)
     assert any(tmp_path.iterdir())
 
+
+
+def test_feedforward_demo_marks_a_fit_that_did_not_converge(tmp_path, monkeypatch, capsys):
+    # the unsynchronized Hahn sweep has no randomness, and its fit with free
+    # n stops at the iteration cap with n at its bound of 5 at every seed
+    monkeypatch.setattr(sys, "argv", ["run_feedforward_demo.py", "--out", str(tmp_path)])
+    runpy.run_path(str(ROOT / "scripts" / "run_feedforward_demo.py"), run_name="__main__")
+    unsynchronized, feedforward = capsys.readouterr().out.splitlines()
+    assert unsynchronized.endswith(" ms (not converged: max iterations reached)")
+    assert "not converged" not in feedforward
 
 def test_make_fixtures_reproduces_committed_files(tmp_path):
     run_script("make_fixtures.py", tmp_path)
