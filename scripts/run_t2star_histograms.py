@@ -30,9 +30,8 @@ def main() -> None:
         n_baths = max(500, int(args.n_baths * frac))
         tag = f"{chi:.6f}"
         run = out / f"t2star_chi_{tag}"
-        code = decolab(["bath", "t2star", "--chi", repr(chi), "--n-baths", str(n_baths),
-                        "--seed", str(args.seed + k), "--out", str(run)])
-        if code:
+        if code := decolab(["bath", "t2star", "--chi", repr(chi), "--n-baths", str(n_baths),
+                            "--seed", str(args.seed + k), "--out", str(run)]):
             sys.exit(code)
         summary_json = (run / "t2star_summary.json").read_text(encoding="utf-8")
         scale_us = json.loads(summary_json)["scale_us"]

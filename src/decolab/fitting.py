@@ -115,11 +115,12 @@ def least_squares(model_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     are those of one call per Jacobian column and per trial, and a call
     holds at most max(len(params0), 29) rows of len(x) values.
 
-    Weighted by 1/sigma when sigma is given.  Bounds are (lo, hi) pairs per
-    parameter; trial steps are projected into the box.  A start point whose
-    cost is not finite is a ValueError; trial steps with a non-finite cost
-    are rejected.  On reaching MAX_ITER the last iterate is returned with
-    converged=False.
+    Weighted by 1/sigma when sigma is given; without sigma the covariance is
+    scaled by the reduced chi^2, so with no more points than parameters it is
+    nan (unknown).  Bounds are (lo, hi) pairs per parameter; trial steps are
+    projected into the box.  A start point whose cost is not finite is a
+    ValueError; trial steps with a non-finite cost are rejected.  On reaching
+    MAX_ITER the last iterate is returned with converged=False.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -211,16 +212,15 @@ def least_squares(model_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     # covariance at the solution, via the scaled normal matrix
     if jac is None:
         jac = _forward_jacobian(residuals, p, r, scale=typical)
-    dof = max(len(y) - npar, 1)
-    chi2 = cost
-    reduced = chi2 / dof if len(y) > npar else float("nan")
+    dof = len(y) - npar
+    reduced = cost / dof if dof > 0 else float("nan")
     hs, dinv, ok = scaled_normal(jac)
     try:
         if not np.all(ok):
             raise np.linalg.LinAlgError
         cov = dinv[:, None] * np.linalg.inv(hs) * dinv[None, :]
         if sigma is None:
-            cov = cov * (chi2 / dof)
+            cov = cov * reduced
     except np.linalg.LinAlgError:
         cov = np.full((npar, npar), np.nan)
         converged = False
@@ -230,7 +230,7 @@ def least_squares(model_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     return FitResult(param_names=names,
                      params={n: float(v) for n, v in zip(names, p)},
                      stderr=stderr, covariance=cov,
-                     reduced_chi2=float(reduced) if reduced == reduced else float("nan"),
+                     reduced_chi2=float(reduced),
                      converged=converged, n_iter=it, message=message)
 
 
@@ -247,7 +247,9 @@ def stretched_exp(x, params):
     if params.ndim > 1:
         return np.array([stretched_exp(x, row) for row in params])
     a, t2, n = params
-    return a * np.exp(-np.power(x / t2, n))
+    # a power that overflows to inf decays to exp(-inf) = 0, its exact limit
+    with np.errstate(over="ignore"):
+        return a * np.exp(-np.power(x / t2, n))
 
 
 #: bounds of the stretch exponent n, fitted or fixed
@@ -312,7 +314,8 @@ def fit_power_scaling(n_pulses: Sequence[float], t2: Sequence[float],
                       sigma: Sequence[float] | None = None) -> FitResult:
     """Fit T2(N) = T0 N^eta by weighted linear regression in log-log space
     (exact for power-law data).  Fewer than two pairs, or an N or T2 that is
-    not positive and finite, is a DataError."""
+    not positive and finite, is a DataError.  Without sigma the covariance is
+    scaled by the reduced chi^2, so with two pairs it is nan (unknown)."""
     n = np.asarray(n_pulses, dtype=float)
     t = np.asarray(t2, dtype=float)
     if n.size < 2 or n.size != t.size:
@@ -334,7 +337,7 @@ def fit_power_scaling(n_pulses: Sequence[float], t2: Sequence[float],
     dof = n.size - 2
     chi2 = float(resid @ resid)
     gram_inv = np.linalg.inv((design * w[:, None]).T @ (design * w[:, None]))
-    cov_log = gram_inv if sigma is not None else gram_inv * (chi2 / dof if dof > 0 else 0.0)
+    cov_log = gram_inv if sigma is not None else gram_inv * (chi2 / dof if dof > 0 else math.nan)
     t0 = math.exp(intercept)
     # delta method: T0 = exp(intercept)
     cov = np.array([[cov_log[0, 0] * t0 * t0, cov_log[0, 1] * t0],

@@ -397,16 +397,15 @@ def least_squares_sequential(model_fn: Callable[[np.ndarray, np.ndarray], np.nda
 
     # covariance at the solution, via the scaled normal matrix
     jac = forward_jacobian_per_column(residuals, p, r, scale=typical)
-    dof = max(len(y) - npar, 1)
-    chi2 = cost
-    reduced = chi2 / dof if len(y) > npar else float("nan")
+    dof = len(y) - npar
+    reduced = cost / dof if dof > 0 else float("nan")
     hs, dinv, ok = scaled_normal(jac)
     try:
         if not np.all(ok):
             raise np.linalg.LinAlgError
         cov = dinv[:, None] * np.linalg.inv(hs) * dinv[None, :]
         if sigma is None:
-            cov = cov * (chi2 / dof)
+            cov = cov * reduced  # nan without a residual degree of freedom
     except np.linalg.LinAlgError:
         cov = np.full((npar, npar), np.nan)
         converged = False
@@ -416,7 +415,7 @@ def least_squares_sequential(model_fn: Callable[[np.ndarray, np.ndarray], np.nda
     return FitResult(param_names=names,
                      params={n: float(v) for n, v in zip(names, p)},
                      stderr=stderr, covariance=cov,
-                     reduced_chi2=float(reduced) if reduced == reduced else float("nan"),
+                     reduced_chi2=float(reduced),
                      converged=converged, n_iter=it, message=message)
 
 

@@ -1,7 +1,6 @@
 import json
 import math
 import os
-import shlex
 import subprocess
 import sys
 import warnings
@@ -463,23 +462,6 @@ def test_simulate_config_is_recorded(tmp_path):
         ["config_path"] == str(cfg)
 
 
-def _readme_commands() -> list[list[str]]:
-    text = (ROOT / "README.md").read_text(encoding="utf-8")
-    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    return [shlex.split(cmd)[1:] for cmd in block.replace("\\\n", " ").splitlines()
-            if cmd.startswith("decolab ")]
-
-
-def test_readme_commands_run(tmp_path, monkeypatch):
-    commands = _readme_commands()
-    assert len(commands) >= 10
-    monkeypatch.chdir(ROOT)  # the README's data paths are relative to the repo root
-    for argv in commands:
-        i = argv.index("--out")
-        argv[i + 1] = str(tmp_path / argv[i + 1])
-        assert run(argv) == 0, argv
-
-
 @pytest.mark.parametrize("row, line", [
     ("hahn,1,0.0003,0.0006,x\n", 4),        # non-numeric cell
     ("hahn,1,0.0003\n", 4),                 # short row
@@ -541,6 +523,45 @@ def test_rejected_overflowing_trial_step_does_not_warn(tmp_path):
     assert payload["converged"] is True
     assert payload["params"] == pytest.approx(
         {"A": 0.130561369425183, "T2": 1.4967650769724876, "n": 2.0}, rel=1e-9)
+
+
+def test_overflowing_jacobian_row_exits_4_with_one_stderr_line(tmp_path):
+    # a forward-difference row of this fixed-n fit overflows np.power, whose
+    # exact limit exp(-inf) = 0 it takes without a warning; the fit then stops
+    # on singular normal equations, and only the exit-4 line reaches stderr
+    data = tmp_path / "decay.csv"
+    data.write_text("0.0785085848275552,0.23243612294420973\n"
+                    "1.2365102110339945,0.11333054519579222\n"
+                    "2.3945118372404335,-0.042377771084684705\n"
+                    "3.5525134634468727,0.09799935991791767\n"
+                    "4.7105150896533114,-0.0494092686923909\n", encoding="utf-8")
+    done = subprocess.run(
+        [sys.executable, "-m", "decolab", "fit", "decay", "--data", str(data), "--fix-n", "2",
+         "--out", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))),
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 4
+    assert done.stderr == ("decolab: fit did not converge: "
+                           "singular normal equations (unidentifiable parameters)\n")
+
+
+@pytest.mark.parametrize("command, name, rows", [
+    (["growth", "leak"], "growth_leak.json", (1, 5, 9)),  # q_leak, q0 and e_a
+    (["fit", "scaling"], "fit_scaling.json", (1, 9)),  # T0 and eta
+])
+def test_fit_without_residual_degree_of_freedom_writes_null_errors(tmp_path, command, name,
+                                                                    rows):
+    # as many rows as parameters and no sigma: the errors are unknown (null),
+    # not the roundoff of an exact interpolation
+    lines = (FIXTURES / "arrhenius_synthetic.csv").read_text(encoding="utf-8").splitlines()
+    data = tmp_path / "rows.csv"
+    data.write_text("\n".join([lines[0], *(lines[i] for i in rows)]) + "\n", encoding="utf-8")
+    assert run([*command, "--data", str(data), "--out", str(tmp_path / "out")]) == 0
+    payload = json.loads((tmp_path / "out" / name).read_text())
+    assert payload["converged"] is True
+    assert set(payload["stderr"].values()) == {None}
+    assert {v for row in payload["covariance"] for v in row} == {None}
 
 
 def test_exit_code_nonconvergence(tmp_path):

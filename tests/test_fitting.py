@@ -79,6 +79,22 @@ def test_power_scaling_two_points_exact_interpolation():
     assert "dof=0" in fit.message
 
 
+def test_no_residual_degree_of_freedom_without_sigma_leaves_errors_unknown():
+    # as many points as parameters: the residuals, which set the error scale
+    # when no sigma is given, vanish by construction, so every error is nan
+    def lin(xv, p):
+        return p[..., 0, None] * xv + p[..., 1, None]
+
+    x, y = np.array([1.0, 2.0]), np.array([0.5, 2.0])
+    for fit in (least_squares(lin, [1.0, 0.0], x, y), fit_power_scaling(x, y)):
+        assert np.isnan(fit.covariance).all() and np.isnan(list(fit.stderr.values())).all()
+        assert np.isnan(fit.reduced_chi2)
+    # a given sigma sets the scale, so the errors stay known
+    for fit in (least_squares(lin, [1.0, 0.0], x, y, sigma=[0.1, 0.1]),
+                fit_power_scaling(x, y, [0.1, 0.1])):
+        assert np.isfinite(fit.covariance).all() and np.all(np.diag(fit.covariance) > 0.0)
+
+
 def test_power_scaling_rejects_nonpositive():
     with pytest.raises(DataError):
         fit_power_scaling([1.0, 2.0, 4.0], [1.0, -2.0, 4.0])

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import decolab.diffusion as diffusion
@@ -94,13 +94,17 @@ def test_library_fit_matches_sequential_engine(name):
        noise=st.floats(0.0, 0.05), points=st.integers(5, 40), seed=st.integers(0, 2 ** 16),
        fix_n=st.sampled_from([None, 0.5, 1.0, 2.0, 2.5]))
 @settings(max_examples=60, deadline=None)
+# a Jacobian row of this fixed-n fit overflows np.power in both engines
+@example(a=0.2, t2=1.570171696551104, n=4.0, noise=0.05, points=5, seed=40042, fix_n=2.0)
 def test_drawn_stretched_exp_fit_matches_sequential_engine(a, t2, n, noise, points, seed,
                                                            fix_n):
     x = np.linspace(0.05, 3.0, points) * t2
     y = stretched_exp(x, (a, t2, n)) + noise * np.random.default_rng(seed).normal(size=points)
     curve = DecayCurve(x, y, np.full(points, max(noise, 1e-3)) if seed % 2 else None)
     fit = lambda: fit_stretched_exp(curve, fix_n=fix_n)  # noqa: E731
-    assert_same_fit(fit(), sequential(fitting, fit))
+    with warnings.catch_warnings():  # an overflow the fit rejects raises no warning
+        warnings.simplefilter("error", RuntimeWarning)
+        assert_same_fit(fit(), sequential(fitting, fit))
 
 
 def _captured_model(monkeypatch, module, fit):

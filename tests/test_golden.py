@@ -24,6 +24,7 @@ import json
 import math
 import os
 import platform
+import shlex
 import shutil
 import sys
 from pathlib import Path
@@ -32,7 +33,6 @@ import numpy as np
 import pytest
 
 from decolab.cli import main
-from test_cli import _readme_commands
 
 ROOT = Path(__file__).parents[1]
 GOLDEN = Path(__file__).parent / "golden"
@@ -44,6 +44,14 @@ ROUNDOFF_KEYS = ("stderr", "covariance", "reduced_chi2")
 def environment() -> dict[str, str]:
     return {"numpy": np.__version__, "python": platform.python_version(),
             "machine": platform.machine(), "system": platform.system()}
+
+
+def _readme_commands() -> list[list[str]]:
+    """The arguments of each ``decolab`` line in the README's "Command line" block."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(cmd)[1:] for cmd in block.replace("\\\n", " ").splitlines()
+            if cmd.startswith("decolab ")]
 
 
 def write_outputs(out: Path) -> None:

@@ -1,12 +1,16 @@
-"""Each script under scripts/ runs to completion, and make_fixtures.py
-reproduces the committed fixtures.
+"""Each script under scripts/ runs to completion without a RuntimeWarning,
+make_fixtures.py reproduces the committed fixtures, and the studies
+(scripts/run_*.py) reach the library through the command line.
 
 The scripts call the library only through public names, so a deleted or
 renamed function or parameter shows up here.
 """
 
+import ast
 import csv
+import json
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -23,15 +27,24 @@ STUDIES = ["run_cpmg_revivals.py", "run_diffusion_fit.py", "run_feedforward_demo
 # to 5.3e-12 relative, the rounding of a reordered sum since the fixtures
 # were generated; every other value is reproduced byte for byte
 FORWARD_RTOL = 1e-11
+#: the library names a study may import: it runs decolab command lines and
+#: reads and writes their files, and the rest is what its summary adds
+STUDY_IMPORTS = {"decolab.cli": {"main"},
+                 "decolab.files": {"csv_rows", "write_csv", "write_json"},
+                 "decolab.plotsvg": {"SvgPlot"}, "decolab.sequences": {"is_revival"},
+                 "decolab.noise": {"table1_model"},
+                 "decolab.diffusion": {"read_manifest", "tau_c"}}
 
 
-def run_script(script: str, out: Path) -> None:
-    env = dict(os.environ)
+def run_script(script: str, out: Path) -> str:
+    """The stdout of a script run with ``--out out``; a RuntimeWarning is an error."""
+    env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, str(ROOT / "scripts" / script), "--out", str(out)],
                           cwd=out, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 @pytest.mark.parametrize("script", STUDIES)
@@ -40,13 +53,37 @@ def test_study_script_runs(tmp_path, script):
     assert any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("script", STUDIES)
+def test_study_imports_only_the_command_line_and_file_helpers(script):
+    tree = ast.parse((ROOT / "scripts" / script).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not [a.name for a in node.names if a.name.split(".")[0] == "decolab"]
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "decolab":
+            names = {a.name for a in node.names}
+            assert names <= STUDY_IMPORTS.get(node.module, set()), (node.module, names)
+
+
+def test_diffusion_study_prints_each_stderr_to_two_significant_digits(tmp_path):
+    # "S = 60 +- 0 /s" once stood for a stderr of 0.24
+    printed = re.findall(r"^  (\S+): .* S = (\S+) \+- (\S+) /s",
+                         run_script("run_diffusion_fit.py", tmp_path), re.MULTILINE)
+    per_power = json.loads((tmp_path / "diffusion_fit.json").read_text())["per_power"]
+    assert [tag for tag, _, _ in printed] == list(per_power)
+    for tag, s, err in printed:
+        decimals = len(err.partition(".")[2])
+        assert float(err) == float(f"{per_power[tag]['S_stderr']:.2g}")
+        assert len(s.partition(".")[2]) == decimals
+        assert float(s) == round(per_power[tag]["S_per_s"], decimals)
+
 
 def test_feedforward_demo_marks_a_fit_that_did_not_converge(tmp_path, monkeypatch, capsys):
     # the unsynchronized Hahn sweep has no randomness, and its fit with free
     # n stops at the iteration cap with n at its bound of 5 at every seed
     monkeypatch.setattr(sys, "argv", ["run_feedforward_demo.py", "--out", str(tmp_path)])
     runpy.run_path(str(ROOT / "scripts" / "run_feedforward_demo.py"), run_name="__main__")
-    unsynchronized, feedforward = capsys.readouterr().out.splitlines()
+    # the command line prints each output's path first
+    unsynchronized, feedforward = capsys.readouterr().out.splitlines()[-2:]
     assert unsynchronized.endswith(" ms (not converged: max iterations reached)")
     assert "not converged" not in feedforward
 
