@@ -196,8 +196,14 @@ def _fit_payload(fit: FitResult) -> dict:
             "n_iter": fit.n_iter, "message": fit.message}
 
 
-def _finish(path: Path, fit: FitResult | None = None) -> int:
-    """Print the main output's path; a fit that did not converge then exits 4."""
+def _finish(path: Path, fit: FitResult | None = None, n_points: int = 0) -> int:
+    """Print the main output's path; a fit that did not converge then exits 4.
+
+    A fit to as many points as it has parameters interpolates them exactly
+    and has no residual to estimate its errors from: it warns first."""
+    if fit is not None and n_points == len(fit.param_names):
+        print(f"warning: {n_points} points for {n_points} parameters, dof=0, "
+              "exact interpolation", file=sys.stderr)
     print(path)
     if fit is not None and not fit.converged:
         raise FitError(fit.message)
@@ -352,17 +358,15 @@ def cmd_fit(args: argparse.Namespace) -> int:
         out.json("fit_decay.json", _fit_payload(fit))
         _plot_fit(out, "fit_decay.svg", curve, stretched_exp(curve.x, fit.values()),
                   "stretched exponential fit")
-        return _finish(out.out_dir / "fit_decay.json", fit)
+        return _finish(out.out_dir / "fit_decay.json", fit, len(curve))
 
     if args.fit_command == "scaling":
         curve = read_decay_csv(args.data)
         fit = fit_power_scaling(curve.x, curve.y, curve.sigma)
-        if len(curve) == 2:
-            print("warning: two points, dof=0, exact interpolation", file=sys.stderr)
         out.json("fit_scaling.json", _fit_payload(fit))
         model_y = fit.params["T0"] * np.power(curve.x, fit.params["eta"])
         _plot_fit(out, "fit_scaling.svg", curve, model_y, "power-law scaling fit")
-        return _finish(out.out_dir / "fit_scaling.json")
+        return _finish(out.out_dir / "fit_scaling.json", fit, len(curve))
 
     if args.fit_command == "diffusion":
         datasets = [diff.PowerDataset(power, diff.read_diffusion_csv(path)[1])
@@ -384,7 +388,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
                                         "gamma_h_MHz_fixed": args.gamma_h, **_fit_payload(fit),
                                         "per_power": per_power})
         plot.write(out.out_dir / "fit_diffusion.svg")
-        return _finish(out.out_dir / "fit_diffusion.json", fit)
+        return _finish(out.out_dir / "fit_diffusion.json", fit,
+                       sum(len(ds.curve) for ds in datasets))
 
     # ionization
     forward, _ = diff.read_diffusion_csv(args.data)
@@ -397,7 +402,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         "S_per_s": fit.params["S"], "forward_rescale": args.forward_rescale,
         "power_nW": args.power,
     })
-    return _finish(out.out_dir / "fit_ionization.json", fit)
+    return _finish(out.out_dir / "fit_ionization.json", fit, len(forward))
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +448,7 @@ def cmd_growth(args: argparse.Namespace) -> int:
     })
     _plot_fit(out, "growth_leak.svg", curve, leak.throughput(curve.x) / leak.volume,
               "Arrhenius throughput fit")
-    return _finish(out.out_dir / "growth_leak.json", fit)
+    return _finish(out.out_dir / "growth_leak.json", fit, len(curve))
 
 
 # ---------------------------------------------------------------------------

@@ -103,13 +103,21 @@ def sample_amplitude_trajectory(
     """Sample a(t) at the given non-decreasing times, one trajectory per row
     of ``normals`` (shape (..., len(times))); the result has that shape.
 
-    Uses the exact Ornstein-Uhlenbeck transition between samples, then clips
-    to [a_min, a_max].  A row is fixed by its standard normals: one
-    ``rng.standard_normal(len(times))`` call draws the same stream as one
-    scalar draw per sample.  The decays and innovation factors are computed
-    once per call; the clipped recursion then steps through time for all rows
-    at once: about 5 us a step for 30 rows (0.2 us a sample) on a 2-vCPU Xeon
-    host.
+    Uses the exact Ornstein-Uhlenbeck transition between samples (Gillespie,
+    Phys. Rev. E 54, 2084 (1996)), then clips to [a_min, a_max].  A row is
+    fixed by its standard normals: one ``rng.standard_normal(len(times))``
+    call draws the same stream as one scalar draw per sample.
+
+    The decay and innovation factor are computed once per distinct time
+    step, and the recursion steps through time for all rows at once, first
+    without the clip: four ufunc calls a step, about 2.1 us a step for 30
+    rows (0.07 us a sample; 3.6 us with the clip in every step) on a 2-vCPU
+    Xeon host.  This is exact: the clip leaves a value inside the bounds
+    (or NaN) as it is, so up to the first time at which some row leaves the
+    bounds the unclipped values are the clipped recursion's, and at that
+    time they are its values before the clip.  If there is such a time, its
+    values are clipped and the steps after it are redone from their kicks
+    with the clip, so the result is the clipped recursion's, bit for bit.
     """
     times = np.asarray(times, dtype=float)
     normals = np.asarray(normals, dtype=float)
@@ -121,29 +129,50 @@ def sample_amplitude_trajectory(
     if times.size == 0:
         return np.empty(normals.shape)
     tau, sigma = proc.correlation_time, proc.sigma
-    decays = [math.exp(-dt / tau) if dt / tau < 700.0 else 0.0 for dt in dts.tolist()]
-    coef = [sigma] + [sigma * math.sqrt(max(0.0, 1.0 - d * d)) for d in decays]
+    dts = dts.tolist()
+    decays = {dt: math.exp(-dt / tau) if dt / tau < 700.0 else 0.0 for dt in set(dts)}
+    innovations = {dt: sigma * math.sqrt(max(0.0, 1.0 - d * d)) for dt, d in decays.items()}
+    coef = np.array([sigma, *map(innovations.__getitem__, dts)])[:, None]
     # time-major, so every step works on contiguous rows across trajectories;
     # the constants are rows too, the cheapest operands of a ufunc call
-    a = np.multiply(normals.reshape(-1, times.size).T, np.array(coef)[:, None],
-                    order="C")
+    z = normals.reshape(-1, times.size).T
+    a = np.multiply(z, coef, order="C")
     width = a.shape[1]
-    one, lo, hi = (np.full(width, v) for v in (1.0, proc.a_min, proc.a_max))
-    decay_rows = np.broadcast_to(np.array(decays)[:, None], (len(decays), width))
-    step = np.empty(width)
+    one = np.full(width, 1.0)
+    decay_rows = {dt: np.full(width, d) for dt, d in decays.items()}
     np.add(one, a[0], out=a[0])
-    np.maximum(a[0], lo, out=a[0])
-    np.minimum(a[0], hi, out=a[0])
-    # row i holds the kick until it becomes a(t_i) = 1.0 + (a - 1.0) * d + kick,
-    # clipped, evaluated in the scalar order
-    for prev, d, row in zip(a, decay_rows, a[1:]):
-        np.subtract(prev, one, out=step)
-        np.multiply(step, d, out=step)
-        np.add(step, one, out=step)
-        np.add(step, row, out=row)
-        np.maximum(row, lo, out=row)
-        np.minimum(row, hi, out=row)
+    # a value the clip would have bounded may meet inf - inf or inf * 0 in a
+    # later step; every step after it is redone below
+    with np.errstate(invalid="ignore", over="ignore"):
+        _ou_steps(a, 1, dts, decay_rows, one)
+    lo, hi = proc.a_min, proc.a_max
+    if np.fmin.reduce(a, axis=None) < lo or np.fmax.reduce(a, axis=None) > hi:
+        first = int(np.argmax((np.fmin.reduce(a, axis=1) < lo)
+                              | (np.fmax.reduce(a, axis=1) > hi)))
+        bounds = np.full(width, lo), np.full(width, hi)
+        np.maximum(a[first], bounds[0], out=a[first])
+        np.minimum(a[first], bounds[1], out=a[first])
+        np.multiply(z[first + 1:], coef[first + 1:], out=a[first + 1:])
+        _ou_steps(a, first + 1, dts, decay_rows, one, bounds)
     return np.ascontiguousarray(a.T).reshape(normals.shape)
+
+
+def _ou_steps(a: np.ndarray, start: int, dts: list[float], decay_rows: dict[float, np.ndarray],
+              one: np.ndarray, bounds: tuple[np.ndarray, np.ndarray] | None = None) -> None:
+    """Advance the rows start.. of ``a`` in place.  Row i holds its kick
+    until it becomes 1.0 + (a[i-1] - 1.0) * decay + kick, evaluated in this
+    (the scalar) order with the decay row ``decay_rows[dts[i-1]]``, then
+    clipped to the rows ``bounds`` = (lo, hi) if given."""
+    prev, tmp = a[start - 1], np.empty_like(one)
+    for row, dt in zip(a[start:], dts[start - 1:]):
+        np.subtract(prev, one, tmp)
+        np.multiply(tmp, decay_rows[dt], tmp)
+        np.add(tmp, one, tmp)
+        np.add(tmp, row, row)
+        if bounds is not None:
+            np.maximum(row, bounds[0], out=row)
+            np.minimum(row, bounds[1], out=row)
+        prev = row
 
 
 # ---------------------------------------------------------------------------

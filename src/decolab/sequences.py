@@ -58,6 +58,8 @@ POLE_WINDOW = 1e-6
 N_T0 = 400
 #: amplitude scales of the Ramsey envelope
 N_A = 21
+#: most phases per block of the Ramsey envelope's closed form
+_ENVELOPE_BLOCK = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -242,16 +244,57 @@ def ramsey_envelope(model: AcFieldModel, amplitude_range: tuple[float, float],
     """Ramsey expectation averaged over trigger offset and comb amplitude scale.
 
     For each total evolution time the t0-averaged expectation is further
-    averaged over n_a scale factors uniformly spaced in amplitude_range;
-    phases are linear in the field so scaling multiplies Phi directly.
+    averaged over n_a scale factors a_j = a_min + j s uniformly spaced in
+    amplitude_range (one, the midpoint, for n_a = 1).  Phases are linear in
+    the field, so scaling multiplies Phi directly, and the sum of cosines
+    in arithmetic progression (Gradshteyn & Ryzhik 1.341.3) gives the scale
+    average in closed form,
+
+        mean_j cos(a_j Phi) = cos(a_mid Phi) sin(n_a h) / (n_a sin h),
+
+    with h = s Phi / 2 and a_mid = (a_min + a_max) / 2.  The ratio has poles
+    of sin h at h = m pi, removable ones: with h = m pi + eps (m the nearest
+    integer) it is (-1)^(m (n_a - 1)) sin(n_a eps) / sin(eps), which is
+    evaluated at every h, and takes its limit n_a at eps = 0.  For s = 0
+    (n_a = 1 or a_min = a_max) the ratio is 1 and the result the single
+    cosine.  The offsets are worked through in row blocks of at most
+    2^14 phases, so the temporaries stay small beside the phase table.
     """
     a_min, a_max = amplitude_range
     if not (0.0 < a_min <= a_max):
         raise ValueError("need 0 < a_min <= a_max")
     if n_a < 1:
         raise ValueError("n_a must be >= 1")
-    a_grid = np.linspace(a_min, a_max, n_a) if n_a > 1 else np.array([0.5 * (a_min + a_max)])
-    phi = phase_of(model, PulseSequence.ramsey(np.asarray(times, dtype=float)),
-                   _trigger_offsets(model, n_t0))
-    # one scale at a time keeps the temporaries at times x n_t0
-    return sum(np.mean(np.cos(a * phi), axis=-1) for a in a_grid) / a_grid.size
+    a_mid = 0.5 * (a_min + a_max)
+    half_step = 0.5 * (a_max - a_min) / (n_a - 1) if n_a > 1 else 0.0
+    times = np.asarray(times, dtype=float)
+    phi = phase_of(model, PulseSequence.ramsey(times), _trigger_offsets(model, n_t0))
+    phi = phi.reshape(-1, n_t0)
+    out = np.empty(phi.shape[0])
+    rows = max(1, _ENVELOPE_BLOCK // n_t0)
+    for start in range(0, phi.shape[0], rows):
+        block = phi[start:start + rows]
+        out[start:start + rows] = np.mean(_scale_averaged_cos(block, a_mid, half_step, n_a),
+                                          axis=-1)
+    return out.reshape(times.shape)[()]
+
+
+def _scale_averaged_cos(phi: np.ndarray, a_mid: float, half_step: float,
+                        n_a: int) -> np.ndarray:
+    """cos(a_mid Phi) sin(n_a h) / (n_a sin h), h = half_step Phi, reduced
+    to eps = h - m pi as ``ramsey_envelope`` states; at most three arrays of
+    phi's size are alive at once."""
+    m = np.rint(phi * (half_step / math.pi))
+    eps = half_step * phi
+    eps -= math.pi * m
+    odd = m % 2.0 != 0.0 if n_a % 2 == 0 else None
+    ratio = np.sin(np.multiply(eps, n_a, out=m), out=m)
+    den = np.sin(eps, out=eps)
+    den *= n_a
+    limit = den == 0.0  # eps = 0
+    ratio[limit] = den[limit] = 1.0
+    ratio /= den
+    if odd is not None:
+        np.negative(ratio, out=ratio, where=odd)
+    ratio *= np.cos(np.multiply(phi, a_mid, out=den), out=den)
+    return ratio

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the closed forms used by the library:
 phases come from sign-toggled Gauss-Legendre quadrature of the field
-B(t), summed here harmonic by harmonic (``field_at``), J0
+B(t), summed here harmonic by harmonic (``field_at``), the Ramsey
+envelope from the plain sum over its amplitude scales, J0
 from a high-precision power series, Hermite functions from an
 arbitrary-precision recurrence, Voigt values and the filtered-bath mean of
 1/T2*^2 from adaptive quadrature, T2* distributions from the
@@ -44,7 +45,7 @@ from decolab.files import FitError
 from decolab.fitting import FTOL, MAX_ITER, XTOL, FitResult
 from decolab.noise import AcFieldModel
 from decolab.plotsvg import _COLORS, _H, _MB, _ML, _MR, _MT, _W, SvgPlot, _ticks
-from decolab.sequences import PulseSequence, phase_of
+from decolab.sequences import N_A, N_T0, PulseSequence, _trigger_offsets, phase_of
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -96,6 +97,18 @@ def phase_quadrature(model: AcFieldModel, seq: PulseSequence, t0: float = 0.0,
         ts = mid + half * x
         total += sign * half * float(np.dot(w, field_at(model, ts - t0)))
     return constants.gamma_nv * total
+
+
+def ramsey_envelope_direct(model: AcFieldModel, amplitude_range: tuple[float, float],
+                           times, n_t0: int = N_T0, n_a: int = N_A):
+    """The Ramsey envelope as the plain average of cos(a Phi) over the n_a
+    scales ``np.linspace(a_min, a_max, n_a)`` (the midpoint for n_a = 1),
+    one scale at a time, and over the trigger offsets."""
+    a_min, a_max = amplitude_range
+    a_grid = np.linspace(a_min, a_max, n_a) if n_a > 1 else np.array([0.5 * (a_min + a_max)])
+    phi = phase_of(model, PulseSequence.ramsey(np.asarray(times, dtype=float)),
+                   _trigger_offsets(model, n_t0))
+    return sum(np.mean(np.cos(a * phi), axis=-1) for a in a_grid) / a_grid.size
 
 
 def j0_series(x: float) -> float:

@@ -550,14 +550,16 @@ def test_overflowing_jacobian_row_exits_4_with_one_stderr_line(tmp_path):
     (["growth", "leak"], "growth_leak.json", (1, 5, 9)),  # q_leak, q0 and e_a
     (["fit", "scaling"], "fit_scaling.json", (1, 9)),  # T0 and eta
 ])
-def test_fit_without_residual_degree_of_freedom_writes_null_errors(tmp_path, command, name,
-                                                                    rows):
+def test_fit_without_residual_degree_of_freedom_writes_null_errors(tmp_path, capsys, command,
+                                                                    name, rows):
     # as many rows as parameters and no sigma: the errors are unknown (null),
-    # not the roundoff of an exact interpolation
+    # not the roundoff of an exact interpolation, and the command says so
     lines = (FIXTURES / "arrhenius_synthetic.csv").read_text(encoding="utf-8").splitlines()
     data = tmp_path / "rows.csv"
     data.write_text("\n".join([lines[0], *(lines[i] for i in rows)]) + "\n", encoding="utf-8")
     assert run([*command, "--data", str(data), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == (f"warning: {len(rows)} points for {len(rows)} "
+                                       "parameters, dof=0, exact interpolation\n")
     payload = json.loads((tmp_path / "out" / name).read_text())
     assert payload["converged"] is True
     assert set(payload["stderr"].values()) == {None}

@@ -3,6 +3,7 @@ float arithmetic as the per-step reference in ``oracles.py``: trajectories
 and outcomes agree bit for bit, and the generator ends where the reference
 leaves it."""
 
+import warnings
 from dataclasses import astuple
 
 import numpy as np
@@ -59,6 +60,74 @@ def test_clipping_case_reaches_both_bounds():
     traj = sample_amplitude_trajectory(CLIPPING, times,
                                        make_rng(SEEDS[0]).standard_normal(times.size))
     assert traj.min() == CLIPPING.a_min and traj.max() == CLIPPING.a_max
+
+
+class Replay:
+    """Stands in for a generator in ``amplitude_trajectory_loop``: hands out
+    the given normals in order, one per ``standard_normal()`` call."""
+
+    def __init__(self, normals):
+        self._normals = iter(np.ravel(normals).tolist())
+
+    def standard_normal(self) -> float:
+        return next(self._normals)
+
+
+def loop_rows(proc, times, normals) -> np.ndarray:
+    """The per-step loop on each row of a (rows, len(times)) block of normals."""
+    replay = Replay(normals)
+    return np.array([amplitude_trajectory_loop(proc, times, replay) for _ in normals])
+
+
+#: DEFAULT's innovation is about 1.2e-3 a 20 ms step, so a normal of +-500
+#: kicks a(t) past a bound at that step and nowhere else
+@pytest.mark.parametrize("row", [0, 900, 1799], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("kick", [500.0, -500.0], ids=["above", "below"])
+def test_trajectory_first_crossing_is_exact(row, kick):
+    times = np.arange(1800) * 0.02
+    normals = make_rng(3).standard_normal((2, times.size))
+    normals[1, row] = kick
+    got = sample_amplitude_trajectory(DEFAULT, times, normals)
+    want = loop_rows(DEFAULT, times, normals)
+    assert got[1, row] == (DEFAULT.a_max if kick > 0 else DEFAULT.a_min)
+    assert np.all((got[:, :row] > DEFAULT.a_min) & (got[:, :row] < DEFAULT.a_max))
+    assert np.array_equal(bits(got), bits(want))
+
+
+def test_trajectory_nan_lane_does_not_hide_a_crossing():
+    # lane 0 turns NaN before lane 1 leaves the bounds; a NaN-propagating
+    # bound check would see only NaN and skip the clip
+    times = np.arange(1800) * 0.02
+    normals = make_rng(4).standard_normal((3, times.size))
+    normals[0, 100] = np.nan
+    normals[1, 700] = 500.0
+    got = sample_amplitude_trajectory(DEFAULT, times, normals)
+    assert np.isnan(got[0, 100:]).all() and got[1, 700] == DEFAULT.a_max
+    assert np.array_equal(bits(got), bits(loop_rows(DEFAULT, times, normals)))
+
+
+@pytest.mark.parametrize("proc", [DEFAULT, CLIPPING], ids=["default", "clipping"])
+@pytest.mark.parametrize("times", [[0.0], [0.0, 0.02]], ids=["one", "two"])
+def test_trajectory_of_one_and_two_times(proc, times):
+    normals = make_rng(6).standard_normal((3, len(times)))
+    normals[2, -1] = -900.0  # clips at the last time
+    got = sample_amplitude_trajectory(proc, times, normals)
+    assert got[2, -1] == proc.a_min
+    assert np.array_equal(bits(got), bits(loop_rows(proc, times, normals)))
+    assert np.array_equal(bits(sample_amplitude_trajectory(proc, times, normals[0])),
+                          bits(got[0]))
+
+
+def test_trajectory_infinite_normal_is_clipped_without_warnings():
+    # unclipped, the inf at 0.02 s would meet a zero decay (a step of 1000
+    # correlation times) as inf * 0; the clip bounds it first
+    times = [0.0, 0.02, 3000.0, 3000.02]
+    normals = np.array([0.1, np.inf, 0.2, -np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sample_amplitude_trajectory(DEFAULT, times, normals)
+    assert got[1] == DEFAULT.a_max and got[3] == DEFAULT.a_min
+    assert np.array_equal(bits(got), bits(loop_rows(DEFAULT, times, normals[None])[0]))
 
 
 #: case -> (shot config, drift, readout fidelity)

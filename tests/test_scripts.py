@@ -64,6 +64,21 @@ def test_study_imports_only_the_command_line_and_file_helpers(script):
             assert names <= STUDY_IMPORTS.get(node.module, set()), (node.module, names)
 
 
+def test_cpmg_study_marks_a_revival_for_every_n(tmp_path):
+    # its start:stop grids once put 6 of 880 taus on whole microseconds and
+    # none of them on a revival, so is_revival_all was 0 on every row
+    run_script("run_cpmg_revivals.py", tmp_path)
+    with open(tmp_path / "cpmg_revivals.csv", newline="", encoding="utf-8") as f:
+        rows = list(csv.DictReader(line for line in f if not line.startswith("#")))
+    revivals = {n: [r for r in rows if r["n_pulses"] == n and r["is_revival_all"] == "1"]
+                for n in ("4", "8", "16", "32")}
+    assert {r["n_pulses"] for r in rows} == set(revivals)
+    for n, marked in revivals.items():
+        assert marked, f"N={n} has no revival"
+        # every comb harmonic is refocused there, so <X> is back at 1
+        assert all(float(r["expectation"]) > 0.999 for r in marked), n
+
+
 def test_diffusion_study_prints_each_stderr_to_two_significant_digits(tmp_path):
     # "S = 60 +- 0 /s" once stood for a stderr of 0.24
     printed = re.findall(r"^  (\S+): .* S = (\S+) \+- (\S+) /s",

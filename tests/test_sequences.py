@@ -7,10 +7,13 @@ from hypothesis import strategies as st
 
 from decolab.constants import CONSTANTS, TWO_PI
 from decolab.noise import AcComponent, AcFieldModel, table1_model
-from decolab.sequences import (PulseSequence, expectation_unsynchronized,
+from decolab import sequences
+from decolab.sequences import (PulseSequence, _trigger_offsets, expectation_unsynchronized,
                                filter_function, is_revival, phase_of, ramsey_envelope)
 from conftest import make_rng
-from oracles import j0_series, phase_quadrature, scale_amplitudes, toggled_segments
+import oracles
+from oracles import (j0_series, phase_quadrature, ramsey_envelope_direct, scale_amplitudes,
+                     toggled_segments)
 
 FIFTY = AcFieldModel((AcComponent(2.95e-7, 50.0, 0.0),))
 EMPTY = AcFieldModel()
@@ -310,3 +313,73 @@ def test_envelope_crossing_set_by_50hz_amplitude():
     assert 2e-5 < crossing < 6e-5
     # beyond the crossing the envelope stays collapsed well below 1
     assert np.all(env[below[0]:] < 0.75)
+
+
+#: closed-form envelope against the n_a-term sum, absolute
+ENVELOPE_ATOL = 1e-13
+
+
+@pytest.mark.parametrize("n_a", [1, 2, 21, 64])
+@pytest.mark.parametrize("amplitude_range", [(0.85, 1.27), (0.5, 2.0), (1.1, 1.1)])
+def test_envelope_closed_form_matches_direct_sum(n_a, amplitude_range):
+    m = table1_model()
+    times = np.linspace(1e-5, 20e-3, 240)
+    got = ramsey_envelope(m, amplitude_range, times, n_a=n_a)
+    want = ramsey_envelope_direct(m, amplitude_range, times, n_a=n_a)
+    assert got.shape == times.shape
+    assert np.max(np.abs(got - want)) <= ENVELOPE_ATOL
+
+
+def test_envelope_grid_crosses_poles_of_the_ratio():
+    # on (0.5, 2.0) up to 20 ms, h = s Phi / 2 passes pi for every n_a > 1
+    # above, so the closed form goes through its removable poles at h = m pi
+    m = table1_model()
+    times = np.linspace(1e-5, 20e-3, 240)
+    phi = phase_of(m, PulseSequence.ramsey(times), _trigger_offsets(m, sequences.N_T0))
+    for n_a in (2, 21, 64):
+        assert np.abs(0.5 * 1.5 / (n_a - 1) * phi).max() > math.pi
+
+
+def _phase_on_pole(half_step: float, m: int) -> float:
+    """A phase Phi with half_step * Phi == m pi in floating point."""
+    phi = m * math.pi / half_step
+    for _ in range(64):
+        if half_step * phi == m * math.pi:
+            return phi
+        phi = math.nextafter(phi, math.inf if half_step * phi < m * math.pi else -math.inf)
+    raise AssertionError("no phase on the pole")
+
+
+@pytest.mark.parametrize("n_a", [2, 21, 64])
+def test_envelope_exactly_on_a_pole(n_a, monkeypatch):
+    a_range = (0.5, 2.0)
+    half_step = 0.5 * (a_range[1] - a_range[0]) / (n_a - 1)
+    table = np.array([[_phase_on_pole(half_step, 1), _phase_on_pole(half_step, -3),
+                       _phase_on_pole(half_step, 2), 0.7]])
+
+    def fake_phase_of(model, seq, t0):
+        return table.reshape(np.shape(seq.tau) + (table.shape[-1],))
+
+    monkeypatch.setattr(sequences, "phase_of", fake_phase_of)
+    monkeypatch.setattr(oracles, "phase_of", fake_phase_of)
+    got = ramsey_envelope(FIFTY, a_range, [1e-3], n_t0=table.shape[-1], n_a=n_a)
+    want = ramsey_envelope_direct(FIFTY, a_range, [1e-3], n_t0=table.shape[-1], n_a=n_a)
+    assert np.isfinite(got).all()
+    assert np.max(np.abs(got - want)) <= ENVELOPE_ATOL
+
+
+def test_envelope_scalar_time_matches_direct_sum():
+    m = table1_model()
+    got = ramsey_envelope(m, (0.85, 1.27), 3e-4)
+    assert np.ndim(got) == 0
+    assert abs(got - ramsey_envelope_direct(m, (0.85, 1.27), 3e-4)) <= ENVELOPE_ATOL
+
+
+def test_envelope_without_spread_is_the_single_cosine():
+    # a_min = a_max (or n_a = 1) leaves cos(a Phi) averaged over t0 alone
+    m = table1_model()
+    times = np.array([5e-5, 2e-4, 5e-4])
+    phi = phase_of(m, PulseSequence.ramsey(times), _trigger_offsets(m, sequences.N_T0))
+    for (a_min, a_max), n_a in [((1.1, 1.1), 21), ((0.85, 1.27), 1)]:
+        want = np.mean(np.cos(0.5 * (a_min + a_max) * phi), axis=-1)
+        assert np.array_equal(ramsey_envelope(m, (a_min, a_max), times, n_a=n_a), want)
