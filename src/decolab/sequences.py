@@ -273,9 +273,8 @@ def ramsey_envelope(model: AcFieldModel, amplitude_range: tuple[float, float],
     out = np.empty(phi.shape[0])
     rows = max(1, _ENVELOPE_BLOCK // n_t0)
     for start in range(0, phi.shape[0], rows):
-        block = phi[start:start + rows]
-        out[start:start + rows] = np.mean(_scale_averaged_cos(block, a_mid, half_step, n_a),
-                                          axis=-1)
+        block = slice(start, start + rows)
+        out[block] = np.mean(_scale_averaged_cos(phi[block], a_mid, half_step, n_a), axis=-1)
     return out.reshape(times.shape)[()]
 
 
