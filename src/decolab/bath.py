@@ -23,7 +23,9 @@ cos theta are uniform and g = 3 cos^2 theta - 1.  The few nearest spins set
 that sum, so the sampler draws one by one only the spins of a near shell
 v < v0 that holds K = NEAR_SPINS of the N spins on average, and adds the
 far shell v0 < v < 1 as one Gaussian draw with its exact mean and variance;
-the cost per bath is set by K, not N.  The far shell's mean, about
+the cost per bath is set by K, not N.  The near spins of a batch of baths
+lie back to back in flat arrays, one entry per spin and none for padding,
+and one segment sum reduces them to the baths' sums.  The far shell's mean, about
 (4/5) K / v0^2, is 0.39 / K = 0.6 % of the median sum; over 1e5 baths at
 0.0013-1.09 % 13C it measured 0.6 % of the median and 9 % of the 1st
 percentile (the longest 1 % of T2*).  Its standard deviation is
@@ -117,7 +119,7 @@ def _coupling_prefactor(species: Species, constants: PhysicalConstants) -> float
 #: mean number of near spins per bath: the near shell v < v0 holds this many
 #: of the mean count, and the far shell's sum is drawn from its moments
 NEAR_SPINS = 64
-#: cap on near-shell draws (baths x padded width) per batch
+#: cap on the mean number of near-spin draws per batch
 _BATCH_SPINS = 4_000_000
 #: E[g^2] and E[g^4] of g = 3 cos^2 theta - 1 with cos theta uniform
 _G2_MEAN, _G4_MEAN = 4.0 / 5.0, 48.0 / 35.0
@@ -136,7 +138,10 @@ def t2star_distribution(cfg: BathConfig, n_baths: int, rng: np.random.Generator,
     at 0) with its exact mean and variance.  The shell holds NEAR_SPINS of
     the mean count, or more: it contains every spin the exclude_above_hz
     filter can drop, so the filter is exact.
-    batch_size is the number of baths drawn per batch.
+    batch_size is the number of baths drawn per batch.  A batch draws one v
+    for each of its near spins, then one cos theta for each, the baths back
+    to back, and np.add.reduceat sums each bath's terms in order; |cos theta|
+    is drawn, since g depends on cos^2 theta only.
     """
     if n_baths < 1:
         raise ValueError("n_baths must be >= 1")
@@ -157,24 +162,30 @@ def t2star_distribution(cfg: BathConfig, n_baths: int, rng: np.random.Generator,
         base = math.floor(mean)
         counts = base + (rng.random(nb) < mean - base)
         n_near = rng.binomial(counts, v0)
-        width = int(n_near.max())
-        # in place on the two draws: v = v0 (1 - r), g = 3 (2 r' - 1)^2 - 1, (g / v)^2
-        v = rng.random((nb, width))
+        starts = np.cumsum(n_near) - n_near
+        total = int(starts[-1] + n_near[-1])
+        # the batch's near spins back to back, in place on the two draws:
+        # v = v0 (1 - r), g = 3 r'^2 - 1, (g / v)^2; the zero after the last
+        # spin is the sum of the empty baths that start there
+        v = rng.random(total)
         np.subtract(1.0, v, out=v)
         v *= v0
-        g = rng.random((nb, width))
-        g *= 2.0
-        g -= 1.0
+        terms = np.empty(total + 1)
+        g = terms[:total]
+        rng.random(out=g)
         g *= g
         g *= 3.0
         g -= 1.0
-        drop = np.arange(width) >= n_near[:, None]
         if h is not None:
-            drop |= np.abs(g) * v_c > 2.0 * v
+            drop = np.abs(g) * v_c > 2.0 * v
         g /= v
         g *= g
-        np.copyto(g, 0.0, where=drop)
-        sums = g.sum(axis=1)
+        if h is not None:
+            g[drop] = 0.0
+        terms[total] = 0.0
+        sums = np.add.reduceat(terms, starts)
+        # reduceat gives an empty bath the next spin's term, not 0
+        sums[n_near == 0] = 0.0
         if v0 < 1.0:
             n_far = counts - n_near
             sums += np.maximum(rng.normal(n_far * far_mean, np.sqrt(n_far * far_var)), 0.0)

@@ -97,6 +97,10 @@ class AmplitudeScaleProcess:
             raise ValueError("sigma must be >= 0")
 
 
+#: unclipped steps of sample_amplitude_trajectory between two bound checks
+_CHECK_STEPS = 64
+
+
 def sample_amplitude_trajectory(
     proc: AmplitudeScaleProcess, times: Sequence[float], normals: np.ndarray
 ) -> np.ndarray:
@@ -115,9 +119,11 @@ def sample_amplitude_trajectory(
     Xeon host.  This is exact: the clip leaves a value inside the bounds
     (or NaN) as it is, so up to the first time at which some row leaves the
     bounds the unclipped values are the clipped recursion's, and at that
-    time they are its values before the clip.  If there is such a time, its
-    values are clipped and the steps after it are redone from their kicks
-    with the clip, so the result is the clipped recursion's, bit for bit.
+    time they are its values before the clip.  The bounds are checked after
+    every block of _CHECK_STEPS steps; at the first time in a block that
+    leaves them, the values are clipped and the steps after it are redone
+    from their kicks with the clip, so the result is the clipped
+    recursion's, bit for bit, and at most one block is stepped twice.
     """
     times = np.asarray(times, dtype=float)
     normals = np.asarray(normals, dtype=float)
@@ -141,30 +147,37 @@ def sample_amplitude_trajectory(
     one = np.full(width, 1.0)
     decay_rows = {dt: np.full(width, d) for dt, d in decays.items()}
     np.add(one, a[0], out=a[0])
-    # a value the clip would have bounded may meet inf - inf or inf * 0 in a
-    # later step; every step after it is redone below
-    with np.errstate(invalid="ignore", over="ignore"):
-        _ou_steps(a, 1, dts, decay_rows, one)
     lo, hi = proc.a_min, proc.a_max
-    if np.fmin.reduce(a, axis=None) < lo or np.fmax.reduce(a, axis=None) > hi:
-        first = int(np.argmax((np.fmin.reduce(a, axis=1) < lo)
-                              | (np.fmax.reduce(a, axis=1) > hi)))
-        bounds = np.full(width, lo), np.full(width, hi)
-        np.maximum(a[first], bounds[0], out=a[first])
-        np.minimum(a[first], bounds[1], out=a[first])
-        np.multiply(z[first + 1:], coef[first + 1:], out=a[first + 1:])
-        _ou_steps(a, first + 1, dts, decay_rows, one, bounds)
+    # a value the clip would have bounded may meet inf - inf or inf * 0 in a
+    # later step of its block; every step after it is redone below
+    with np.errstate(invalid="ignore", over="ignore"):
+        for start in range(0, times.size, _CHECK_STEPS):
+            stop = min(start + _CHECK_STEPS, times.size)
+            _ou_steps(a, max(start, 1), stop, dts, decay_rows, one)
+            block = a[start:stop]
+            if np.fmin.reduce(block, axis=None) < lo or np.fmax.reduce(block, axis=None) > hi:
+                break
+        else:  # no value left the bounds
+            return np.ascontiguousarray(a.T).reshape(normals.shape)
+    first = start + int(np.argmax((np.fmin.reduce(block, axis=1) < lo)
+                                  | (np.fmax.reduce(block, axis=1) > hi)))
+    bounds = np.full(width, lo), np.full(width, hi)
+    np.maximum(a[first], bounds[0], out=a[first])
+    np.minimum(a[first], bounds[1], out=a[first])
+    np.multiply(z[first + 1:stop], coef[first + 1:stop], out=a[first + 1:stop])
+    _ou_steps(a, first + 1, times.size, dts, decay_rows, one, bounds)
     return np.ascontiguousarray(a.T).reshape(normals.shape)
 
 
-def _ou_steps(a: np.ndarray, start: int, dts: list[float], decay_rows: dict[float, np.ndarray],
-              one: np.ndarray, bounds: tuple[np.ndarray, np.ndarray] | None = None) -> None:
-    """Advance the rows start.. of ``a`` in place.  Row i holds its kick
+def _ou_steps(a: np.ndarray, start: int, stop: int, dts: list[float],
+              decay_rows: dict[float, np.ndarray], one: np.ndarray,
+              bounds: tuple[np.ndarray, np.ndarray] | None = None) -> None:
+    """Advance the rows start..stop-1 of ``a`` in place.  Row i holds its kick
     until it becomes 1.0 + (a[i-1] - 1.0) * decay + kick, evaluated in this
     (the scalar) order with the decay row ``decay_rows[dts[i-1]]``, then
     clipped to the rows ``bounds`` = (lo, hi) if given."""
     prev, tmp = a[start - 1], np.empty_like(one)
-    for row, dt in zip(a[start:], dts[start - 1:]):
+    for row, dt in zip(a[start:stop], dts[start - 1:stop - 1]):
         np.subtract(prev, one, tmp)
         np.multiply(tmp, decay_rows[dt], tmp)
         np.add(tmp, one, tmp)

@@ -584,9 +584,10 @@ def brute_force_t2star(cfg: BathConfig, n_baths: int, rng: np.random.Generator,
 
 def t2star_with_temporaries(cfg: BathConfig, n_baths: int, rng: np.random.Generator,
                             constants=CONSTANTS, batch_size: int = 2048) -> np.ndarray:
-    """The near/far sampler with one fresh (baths x width) array per
-    near-shell operation and np.where for the padding: the same draws and
-    arithmetic as ``t2star_distribution``, which works in place."""
+    """The near/far sampler with one fresh array per near-spin operation and
+    np.where for the filter and the empty baths: the same draws, arithmetic
+    and segment sums (np.add.reduceat over the batch's spins back to back)
+    as ``t2star_distribution``, which works in place."""
     mean = cfg.mean_spin_count(constants)
     p = _coupling_prefactor(cfg.species, constants)
     h = cfg.exclude_above_hz
@@ -601,13 +602,15 @@ def t2star_with_temporaries(cfg: BathConfig, n_baths: int, rng: np.random.Genera
         nb = min(batch_size, n_baths - done)
         counts = _draw_counts(mean, rng, nb)
         n_near = rng.binomial(counts, v0)
-        width = int(n_near.max())
-        v = v0 * (1.0 - rng.random((nb, width)))
-        g = 3.0 * (2.0 * rng.random((nb, width)) - 1.0) ** 2 - 1.0
-        keep = np.arange(width) < n_near[:, None]
+        total = int(n_near.sum())
+        v = v0 * (1.0 - rng.random(total))
+        g = 3.0 * rng.random(total) ** 2 - 1.0
+        terms = (g / v) ** 2
         if h is not None:
-            keep &= np.abs(g) * v_c <= 2.0 * v
-        sums = np.where(keep, (g / v) ** 2, 0.0).sum(axis=1)
+            terms = np.where(np.abs(g) * v_c <= 2.0 * v, terms, 0.0)
+        starts = np.concatenate(([0], np.cumsum(n_near)[:-1]))
+        sums = np.add.reduceat(np.append(terms, 0.0), starts)
+        sums = np.where(n_near > 0, sums, 0.0)
         if v0 < 1.0:
             n_far = counts - n_near
             sums += np.maximum(rng.normal(n_far * far_mean, np.sqrt(n_far * far_var)), 0.0)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
@@ -58,9 +58,14 @@ def test_pdf_steady_state_fwhm():
 @given(st.floats(min_value=5e3, max_value=1e5), st.floats(min_value=30.0, max_value=300.0),
        st.floats(min_value=1e-4, max_value=1.0))
 @settings(max_examples=15, deadline=None)
+@example(d=5000.0, gamma_i=60.1015625, tau=1.0)  # quad over (-inf, inf) read 1 + 1.7e-9
 def test_pdf_normalized(d, gamma_i, tau):
     m = OuDiffusionModel(d_coeff=d, gamma_i=gamma_i)
-    val, _ = quad(lambda f: ou_pdf(m, f, tau), -np.inf, np.inf)
+    # +-12 standard deviations leave 4e-33 outside; the peak is a breakpoint
+    sd = math.sqrt(ou_variance(m, tau))
+    val, err = quad(lambda f: ou_pdf(m, f, tau), -12.0 * sd, 12.0 * sd, points=[0.0],
+                    epsabs=1e-13, epsrel=1e-13)
+    assert err < 1e-12
     assert val == pytest.approx(1.0, abs=1e-9)
 
 

@@ -11,7 +11,8 @@ import pytest
 
 from decolab import feedforward
 from decolab.feedforward import ShotConfig, run_feedforward
-from decolab.noise import AmplitudeScaleProcess, sample_amplitude_trajectory, table1_model
+from decolab.noise import (_CHECK_STEPS, AmplitudeScaleProcess, sample_amplitude_trajectory,
+                           table1_model)
 from conftest import make_rng
 from oracles import amplitude_trajectory_loop, feedforward_loop
 
@@ -81,7 +82,8 @@ def loop_rows(proc, times, normals) -> np.ndarray:
 
 #: DEFAULT's innovation is about 1.2e-3 a 20 ms step, so a normal of +-500
 #: kicks a(t) past a bound at that step and nowhere else
-@pytest.mark.parametrize("row", [0, 900, 1799], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("row", [0, _CHECK_STEPS - 1, _CHECK_STEPS, 900, 1799],
+                         ids=["first", "block-end", "block-start", "middle", "last"])
 @pytest.mark.parametrize("kick", [500.0, -500.0], ids=["above", "below"])
 def test_trajectory_first_crossing_is_exact(row, kick):
     times = np.arange(1800) * 0.02

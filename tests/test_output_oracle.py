@@ -260,7 +260,9 @@ def test_cli_svg(tmp_path, written_plots, name, argv):
     (BathConfig(concentration=1.0937e-2), 300, {"batch_size": 128}),
     (BathConfig(concentration=21e-9, r_max=ELECTRON_R_MAX, species="electron"), 3000, {}),
     (BathConfig(concentration=1.3e-5), 3000, {}),
-], ids=["filtered-5kHz", "near-empty", "dense-multi-batch", "electron-21ppb", "chi-0.0013%"])
+    (BathConfig(concentration=7.5e-9), 400, {"batch_size": 8}),
+], ids=["filtered-5kHz", "near-empty", "dense-multi-batch", "electron-21ppb", "chi-0.0013%",
+        "empty-batch-ends"])
 @pytest.mark.parametrize("seed", [0, 55])
 def test_sampler_matches_temporaries(cfg, n_baths, kwargs, seed):
     got = t2star_distribution(cfg, n_baths, make_rng(seed), **kwargs).samples
@@ -268,3 +270,6 @@ def test_sampler_matches_temporaries(cfg, n_baths, kwargs, seed):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     if cfg.concentration == 1e-9:
         assert np.isinf(got).any() and np.isfinite(got).any()
+    if cfg.concentration == 7.5e-9:
+        # some batch of 8 ends in an empty bath, whose segment starts at the sentinel
+        assert np.isinf(got[7::8]).any() and np.isfinite(got[7::8]).any()
