@@ -7,6 +7,7 @@ the CSV outputs visually, nothing more.
 from __future__ import annotations
 
 import math
+import sys
 from pathlib import Path
 from typing import Sequence
 
@@ -17,6 +18,15 @@ from .files import write_text
 _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 64, 16, 20, 46
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+
+
+def _padded(lo: float, hi: float) -> tuple[float, float]:
+    """lo and hi widened by 5 % of their span; a zero or subnormal span,
+    too narrow for the tick arithmetic, by 0.05."""
+    span = hi - lo
+    if span < sys.float_info.min:
+        span = 1.0
+    return lo - 0.05 * span, hi + 0.05 * span
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
@@ -67,8 +77,8 @@ class SvgPlot:
             x_all = np.array([0.0, 1.0])
         if y_all.size == 0:
             y_all = np.array([0.0, 1.0])
-        pad = lambda lo, hi: (lo - 0.05 * (hi - lo or 1.0), hi + 0.05 * (hi - lo or 1.0))
-        return pad(float(x_all.min()), float(x_all.max())), pad(float(y_all.min()), float(y_all.max()))
+        return (_padded(float(x_all.min()), float(x_all.max())),
+                _padded(float(y_all.min()), float(y_all.max())))
 
     def write(self, path: str | Path) -> None:
         (x0, x1), (y0, y1) = self._limits()

@@ -4,6 +4,7 @@ array-mapped SVG renderer reproduces the per-point renderer kept there, for
 every SVG the CLI writes; and the in-place near-shell arithmetic of the bath
 sampler reproduces the temporaries-based sampler bit for bit."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -220,6 +221,15 @@ def test_svg_bars_below_the_axis_and_empty_plots(tmp_path, written_plots):
     for edges in ([0.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]):
         with pytest.raises(ValueError, match="4 counts need 5 edges"):
             plot.add_histogram(edges, [1.0, 2.0, 3.0, 4.0])
+
+
+def test_svg_subnormal_span_is_widened_as_a_single_value(tmp_path, written_plots):
+    # counts of a line 1e-300 MHz wide: a y span below the smallest normal
+    # float is widened by 0.05 each side, as a span of zero is
+    quick_line_plot(tmp_path / "tiny.svg", [1.0, 2.0], [np.array([0.0, 1e-310])], ["c"])
+    assert_svgs_match_per_point(written_plots)
+    ticks = re.findall(r'text-anchor="end" font-size="10">([^<]*)<', (tmp_path / "tiny.svg").read_text())
+    assert ticks == ["-0.04", "-0.02", "0", "0.02", "0.04"]
 
 
 #: (SVG file, command line) of every command that writes an SVG
