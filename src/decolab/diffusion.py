@@ -18,7 +18,10 @@ eigenfunctions, lambda_n = n theta), then inverted numerically with the
 fixed-Talbot contour.  The truncated expansion is only valid for
 t >> 1/(theta N_eigen); the solver enforces that bound.  Source and sink
 both sit at f = 0, where every odd eigenfunction vanishes, so only the even
-modes n < N_eigen carry weight and only they are computed.
+modes n < N_eigen carry weight and only they are computed.  At a contour
+node s the imaginary part of n theta + s is the same for every n, so the
+sums over the modes are evaluated in real arithmetic (real matrix
+products), not through a complex reciprocal per mode and node.
 
 In the oscillator coordinate x = f sqrt(theta / 2D) the frequency grid
 always spans the same +-GRID_HALFWIDTH_SIGMAS / sqrt(2), so the eigen-weights
@@ -76,8 +79,12 @@ FORWARD_RESCALE = 0.96
 #: the columns of a diffusion CSV, as read and written
 DIFFUSION_COLUMNS = ("tau_d_s", "counts_forward", "counts_backward", "stderr")
 
-#: element budget of one resolvent block in SinkSolver._inverse (16 B each)
-_RESOLVENT_BLOCK = 1 << 18
+#: contour nodes per block of SinkSolver._laplace_p0, two inversion
+#: contours.  Any whole number of 8-node groups from 8 to 240 gives the same
+#: bits, because BLAS then reduces each node's column as it does in any other
+#: such block; 48 keeps each of the block's two real tables of the default
+#: 999 modes n >= 2 (8 B per element) at 0.38 MB, within a core's cache.
+_NODE_BLOCK = 48
 
 #: fixed-Talbot nodes per inversion: in double precision the error decreases
 #: with the node count only up to ~24 nodes, beyond which the e^{2M/5}
@@ -174,8 +181,11 @@ class SolverSettings:
 
 
 def _lorentzian(c0, hw: float, d: np.ndarray) -> np.ndarray:
-    """Counts of a Lorentzian line of peak c0 and half width hw at detuning d."""
-    return c0 * hw * hw / (d * d + hw * hw)
+    """Counts of a Lorentzian line of peak c0 and half width hw at detuning d,
+    c0 / (1 + (d / hw)^2): c0 exactly at d = 0, and 0, the exact limit, where
+    the square overflows (so a line whose hw^2 underflows gives no 0/0)."""
+    with np.errstate(over="ignore"):
+        return c0 / (1.0 + np.square(d / hw))
 
 
 def _stationary_variance(gamma_i):
@@ -450,9 +460,11 @@ class SinkSolver:
     the Hermite basis is centred.  The eigen-weights in oscillator units are
     a per-process constant of (n_eigen, grid_points), shared by every solver
     (``_unit_weights``); a solver holds only its grid, its sink weights and
-    its eigenvalues, and folds the unit scale into each projection, so
-    building one and repeated evaluations (fits, S sweeps) are cheap.  The
-    Talbot contour is a constant of its node count.  All returned densities
+    its even mode numbers n >= 2, and folds the unit scale into each
+    projection, so building one and repeated evaluations (fits, S sweeps)
+    are cheap.  The Talbot contour is a constant of its node count, and each
+    inversion sums the modes in real arithmetic over blocks of _NODE_BLOCK
+    contour nodes (``_laplace_p0``).  All returned densities
     are MHz^-1 on ``grid``, which spans +-GRID_HALFWIDTH_SIGMAS stationary
     standard deviations around f = 0.
     """
@@ -468,19 +480,43 @@ class SinkSolver:
         x, self._w_f, w_sink = _unit_weights(settings.n_eigen, settings.grid_points)
         self.grid = x / self._scale
         self._w_sink = self._scale * w_sink
-        self._n_theta = np.arange(0, settings.n_eigen, 2) * model.theta
+        self._n_even = np.arange(2, settings.n_eigen, 2, dtype=float)[:, None]
 
     @property
     def min_valid_time(self) -> float:
         return MIN_VALID_TIME_FACTOR / (self.model.theta * self.settings.n_eigen)
 
-    def _resolvent(self, s: np.ndarray) -> np.ndarray:
-        """1 / (n theta + s) over the even n at nodes s, shape
-        (len(_n_theta),) + s.shape.  Its projection on coef (..., len(_n_theta))
-        is the sinkless transform P~0(f, s) = sum_n w_n(f) / (n theta + s)."""
-        res = np.add.outer(self._n_theta, s)
-        np.reciprocal(res, out=res)
-        return res
+    def _laplace_p0(self, weights: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """The sinkless transform P~0 = sum_n w_n / (n theta + s) of each row
+        of eigen-weights (r, len(_n_even) + 1) at the nodes s (1-D), shape
+        (r, s.size).
+
+        The n = 0 mode is w_0 / s.  The even modes n >= 2 are summed in real
+        arithmetic, in units of theta: with x = n + Re(s)/theta, y =
+        Im(s)/theta and q = 1/(x^2 + y^2), 1/(n theta + s) = (x - i y) q /
+        theta, and y does not depend on n, so Re P~0 = W (x q) / theta and
+        Im P~0 = -(y / theta) W q with W the rows' n >= 2 weights: two real
+        matrix products per block of _NODE_BLOCK nodes.  Above the validity
+        bound x and q stay finite.  w_0 / s stays in physical units: in units
+        of theta, s / theta underflows to 0 once theta t leaves the float
+        range.
+        """
+        theta = self.model.theta
+        w0, w = weights[:, :1], weights[:, 1:]
+        out = np.empty((weights.shape[0], s.size), dtype=complex)
+        for start in range(0, s.size, _NODE_BLOCK):
+            sl = slice(start, start + _NODE_BLOCK)
+            a = s.real[sl] / theta
+            y = s.imag[sl] / theta
+            x = self._n_even + a
+            q = np.multiply(x, x)
+            q += y * y
+            np.reciprocal(q, out=q)
+            x *= q
+            block = np.divide(w0, s[sl], out=out[:, sl])
+            block.real += (w @ x) / theta
+            block.imag -= (y / theta) * (w @ q)
+        return out
 
     def _inverse(self, coef: np.ndarray, taus) -> Callable[[float], np.ndarray]:
         """S -> inverse transform of the sink solution projected on coef, at taus.
@@ -490,25 +526,16 @@ class SinkSolver:
         evaluated once, at the contour nodes of taus, and each S costs one
         weighted sum over the nodes.  S may be an array of strengths (of
         scalar-valued projections): the result then has shape
-        (*S.shape, *taus.shape).  The resolvent is formed for a block of
-        nodes at a time, at most _RESOLVENT_BLOCK elements.
+        (*S.shape, *taus.shape).  The rows of coef and the sink weights are
+        stacked into one real matrix, so both sums come from the same two
+        real products per block of nodes (``_laplace_p0``).
         """
         taus = _checked_times(taus, self.min_valid_time)
         s, _ = _talbot_nodes(taus, INVERSION_NODES)
-        nodes = s.ravel()
-        p0 = np.empty(coef.shape[:-1] + nodes.shape, dtype=complex)
-        p0_sink = np.empty(nodes.shape, dtype=complex)
-        # whole groups of 8 nodes per block: BLAS then reduces each node as it
-        # does in one block (bit for bit at the default 24 nodes per time), so
-        # the result does not depend on the budget
-        block = max(8, _RESOLVENT_BLOCK // self._n_theta.size // 8 * 8)
-        for start in range(0, nodes.size, block):
-            sl = slice(start, start + block)
-            res = self._resolvent(nodes[sl])
-            p0[..., sl] = np.tensordot(coef, res, axes=(-1, 0))
-            p0_sink[sl] = np.tensordot(self._w_sink, res, axes=(-1, 0))
-        p0 = p0.reshape(coef.shape[:-1] + s.shape)
-        p0_sink = p0_sink.reshape(s.shape)
+        rows = coef.reshape(-1, coef.shape[-1])
+        p0 = self._laplace_p0(np.vstack((rows, self._w_sink)), s.ravel())
+        p0_sink = p0[-1].reshape(s.shape)
+        p0 = p0[:-1].reshape(coef.shape[:-1] + s.shape)
 
         def invert(strength) -> np.ndarray:
             strength = np.asarray(strength, dtype=float)

@@ -12,14 +12,15 @@ feedforward protocol from one scalar random draw per step and one
 array per shot block.  The float Hermite recurrence is kept over all
 orders, odd ones included.  The sink solver's eigen-weights come from one
 Hermite recurrence per evaluation set, in frequency units per model or in
-oscillator units, its inversion from one resolvent per projection and its
-Talbot contour from the formula on every call; the joint backward-fit
-model from one ``counts_no_ionization`` call per power.  The
-Levenberg-Marquardt engine is kept with one model call per Jacobian column
-and per damped trial step.  For bitwise checks, the near/far
-bath sampler is kept with one temporary array per operation, the CSV
-writer with one ``csv.writer`` row per record and the SVG renderer with one
-coordinate mapping and one f-string per point.
+oscillator units, its inversion from one complex resolvent per projection
+(the accuracy reference) or in the solver's real arithmetic one Talbot
+contour at a time (the bitwise reference), and its Talbot contour from the
+formula on every call; the joint backward-fit model from one
+``counts_no_ionization`` call per power.  The Levenberg-Marquardt engine
+is kept with one model call per Jacobian column and per damped trial step.
+For bitwise checks, the near/far bath sampler is kept with one temporary
+array per operation, the CSV writer with one ``csv.writer`` row per record
+and the SVG renderer with one coordinate mapping and one f-string per point.
 """
 
 from __future__ import annotations
@@ -182,13 +183,14 @@ def unit_weight_table(x: np.ndarray, n_eigen: int) -> np.ndarray:
 @dataclass(frozen=True)
 class EigenSink:
     """A sink solver's frequency grid (MHz), its eigen-weights over the grid
-    and at the sink (MHz^-1), the eigenvalues n theta of the even n, and the
-    scale that turns w_f into MHz^-1 (1 for w_f already in MHz^-1)."""
+    and at the sink (MHz^-1) for the even n, the mean-reversion rate theta
+    (the eigenvalues are n theta), and the scale that turns w_f into MHz^-1
+    (1 for w_f already in MHz^-1)."""
 
     grid: np.ndarray
     w_f: np.ndarray
     w_sink: np.ndarray
-    n_theta: np.ndarray
+    theta: float
     scale: float
 
 
@@ -200,7 +202,7 @@ def model_unit_sink(model: OuDiffusionModel, settings) -> EigenSink:
     grid = np.linspace(-half, half, settings.grid_points)
     return EigenSink(grid, weight_table(model, grid, settings.n_eigen),
                      weight_table(model, np.array([0.0]), settings.n_eigen)[:, 0],
-                     np.arange(0, settings.n_eigen, 2) * model.theta, 1.0)
+                     model.theta, 1.0)
 
 
 def folded_unit_sink(model: OuDiffusionModel, settings) -> EigenSink:
@@ -212,7 +214,7 @@ def folded_unit_sink(model: OuDiffusionModel, settings) -> EigenSink:
     scale = _x_units(model)
     return EigenSink(x / scale, unit_weight_table(x, settings.n_eigen),
                      scale * unit_weight_table(np.array([0.0]), settings.n_eigen)[:, 0],
-                     np.arange(0, settings.n_eigen, 2) * model.theta, scale)
+                     model.theta, scale)
 
 
 def sink_inverse_two_resolvents(ref: EigenSink, coef: np.ndarray, taus,
@@ -221,31 +223,61 @@ def sink_inverse_two_resolvents(ref: EigenSink, coef: np.ndarray, taus,
     separate resolvent table 1/(n theta + s) for P~0(coef) and P~0(sink)."""
     taus = np.asarray(taus, dtype=float)
     s, gamma = _talbot_nodes(taus, INVERSION_NODES)
-    p0 = np.tensordot(coef, np.reciprocal(np.add.outer(ref.n_theta, s)), axes=(-1, 0))
-    p0_sink = np.tensordot(ref.w_sink, np.reciprocal(np.add.outer(ref.n_theta, s)),
-                           axes=(-1, 0))
+    n_theta = np.arange(0, 2 * ref.w_sink.size, 2) * ref.theta
+    p0 = np.tensordot(coef, np.reciprocal(np.add.outer(n_theta, s)), axes=(-1, 0))
+    p0_sink = np.tensordot(ref.w_sink, np.reciprocal(np.add.outer(n_theta, s)), axes=(-1, 0))
     vals = p0 / (1.0 + strength * p0_sink)
     out = 2.0 / (5.0 * taus) * np.real(vals @ gamma)
     return float(out) if out.ndim == 0 else out
 
 
-def sink_counts_reference(ref: EigenSink, line: HomogeneousLine, taus,
-                          strength: float) -> np.ndarray:
-    """Counts of ``SinkSolver.counts_factorized`` through
-    ``sink_inverse_two_resolvents``."""
+def sink_inverse_real_per_contour(ref: EigenSink, coef: np.ndarray, taus,
+                                  strength: float) -> np.ndarray:
+    """Fixed-Talbot inverse of the sink solution projected on coef in real
+    arithmetic, one Talbot contour of INVERSION_NODES nodes at a time: the
+    n = 0 mode as w_0 / s, and for the even n >= 2, in units of theta,
+    x = n + Re(s)/theta, y = Im(s)/theta, q = 1/(x^2 + y^2), with
+    Re P~0 = W (x q) / theta and Im P~0 = -(y / theta) W q from the rows W
+    of coef and the sink weights stacked into one matrix."""
+    taus = np.asarray(taus, dtype=float)
+    s, gamma = _talbot_nodes(taus, INVERSION_NODES)
+    rows = np.vstack((np.reshape(coef, (-1, ref.w_sink.size)), ref.w_sink))
+    n = np.arange(2, 2 * ref.w_sink.size, 2, dtype=float)[:, None]
+    p0 = np.empty((rows.shape[0],) + s.shape, dtype=complex)
+    for index in np.ndindex(taus.shape):
+        contour = s[index]
+        a = contour.real / ref.theta
+        y = contour.imag / ref.theta
+        x = n + a
+        q = 1.0 / (x * x + y * y)
+        values = rows[:, :1] / contour
+        values.real += (rows[:, 1:] @ (x * q)) / ref.theta
+        values.imag -= (y / ref.theta) * (rows[:, 1:] @ q)
+        p0[(slice(None),) + index] = values
+    p0_sink = p0[-1]
+    vals = p0[:-1].reshape(np.shape(coef)[:-1] + s.shape) / (1.0 + strength * p0_sink)
+    out = 2.0 / (5.0 * taus) * np.real(vals @ gamma)
+    return float(out) if out.ndim == 0 else out
+
+
+def sink_counts_reference(ref: EigenSink, line: HomogeneousLine, taus, strength: float,
+                          inverse=sink_inverse_two_resolvents) -> np.ndarray:
+    """Counts of ``SinkSolver.counts_factorized`` through ``inverse``."""
     weights = _trapezoid_weights(ref.grid) * line.counts(-ref.grid)
-    return sink_inverse_two_resolvents(ref, ref.scale * (ref.w_f @ weights), taus, strength)
+    return inverse(ref, ref.scale * (ref.w_f @ weights), taus, strength)
 
 
-def sink_pdf_reference(ref: EigenSink, tau: float, strength: float) -> np.ndarray:
-    """``SinkSolver.pdf`` through ``sink_inverse_two_resolvents``."""
-    return sink_inverse_two_resolvents(ref, ref.scale * ref.w_f.T, tau, strength)
+def sink_pdf_reference(ref: EigenSink, tau: float, strength: float,
+                       inverse=sink_inverse_two_resolvents) -> np.ndarray:
+    """``SinkSolver.pdf`` through ``inverse``."""
+    return inverse(ref, ref.scale * ref.w_f.T, tau, strength)
 
 
-def sink_survival_reference(ref: EigenSink, tau: float, strength: float) -> float:
-    """``SinkSolver.survival`` through ``sink_inverse_two_resolvents``."""
+def sink_survival_reference(ref: EigenSink, tau: float, strength: float,
+                            inverse=sink_inverse_two_resolvents) -> float:
+    """``SinkSolver.survival`` through ``inverse``."""
     coef = ref.scale * (ref.w_f @ _trapezoid_weights(ref.grid))
-    return float(sink_inverse_two_resolvents(ref, coef, tau, strength))
+    return float(inverse(ref, coef, tau, strength))
 
 
 def talbot_contour_per_call(m: int) -> tuple[np.ndarray, np.ndarray]:

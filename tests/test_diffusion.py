@@ -252,15 +252,14 @@ def test_laplace_p0_large_s_decay():
     # once |s| dwarfs the truncated spectrum (n_eigen * theta), the sum
     # decays as 1/|s|
     solver = SinkSolver(MODEL, IonizationSink(strength_s=0.0))
-    v1 = solver._w_sink @ solver._resolvent(np.complex128(1e6))
-    v2 = solver._w_sink @ solver._resolvent(np.complex128(1e7))
+    v1, v2 = solver._laplace_p0(solver._w_sink[None], np.array([1e6, 1e7], dtype=complex))[0]
     assert abs(v2) == pytest.approx(abs(v1) * 0.1, rel=0.05)
 
 
 def test_laplace_p0_tail_suppressed():
     # the grid spans +-6.5 stationary sigmas around the source at f = 0
     solver = SinkSolver(MODEL, IonizationSink(strength_s=0.0))
-    p0 = solver._w_f.T @ solver._resolvent(np.complex128(50.0))
+    p0 = solver._laplace_p0(solver._w_f.T, np.array([50.0], dtype=complex))[:, 0]
     sigma_inf = math.sqrt(MODEL.stationary_variance)
     assert solver.grid[-1] == pytest.approx(6.5 * sigma_inf, rel=1e-12)
     assert abs(p0[-1]) < 1e-8 * abs(p0[solver.grid.size // 2])
@@ -269,9 +268,7 @@ def test_laplace_p0_tail_suppressed():
 def test_sink_reduces_to_p0_at_zero_strength():
     solver = SinkSolver(MODEL, IonizationSink(strength_s=500.0))
     tau = 0.4 / MODEL.theta
-    sinkless = invert_laplace(
-        lambda s: np.tensordot(solver._scale * solver._w_f.T, solver._resolvent(s),
-                               axes=(-1, 0)), tau)
+    sinkless = invert_laplace(lambda s: solver._laplace_p0(solver._scale * solver._w_f.T, s), tau)
     assert np.allclose(solver.pdf(tau, strength_s=0.0), sinkless, rtol=1e-12, atol=0.0)
 
 

@@ -1,12 +1,14 @@
 """The sink solver and the joint backward fit do the same float arithmetic as
 the references in ``oracles.py`` with less repeated work: one Hermite table
 of the even orders per process and (n_eigen, grid_points), one Talbot
-contour per node count, one resolvent table per inversion (formed in blocks
-of nodes) and one Voigt call per joint-fit model evaluation.  Results agree
-bit for bit; with the per-model eigen-weights in frequency units they agree
-to rounding."""
+contour per node count, the sinkless sums of every projection in one pass
+over blocks of contour nodes and one Voigt call per joint-fit model
+evaluation.  Results agree bit for bit; with the per-model eigen-weights in
+frequency units, or with the complex resolvent 1/(n theta + s) in place of
+the solver's real arithmetic, they agree to rounding."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,8 +19,8 @@ from decolab.diffusion import (HomogeneousLine, IonizationSink, OuDiffusionModel
                                joint_fit_backward)
 from decolab.fitting import DecayCurve
 from oracles import (folded_unit_sink, hermite_phi_all_orders, joint_backward_model_per_power,
-                     model_unit_sink, sink_counts_reference, sink_pdf_reference,
-                     sink_survival_reference, talbot_contour_per_call)
+                     model_unit_sink, sink_counts_reference, sink_inverse_real_per_contour,
+                     sink_pdf_reference, sink_survival_reference, talbot_contour_per_call)
 
 MODELS = [OuDiffusionModel(d_coeff=d, gamma_i=117.0) for d in (8.0e3, 1.6e4, 3.2e4)]
 LINE = HomogeneousLine(c0=38.0, gamma_h=22.0)
@@ -54,15 +56,83 @@ def test_counts_and_pdf_match_reference(settings):
     solver = SinkSolver(model, sink, settings)
     ref = folded_unit_sink(model, settings)
     taus = np.geomspace(3e-3, 0.6, 12)
+    real = sink_inverse_real_per_contour
     counts_of_s = solver.counts_factorized(LINE, taus)
     for strength in (0.0, 60.0, 400.0):
         assert np.array_equal(bits(counts_of_s(strength)),
-                              bits(sink_counts_reference(ref, LINE, taus, strength)))
+                              bits(sink_counts_reference(ref, LINE, taus, strength, real)))
     assert bits(solver.counts(LINE, taus[-1])) == bits(
-        sink_counts_reference(ref, LINE, taus[-1], 150.0))
+        sink_counts_reference(ref, LINE, taus[-1], 150.0, real))
     for tau in (taus[0], 0.05):
-        assert np.array_equal(bits(solver.pdf(tau)), bits(sink_pdf_reference(ref, tau, 150.0)))
-        assert bits(solver.survival(tau)) == bits(sink_survival_reference(ref, tau, 150.0))
+        assert np.array_equal(bits(solver.pdf(tau)),
+                              bits(sink_pdf_reference(ref, tau, 150.0, real)))
+        assert bits(solver.survival(tau)) == bits(sink_survival_reference(ref, tau, 150.0, real))
+
+
+STRENGTHS = (0.0, 60.0, 150.0, 400.0, 1e6)
+
+
+def _deviation_from_two_resolvents(solver, ref, taus, pdf_taus, strengths=STRENGTHS):
+    """Largest |solver - complex-resolvent reference| of the counts at taus,
+    the survival at each of taus and the pdf at each of pdf_taus, each over
+    its largest |reference| across the strengths.  The inversion's roundoff
+    is absolute, set by the sinkless transform: where a strong sink empties
+    a value, both arithmetics sit at the same floor."""
+    deviation = {}
+    counts = np.array([solver.counts_factorized(LINE, taus)(s) for s in strengths])
+    ref_counts = np.array([sink_counts_reference(ref, LINE, taus, s) for s in strengths])
+    deviation["counts"] = np.max(np.abs(counts - ref_counts)) / np.max(np.abs(ref_counts))
+    survival = np.array([[solver.survival(t, s) for t in taus] for s in strengths])
+    ref_survival = np.array([[sink_survival_reference(ref, t, s) for t in taus]
+                             for s in strengths])
+    deviation["survival"] = np.max(np.max(np.abs(survival - ref_survival), axis=0) /
+                                   np.max(np.abs(ref_survival), axis=0))
+    deviation["pdf"] = 0.0
+    for tau in pdf_taus:
+        pdf = np.array([solver.pdf(tau, s) for s in strengths])
+        ref_pdf = np.array([sink_pdf_reference(ref, tau, s) for s in strengths])
+        deviation["pdf"] = max(deviation["pdf"],
+                               np.max(np.abs(pdf - ref_pdf)) / np.max(np.abs(ref_pdf)))
+    for values in (counts, survival):
+        assert np.all(np.isfinite(values))
+    return deviation
+
+
+@pytest.mark.parametrize("settings", SETTINGS, ids=SETTING_IDS)
+@pytest.mark.parametrize("model", MODELS, ids=["D8e3", "D1.6e4", "D3.2e4"])
+def test_real_arithmetic_matches_complex_resolvent(model, settings):
+    # the real sums against 1/(n theta + s) in complex arithmetic, from the
+    # validity bound to 0.6 s (n_eigen 1 and 2 leave no mode n >= 2, and
+    # their bound lies near or beyond 0.6 s); measured: at most 2.8e-12
+    solver = SinkSolver(model, IonizationSink(strength_s=0.0), settings)
+    ref = folded_unit_sink(model, settings)
+    bound = solver.min_valid_time
+    taus = np.geomspace(bound, 0.6, 6) if bound < 0.6 else np.array([bound])
+    deviation = _deviation_from_two_resolvents(solver, ref, taus, taus[:1])
+    assert max(deviation.values()) <= 1e-11, deviation
+
+
+def test_real_arithmetic_over_extreme_models():
+    # D from 1e-3 to 1e290 MHz^2/s, gamma_i from 1e-3 to 1e3 MHz (theta from
+    # 5.5e-9 to 5.5e296 s^-1) and tau from the validity bound to 1e300 s:
+    # x and q stay finite and w_0 / s stays in physical units, so every value
+    # is finite and no RuntimeWarning is raised; measured: at most 4.3e-12
+    # from the complex resolvent, normalised as in the test above, over D in
+    # {1e-3, 1, 1.6e4, 1e12, 1e100, 1e200, 1e290} x gamma_i in {1e-3, 1, 117,
+    # 1e3} and all five strengths
+    worst = 0.0
+    for d, gamma_i in [(1e-3, 1e-3), (1e-3, 1e3), (1.0, 117.0), (1e12, 1e3), (1e290, 1e-3),
+                       (1e290, 117.0)]:
+        model = OuDiffusionModel(d_coeff=d, gamma_i=gamma_i)
+        solver = SinkSolver(model, IonizationSink(strength_s=0.0))
+        ref = folded_unit_sink(model, solver.settings)
+        taus = np.geomspace(solver.min_valid_time, 1e300, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            deviation = _deviation_from_two_resolvents(solver, ref, taus, taus[-1:],
+                                                       (0.0, 150.0, 1e6))
+        worst = max(worst, *deviation.values())
+    assert worst <= 1e-11
 
 
 @pytest.mark.parametrize("settings", SETTINGS[:3], ids=SETTING_IDS[:3])
@@ -113,16 +183,18 @@ def test_even_hermite_rows_match_all_orders_recurrence(n_max):
 
 
 def test_resolvent_blocks_do_not_change_results(monkeypatch):
+    # blocks of 8 and of 240 nodes, the narrowest and widest whole 8-node
+    # groups for which BLAS reduces each node's column alike
     solver = SinkSolver(MODELS[1], IonizationSink(strength_s=150.0))
     taus = np.geomspace(3e-3, 0.6, 12)
     blocks = []
-    resolvent = solver._resolvent
+    reciprocal = np.reciprocal
 
-    def counting(s):
-        blocks[-1] += 1
-        return resolvent(s)
+    def counting(*args, **kwargs):
+        blocks[-1] += 1  # one reciprocal table per block
+        return reciprocal(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "_resolvent", counting)
+    monkeypatch.setattr(np, "reciprocal", counting)
 
     def evaluate():
         out = []
@@ -132,20 +204,20 @@ def test_resolvent_blocks_do_not_change_results(monkeypatch):
             out.append(run())
         return out
 
-    monkeypatch.setattr(diffusion, "_RESOLVENT_BLOCK", 1 << 40)
-    one = evaluate()
-    assert blocks == [1, 1, 1]
+    monkeypatch.setattr(diffusion, "_NODE_BLOCK", 240)
+    wide = evaluate()
+    assert blocks == [2, 1, 1]  # 288 nodes in blocks of 240, then 24 nodes
     blocks.clear()
-    monkeypatch.setattr(diffusion, "_RESOLVENT_BLOCK", 8 * solver._n_theta.size)
-    many = evaluate()
+    monkeypatch.setattr(diffusion, "_NODE_BLOCK", 8)
+    narrow = evaluate()
     assert blocks == [taus.size * 3, 3, 3]  # 8 of the 24 Talbot nodes per block
-    for a, b in zip(one, many):
+    for a, b in zip(wide, narrow):
         assert np.array_equal(bits(a), bits(b))
 
 
 def test_counts_factorized_memory_is_bounded():
-    # one resolvent over all 2000 x 24 nodes would take 768 MB (1.5 GB with
-    # the odd modes)
+    # one complex resolvent table over all 2000 x 24 nodes would take 768 MB
+    # (1.5 GB with the odd modes)
     solver = SinkSolver(MODELS[1], IonizationSink(strength_s=150.0))
     taus = np.geomspace(3e-3, 0.6, 2000)
     tracemalloc.start()

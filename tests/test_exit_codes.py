@@ -8,6 +8,8 @@ so most lines get past the parser and the early checks into the library.
 Each run stays cheap."""
 
 import argparse
+import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -157,3 +159,32 @@ def test_invalid_diffusion_input_exits_2(tmp_path, capsys, recwarn, argv):
     assert err.startswith("decolab: ") and err.count("\n") == 1
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     assert not (tmp_path / "out").exists()
+
+
+def _finite_cells(path: Path) -> bool:
+    """Every number that a CSV or JSON output holds is finite."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".json":
+        def reject(constant):
+            raise ValueError(constant)
+        try:
+            json.loads(text, parse_constant=reject)
+        except ValueError:
+            return False
+        return True
+    rows = [line.split(",") for line in text.splitlines()[2:]]
+    return all(math.isfinite(float(cell)) for row in rows for cell in row)
+
+
+@pytest.mark.parametrize("argv", [
+    [*PREDICT, "--gamma-h", "1e-300", "--points", "3"],
+    [*PREDICT[:6], "--gamma-h", "1e-300", "--points", "3"],
+    [*IONIZATION, "--gamma-h", "1e-300"],
+], ids=["predict-sink", "predict", "ionization"])
+def test_line_width_whose_square_underflows(tmp_path, recwarn, argv):
+    # hw^2 underflows to 0, so c0 hw^2 / (d^2 + hw^2) would be 0/0 at d = 0
+    code = main([*argv, "--out", str(tmp_path / "out")])
+    assert code in EXIT_CODES
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    outputs = [p for p in (tmp_path / "out").iterdir() if p.suffix in (".csv", ".json")]
+    assert outputs and all(_finite_cells(p) for p in outputs)
