@@ -3,8 +3,9 @@
 
 Runs ``decolab fit diffusion`` (joint backward fit, shared inhomogeneous
 linewidth), ``decolab fit ionization`` on each power's forward counts and
-``decolab fit scaling`` of tau_c against power, each into its own directory;
-a value from a fit that did not converge is marked so.
+``decolab fit scaling`` of tau_c against power, each into its own directory.
+A command that fails, a fit that did not converge (exit 4) included, ends
+the study with its exit code.
 """
 
 import argparse
@@ -21,15 +22,11 @@ DEFAULT_MANIFEST = Path(__file__).resolve().parents[1] / "tests/fixtures/diffusi
 
 
 def run(argv: list[str], out: Path, name: str) -> dict:
-    """The JSON output ``name`` of a decolab command line run into ``out``; exit 4
-    (a fit that did not converge) writes it, any other but 0 ends the study."""
-    if (code := decolab([*argv, "--out", str(out)])) not in (0, 4):
+    """The JSON output ``name`` of a decolab command line run into ``out``; an
+    exit code other than 0 ends the study."""
+    if (code := decolab([*argv, "--out", str(out)])) != 0:
         sys.exit(code)
     return json.loads((out / name).read_text(encoding="utf-8"))
-
-
-def unless_converged(fit: dict) -> str:
-    return "" if fit["converged"] else f" (not converged: {fit['message']})"
 
 
 def plus_minus(value: float, err: float | None) -> str:
@@ -51,7 +48,7 @@ def main() -> None:
                 "fit_diffusion.json")
     gamma_i, gamma_h = joint["gamma_i_MHz"], joint["gamma_h_MHz_fixed"]
     print(f"shared gamma_i = {plus_minus(gamma_i, joint['stderr']['gamma_i'])} MHz "
-          f"(reduced chi2 = {joint['reduced_chi2']:.2f}){unless_converged(joint)}")
+          f"(reduced chi2 = {joint['reduced_chi2']:.2f})")
 
     payload = {"gamma_i_MHz": gamma_i, "gamma_h_MHz_fixed": gamma_h,
                "reduced_chi2": joint["reduced_chi2"], "per_power": {}}
@@ -68,8 +65,8 @@ def main() -> None:
                                      "S_stderr": ion["stderr"]["S"], "tau_c_s": tc}
         rows.append((power, tc))
         print(f"  {tag}: D = {d:.3e} MHz^2/s, C0 = {c0:.2f}, "
-              f"S = {plus_minus(ion['S_per_s'], ion['stderr']['S'])} /s{unless_converged(ion)}, "
-              f"tau_c = {tc * 1e3:.2f} ms{unless_converged(joint)}")
+              f"S = {plus_minus(ion['S_per_s'], ion['stderr']['S'])} /s, "
+              f"tau_c = {tc * 1e3:.2f} ms")
 
     if len(rows) >= 3:
         write_csv(out / "tau_c.csv", ["power_nW", "tau_c_s"], list(zip(*rows)))

@@ -196,7 +196,7 @@ def _fit_payload(fit: FitResult) -> dict:
     return {"params": fit.params, "stderr": fit.stderr,
             "covariance": np.atleast_2d(fit.covariance).tolist(),
             "reduced_chi2": fit.reduced_chi2, "converged": fit.converged,
-            "n_iter": fit.n_iter, "message": fit.message}
+            "n_iter": fit.n_iter, "message": fit.message, "at_bound": fit.at_bound}
 
 
 def _finish(path: Path, fit: FitResult | None = None, n_points: int = 0) -> int:

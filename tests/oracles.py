@@ -43,7 +43,7 @@ from decolab.diffusion import (GRID_HALFWIDTH_SIGMAS, INVERSION_NODES, Homogeneo
 from decolab import feedforward
 from decolab.feedforward import SHOT_PERIOD, FeedforwardOutcome
 from decolab.files import FitError
-from decolab.fitting import FTOL, MAX_ITER, XTOL, FitResult
+from decolab.fitting import FLOOR_MARGIN, MAX_ITER, XTOL, FitResult, _roundoff_noise
 from decolab.noise import AcFieldModel
 from decolab.plotsvg import _COLORS, _H, _MB, _ML, _MR, _MT, _W, SvgPlot, _ticks
 from decolab.sequences import N_A, N_T0, PulseSequence, _trigger_offsets, phase_of
@@ -349,14 +349,19 @@ def least_squares_sequential(model_fn: Callable[[np.ndarray, np.ndarray], np.nda
                              bounds: Sequence[tuple[float, float]] | None = None,
                              param_names: Sequence[str] | None = None) -> FitResult:
     """``fitting.least_squares`` as it was before batched model calls: one
-    call per Jacobian column and one per damped trial step, each with one
-    parameter vector.  Levenberg-Marquardt fit of model_fn(x, params) to y.
+    call per Jacobian column, one for the roundoff probe and one per damped
+    trial step, each with one parameter vector.  Levenberg-Marquardt fit of
+    model_fn(x, params) to y.
 
     Weighted by 1/sigma when sigma is given.  Bounds are (lo, hi) pairs per
-    parameter; trial steps are projected into the box.  A start point whose
-    cost is not finite is a ValueError; trial steps with a non-finite cost
-    are rejected.  On reaching MAX_ITER the last iterate is returned with
-    converged=False.
+    parameter; trial steps are projected into the box, and a parameter at a
+    bound whose cost gradient points out of it is held there.  Once the
+    Gauss-Newton reduction predicted over the free parameters is within
+    FLOOR_MARGIN times the cost's roundoff floor (measured at the start), one
+    damped step is tried, and it stops where that step is rejected or leads
+    to a point within too.  A start point whose cost is not finite is a
+    ValueError; trial steps with a non-finite cost are rejected.  On reaching
+    MAX_ITER the last iterate is returned with converged=False.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -380,38 +385,58 @@ def least_squares_sequential(model_fn: Callable[[np.ndarray, np.ndarray], np.nda
 
     typical = np.abs(p)
 
-    def scaled_normal(jac: np.ndarray):
+    def scaled_normal(jac: np.ndarray, held: np.ndarray):
         # rescale to a unit-diagonal normal matrix; parameters with zero
-        # sensitivity get scale 0 and are frozen
+        # sensitivity, or held at a bound, get scale 0 and are frozen
         hess = jac.T @ jac
         d = np.sqrt(np.diag(hess))
-        ok = np.isfinite(d) & (d > 0.0)
+        ok = np.isfinite(d) & (d > 0.0) & ~held
         dinv = np.zeros_like(d)
         dinv[ok] = 1.0 / d[ok]
         hs = dinv[:, None] * hess * dinv[None, :]
         np.fill_diagonal(hs, np.where(ok, 1.0, 0.0))
         return hs, dinv, ok
 
+    def at_bound(grad: np.ndarray) -> np.ndarray:
+        return (p <= lo) & (grad > 0.0) | (p >= hi) & (grad < 0.0)
+
     r = residuals(p)
     with np.errstate(over="ignore"):  # an overflow is reported just below
         cost = float(r @ r)
     if not math.isfinite(cost):
         raise ValueError(f"the cost at the start point is {cost!r}, not finite")
+    jac = forward_jacobian_per_column(residuals, p, r, scale=typical)
+    # the probe: every parameter moved by 2^-20 of its Jacobian step
+    typ = np.maximum(np.abs(p), typical)
+    probe = p + np.ldexp(np.where(typ != 0.0, 1e-6 * typ, 1e-6), -20)
+    noise = _roundoff_noise(jac, probe - p, residuals(probe), r, r + w * y)
     lam = 1e-3
     converged = False
     message = "max iterations reached"
+    polished = False
     it = 0
     for it in range(1, MAX_ITER + 1):
-        jac = forward_jacobian_per_column(residuals, p, r, scale=typical)
+        if jac is None:
+            jac = forward_jacobian_per_column(residuals, p, r, scale=typical)
         grad = jac.T @ r
-        if float(np.max(np.abs(grad), initial=0.0)) < 1e-16 * max(cost, 1e-30):
-            converged = True
-            message = "gradient below tolerance"
-            break
-        hs, dinv, ok = scaled_normal(jac)
+        held = at_bound(grad)
+        hs, dinv, ok = scaled_normal(jac, held)
         grad_s = dinv * grad
+        # the Gauss-Newton reduction of the cost over the free parameters:
+        # within the tolerance, one damped step is still tried, and the fit
+        # stops where that step is rejected or leads to a point within too
+        try:
+            free = np.ix_(ok, ok)
+            predicted = float(grad_s[ok] @ np.linalg.solve(hs[free], grad_s[ok]))
+        except np.linalg.LinAlgError:
+            predicted = math.inf
+        within = 0.0 <= predicted <= FLOOR_MARGIN * noise * (2.0 * math.sqrt(cost) + noise)
+        if within and polished:
+            converged = True
+            message = "predicted reduction below tolerance"
+            break
         accepted = False
-        for _ in range(60):
+        for _ in range(1 if within else 60):
             try:
                 ys = np.linalg.solve(hs + lam * np.eye(npar), -grad_s)
             except np.linalg.LinAlgError:
@@ -424,31 +449,37 @@ def least_squares_sequential(model_fn: Callable[[np.ndarray, np.ndarray], np.nda
                 cost_trial = float(r_trial @ r_trial)
             if np.isfinite(cost_trial) and cost_trial < cost:
                 rel_step = float(np.max(np.abs(p_trial - p) / np.maximum(np.abs(p), 1e-30)))
-                df = cost - cost_trial
                 p, r, cost = p_trial, r_trial, cost_trial
                 lam = max(lam / 3.0, 1e-14)
                 accepted = True
-                if rel_step < XTOL or df < FTOL * max(cost, 1e-300):
+                jac = None
+                if rel_step < XTOL and not within:
                     converged = True
-                    message = "step/cost below tolerance"
+                    message = "step below tolerance"
                 break
             lam *= 2.0
+        polished = within
         if converged:
             break
         if not accepted:
             converged = True
-            message = "no downhill step found (local minimum or stalled)"
+            message = ("predicted reduction below tolerance" if within
+                       else "no downhill step found (local minimum or stalled)")
             break
 
-    # covariance at the solution, via the scaled normal matrix
+    # covariance at the solution, via the scaled normal matrix of the free
+    # parameters
     jac = forward_jacobian_per_column(residuals, p, r, scale=typical)
+    held = at_bound(jac.T @ r)
     dof = len(y) - npar
     reduced = cost / dof if dof > 0 else float("nan")
-    hs, dinv, ok = scaled_normal(jac)
+    hs, dinv, ok = scaled_normal(jac, held)
+    cov = np.zeros((npar, npar))
     try:
-        if not np.all(ok):
+        if not np.all(ok | held):
             raise np.linalg.LinAlgError
-        cov = dinv[:, None] * np.linalg.inv(hs) * dinv[None, :]
+        free = np.ix_(ok, ok)
+        cov[free] = dinv[ok][:, None] * np.linalg.inv(hs[free]) * dinv[ok][None, :]
         if sigma is None:
             cov = cov * reduced  # nan without a residual degree of freedom
     except np.linalg.LinAlgError:
@@ -461,7 +492,8 @@ def least_squares_sequential(model_fn: Callable[[np.ndarray, np.ndarray], np.nda
                      params={n: float(v) for n, v in zip(names, p)},
                      stderr=stderr, covariance=cov,
                      reduced_chi2=float(reduced),
-                     converged=converged, n_iter=it, message=message)
+                     converged=converged, n_iter=it, message=message,
+                     at_bound=[n for n, b in zip(names, held) if b])
 
 
 def fokker_planck_fd(theta: float, d_coeff: float, strength_s: float,

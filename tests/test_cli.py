@@ -301,7 +301,7 @@ def test_fit_json_holds_the_standard_fit_keys(tmp_path, name, argv):
     assert run(argv + ["--out", str(tmp_path)]) == 0
     payload = json.loads((tmp_path / name).read_text())
     assert {"params", "stderr", "covariance", "reduced_chi2", "converged", "n_iter",
-            "message"} <= payload.keys()
+            "message", "at_bound"} <= payload.keys()
     assert len(payload["covariance"]) == len(payload["params"])
     if name == "fit_ionization.json":
         assert payload["power_nW"] == 500.0

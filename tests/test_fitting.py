@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from decolab.cli import main
 from decolab.diffusion import read_diffusion_csv, read_manifest
 from decolab.files import DataError, FitError
+import decolab.fitting as fitting
 from decolab.fitting import (DecayCurve, fit_power_scaling, fit_stretched_exp, least_squares,
                              read_decay_csv, stretched_exp, write_decay_csv)
 from decolab.noise import load_field_config
@@ -169,6 +171,91 @@ def test_engine_bounds_enforced():
         least_squares(lin, [2.0], X20, X20, bounds=[(0.0, 1.0)])
     res = least_squares(lin, [0.5], X20, 3.0 * X20, bounds=[(0.0, 1.0)])
     assert res.params["p0"] == pytest.approx(1.0)
+
+
+def engine_probe(monkeypatch) -> dict:
+    """The parameter scale of the Jacobian steps and the residuals' roundoff
+    noise that least_squares takes at its start point, for the last call."""
+    seen = {}
+    jacobian, measure = fitting._forward_jacobian, fitting._roundoff_noise
+
+    def forward_jacobian(fn, p, r0, scale, probe=False):
+        seen["scale"] = scale
+        return jacobian(fn, p, r0, scale, probe)
+
+    monkeypatch.setattr(fitting, "_forward_jacobian", forward_jacobian)
+    monkeypatch.setattr(fitting, "_roundoff_noise",
+                        lambda *args: seen.update(noise=measure(*args)) or seen["noise"])
+    return seen
+
+
+def test_engine_holds_a_parameter_at_its_bound(monkeypatch):
+    def lin(x, p):
+        return p[..., 0, None] * x + p[..., 1, None]
+
+    # the best slope, 3, lies beyond the bound 1; the intercept stays free
+    bounds = [(0.0, 1.0), (-100.0, 100.0)]
+    probe = engine_probe(monkeypatch)
+    res = least_squares(lin, [0.5, 0.0], X20, 3.0 * X20 + 2.0, bounds=bounds)
+    assert res.converged and res.at_bound == ["p0"] and res.n_iter <= 10
+    assert res.params["p0"] == 1.0
+    assert res.params["p1"] == pytest.approx(2.0 + 2.0 * X20.mean(), rel=1e-9)
+    assert res.stderr["p0"] == 0.0 and np.all(res.covariance[0] == 0.0)
+    assert np.all(res.covariance[:, 0] == 0.0) and res.covariance[1, 1] > 0.0
+    assert_kkt(lin, DecayCurve(X20, 3.0 * X20 + 2.0), res, bounds, probe)
+
+
+def assert_kkt(model_fn, curve: DecayCurve, fit, bounds, probe: dict) -> None:
+    """The returned point is a KKT point of the engine's forward-difference
+    gradient: the gradient of each parameter in at_bound points out of the
+    box there, and the Gauss-Newton reduction predicted over the others is
+    below the engine's tolerance, FLOOR_MARGIN times the cost's roundoff
+    floor from the residuals' noise it measured."""
+    w = 1.0 / curve.sigma if curve.sigma is not None else 1.0
+    p = np.array([fit.params[k] for k in fit.param_names[:len(bounds)]])
+    lo, hi = np.array(bounds, dtype=float).T
+
+    def residuals(q):
+        return (model_fn(curve.x, q) - curve.y) * w
+
+    r = residuals(p)
+    jac = fitting._forward_jacobian(residuals, p, r, probe["scale"])
+    grad = jac.T @ r
+    held = np.isin(fit.param_names[:len(bounds)], fit.at_bound)
+    assert np.array_equal(held, (p == lo) & (grad > 0.0) | (p == hi) & (grad < 0.0))
+    free = ~held
+    scale = 1.0 / np.sqrt(np.sum(jac[:, free] ** 2, axis=0))
+    grad_s = scale * grad[free]
+    hs = scale[:, None] * (jac[:, free].T @ jac[:, free]) * scale[None, :]
+    predicted = float(grad_s @ np.linalg.solve(hs, grad_s))
+    noise = probe["noise"]
+    assert predicted <= fitting.FLOOR_MARGIN * noise * (2.0 * math.sqrt(r @ r) + noise)
+
+
+def test_free_n_feedforward_fits_stop_at_kkt_points(tmp_path, monkeypatch):
+    # simulate feedforward -> fit decay with free n, the README chain, at
+    # seeds 0-11: where n ends at its bound of 5 the fit once ran to the
+    # 500-iteration cap and exited 4
+    held = []
+    for seed in range(12):
+        run = tmp_path / f"seed{seed}"
+        assert main(["simulate", "feedforward", "--tau-range", "0.25ms:7.5ms:0.25ms",
+                     "--seed", str(seed), "--out", str(run)]) == 0
+        assert main(["fit", "decay", "--data", str(run / "feedforward.csv"),
+                     "--out", str(run)]) == 0
+        payload = json.loads((run / "fit_decay.json").read_text(encoding="utf-8"))
+        assert payload["at_bound"] == (["n"] if payload["params"]["n"] == 5.0 else []), seed
+        if payload["at_bound"]:
+            held.append(seed)
+            assert payload["n_iter"] <= 30, seed
+            assert payload["stderr"]["n"] == 0.0 and not any(payload["covariance"][2])
+        with monkeypatch.context() as m:
+            probe = engine_probe(m)
+            fit = fit_stretched_exp(read_decay_csv(run / "feedforward.csv"))
+        assert fit.at_bound == payload["at_bound"]
+        assert_kkt(stretched_exp, read_decay_csv(run / "feedforward.csv"), fit,
+                   [(0.0, np.inf), (1e-300, np.inf), (1e-6, 5.0)], probe)
+    assert held == [2, 4, 6, 8, 10]
 
 
 def test_engine_reorder_invariance():

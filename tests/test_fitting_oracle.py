@@ -1,8 +1,10 @@
 """The Levenberg-Marquardt engine evaluates its models on rows of parameter
-vectors: one call for the forward-difference Jacobian and one per doubling
-batch of damped trials.  Every fit must equal, bit for bit, the engine with
-one call per Jacobian column and per trial (``least_squares_sequential`` in
-``oracles.py``), and every library model's rows must equal single-row calls."""
+vectors: one call for the forward-difference Jacobian (the first with the
+roundoff probe row) and one per doubling batch of damped trials.  Every fit
+must equal, bit for bit, the engine with one call per Jacobian column, probe
+and trial (``least_squares_sequential`` in ``oracles.py``, which holds the
+same bound and stopping rules), and every library model's rows must equal
+single-row calls."""
 
 import math
 import re

@@ -1,10 +1,13 @@
 """The README commands reproduce the outputs committed under tests/golden/.
 
 tests/golden/ holds the files that the README's "Command line" commands
-write (run1 ... run13, each command's run_manifest.json left out: it names
-its output directory), and env.json, the numpy, Python and machine they were
-written with.  In that environment every file must match byte for byte.  In
-any other, the CSV and JSON files are compared number by number, at a
+write (run1 ... run14, each command's run_manifest.json left out: it names
+its output directory), and env.json, the numpy, Python, machine and OpenBLAS
+kernel they were written with.  A `--data` under an earlier command's
+output directory (run14 fits run3's feedforward.csv) reads that command's
+output.  In that environment every file must match byte for byte: a matrix
+product's last bits depend on the kernel's blocking.  The numbers are
+compared in every environment, the CSV and JSON files number by number, at a
 relative tolerance of GOLDEN_RTOL: a CSV column relative to its largest
 value, and a fit's stderr and covariance (in units of its parameters) and
 reduced chi^2 with an absolute floor of GOLDEN_ATOL, since for the fits to
@@ -20,6 +23,7 @@ A change that means to change outputs rewrites the record with
 and the golden diff is then its list of changed bytes.
 """
 
+import ctypes
 import json
 import math
 import os
@@ -41,9 +45,23 @@ GOLDEN_RTOL, GOLDEN_ATOL = 1e-6, 1e-12
 ROUNDOFF_KEYS = ("stderr", "covariance", "reduced_chi2")
 
 
-def environment() -> dict[str, str]:
+def blas_core() -> str | None:
+    """The OpenBLAS kernel (say SkylakeX) of numpy's scipy-openblas library,
+    or None where numpy's BLAS is another."""
+    for lib in sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
+def environment() -> dict[str, str | None]:
     return {"numpy": np.__version__, "python": platform.python_version(),
-            "machine": platform.machine(), "system": platform.system()}
+            "machine": platform.machine(), "system": platform.system(),
+            "blas_core": blas_core()}
 
 
 def _readme_commands() -> list[list[str]]:
@@ -56,12 +74,18 @@ def _readme_commands() -> list[list[str]]:
 
 def write_outputs(out: Path) -> None:
     """Run the README commands with their outputs under ``out``, from the
-    repository root (the README's data paths are relative to it)."""
+    repository root (the README's data paths are relative to it, except a
+    ``--data`` under an earlier command's ``--out``)."""
     cwd = Path.cwd()
+    runs = set()
     try:
         os.chdir(ROOT)
         for argv in _readme_commands():
+            if "--data" in argv and Path(argv[argv.index("--data") + 1]).parts[0] in runs:
+                j = argv.index("--data") + 1
+                argv[j] = str(out / argv[j])
             i = argv.index("--out")
+            runs.add(argv[i + 1])
             argv[i + 1] = str(out / argv[i + 1])
             assert main(argv) == 0, argv
     finally:

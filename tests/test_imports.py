@@ -5,6 +5,7 @@ loads a command's modules only when that command runs."""
 
 import ast
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,12 +13,15 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).parents[1] / "src"
+#: the caller's environment (PYTHONDONTWRITEBYTECODE included), with src first
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC),
+                                                               os.environ.get("PYTHONPATH")])))
 
 
 @pytest.mark.parametrize("module", ["decolab.noise", "decolab.plotsvg"])
 def test_module_loads_without_the_fitting_engine(module):
     code = f"import sys, {module}; print('decolab.fitting' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(SRC)},
+    done = subprocess.run([sys.executable, "-c", code], env=ENV,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
@@ -28,7 +32,7 @@ def test_parser_loads_no_command_module():
     # the parser loads only what its defaults and the field model need
     code = ("import json, sys, decolab.cli; decolab.cli.build_parser(); "
             "print(json.dumps(sorted(n for n in sys.modules if n.split('.')[0] == 'decolab')))")
-    done = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(SRC)},
+    done = subprocess.run([sys.executable, "-c", code], env=ENV,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == ["decolab", "decolab.cli", "decolab.constants",
@@ -38,7 +42,7 @@ def test_parser_loads_no_command_module():
 def test_sequences_loads_without_fractions():
     # is_revival, the one user of exact rationals, imports them when called
     code = "import sys, decolab.sequences; print('fractions' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(SRC)},
+    done = subprocess.run([sys.executable, "-c", code], env=ENV,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"

@@ -92,15 +92,22 @@ def test_diffusion_study_prints_each_stderr_to_two_significant_digits(tmp_path):
         assert float(s) == round(per_power[tag]["S_per_s"], decimals)
 
 
-def test_feedforward_demo_marks_a_fit_that_did_not_converge(tmp_path, monkeypatch, capsys):
-    # the unsynchronized Hahn sweep has no randomness, and its fit with free
-    # n stops at the iteration cap with n at its bound of 5 at every seed
-    monkeypatch.setattr(sys, "argv", ["run_feedforward_demo.py", "--out", str(tmp_path)])
-    runpy.run_path(str(ROOT / "scripts" / "run_feedforward_demo.py"), run_name="__main__")
-    # the command line prints each output's path first
-    unsynchronized, feedforward = capsys.readouterr().out.splitlines()[-2:]
-    assert unsynchronized.endswith(" ms (not converged: max iterations reached)")
-    assert "not converged" not in feedforward
+@pytest.mark.parametrize("script, fit_json", [
+    ("run_feedforward_demo.py", "unsynchronized_fit/fit_decay.json"),
+    ("run_diffusion_fit.py", "joint/fit_diffusion.json")],
+    ids=["run_feedforward_demo.py", "run_diffusion_fit.py"])
+def test_study_exits_4_when_a_fit_does_not_converge(tmp_path, monkeypatch, capsys, script,
+                                                    fit_json):
+    # with one iteration allowed, the study's first fit stops at the cap
+    monkeypatch.setattr("decolab.fitting.MAX_ITER", 1)
+    monkeypatch.setattr(sys, "argv", [script, "--out", str(tmp_path)])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_path(str(ROOT / "scripts" / script), run_name="__main__")
+    assert done.value.code == 4
+    assert capsys.readouterr().err == "decolab: fit did not converge: max iterations reached\n"
+    fit = json.loads((tmp_path / fit_json).read_text(encoding="utf-8"))
+    assert (fit["converged"], fit["n_iter"]) == (False, 1)
+
 
 def test_make_fixtures_reproduces_committed_files(tmp_path):
     run_script("make_fixtures.py", tmp_path)
