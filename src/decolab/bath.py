@@ -28,14 +28,19 @@ the cost per bath is set by K, not N.  The far shell's mean, about
 0.0013-1.09 % 13C it measured 0.6 % of the median and 9 % of the 1st
 percentile (the longest 1 % of T2*).  Its standard deviation is
 0.85 / sqrt(K) = 11 % of that mean, and only the shape of this spread is
-approximated.  The near spins of a batch of baths lie back to back in flat
+approximated.  The near spins of a block of baths lie back to back in flat
 arrays, one entry per spin and none for padding, and one segment sum
-reduces them to the baths' sums.
+reduces them to the baths' sums.  Each block draws from its own spawned
+child generator, so blocks can run on several CPUs at once and give the
+same bits on any number of them.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Literal
 
@@ -119,10 +124,18 @@ def _coupling_prefactor(species: Species, constants: PhysicalConstants) -> float
 #: mean number of near spins per bath: the near shell v < v0 holds this many
 #: of the mean count, and the far shell's sum is drawn from its moments
 NEAR_SPINS = 64
-#: cap on the mean number of near-spin draws per batch
+#: most baths per block; each block draws from its own child generator
+_BLOCK_BATHS = 1024
+#: cap on the mean number of near-spin draws of one block, and of all the
+#: blocks that lanes hold at once
 _BATCH_SPINS = 4_000_000
 #: E[g^2] and E[g^4] of g = 3 cos^2 theta - 1 with cos theta uniform
 _G2_MEAN, _G4_MEAN = 4.0 / 5.0, 48.0 / 35.0
+#: lanes a call may draw its blocks on: one per CPU this process may run on
+_LANES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+#: the threads of the lanes beyond the calling thread's, built on first use
+_POOL = None
+_POOL_LOCK = threading.Lock()
 
 
 def t2star_distribution(cfg: BathConfig, n_baths: int, rng: np.random.Generator,
@@ -138,10 +151,20 @@ def t2star_distribution(cfg: BathConfig, n_baths: int, rng: np.random.Generator,
     at 0) with its exact mean and variance.  The shell holds NEAR_SPINS of
     the mean count, or more: it contains every spin the exclude_above_hz
     filter can drop, so the filter is exact.
-    batch_size is the number of baths drawn per batch.  A batch draws one v
-    for each of its near spins, then one cos theta for each, the baths back
-    to back, and np.add.reduceat sums each bath's terms in order; |cos theta|
-    is drawn, since g depends on cos^2 theta only.
+
+    The baths split into consecutive blocks of min(batch_size, 1024) baths,
+    fewer where a block would hold more than _BATCH_SPINS near spins on
+    average.  Block k draws from the k-th of the children that one
+    ``rng.spawn`` call makes, so the samples depend on rng's SeedSequence
+    and the number of children it has spawned, not on rng's state, and each
+    call spawns new children.  A block draws one count uniform per bath,
+    the near counts, one v for each of its near spins, then one cos theta
+    for each, the baths back to back, and np.add.reduceat sums each bath's
+    terms in order; |cos theta| is drawn, since g depends on cos^2 theta
+    only.  Last come the far shells' normals.  The blocks run on up to one
+    lane per usable CPU, the calling thread and threads of a pool kept for
+    the process, each lane drawing the next block not yet taken; which lane
+    draws a block does not change a bit of it.
     """
     if n_baths < 1:
         raise ValueError("n_baths must be >= 1")
@@ -155,24 +178,33 @@ def t2star_distribution(cfg: BathConfig, n_baths: int, rng: np.random.Generator,
         # per-spin mean and variance of g^2 / v^2 for v uniform on (v0, 1)
         far_mean = _G2_MEAN / v0
         far_var = _G4_MEAN * (1.0 / v0 ** 3 - 1.0) / (3.0 * (1.0 - v0)) - far_mean ** 2
+    base = math.floor(mean)
+    scale = 0.25 * (p / cfg.r_max ** 3) ** 2
+    spins = max(mean * v0, 1.0)  # mean near-spin draws per bath
+    block = max(1, min(batch_size, _BLOCK_BATHS, int(_BATCH_SPINS / spins)))
+    children = rng.spawn(-(-n_baths // block))
     samples = np.empty(n_baths)
-    batch_size = max(1, min(batch_size, int(_BATCH_SPINS / max(mean * v0, 1.0))))
-    for done in range(0, n_baths, batch_size):
-        nb = min(batch_size, n_baths - done)
-        base = math.floor(mean)
-        counts = base + (rng.random(nb) < mean - base)
-        n_near = rng.binomial(counts, v0)
+
+    def draw(k: int, buffers: np.ndarray) -> np.ndarray:
+        child = children[k]
+        out = samples[k * block:(k + 1) * block]
+        counts = base + (child.random(out.size) < mean - base)
+        n_near = child.binomial(counts, v0)
         starts = np.cumsum(n_near) - n_near
         total = int(starts[-1] + n_near[-1])
-        # the batch's near spins back to back, in place on the two draws:
-        # v = v0 (1 - r), g = 3 r'^2 - 1, (g / v)^2; the zero after the last
-        # spin is the sum of the empty baths that start there
-        v = rng.random(total)
+        # the block's near spins back to back, in place on the two draws in
+        # the lane's two buffers: v = v0 (1 - r), g = 3 r'^2 - 1, (g / v)^2;
+        # the zero after the last spin is the sum of the empty baths that
+        # start there
+        if buffers.shape[1] <= total:
+            # a block's count varies by a few sqrt(total); the margin absorbs it
+            buffers = np.empty((2, total + 1 + total // 16))
+        v, terms = buffers[0, :total], buffers[1, :total + 1]
+        child.random(out=v)
         np.subtract(1.0, v, out=v)
         v *= v0
-        terms = np.empty(total + 1)
         g = terms[:total]
-        rng.random(out=g)
+        child.random(out=g)
         g *= g
         g *= 3.0
         g -= 1.0
@@ -186,11 +218,55 @@ def t2star_distribution(cfg: BathConfig, n_baths: int, rng: np.random.Generator,
         sums[n_near == 0] = 0.0
         if v0 < 1.0:
             n_far = counts - n_near
-            sums += np.maximum(rng.normal(n_far * far_mean, np.sqrt(n_far * far_var)), 0.0)
-        gamma2 = 0.25 * (p / cfg.r_max ** 3) ** 2 * sums
+            sums += np.maximum(child.normal(n_far * far_mean, np.sqrt(n_far * far_var)), 0.0)
+        sums *= scale
         with np.errstate(divide="ignore"):
-            samples[done:done + nb] = np.sqrt(2.0 / gamma2)
+            np.sqrt(np.divide(2.0, sums, out=sums), out=out)
+        return buffers
+
+    _run_lanes(draw, len(children), min(_LANES, max(1, int(_BATCH_SPINS / (block * spins)))))
     return T2StarDistribution(samples)
+
+
+def _run_lanes(draw, n_blocks: int, lanes: int) -> None:
+    """Call draw(k, buffers) once for every block k < n_blocks, on up to
+    lanes lanes: the calling thread and lanes - 1 tasks of the process's
+    pool, each taking the next block not yet drawn and passing the buffers
+    that its previous block returned.  A pool task runs in a copy of the
+    caller's context, numpy's error state included."""
+    # next() on a range iterator runs in C under the GIL, so each block goes
+    # to one lane
+    blocks = iter(range(n_blocks))
+
+    def lane() -> None:
+        buffers = np.empty((2, 0))
+        for k in blocks:
+            buffers = draw(k, buffers)
+
+    lanes = min(lanes, n_blocks)
+    if lanes == 1:
+        lane()
+        return
+    pool = _pool()
+    others = [pool.submit(contextvars.copy_context().run, lane) for _ in range(lanes - 1)]
+    try:
+        lane()
+    finally:
+        for task in others:
+            # a task that has not started finds no block left: it is dropped
+            if not task.cancel():
+                task.result()
+
+
+def _pool():
+    """The process's thread pool, one thread per lane beyond the caller's."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _POOL = ThreadPoolExecutor(_LANES - 1, thread_name_prefix="decolab-bath")
+        return _POOL
 
 
 def exceedance_probability(cfg: BathConfig, t2_lower: float, n_baths: int,
@@ -199,7 +275,10 @@ def exceedance_probability(cfg: BathConfig, t2_lower: float, n_baths: int,
     """Monte Carlo P(T2* > t2_lower) with its binomial standard error.
 
     A background bath is drawn independently for every sample, after all
-    draws of the main bath.  The two baths dephase the same centre, so their
+    draws of the main bath: a second t2star_distribution call on rng, whose
+    blocks take the next children rng's SeedSequence spawns.  The result
+    depends on that SeedSequence and the number of children it has spawned,
+    not on rng's state.  The two baths dephase the same centre, so their
     Gamma_z^2 add: 1/T2*^2 = 1/T2*_main^2 + 1/T2*_background^2.
     """
     t2 = t2star_distribution(cfg, n_baths, rng).samples
@@ -223,7 +302,9 @@ def electron_bath_likelihood(rho_e_ppb: float, t2_lower: float, n_centres: int,
     centre's own 13C bath as well, so with chi given each sample also
     carries an independent 13C bath (default 45 nm sphere) as the background
     of exceedance_probability.  Without it the 13C bath is taken as absent,
-    which overstates P(T2* > t2_lower) and hence L.
+    which overstates P(T2* > t2_lower) and hence L.  The estimate depends
+    on rng's SeedSequence and the number of children it has spawned, not
+    on rng's state (see t2star_distribution).
     """
     if not rho_e_ppb > 0.0:
         raise ValueError("rho_e_ppb must be > 0")

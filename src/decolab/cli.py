@@ -104,6 +104,16 @@ def parse_range(text: str, kind: str, default_points: int = 101) -> np.ndarray:
     return np.linspace(lo, hi, default_points)
 
 
+#: most values a count option may make one array of
+MAX_COUNT = 10 ** 6
+
+
+def _check_count(option: str, value: int) -> None:
+    """Reject a count above MAX_COUNT before anything is allocated."""
+    if value > MAX_COUNT:
+        raise ConfigError(f"{option} must be <= {MAX_COUNT}, got {value}")
+
+
 def _positive_times(args: argparse.Namespace, name: str, default_points: int) -> np.ndarray:
     """The times t > 0 of the range option ``name``, with a counted warning
     for the times dropped; --points sets the grid size of a start:stop range
@@ -246,6 +256,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from .plotsvg import quick_line_plot
     from .sequences import N_A, PulseSequence, expectation_unsynchronized, ramsey_envelope
 
+    if args.sequence == "feedforward":
+        # the shot loop draws 3 uniforms (and a drift normal) per shot
+        _check_count("--shots x --repetitions x 3", 3 * args.shots * args.repetitions)
+    else:
+        _check_count("--n-t0", args.n_t0)
+    if args.sequence == "ramsey" and args.n_a is not None:
+        _check_count("--n-a", args.n_a)
     model = _load_model(args.config)
     if args.sequence == "feedforward" and args.frozen_drift:
         if _given(args.drift_sigma, args.drift_correlation):
@@ -315,6 +332,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_bath(args: argparse.Namespace) -> int:
     from . import bath as bathmod
 
+    _check_count("--n-baths", args.n_baths)
     _print_config(args)
     rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(args.seed)))
     if args.bath_command == "t2star":

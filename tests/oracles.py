@@ -34,8 +34,8 @@ import mpmath
 import numpy as np
 from scipy.linalg import solve_banded
 
-from decolab.bath import (_BATCH_SPINS, _G2_MEAN, _G4_MEAN, NEAR_SPINS, BathConfig,
-                          _coupling_prefactor)
+from decolab.bath import (_BATCH_SPINS, _BLOCK_BATHS, _G2_MEAN, _G4_MEAN, NEAR_SPINS,
+                          BathConfig, _coupling_prefactor)
 from decolab.constants import CONSTANTS, TWO_PI
 from decolab.diffusion import (GRID_HALFWIDTH_SIGMAS, INVERSION_NODES, HomogeneousLine,
                                OuDiffusionModel, _talbot_nodes, _trapezoid_weights, _x_units,
@@ -649,9 +649,10 @@ def brute_force_t2star(cfg: BathConfig, n_baths: int, rng: np.random.Generator,
 def t2star_with_temporaries(cfg: BathConfig, n_baths: int, rng: np.random.Generator,
                             constants=CONSTANTS, batch_size: int = 2048) -> np.ndarray:
     """The near/far sampler with one fresh array per near-spin operation and
-    np.where for the filter and the empty baths: the same draws, arithmetic
-    and segment sums (np.add.reduceat over the batch's spins back to back)
-    as ``t2star_distribution``, which works in place."""
+    np.where for the filter and the empty baths, its blocks drawn one after
+    another on one thread: the same blocks, spawned children, draws,
+    arithmetic and segment sums (np.add.reduceat over a block's spins back
+    to back) as ``t2star_distribution``, which works in place on its lanes."""
     mean = cfg.mean_spin_count(constants)
     p = _coupling_prefactor(cfg.species, constants)
     h = cfg.exclude_above_hz
@@ -661,14 +662,15 @@ def t2star_with_temporaries(cfg: BathConfig, n_baths: int, rng: np.random.Genera
         far_mean = _G2_MEAN / v0
         far_var = _G4_MEAN * (1.0 / v0 ** 3 - 1.0) / (3.0 * (1.0 - v0)) - far_mean ** 2
     samples = np.empty(n_baths)
-    batch_size = max(1, min(batch_size, int(_BATCH_SPINS / max(mean * v0, 1.0))))
-    for done in range(0, n_baths, batch_size):
-        nb = min(batch_size, n_baths - done)
-        counts = _draw_counts(mean, rng, nb)
-        n_near = rng.binomial(counts, v0)
+    block = max(1, min(batch_size, _BLOCK_BATHS, int(_BATCH_SPINS / max(mean * v0, 1.0))))
+    starts_of_blocks = range(0, n_baths, block)
+    for done, child in zip(starts_of_blocks, rng.spawn(len(starts_of_blocks))):
+        nb = min(block, n_baths - done)
+        counts = _draw_counts(mean, child, nb)
+        n_near = child.binomial(counts, v0)
         total = int(n_near.sum())
-        v = v0 * (1.0 - rng.random(total))
-        g = 3.0 * rng.random(total) ** 2 - 1.0
+        v = v0 * (1.0 - child.random(total))
+        g = 3.0 * child.random(total) ** 2 - 1.0
         terms = (g / v) ** 2
         if h is not None:
             terms = np.where(np.abs(g) * v_c <= 2.0 * v, terms, 0.0)
@@ -677,7 +679,7 @@ def t2star_with_temporaries(cfg: BathConfig, n_baths: int, rng: np.random.Genera
         sums = np.where(n_near > 0, sums, 0.0)
         if v0 < 1.0:
             n_far = counts - n_near
-            sums += np.maximum(rng.normal(n_far * far_mean, np.sqrt(n_far * far_var)), 0.0)
+            sums += np.maximum(child.normal(n_far * far_mean, np.sqrt(n_far * far_var)), 0.0)
         gamma2 = 0.25 * (p / cfg.r_max ** 3) ** 2 * sums
         with np.errstate(divide="ignore"):
             samples[done:done + nb] = np.sqrt(2.0 / gamma2)

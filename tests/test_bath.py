@@ -1,17 +1,21 @@
 import math
+import sys
+import threading
 
 import mpmath
 import numpy as np
 import pytest
 from scipy import stats
 
-from decolab.bath import (BathConfig, LikelihoodEstimate, T2StarDistribution,
-                          _coupling_prefactor, electron_bath_likelihood,
+from decolab import bath
+from decolab.bath import (ELECTRON_R_MAX, BathConfig, LikelihoodEstimate, T2StarDistribution,
+                          _coupling_prefactor, electron_bath_likelihood, exceedance_probability,
                           t2star_distribution)
 from decolab.constants import CONSTANTS, TWO_PI
 from conftest import make_rng
 from oracles import (SampledBath, brute_force_t2star, filtered_inverse_square_mean,
-                     gamma2_sums, hyperfine_z, sample_bath, t2star_of_bath)
+                     gamma2_sums, hyperfine_z, sample_bath, t2star_of_bath,
+                     t2star_with_temporaries)
 from perfbench.tracer import analytic_half_normal_scale
 
 CHI_REF = 4.42e-4  # the mid concentration studied in the bath histograms
@@ -111,6 +115,127 @@ def test_distribution_reproducible():
     b = t2star_distribution(cfg, 300, make_rng(16))
     assert np.array_equal(a.samples, b.samples)
     assert a.half_normal_scale == b.half_normal_scale
+
+
+def same_bits(a, b) -> bool:
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.fixture
+def own_pool(monkeypatch):
+    """The sampler's pool as this test builds it, shut down at its end."""
+    monkeypatch.setattr(bath, "_POOL", None)
+    yield
+    if bath._POOL is not None:
+        bath._POOL.shutdown()
+
+
+class MeetingGenerator:
+    """A generator whose spawned children make each thread wait at its first
+    draw until lanes threads draw, so a call with at least lanes blocks
+    draws on exactly lanes threads; ``threads`` collects them."""
+
+    def __init__(self, rng: np.random.Generator, lanes: int):
+        self.rng, self.threads, self.lock = rng, set(), threading.Lock()
+        self.meet = threading.Barrier(lanes, timeout=60)
+
+    def spawn(self, n: int) -> list:
+        return [MeetingChild(self, child) for child in self.rng.spawn(n)]
+
+    def arrive(self) -> None:
+        with self.lock:
+            first = threading.get_ident() not in self.threads
+            self.threads.add(threading.get_ident())
+        if first:
+            self.meet.wait()
+
+
+class MeetingChild:
+    def __init__(self, owner: MeetingGenerator, child: np.random.Generator):
+        self.owner, self.child = owner, child
+
+    def __getattr__(self, name):
+        method = getattr(self.child, name)
+
+        def draw(*args, **kwargs):
+            self.owner.arrive()
+            return method(*args, **kwargs)
+
+        return draw
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("cfg, n_baths, kwargs", [
+    (BathConfig(concentration=1.3e-5), 5000, {}),
+    (BathConfig(concentration=21e-9, r_max=ELECTRON_R_MAX, species="electron"), 3000, {}),
+    (BathConfig(concentration=4.42e-4, exclude_above_hz=5e3), 200, {"batch_size": 64}),
+    # empty baths in many blocks: under errors for RuntimeWarnings, since a
+    # pool thread does not inherit the caller's numpy error state
+    (BathConfig(concentration=7.5e-9), 400, {"batch_size": 8}),
+], ids=["chi-0.0013%", "electron-21ppb", "filtered-5kHz", "empty-blocks"])
+def test_lanes_and_pool_do_not_change_the_bits(monkeypatch, own_pool, cfg, n_baths, kwargs):
+    want = t2star_with_temporaries(cfg, n_baths, make_rng(31), **kwargs)
+    for lanes in (1, 2, 3):
+        monkeypatch.setattr(bath, "_LANES", lanes)
+        if bath._POOL is not None:
+            bath._POOL.shutdown()
+            monkeypatch.setattr(bath, "_POOL", None)
+        for pool in ("before", "after"):
+            rng = MeetingGenerator(make_rng(31), lanes)
+            got = t2star_distribution(cfg, n_baths, rng, **kwargs).samples
+            assert same_bits(got, want), (lanes, pool)
+            assert len(rng.threads) == lanes and (bath._POOL is None) == (lanes == 1)
+    if cfg.concentration == 7.5e-9:
+        assert np.isinf(want).any() and np.isfinite(want).any()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_more_lanes_than_cpus_draw_every_block_once(monkeypatch, own_pool):
+    # the lanes share the iterator of undrawn blocks; a block drawn twice or
+    # not at all would change the bits or leave np.empty's garbage, and a
+    # short switch interval makes the threads interleave at every bytecode
+    cfg = BathConfig(concentration=7.5e-9)
+    want = t2star_with_temporaries(cfg, 600, make_rng(34), batch_size=4)
+    monkeypatch.setattr(bath, "_LANES", bath._LANES + 1)  # one more than CPUs usable
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            got = t2star_distribution(cfg, 600, make_rng(34), batch_size=4).samples
+            assert same_bits(got, want)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_samples_follow_the_spawn_count_not_the_state():
+    cfg = BathConfig(concentration=1.3e-5)
+    rng = make_rng(32)
+    rng.random(7)
+    drawn = t2star_distribution(cfg, 1500, rng).samples
+    assert same_bits(drawn, t2star_distribution(cfg, 1500, make_rng(32)).samples)
+    # a second call on the same generator spawns new children
+    assert not np.array_equal(t2star_distribution(cfg, 1500, rng).samples, drawn)
+
+
+def test_background_bath_is_a_second_spawn(monkeypatch):
+    # the background bath of exceedance_probability is drawn by the second
+    # call on the generator, after the main bath: other samples, even for
+    # the same bath configuration
+    drawn = []
+
+    def recorded(*args, **kwargs):
+        dist = t2star_distribution(*args, **kwargs)
+        drawn.append(dist.samples)
+        return dist
+
+    monkeypatch.setattr(bath, "t2star_distribution", recorded)
+    cfg = BathConfig(concentration=1.3e-5)
+    exceedance_probability(cfg, 1e-3, 3000, make_rng(33), background=cfg)
+    main, background = drawn
+    rng = make_rng(33)
+    assert same_bits(main, t2star_with_temporaries(cfg, 3000, rng))
+    assert same_bits(background, t2star_with_temporaries(cfg, 3000, rng))
+    assert np.intersect1d(main, background).size == 0
 
 
 def test_scale_halves_when_concentration_doubles():

@@ -590,6 +590,15 @@ def test_exit_code_nonconvergence(tmp_path):
     ["simulate", "feedforward", "--tau-range", "1ms:2ms:1ms", "--drift-sigma", "nan"],
     ["simulate", "feedforward", "--tau-range", "1ms:2ms:1ms", "--repetitions", "0"],
     ["simulate", "feedforward", "--tau-range", "1ms:2ms:1ms", "--repetitions", "-1"],
+    # counts that would size an array of 10^13 or more values
+    ["bath", "t2star", "--chi", "0.0013%", "--n-baths", "10000000000000"],
+    ["bath", "likelihood", "--rho-ppb", "21", "--t2-lower", "280us", "--n-centres", "6",
+     "--n-baths", "10000000000000"],
+    ["simulate", "hahn", "--tau-range", "1ms:2ms:1ms", "--n-t0", "10000000000000"],
+    ["simulate", "ramsey", "--t-range", "0.1ms:0.3ms:0.1ms", "--envelope",
+     "--n-a", "10000000000000"],
+    ["simulate", "feedforward", "--tau-range", "1ms:2ms:1ms", "--shots", "10000000000000"],
+    ["simulate", "feedforward", "--tau-range", "1ms:2ms:1ms", "--repetitions", "10000000000000"],
     *(["growth", "leak", "--data", str(FIXTURES / "arrhenius_synthetic.csv"), "--volume", v]
       for v in ("0", "-1", "nan")),
     *(["fit", "decay", "--data", str(FIXTURES / "decay_synthetic.csv"), f"--fix-n={n}"]
@@ -704,6 +713,30 @@ def test_range_size_is_capped_before_the_grid_is_built(monkeypatch):
                          ("1ms:2ms", MAX_RANGE_POINTS + 1), ("1ms:2ms", 10 ** 15)):
         with pytest.raises(ValueError, match="more than"):
             parse_range(text, "time", default_points=points)
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["bath", "t2star", "--chi", "0.0013%", "--n-baths"], "--n-baths"),
+    (["bath", "likelihood", "--rho-ppb", "21", "--t2-lower", "280us", "--n-centres", "6",
+      "--n-baths"], "--n-baths"),
+    (["simulate", "cpmg", "--n", "2", "--tau-range", "1ms:2ms:1ms", "--n-t0"], "--n-t0"),
+    (["simulate", "ramsey", "--t-range", "0.1ms:0.3ms:0.1ms", "--envelope", "--n-t0", "2",
+      "--n-a"], "--n-a"),
+    (["simulate", "feedforward", "--tau-range", "1ms:2ms:1ms", "--repetitions", "2",
+      "--shots"], "--shots x --repetitions x 3"),
+])
+def test_count_options_are_capped_at_max_count(tmp_path, capsys, monkeypatch, argv, option):
+    # at a cap of 60 the last count is accepted up to 60 (10 shots x 2 x 3) and
+    # named in the one line that rejects the next value
+    monkeypatch.setattr(cli, "MAX_COUNT", 60)
+    at_cap = "10" if option.startswith("--shots") else "60"
+    assert run([*argv, at_cap, "--out", str(tmp_path / "at")]) == 0
+    above = "11" if option.startswith("--shots") else "61"
+    assert run([*argv, above, "--out", str(tmp_path / "above")]) == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    got = "66" if option.startswith("--shots") else "61"
+    assert err == f"decolab: config error: {option} must be <= 60, got {got}"
+    assert not (tmp_path / "above").exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -25,9 +25,13 @@ EXIT_CODES = {0, 2, 3, 4}
 # (valid tokens, malformed tokens) of each kind of value
 NUMBERS = (["1", "0.5", "3.2e4"], ["0", "-1", "nan", "inf", "-inf", "1e400", "1e-300", "abc", ""])
 COUNTS = (["1", "2", "6"], ["0", "-1", "1.5", "x"])
+#: a count that would size an array of 10^13 values, far above the CLI's cap
+HUGE = "10000000000000"
+#: counts that size an array
+SIZES = (COUNTS[0], [*COUNTS[1], HUGE])
 #: trigger offsets: fewer than 2 are malformed
-N_T0 = (["2", "6"], ["1", "0", "-1", "1.5", "x"])
-N_BATHS = (["1", "17", "50"], ["0", "-3", "x"])
+N_T0 = (["2", "6"], ["1", "0", "-1", "1.5", "x", HUGE])
+N_BATHS = (["1", "17", "50"], ["0", "-3", "x", HUGE])
 FRACTIONS = (["0.0013%", "1.0937%", "1e-9", "0.5"],
              ["0", "1", "100%", "-1%", "nan", "inf%", "abc%", "%"])
 TIMES = (["280us", "1ms", "0.5"], ["0", "-1ms", "nanms", "infs", "1xs", "ms"])
@@ -61,11 +65,11 @@ GRAMMAR = {
     ("simulate", "cpmg"): ({"--n": COUNTS, "--tau-range": RANGES, "--n-t0": N_T0},
                            {"--points": POINTS}),
     ("simulate", "ramsey"): ({"--t-range": RANGES, "--n-t0": N_T0},
-                             {"--points": POINTS, "--envelope": FLAG, "--n-a": COUNTS,
+                             {"--points": POINTS, "--envelope": FLAG, "--n-a": SIZES,
                               "--a-min": A_MIN, "--a-max": A_MAX}),
     ("simulate", "feedforward"): (
         {"--tau-range": (["1ms:3ms:1ms", "1ms:2ms", "0:1ms:1ms"], ["2ms:1ms:1ms", "nan:1ms"]),
-         "--shots": COUNTS, "--repetitions": COUNTS},
+         "--shots": SIZES, "--repetitions": SIZES},
         {"--drift-sigma": NUMBERS, "--drift-correlation": NUMBERS, "--frozen-drift": FLAG,
          "--points": POINTS}),
     ("diffusion", "predict"): (
