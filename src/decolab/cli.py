@@ -518,9 +518,10 @@ def cmd_diffusion(args: argparse.Namespace) -> int:
     if sink.strength_s > 0.0:
         solver = diff.SinkSolver(model, sink)
         try:
-            forward = solver.counts_factorized(line, taus, args.detuning)(sink.strength_s)
+            counts_of_s = diff._resolved_counts(solver, line, taus, args.detuning)
         except diff.ValidityError as exc:
             raise ConfigError(f"--tau-range: {exc}") from None
+        forward = counts_of_s(sink.strength_s)
     forward = args.forward_rescale * forward
     path = out.csv("diffusion_predict.csv", diff.DIFFUSION_COLUMNS,
                    [taus, forward, backward, np.zeros(taus.size)])

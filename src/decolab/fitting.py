@@ -52,12 +52,12 @@ XTOL = 1e-12
 #: (spectral_fits at seeds 1-5 and 9001, `fit decay` of `simulate
 #: feedforward` at seeds 0-11), the floor is 1.7e-15 to 3.5e-15 of the cost
 #: for a stretched exponential without sigma, 1.4e-12 to 3e-12 with sigma,
-#: 3.4e-13 to 6.6e-13 for the joint backward Voigt fit, 3.3e-13 to 3.3e-12
-#: for the Arrhenius fit and 7.4e-11 to 2.7e-10 for the Talbot-inverted sink
-#: model of `fit ionization`.  At 100 times the floor, the README fits run6,
-#: run7, run8 and run11 come within the tolerance from 51 to 1.1e5 times
-#: above it, landing at 1.3e-4 to 0.035 of it, so another BLAS kernel moves
-#: neither their n_iter nor their message
+#: 3.4e-13 to 6.6e-13 for the joint backward Voigt fit and 3.3e-13 to
+#: 3.3e-12 for the Arrhenius fit; for the sink model of `fit ionization` it
+#: is 1.5e-15 to 5e-15 on README run8 and the three fixture powers.  At 100
+#: times the floor, another BLAS kernel moves neither n_iter nor message of
+#: the README fits run6, run7 and run11; run8 takes 7 iterations under the
+#: Prescott kernel, 6 under SkylakeX and Haswell
 FLOOR_MARGIN = 100.0
 
 

@@ -13,10 +13,11 @@ array per shot block.  The float Hermite recurrence is kept over all
 orders, odd ones included.  The sink solver's eigen-weights come from one
 Hermite recurrence per evaluation set, in frequency units per model or in
 oscillator units, its inversion from one complex resolvent per projection
-(the accuracy reference) or in the solver's real arithmetic one Talbot
-contour at a time (the bitwise reference), and its Talbot contour from the
-formula on every call; the joint backward-fit model from one
-``counts_no_ionization`` call per power.  The Levenberg-Marquardt engine
+on the solver's hyperbolic windows (the arithmetic reference) or on one
+fixed-Talbot contour per time (the accuracy reference), or in the solver's
+real arithmetic one window at a time (the bitwise reference), and both
+contours from their formulas on every call; the joint backward-fit model
+from one ``counts_no_ionization`` call per power.  The Levenberg-Marquardt engine
 is kept with one model call per Jacobian column and per damped trial step.
 For bitwise checks, the near/far bath sampler is kept with one temporary
 array per operation, the CSV writer with one ``csv.writer`` row per record
@@ -37,8 +38,8 @@ from scipy.linalg import solve_banded
 from decolab.bath import (_BATCH_SPINS, _BLOCK_BATHS, _G2_MEAN, _G4_MEAN, NEAR_SPINS,
                           BathConfig, _coupling_prefactor)
 from decolab.constants import CONSTANTS, TWO_PI
-from decolab.diffusion import (GRID_HALFWIDTH_SIGMAS, INVERSION_NODES, HomogeneousLine,
-                               OuDiffusionModel, _talbot_nodes, _trapezoid_weights, _x_units,
+from decolab.diffusion import (CONTOUR_ALPHA, CONTOUR_N, CONTOUR_SPAN, GRID_HALFWIDTH_SIGMAS,
+                               HomogeneousLine, OuDiffusionModel, _trapezoid_weights, _x_units,
                                counts_no_ionization, hermite_phi_table)
 from decolab import feedforward
 from decolab.feedforward import SHOT_PERIOD, FeedforwardOutcome
@@ -217,15 +218,93 @@ def folded_unit_sink(model: OuDiffusionModel, settings) -> EigenSink:
                      model.theta, scale)
 
 
+#: fixed-Talbot nodes per time of the accuracy reference: in double
+#: precision its error falls with the node count only up to ~24 nodes, beyond
+#: which the e^{2M/5} contour amplification of roundoff dominates
+TALBOT_NODES = 24
+
+
+def talbot_contour_per_call(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The fixed-Talbot contour t s_k and weights gamma_k of m nodes, by the
+    formula evaluated afresh on every call."""
+    theta = np.arange(1, m) * math.pi / m
+    cot = 1.0 / np.tan(theta)
+    ts = 0.4 * m * np.concatenate(([1.0], theta * (cot + 1j)))
+    gamma = np.exp(ts) * np.concatenate(([0.5], 1.0 + 1j * theta * (1.0 + cot * cot) - 1j * cot))
+    return ts, gamma
+
+
+def hyperbola_per_call(n: int = CONTOUR_N) -> tuple[np.ndarray, np.ndarray]:
+    """The hyperbolic contour t0 z_k and weights (h / pi) t0 z'(u_k) of
+    n + 1 nodes (the k = 0 weight halved), by Weideman and Trefethen's
+    formula for the window [t0, CONTOUR_SPAN t0] evaluated afresh on every
+    call."""
+    alpha, span = CONTOUR_ALPHA, CONTOUR_SPAN
+    a = math.acosh(((math.pi - 2.0 * alpha) * span + 4.0 * alpha - math.pi)
+                   / ((4.0 * alpha - math.pi) * math.sin(alpha)))
+    h = a / n
+    mu = (4.0 * math.pi * alpha - math.pi ** 2) * n / (a * span)
+    iu = 1j * h * np.arange(n + 1)
+    z = mu * (1.0 + np.sin(iu - alpha))
+    w = (h / math.pi) * mu * 1j * np.cos(iu - alpha)
+    w[0] *= 0.5
+    return z, w
+
+
+def contour_windows(taus: np.ndarray) -> list[tuple[float, np.ndarray]]:
+    """(t0, indices) of the hyperbolic windows of taus (1-D): the first window
+    starts at the smallest time, and each next one at the smallest time above
+    CONTOUR_SPAN times the start of the one before."""
+    out = []
+    left = np.ones(taus.size, dtype=bool)
+    while left.any():
+        t0 = float(np.min(taus[left]))
+        inside = left & (taus <= t0 * CONTOUR_SPAN)
+        out.append((t0, np.nonzero(inside)[0]))
+        left &= ~inside
+    return out
+
+
+def _resolvent_sums(ref: EigenSink, coef: np.ndarray, s: np.ndarray):
+    """P~0 of each row of coef and of the sink at the nodes s, from a complex
+    resolvent table 1/(n theta + s)."""
+    n_theta = np.arange(0, 2 * ref.w_sink.size, 2) * ref.theta
+    resolvent = np.reciprocal(np.add.outer(n_theta, s))
+
+    def project(weights):  # real weights on the table's real and imaginary parts
+        return (np.tensordot(weights, resolvent.real, axes=(-1, 0))
+                + 1j * np.tensordot(weights, resolvent.imag, axes=(-1, 0)))
+
+    return project(coef), project(ref.w_sink)
+
+
 def sink_inverse_two_resolvents(ref: EigenSink, coef: np.ndarray, taus,
                                 strength: float) -> np.ndarray:
-    """Fixed-Talbot inverse of the sink solution projected on coef, with a
-    separate resolvent table 1/(n theta + s) for P~0(coef) and P~0(sink)."""
+    """Inverse of the sink solution projected on coef over the hyperbolic
+    windows of taus, with P~0(coef) and P~0(sink) from a complex resolvent
+    table, each times s, in the ratio s P~0 / (s + S s P~0(0, s))."""
     taus = np.asarray(taus, dtype=float)
-    s, gamma = _talbot_nodes(taus, INVERSION_NODES)
-    n_theta = np.arange(0, 2 * ref.w_sink.size, 2) * ref.theta
-    p0 = np.tensordot(coef, np.reciprocal(np.add.outer(n_theta, s)), axes=(-1, 0))
-    p0_sink = np.tensordot(ref.w_sink, np.reciprocal(np.add.outer(n_theta, s)), axes=(-1, 0))
+    flat = taus.ravel()
+    z, w = hyperbola_per_call()
+    out = np.empty(np.shape(coef)[:-1] + flat.shape)
+    for t0, index in contour_windows(flat):
+        s = z / t0
+        p0, p0_sink = _resolvent_sums(ref, coef, s)
+        vals = (s * p0) / (s + strength * (s * p0_sink))
+        weights = (w / t0) * np.exp(np.multiply.outer(flat[index] / t0, z))
+        out[..., index] = np.imag(vals @ weights.T)
+    out = out.reshape(out.shape[:-1] + taus.shape)
+    return float(out) if out.ndim == 0 else out
+
+
+def sink_inverse_talbot(ref: EigenSink, coef: np.ndarray, taus, strength: float) -> np.ndarray:
+    """Fixed-Talbot inverse of the sink solution projected on coef, one
+    contour of TALBOT_NODES nodes per time, with P~0(coef) and P~0(sink) from
+    a complex resolvent table: the accuracy reference."""
+    taus = np.asarray(taus, dtype=float)
+    ts, gamma = talbot_contour_per_call(TALBOT_NODES)
+    s = np.multiply.outer(1.0 / taus, ts)
+    p0, p0_sink = _resolvent_sums(ref, coef, s)
     vals = p0 / (1.0 + strength * p0_sink)
     out = 2.0 / (5.0 * taus) * np.real(vals @ gamma)
     return float(out) if out.ndim == 0 else out
@@ -233,30 +312,36 @@ def sink_inverse_two_resolvents(ref: EigenSink, coef: np.ndarray, taus,
 
 def sink_inverse_real_per_contour(ref: EigenSink, coef: np.ndarray, taus,
                                   strength: float) -> np.ndarray:
-    """Fixed-Talbot inverse of the sink solution projected on coef in real
-    arithmetic, one Talbot contour of INVERSION_NODES nodes at a time: the
-    n = 0 mode as w_0 / s, and for the even n >= 2, in units of theta,
-    x = n + Re(s)/theta, y = Im(s)/theta, q = 1/(x^2 + y^2), with
-    Re P~0 = W (x q) / theta and Im P~0 = -(y / theta) W q from the rows W
-    of coef and the sink weights stacked into one matrix."""
+    """Inverse of the sink solution projected on coef in real arithmetic, one
+    hyperbolic window at a time: at the window's nodes s, for the even
+    n >= 2 in units of theta, x = n + Re(s)/theta, y = Im(s)/theta,
+    q = 1/(x^2 + y^2), and s P~0 = w_0 + s (W (x q) - i y W q) / theta for
+    the rows W of coef and, apart, of the sink weights; the ratio
+    s P~0 / (s + S s P~0(0, s)), and each time's sum over the nodes as one
+    real dot product of (Re, Im) pairs with (Im, Re) of its weights."""
     taus = np.asarray(taus, dtype=float)
-    s, gamma = _talbot_nodes(taus, INVERSION_NODES)
-    rows = np.vstack((np.reshape(coef, (-1, ref.w_sink.size)), ref.w_sink))
+    flat = taus.ravel()
+    z, w = hyperbola_per_call()
+    rows = np.reshape(coef, (-1, ref.w_sink.size))
     n = np.arange(2, 2 * ref.w_sink.size, 2, dtype=float)[:, None]
-    p0 = np.empty((rows.shape[0],) + s.shape, dtype=complex)
-    for index in np.ndindex(taus.shape):
-        contour = s[index]
-        a = contour.real / ref.theta
-        y = contour.imag / ref.theta
-        x = n + a
+    out = np.empty(np.shape(coef)[:-1] + flat.shape)
+    for t0, index in contour_windows(flat):
+        s = z / t0
+        x = n + s.real / ref.theta
+        y = s.imag / ref.theta
         q = 1.0 / (x * x + y * y)
-        values = rows[:, :1] / contour
-        values.real += (rows[:, 1:] @ (x * q)) / ref.theta
-        values.imag -= (y / ref.theta) * (rows[:, 1:] @ q)
-        p0[(slice(None),) + index] = values
-    p0_sink = p0[-1]
-    vals = p0[:-1].reshape(np.shape(coef)[:-1] + s.shape) / (1.0 + strength * p0_sink)
-    out = 2.0 / (5.0 * taus) * np.real(vals @ gamma)
+        sums = []
+        for weights in (rows, ref.w_sink[None]):
+            values = np.empty((weights.shape[0], s.size), dtype=complex)
+            values.real = (weights[:, 1:] @ (x * q)) / ref.theta
+            values.imag = (y / -ref.theta) * (weights[:, 1:] @ q)
+            sums.append(weights[:, :1] + values * s)
+        ratio = sums[0].reshape(np.shape(coef)[:-1] + s.shape) / (s + strength * sums[1][0])
+        e = np.exp(np.multiply.outer(flat[index] / t0, z)) * (w / t0)
+        pairs = np.stack((e.imag, e.real), axis=-1).reshape(index.size, -1)
+        out[..., index] = np.einsum("...k,jk->...j", np.ascontiguousarray(ratio).view(float),
+                                    pairs)
+    out = out.reshape(out.shape[:-1] + taus.shape)
     return float(out) if out.ndim == 0 else out
 
 
@@ -278,16 +363,6 @@ def sink_survival_reference(ref: EigenSink, tau: float, strength: float,
     """``SinkSolver.survival`` through ``inverse``."""
     coef = ref.scale * (ref.w_f @ _trapezoid_weights(ref.grid))
     return float(inverse(ref, coef, tau, strength))
-
-
-def talbot_contour_per_call(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The fixed-Talbot contour t s_k and weights gamma_k of m nodes, by the
-    formula evaluated afresh on every call."""
-    theta = np.arange(1, m) * math.pi / m
-    cot = 1.0 / np.tan(theta)
-    ts = 0.4 * m * np.concatenate(([1.0], theta * (cot + 1j)))
-    gamma = np.exp(ts) * np.concatenate(([0.5], 1.0 + 1j * theta * (1.0 + cot * cot) - 1j * cot))
-    return ts, gamma
 
 
 def joint_backward_model_per_power(x: np.ndarray, params, sizes, gamma_h: float) -> np.ndarray:

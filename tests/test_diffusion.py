@@ -252,23 +252,33 @@ def test_laplace_p0_large_s_decay():
     # once |s| dwarfs the truncated spectrum (n_eigen * theta), the sum
     # decays as 1/|s|
     solver = SinkSolver(MODEL, IonizationSink(strength_s=0.0))
-    v1, v2 = solver._laplace_p0(solver._w_sink[None], np.array([1e6, 1e7], dtype=complex))[0]
+    s = np.array([1e6, 1e7], dtype=complex)
+    v1, v2 = solver._laplace_sp0(s, solver._w_sink[None])[0][0] / s
     assert abs(v2) == pytest.approx(abs(v1) * 0.1, rel=0.05)
 
 
 def test_laplace_p0_tail_suppressed():
     # the grid spans +-6.5 stationary sigmas around the source at f = 0
     solver = SinkSolver(MODEL, IonizationSink(strength_s=0.0))
-    p0 = solver._laplace_p0(solver._w_f.T, np.array([50.0], dtype=complex))[:, 0]
+    p0 = solver._laplace_sp0(np.array([50.0], dtype=complex), solver._w_f.T)[0][:, 0]
     sigma_inf = math.sqrt(MODEL.stationary_variance)
     assert solver.grid[-1] == pytest.approx(6.5 * sigma_inf, rel=1e-12)
     assert abs(p0[-1]) < 1e-8 * abs(p0[solver.grid.size // 2])
 
 
 def test_sink_reduces_to_p0_at_zero_strength():
+    """At S = 0 the sink factor s + S s P~0(0, s) is s itself, so pdf gives
+    bit for bit the generic inversion of the sinkless transform s P~0 / s:
+    no trace of the sink row is left in any value, down to the pdf's tail
+    far below the contour's roundoff, and pdf's windowed contour sum is
+    ``invert_laplace``'s.  Both take the same mode sums, from the same
+    products on the same matrix, so on any BLAS kernel they agree; that the
+    sums themselves are right is checked against the complex resolvent in
+    tests/test_diffusion_oracle.py."""
     solver = SinkSolver(MODEL, IonizationSink(strength_s=500.0))
     tau = 0.4 / MODEL.theta
-    sinkless = invert_laplace(lambda s: solver._laplace_p0(solver._scale * solver._w_f.T, s), tau)
+    coef = solver._scale * solver._w_f.T
+    sinkless = invert_laplace(lambda s: solver._laplace_sp0(s, coef)[0] / s, tau)
     assert np.allclose(solver.pdf(tau, strength_s=0.0), sinkless, rtol=1e-12, atol=0.0)
 
 

@@ -1,11 +1,13 @@
 """The sink solver and the joint backward fit do the same float arithmetic as
 the references in ``oracles.py`` with less repeated work: one Hermite table
-of the even orders per process and (n_eigen, grid_points), one Talbot
-contour per node count, the sinkless sums of every projection in one pass
-over blocks of contour nodes and one Voigt call per joint-fit model
-evaluation.  Results agree bit for bit; with the per-model eigen-weights in
-frequency units, or with the complex resolvent 1/(n theta + s) in place of
-the solver's real arithmetic, they agree to rounding."""
+of the even orders per process and (n_eigen, grid_points), one hyperbolic
+contour per process, the sinkless sums of every projection from one pair of
+mode tables per window of times, the e^{z t} tables of a factorized build
+kept across calls, and one Voigt call per joint-fit model evaluation.
+Results agree bit for bit; with the per-model eigen-weights in frequency
+units, or with the complex resolvent 1/(n theta + s) in place of the
+solver's real arithmetic, they agree to rounding; with the fixed-Talbot
+contour of one inversion per time, they agree to that contour's error."""
 
 import tracemalloc
 import warnings
@@ -18,9 +20,10 @@ from decolab.diffusion import (HomogeneousLine, IonizationSink, OuDiffusionModel
                                PowerDataset, SinkSolver, SolverSettings, hermite_phi_table,
                                joint_fit_backward)
 from decolab.fitting import DecayCurve
-from oracles import (folded_unit_sink, hermite_phi_all_orders, joint_backward_model_per_power,
-                     model_unit_sink, sink_counts_reference, sink_inverse_real_per_contour,
-                     sink_pdf_reference, sink_survival_reference, talbot_contour_per_call)
+from oracles import (folded_unit_sink, hermite_phi_all_orders, hyperbola_per_call,
+                     joint_backward_model_per_power, model_unit_sink, sink_counts_reference,
+                     sink_inverse_real_per_contour, sink_inverse_talbot,
+                     sink_inverse_two_resolvents, sink_pdf_reference, sink_survival_reference)
 
 MODELS = [OuDiffusionModel(d_coeff=d, gamma_i=117.0) for d in (8.0e3, 1.6e4, 3.2e4)]
 LINE = HomogeneousLine(c0=38.0, gamma_h=22.0)
@@ -72,25 +75,29 @@ def test_counts_and_pdf_match_reference(settings):
 STRENGTHS = (0.0, 60.0, 150.0, 400.0, 1e6)
 
 
-def _deviation_from_two_resolvents(solver, ref, taus, pdf_taus, strengths=STRENGTHS):
+def _deviation_from_two_resolvents(solver, ref, taus, pdf_taus, strengths=STRENGTHS,
+                                   inverse=sink_inverse_two_resolvents):
     """Largest |solver - complex-resolvent reference| of the counts at taus,
     the survival at each of taus and the pdf at each of pdf_taus, each over
     its largest |reference| across the strengths.  The inversion's roundoff
     is absolute, set by the sinkless transform: where a strong sink empties
-    a value, both arithmetics sit at the same floor."""
+    a value, both arithmetics sit at the same floor.  The reference inverts
+    on the solver's hyperbolic windows, or with ``sink_inverse_talbot`` on
+    one fixed-Talbot contour per time."""
     deviation = {}
     counts = np.array([solver.counts_factorized(LINE, taus)(s) for s in strengths])
-    ref_counts = np.array([sink_counts_reference(ref, LINE, taus, s) for s in strengths])
+    ref_counts = np.array([sink_counts_reference(ref, LINE, taus, s, inverse)
+                           for s in strengths])
     deviation["counts"] = np.max(np.abs(counts - ref_counts)) / np.max(np.abs(ref_counts))
     survival = np.array([[solver.survival(t, s) for t in taus] for s in strengths])
-    ref_survival = np.array([[sink_survival_reference(ref, t, s) for t in taus]
+    ref_survival = np.array([[sink_survival_reference(ref, t, s, inverse) for t in taus]
                              for s in strengths])
     deviation["survival"] = np.max(np.max(np.abs(survival - ref_survival), axis=0) /
                                    np.max(np.abs(ref_survival), axis=0))
     deviation["pdf"] = 0.0
     for tau in pdf_taus:
         pdf = np.array([solver.pdf(tau, s) for s in strengths])
-        ref_pdf = np.array([sink_pdf_reference(ref, tau, s) for s in strengths])
+        ref_pdf = np.array([sink_pdf_reference(ref, tau, s, inverse) for s in strengths])
         deviation["pdf"] = max(deviation["pdf"],
                                np.max(np.abs(pdf - ref_pdf)) / np.max(np.abs(ref_pdf)))
     for values in (counts, survival):
@@ -112,6 +119,10 @@ def test_real_arithmetic_matches_complex_resolvent(model, settings):
     assert max(deviation.values()) <= 1e-11, deviation
 
 
+EXTREME_MODELS = [(1e-3, 1e-3), (1e-3, 1e3), (1.0, 117.0), (1e12, 1e3), (1e290, 1e-3),
+                  (1e290, 117.0)]
+
+
 def test_real_arithmetic_over_extreme_models():
     # D from 1e-3 to 1e290 MHz^2/s, gamma_i from 1e-3 to 1e3 MHz (theta from
     # 5.5e-9 to 5.5e296 s^-1) and tau from the validity bound to 1e300 s:
@@ -121,8 +132,7 @@ def test_real_arithmetic_over_extreme_models():
     # {1e-3, 1, 1.6e4, 1e12, 1e100, 1e200, 1e290} x gamma_i in {1e-3, 1, 117,
     # 1e3} and all five strengths
     worst = 0.0
-    for d, gamma_i in [(1e-3, 1e-3), (1e-3, 1e3), (1.0, 117.0), (1e12, 1e3), (1e290, 1e-3),
-                       (1e290, 117.0)]:
+    for d, gamma_i in EXTREME_MODELS:
         model = OuDiffusionModel(d_coeff=d, gamma_i=gamma_i)
         solver = SinkSolver(model, IonizationSink(strength_s=0.0))
         ref = folded_unit_sink(model, solver.settings)
@@ -133,6 +143,66 @@ def test_real_arithmetic_over_extreme_models():
                                                        (0.0, 150.0, 1e6))
         worst = max(worst, *deviation.values())
     assert worst <= 1e-11
+
+
+@pytest.mark.parametrize("d_coeff", [4.4e4, 3.2e4], ids=["MODEL", "fixture"])
+def test_contour_matches_fixed_talbot(d_coeff):
+    # the hyperbolic windows against one 24-node fixed-Talbot contour per
+    # time, both in complex arithmetic for the reference, over 3 ms - 0.6 s
+    # (one window) and from the validity bound (two); measured: at most
+    # 2.9e-12 of the largest value for S <= 400
+    model = OuDiffusionModel(d_coeff=d_coeff, gamma_i=117.0)
+    solver = SinkSolver(model, IonizationSink(strength_s=0.0))
+    ref = folded_unit_sink(model, solver.settings)
+    for taus in (np.geomspace(3e-3, 0.6, 12), np.geomspace(solver.min_valid_time, 0.6, 6)):
+        deviation = _deviation_from_two_resolvents(solver, ref, taus, taus[-1:], STRENGTHS[:4],
+                                                   sink_inverse_talbot)
+        assert max(deviation.values()) <= 1e-11, deviation
+
+
+def test_contour_matches_fixed_talbot_over_extreme_models():
+    # the model grid of the test above, one window per time; measured: at
+    # most 1.6e-12
+    worst = 0.0
+    for d, gamma_i in EXTREME_MODELS:
+        model = OuDiffusionModel(d_coeff=d, gamma_i=gamma_i)
+        solver = SinkSolver(model, IonizationSink(strength_s=0.0))
+        ref = folded_unit_sink(model, solver.settings)
+        taus = np.geomspace(solver.min_valid_time, 1e300, 4)
+        deviation = _deviation_from_two_resolvents(solver, ref, taus, taus[-1:],
+                                                   (0.0, 150.0, 400.0), sink_inverse_talbot)
+        worst = max(worst, *deviation.values())
+    assert worst <= 1e-11
+
+
+def test_contour_converges_in_its_node_count(monkeypatch):
+    # N + 16 nodes move no count by more than 1e-13 of the largest, at
+    # S = 1e6 too, where the fixed-Talbot reference differs by about 3e-12:
+    # that gap is Talbot's; measured: at most 7e-16
+    model = OuDiffusionModel(d_coeff=3.2e4, gamma_i=117.0)
+    taus = np.geomspace(3e-3, 0.6, 12)
+    strengths = np.array([0.0, 400.0, 1e6])
+    counts = []
+    for n in (diffusion.CONTOUR_N, diffusion.CONTOUR_N + 16):
+        monkeypatch.setattr(diffusion, "CONTOUR_N", n)
+        solver = SinkSolver(model, IonizationSink(strength_s=0.0))
+        counts.append(solver.counts_factorized(LINE, taus)(strengths))
+    assert np.max(np.abs(counts[1] - counts[0])) <= 1e-13 * np.max(counts[0])
+
+
+def test_sink_ratio_stays_in_the_float_range():
+    # theta = 5545 s^-1 and tau = 3e301 s: the contour's node nearest 0 sits
+    # near 2.7e-304, where S P~0(0, s) ~ S w_0 / s would overflow; the solver
+    # forms s P~0 / (s + S s P~0(0, s)), whose terms stay finite
+    model = OuDiffusionModel(d_coeff=1e-3, gamma_i=1e-3)
+    solver = SinkSolver(model, IonizationSink(strength_s=0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        counts = solver.counts_factorized(LINE, 3e301)(np.array([0.0, 150.0, 1e6]))
+        survival = [solver.survival(3e301, s) for s in (0.0, 150.0, 1e6)]
+    # at S > 0 the counts are 0 up to roundoff that is subnormal here
+    assert np.all((counts > -np.finfo(float).tiny) & (counts <= LINE.c0))
+    assert np.all(np.isfinite(survival))
 
 
 @pytest.mark.parametrize("settings", SETTINGS[:3], ids=SETTING_IDS[:3])
@@ -159,18 +229,18 @@ def test_shared_weights_are_read_only():
     x, w_f, w_sink = diffusion._unit_weights(solver.settings.n_eigen,
                                              solver.settings.grid_points)
     assert solver._w_f is w_f
-    for shared in (x, w_f, w_sink, *diffusion._talbot_contour(diffusion.INVERSION_NODES)):
+    for shared in (x, w_f, w_sink, *diffusion._hyperbola(diffusion.CONTOUR_N)):
         with pytest.raises(ValueError, match="read-only"):
             shared[0] = 0.0
         with pytest.raises(ValueError, match="read-only"):
             shared *= 2.0
 
 
-@pytest.mark.parametrize("m", [4, 24])
-def test_talbot_contour_matches_per_call_formula(m):
-    for got, want in zip(diffusion._talbot_contour(m), talbot_contour_per_call(m)):
+@pytest.mark.parametrize("n", [48, 64])
+def test_hyperbola_matches_per_call_formula(n):
+    for got, want in zip(diffusion._hyperbola(n), hyperbola_per_call(n)):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-    assert diffusion._talbot_contour(m)[0] is diffusion._talbot_contour(m)[0]
+    assert diffusion._hyperbola(n)[0] is diffusion._hyperbola(n)[0]
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 3, 4, 41, 1200, 2000, 2001])
@@ -182,44 +252,31 @@ def test_even_hermite_rows_match_all_orders_recurrence(n_max):
     assert np.all(table[1::2, -1] == 0.0)  # odd orders vanish at the source x = 0
 
 
-def test_resolvent_blocks_do_not_change_results(monkeypatch):
-    # blocks of 8 and of 240 nodes, the narrowest and widest whole 8-node
-    # groups for which BLAS reduces each node's column alike
+def test_tau_blocks_do_not_change_results(monkeypatch):
+    # blocks of 5 times of one window (0.6 s / 3 ms = 200), with no e^{z t}
+    # table kept or with one kept: each time's sum is its own dot product
     solver = SinkSolver(MODELS[1], IonizationSink(strength_s=150.0))
     taus = np.geomspace(3e-3, 0.6, 12)
-    blocks = []
-    reciprocal = np.reciprocal
-
-    def counting(*args, **kwargs):
-        blocks[-1] += 1  # one reciprocal table per block
-        return reciprocal(*args, **kwargs)
-
-    monkeypatch.setattr(np, "reciprocal", counting)
-
-    def evaluate():
-        out = []
-        for run in (lambda: solver.counts_factorized(LINE, taus)(150.0),
-                    lambda: solver.survival(0.05), lambda: solver.pdf(0.05)):
-            blocks.append(0)
-            out.append(run())
-        return out
-
-    monkeypatch.setattr(diffusion, "_NODE_BLOCK", 240)
-    wide = evaluate()
-    assert blocks == [2, 1, 1]  # 288 nodes in blocks of 240, then 24 nodes
-    blocks.clear()
-    monkeypatch.setattr(diffusion, "_NODE_BLOCK", 8)
-    narrow = evaluate()
-    assert blocks == [taus.size * 3, 3, 3]  # 8 of the 24 Talbot nodes per block
-    for a, b in zip(wide, narrow):
-        assert np.array_equal(bits(a), bits(b))
+    strengths = np.array([0.0, 150.0, 1e6])
+    want = solver.counts_factorized(LINE, taus)(strengths)
+    assert [t0 for t0, _ in diffusion._windows(taus)] == [taus[0]]
+    monkeypatch.setattr(diffusion, "_TAU_BLOCK", 5)
+    assert [(t0, index.size) for t0, index in diffusion._windows(taus)] == \
+        [(taus[0], 5), (taus[0], 5), (taus[0], 2)]
+    for kept in (0, 1):
+        monkeypatch.setattr(diffusion, "_KEPT_BLOCKS", kept)
+        assert np.array_equal(bits(solver.counts_factorized(LINE, taus)(strengths)), bits(want))
+    # times in any order fall in the same windows
+    order = np.random.default_rng(0).permutation(taus.size)
+    assert np.array_equal(bits(solver.counts_factorized(LINE, taus[order])(strengths)),
+                          bits(want[:, order]))
 
 
 def test_counts_factorized_memory_is_bounded():
-    # one complex resolvent table over all 2000 x 24 nodes would take 768 MB
-    # (1.5 GB with the odd modes)
+    # 10^5 times in one window: the e^{z t} table of every time would take
+    # 104 MB, and the per-time Talbot sums of the sink and the counts 77 MB
     solver = SinkSolver(MODELS[1], IonizationSink(strength_s=150.0))
-    taus = np.geomspace(3e-3, 0.6, 2000)
+    taus = np.geomspace(3e-3, 0.6, 100_000)
     tracemalloc.start()
     try:
         counts_of_s = solver.counts_factorized(LINE, taus)

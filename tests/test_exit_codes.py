@@ -180,15 +180,40 @@ def _finite_cells(path: Path) -> bool:
     return all(math.isfinite(float(cell)) for row in rows for cell in row)
 
 
-@pytest.mark.parametrize("argv", [
-    [*PREDICT, "--gamma-h", "1e-300", "--points", "3"],
-    [*PREDICT[:6], "--gamma-h", "1e-300", "--points", "3"],
-    [*IONIZATION, "--gamma-h", "1e-300"],
+@pytest.mark.parametrize("argv, code", [
+    ([*PREDICT, "--gamma-h", "1e-300", "--points", "3"], 2),
+    ([*PREDICT[:6], "--gamma-h", "1e-300", "--points", "3"], 0),
+    ([*IONIZATION, "--gamma-h", "1e-300"], 2),
 ], ids=["predict-sink", "predict", "ionization"])
-def test_line_width_whose_square_underflows(tmp_path, recwarn, argv):
-    # hw^2 underflows to 0, so c0 hw^2 / (d^2 + hw^2) would be 0/0 at d = 0
-    code = main([*argv, "--out", str(tmp_path / "out")])
-    assert code in EXIT_CODES
+def test_line_width_whose_square_underflows(tmp_path, capsys, recwarn, argv, code):
+    # hw^2 underflows to 0, so c0 hw^2 / (d^2 + hw^2) would be 0/0 at d = 0.
+    # The sinkless counts resolve such a line through the Voigt profile; the
+    # sink solver's frequency grid cannot (its counts came out 300 orders too
+    # high), so the commands that use it exit 2 on the S = 0 self-check
+    assert main([*argv, "--out", str(tmp_path / "out")]) == code
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
-    outputs = [p for p in (tmp_path / "out").iterdir() if p.suffix in (".csv", ".json")]
-    assert outputs and all(_finite_cells(p) for p in outputs)
+    if code:
+        err = capsys.readouterr().err
+        assert err.startswith("decolab: gamma_h 1e-300 MHz is not resolved by the sink solver's "
+                              "frequency grid (spacing 0.807 MHz)") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+    else:
+        outputs = [p for p in (tmp_path / "out").iterdir() if p.suffix in (".csv", ".json")]
+        assert outputs and all(_finite_cells(p) for p in outputs)
+
+
+@pytest.mark.parametrize("argv, code", [
+    ([*PREDICT, "--gamma-h", "2MHz"], 2),
+    ([*PREDICT, "--gamma-h", "5MHz"], 0),
+    ([*PREDICT, "--gamma-h", "5MHz", "--c0", "0"], 0),
+    ([*IONIZATION, "--gamma-h", "2MHz"], 2),
+], ids=["predict-2MHz", "predict-5MHz", "predict-c0-zero", "ionization-2MHz"])
+def test_sink_commands_check_the_line_against_the_grid(tmp_path, capsys, argv, code):
+    # the S = 0 self-check's residual is 9.7e-4 of the largest count at
+    # gamma_h = 2 MHz and about 1e-8 at 5 MHz (grid spacing 0.807 MHz at
+    # gamma_i = 117 MHz), against the bound of 1e-6
+    assert main([*argv, "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert "gamma_h 2.0 MHz is not resolved" in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
