@@ -514,14 +514,15 @@ def cmd_diffusion(args: argparse.Namespace) -> int:
     taus = _positive_times(args, "tau_range", 40)
     _print_config(args)
     out = OutputWriter(Path(args.out), "diffusion predict", args.seed, "-")
-    forward = backward = diff.counts_no_ionization(model, line, taus, args.detuning)
     if sink.strength_s > 0.0:
         solver = diff.SinkSolver(model, sink)
         try:
-            counts_of_s = diff._resolved_counts(solver, line, taus, args.detuning)
+            _, backward, (forward,) = diff._resolved_counts(solver, line, taus, args.detuning,
+                                                            [sink.strength_s])
         except diff.ValidityError as exc:
             raise ConfigError(f"--tau-range: {exc}") from None
-        forward = counts_of_s(sink.strength_s)
+    else:
+        forward = backward = diff.counts_no_ionization(model, line, taus, args.detuning)
     forward = args.forward_rescale * forward
     path = out.csv("diffusion_predict.csv", diff.DIFFUSION_COLUMNS,
                    [taus, forward, backward, np.zeros(taus.size)])

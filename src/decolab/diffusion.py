@@ -353,17 +353,23 @@ def _unit_weights(n_eigen: int, grid_points: int) -> tuple[np.ndarray, np.ndarra
     The grid x spans +-GRID_HALFWIDTH_SIGMAS stationary standard deviations,
     +-GRID_HALFWIDTH_SIGMAS / sqrt(2) in x for every model.  The weights
     u_n(x) = phi_0(x) phi_n(x) phi_n(0) / phi_0(0) of the even n < n_eigen
-    (the source at x = 0) come from one Hermite table over the grid and the
-    sink point x = 0, appended as the last column; u_n(0) is returned apart.
-    In frequency units w_n(f) = scale u_n(f scale), scale = _x_units(model).
+    (the source at x = 0) are formed in place in the one Hermite table over
+    the grid; u_n(0) is returned apart.  At x = 0 the recurrence takes each
+    even order to minus the one before times sqrt((2k - 1) / 2k), the same
+    operations as ``hermite_phi_table``'s, so that column is one running
+    product.  In frequency units w_n(f) = scale u_n(f scale), scale =
+    _x_units(model).
     """
     half = GRID_HALFWIDTH_SIGMAS / math.sqrt(2.0)
     x = np.linspace(-half, half, grid_points)
-    phi = hermite_phi_table(n_eigen, np.append(x, 0.0))
-    src = phi[:, -1] / phi[0, -1]
-    w_f = np.multiply(phi[0, :-1], phi[:, :-1])
+    k = np.arange(1, (n_eigen + 1) // 2)
+    phi_0 = np.multiply.accumulate(np.r_[1.0 / _PI_QUARTER, -np.sqrt((2 * k - 1) / (2.0 * k))])
+    src = phi_0 / phi_0[0]
+    w_f = hermite_phi_table(n_eigen, x)
+    w_f[1:] *= w_f[0]  # row 0 last: an operand overlapping the output is copied whole
+    w_f[0] *= w_f[0]
     w_f *= src[:, None]
-    w_sink = phi[0, -1] * phi[:, -1] * src
+    w_sink = phi_0[0] * phi_0 * src
     for a in (x, w_f, w_sink):
         a.flags.writeable = False
     return x, w_f, w_sink
@@ -432,13 +438,15 @@ def _contour_table(t0: float, t: np.ndarray) -> np.ndarray:
     return np.stack((e.imag, e.real), axis=-1).reshape(t.size, -1)
 
 
-def _window_sums(t: np.ndarray, blocks: list, values: Callable, tables: Sequence = ()):
+def _window_sums(t: np.ndarray, blocks: list, values: Callable, tables: Sequence = (),
+                 lead: tuple = ()):
     """Im sum_k (w_k / t0) e^{z_k t / t0} F_k at the times t for each block
     (t0, index) of ``_windows(t.ravel())``: F = values(t0) at the window's
-    nodes z_k / t0, shape (..., CONTOUR_N + 1), and tables[i], where kept, is
-    block i's ``_contour_table``.  Shape (..., *t.shape), a float when that
-    is empty."""
-    flat, out = t.ravel(), None
+    nodes z_k / t0, shape (*lead, CONTOUR_N + 1), and tables[i], where kept,
+    is block i's ``_contour_table``.  Shape (*lead, *t.shape), a float when
+    that is empty; no times give an empty array of that shape."""
+    flat = t.ravel()
+    out = np.empty(lead + flat.shape) if not blocks else None
     for i, (t0, index) in enumerate(blocks):
         table = tables[i] if i < len(tables) else _contour_table(t0, flat[index])
         part = np.einsum("...k,jk->...j", np.ascontiguousarray(values(t0)).view(float), table)
@@ -525,9 +533,13 @@ class SinkSolver:
         depend on another's rows.  Above the validity bound x and q stay finite.
         """
         theta = self.model.theta
-        x = self._n_even + s.real / theta
+        # x and q in one allocation, which glibc reuses from call to call; as
+        # two 0.5 MB arrays they are mapped afresh and fault on every call
+        # (about 2 400 minor faults a benchmark pass of spectral_fits)
+        x, q = np.empty((2, self._n_even.size, s.size))
+        np.add(self._n_even, s.real / theta, out=x)
         y = s.imag / theta
-        q = np.multiply(x, x)
+        np.multiply(x, x, out=q)
         q += y * y
         np.reciprocal(q, out=q)
         x *= q
@@ -570,7 +582,8 @@ class SinkSolver:
                 s, sp0, sp0_sink = sums[t0]
                 return sp0 / (s + strength * sp0_sink)
 
-            return _window_sums(taus, blocks, values, tables)
+            return _window_sums(taus, blocks, values, tables,
+                                strength.shape[:-1] + coef.shape[:-1])
 
         return invert
 
@@ -611,19 +624,25 @@ class SinkSolver:
 
 
 def _resolved_counts(solver: SinkSolver, line: HomogeneousLine, taus,
-                     probe_detuning: float = 0.0) -> Callable[[float], np.ndarray]:
+                     probe_detuning: float = 0.0, strengths: Sequence[float] = ()
+                     ) -> tuple[Callable[[float], np.ndarray], np.ndarray, np.ndarray]:
     """``solver.counts_factorized``, refusing a line the grid cannot resolve:
     S = 0 counts more than MAX_S0_RESIDUAL of the largest count off
-    ``counts_no_ionization`` are a ValueError naming gamma_h and the spacing."""
+    ``counts_no_ionization`` are a ValueError naming gamma_h and the spacing.
+    Returns S -> counts, the sinkless counts and the counts at each of
+    strengths, which share the check's call: the e^{z t} tables beyond the
+    kept blocks are formed once, and each row has the bits of its own call.
+    """
     invert = solver.counts_factorized(line, taus, probe_detuning)
     exact = counts_no_ionization(solver.model, line, taus, probe_detuning)
-    deviation = np.max(np.abs(invert(0.0) - exact), initial=0.0)
+    counts = invert(np.array([0.0, *strengths]))
+    deviation = np.max(np.abs(counts[0] - exact), initial=0.0)
     if not deviation <= MAX_S0_RESIDUAL * np.max(exact, initial=0.0):
         raise ValueError(f"gamma_h {line.gamma_h!r} MHz is not resolved by the sink solver's "
                          f"frequency grid (spacing {solver.grid[1] - solver.grid[0]:.3g} MHz): "
                          f"its S = 0 counts deviate by {deviation:.2g}, above "
                          f"{MAX_S0_RESIDUAL:g} of the largest, {np.max(exact):.3g}")
-    return invert
+    return invert, exact, counts[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -717,7 +736,7 @@ def fit_ionization_rate(forward: DecayCurve, backward_model: OuDiffusionModel,
     solver's grid cannot resolve is a ValueError (``_resolved_counts``).
     """
     solver = SinkSolver(backward_model, IonizationSink(strength_s=0.0), settings)
-    counts_of_s = _resolved_counts(solver, line, forward.x)
+    counts_of_s = _resolved_counts(solver, line, forward.x)[0]
 
     def model_fn(x, params):
         return forward_rescale * counts_of_s(params[..., 0])

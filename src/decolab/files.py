@@ -14,7 +14,7 @@ import csv
 import json
 import math
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -108,29 +108,42 @@ def increasing_finite(name: str, value: float, previous: float, line: int) -> fl
 # output
 # ---------------------------------------------------------------------------
 
-def write_text(path: str | Path, text: str) -> None:
-    """Write text as UTF-8 with \\n newlines to a new file at path; every
-    output file of the package is written here.  Whatever was at path (an
-    earlier output, a link) is removed first rather than rewritten in place:
-    ext4, with its default auto_da_alloc, flushes a truncated and rewritten
-    file to disk when it is closed, which costs more than the write.  A
-    directory at path stays and raises OSError."""
+#: rows per piece of a written CSV
+_CSV_ROWS = 2 ** 14
+
+
+def write_text(path: str | Path, text: str | Iterable[str]) -> None:
+    """Write text, or its pieces in turn, as UTF-8 with \\n newlines to a new
+    file at path; every output file of the package is written here.
+    Whatever was at path (an earlier output, a link) is removed first rather
+    than rewritten in place: ext4, with its default auto_da_alloc, flushes a
+    truncated and rewritten file to disk when it is closed, which costs more
+    than the write.  A directory at path stays and raises OSError."""
     Path(path).unlink(missing_ok=True)
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.writelines([text] if isinstance(text, str) else text)
 
 
 def write_csv(path: str | Path, header: Sequence[str], columns: Sequence,
               preamble: Sequence[str] = ()) -> None:
     """Write the preamble lines, then one column per header name: float cells
     as repr (the shortest text that reads back to the same double), integer
-    cells as str, strings unchanged."""
-    cells = []
-    for column in columns:
-        values = np.asarray(column)
-        cells.append(map(repr if values.dtype.kind == "f" else str, values.tolist()))
-    lines = [*preamble, ",".join(header), *map(",".join, zip(*cells, strict=True))]
-    write_text(path, "\n".join(lines) + "\n")
+    cells as str, strings unchanged.  The rows are formatted and written
+    _CSV_ROWS at a time, so the text of a long column is never held whole."""
+    columns = [np.asarray(column) for column in columns]
+    if len({column.shape[0] for column in columns}) > 1:
+        raise ValueError("CSV columns differ in length")
+    formats = [repr if column.dtype.kind == "f" else str for column in columns]
+    n_rows = columns[0].shape[0] if columns else 0
+
+    def pieces():
+        yield "\n".join([*preamble, ",".join(header)]) + "\n"
+        for start in range(0, n_rows, _CSV_ROWS):
+            cells = [map(f, column[start:start + _CSV_ROWS].tolist())
+                     for f, column in zip(formats, columns)]
+            yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+    write_text(path, pieces())
 
 
 def write_json(path: str | Path, payload: dict) -> None:

@@ -17,6 +17,8 @@ from .files import write_text
 
 _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 64, 16, 20, 46
+#: points per formatted piece of a series
+_POINTS = 2 ** 14
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
@@ -81,6 +83,12 @@ class SvgPlot:
                 _padded(float(y_all.min()), float(y_all.max())))
 
     def write(self, path: str | Path) -> None:
+        write_text(path, self._pieces())
+
+    def _pieces(self):
+        """The SVG text in pieces: the axes, then the bars and each series,
+        whose points are scaled and formatted _POINTS at a time, so the text
+        of a long series is never held whole."""
         (x0, x1), (y0, y1) = self._limits()
         sx = lambda v: _ML + (v - x0) / (x1 - x0) * (_W - _ML - _MR)
         sy = lambda v: _H - _MB - (v - y0) / (y1 - y0) * (_H - _MT - _MB)
@@ -113,22 +121,27 @@ class SvgPlot:
             parts += map('<rect x="{:.1f}" y="{:.1f}" width="{:.1f}" height="{:.1f}" '
                          'fill="#aec7e8" stroke="none"/>'.format,
                          xe[:-1].tolist(), ytop.tolist(), width.tolist(), height.tolist())
+        yield "\n".join(parts) + "\n"
         for i, (x, y, label, style) in enumerate(self.series):
             color = _COLORS[i % len(_COLORS)]
             m = np.isfinite(x) & np.isfinite(y)
-            px, py = sx(x[m]).tolist(), sy(y[m]).tolist()
+            x, y = x[m], y[m]
             if style == "line":
-                pts = " ".join(map("{:.1f},{:.1f}".format, px, py))
-                parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                             'stroke-width="1.5"/>')
+                yield '<polyline points="'
+                point, sep = "{:.1f},{:.1f}", " "
+                end = f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n'
             else:
-                circle = f'<circle cx="{{:.1f}}" cy="{{:.1f}}" r="2.5" fill="{color}"/>'
-                parts += map(circle.format, px, py)
+                point, sep = f'<circle cx="{{:.1f}}" cy="{{:.1f}}" r="2.5" fill="{color}"/>', "\n"
+                end = "\n" if x.size else ""
+            for start in range(0, x.size, _POINTS):
+                block = slice(start, start + _POINTS)
+                text = sep.join(map(point.format, sx(x[block]).tolist(), sy(y[block]).tolist()))
+                yield text if start == 0 else sep + text
+            yield end
             if label:
-                parts.append(f'<text x="{_W-_MR-8}" y="{_MT+14+14*i}" text-anchor="end" '
-                             f'font-size="11" fill="{color}">{label}</text>')
-        parts.append("</svg>")
-        write_text(path, "\n".join(parts) + "\n")
+                yield (f'<text x="{_W-_MR-8}" y="{_MT+14+14*i}" text-anchor="end" '
+                       f'font-size="11" fill="{color}">{label}</text>\n')
+        yield "</svg>\n"
 
 
 def quick_line_plot(path: str | Path, x, ys: Sequence, labels: Sequence[str],

@@ -24,7 +24,8 @@ per component,
 which splits into a delay-dependent factor R = gamma_nv B e^{i phi} conj F
 (delays x components) and an offset-dependent factor E = e^{-i w t0}
 (components x offsets): Phi = Re(R @ E).  Many delays and offsets are
-therefore evaluated in one matrix product.
+therefore evaluated in one matrix product, and the offset averages take
+one per block of delays, so their memory is bounded at any sweep size.
 
 The time offset passed to the phase functions adds to the model's own t0;
 unsynchronized expectation values average it over one fundamental period.
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -55,8 +57,14 @@ POLE_WINDOW = 1e-6
 
 #: amplitude scales of the Ramsey envelope
 N_A = 21
-#: most phases per block of the Ramsey envelope's closed form
-_ENVELOPE_BLOCK = 2 ** 14
+#: most phases (delays x offsets) per block of an offset-averaged sweep:
+#: 655 delays at the default 400 offsets, so every README, study-script and
+#: benchmark sweep (562 delays at most) is one block, one matrix product
+_SWEEP_PHASES = 2 ** 18
+#: most phases per piece of a block that takes its cosines (or the envelope's
+#: closed form) and row means: whole delays whose temporaries stay below
+#: glibc's 128 KiB mmap threshold, so they are reused, not mapped afresh
+_PIECE_PHASES = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -156,6 +164,12 @@ def filter_function(omega, n_pulses: int, tau):
     DC fields are refocused for N >= 1, F(0) = 0; Ramsey integrates them,
     F(0) = T.
     """
+    out = _filter(omega, n_pulses, tau)
+    return complex(out) if out.ndim == 0 else out
+
+
+def _filter(omega, n_pulses: int, tau) -> np.ndarray:
+    """``filter_function`` as an array, also of no dimensions."""
     omega, tau = np.broadcast_arrays(np.asarray(omega, dtype=float),
                                      np.asarray(tau, dtype=float))
     n = int(n_pulses)
@@ -166,8 +180,29 @@ def filter_function(omega, n_pulses: int, tau):
         else:
             pref = 2.0 / omega if n % 2 == 0 else 2.0j / omega
             out = pref * np.exp(-1j * n * alpha) * _toggle_factor(n, alpha)
-    out = np.where(omega == 0.0, tau if n == 0 else 0.0, out)
-    return complex(out) if out.ndim == 0 else out
+    return np.where(omega == 0.0, tau if n == 0 else 0.0, out)
+
+
+def _delay_factor(model: AcFieldModel, n_pulses: int, tau: np.ndarray) -> np.ndarray:
+    """R = gamma_nv B e^{i phi} conj F(w) of the comb components w at the
+    delays tau, shape tau.shape + (components,)."""
+    amplitude = np.array([c.amplitude for c in model.components])
+    omega = TWO_PI * np.array([c.frequency for c in model.components])
+    phase = np.array([c.phase for c in model.components])
+    return (CONSTANTS.gamma_nv * amplitude * np.exp(1j * phase)
+            * np.conj(_filter(omega, n_pulses, tau[..., None])))
+
+
+def _offset_factor(model: AcFieldModel, t0: np.ndarray) -> np.ndarray:
+    """E = e^{-i w t0} of the comb components w at the offsets t0 (added to
+    the model's t0), shape (components, t0.size)."""
+    omega = TWO_PI * np.array([c.frequency for c in model.components])
+    return np.exp(-1j * np.outer(omega, t0 + model.t0))
+
+
+def _phases(r: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Phi = Re(R @ E) of delay factors R and offset factors E."""
+    return np.real(r @ e)
 
 
 def phase_of(model: AcFieldModel, seq: PulseSequence, t0=0.0):
@@ -177,15 +212,10 @@ def phase_of(model: AcFieldModel, seq: PulseSequence, t0=0.0):
     scalars): Phi = Re(R @ E) with R over delays x components and E over
     components x offsets.
     """
-    amplitude = np.array([c.amplitude for c in model.components])
-    omega = TWO_PI * np.array([c.frequency for c in model.components])
-    phase = np.array([c.phase for c in model.components])
     tau = np.asarray(seq.tau, dtype=float)
-    r = (CONSTANTS.gamma_nv * amplitude * np.exp(1j * phase)
-         * np.conj(filter_function(omega, seq.n_pulses, tau[..., None])))
-    t0 = np.asarray(t0, dtype=float) + model.t0
-    e = np.exp(-1j * np.outer(omega, t0))
-    out = np.real(r @ e).reshape(tau.shape + t0.shape)
+    t0 = np.asarray(t0, dtype=float)
+    out = _phases(_delay_factor(model, seq.n_pulses, tau), _offset_factor(model, t0))
+    out = out.reshape(tau.shape + t0.shape)
     return float(out) if out.ndim == 0 else out
 
 
@@ -202,12 +232,45 @@ def _trigger_offsets(model: AcFieldModel, n_t0: int) -> np.ndarray:
     return (np.arange(n_t0) + 0.5) * (period / n_t0)
 
 
+def _offset_mean(model: AcFieldModel, seq: PulseSequence, n_t0: int,
+                 of_phase: Callable[[np.ndarray], np.ndarray] = np.cos) -> np.ndarray:
+    """The mean of of_phase(Phi) over the n_t0 trigger offsets, one value per
+    delay of seq (shape tau.shape): E once, then per block of whole delays
+    of at most _SWEEP_PHASES phases (one delay where n_t0 exceeds that) R
+    and the phases, and per piece of the block of at most _PIECE_PHASES
+    of_phase and the row means, so that no temporary spans all delays x
+    offsets.  of_phase acts elementwise and a row's mean is its own, so the
+    pieces give the bits of the whole block.  The blocks depend only on the
+    numbers of delays and offsets, and call private helpers only."""
+    tau = np.asarray(seq.tau, dtype=float)
+    flat = tau.ravel()
+    e = _offset_factor(model, _trigger_offsets(model, n_t0))
+    rows, piece = (max(1, budget // n_t0) for budget in (_SWEEP_PHASES, _PIECE_PHASES))
+    out = np.empty(flat.size)
+    for start in range(0, flat.size, rows):
+        block = slice(start, start + rows)
+        phi = _phases(_delay_factor(model, seq.n_pulses, flat[block]), e)
+        means = out[block]
+        for i in range(0, phi.shape[0], piece):
+            means[i:i + piece] = np.mean(of_phase(phi[i:i + piece]), axis=-1)
+        del phi  # before the next block's product is formed
+    return out.reshape(tau.shape)
+
+
 def expectation_unsynchronized(model: AcFieldModel, seq: PulseSequence,
                                n_t0: int = N_T0):
     """<X> averaged over the sequence trigger offset, one value per delay:
     the mean of cos(Phi(t0)) over the n_t0 offsets of one fundamental period.
+
+    Delays are worked through in blocks of at most _SWEEP_PHASES phases
+    (``_offset_mean``); a sweep of one block gives the bits of
+    ``np.mean(np.cos(phase_of(model, seq, offsets)), axis=-1)``.  A larger
+    sweep is reproducible for given numbers of delays and offsets, not per
+    delay: the matrix product of a block may move a value's last bits with
+    the block's other rows, as the sink solver's contour values are
+    reproducible for a given set of times (``diffusion.invert_laplace``).
     """
-    out = np.mean(np.cos(phase_of(model, seq, _trigger_offsets(model, n_t0))), axis=-1)
+    out = _offset_mean(model, seq, n_t0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -256,8 +319,8 @@ def ramsey_envelope(model: AcFieldModel, amplitude_range: tuple[float, float],
     integer) it is (-1)^(m (n_a - 1)) sin(n_a eps) / sin(eps), which is
     evaluated at every h, and takes its limit n_a at eps = 0.  For s = 0
     (n_a = 1 or a_min = a_max) the ratio is 1 and the result the single
-    cosine.  The offsets are worked through in row blocks of at most
-    2^14 phases, so the temporaries stay small beside the phase table.
+    cosine.  The delays are worked through in the blocks of
+    ``expectation_unsynchronized``, with its reproducibility.
     """
     a_min, a_max = amplitude_range
     if not (0.0 < a_min <= a_max):
@@ -266,15 +329,12 @@ def ramsey_envelope(model: AcFieldModel, amplitude_range: tuple[float, float],
         raise ValueError("n_a must be >= 1")
     a_mid = 0.5 * (a_min + a_max)
     half_step = 0.5 * (a_max - a_min) / (n_a - 1) if n_a > 1 else 0.0
-    times = np.asarray(times, dtype=float)
-    phi = phase_of(model, PulseSequence.ramsey(times), _trigger_offsets(model, n_t0))
-    phi = phi.reshape(-1, n_t0)
-    out = np.empty(phi.shape[0])
-    rows = max(1, _ENVELOPE_BLOCK // n_t0)
-    for start in range(0, phi.shape[0], rows):
-        block = slice(start, start + rows)
-        out[block] = np.mean(_scale_averaged_cos(phi[block], a_mid, half_step, n_a), axis=-1)
-    return out.reshape(times.shape)[()]
+
+    def scale_averaged(phi: np.ndarray) -> np.ndarray:
+        return _scale_averaged_cos(phi, a_mid, half_step, n_a)
+
+    return _offset_mean(model, PulseSequence.ramsey(np.asarray(times, dtype=float)), n_t0,
+                        scale_averaged)[()]
 
 
 def _scale_averaged_cos(phi: np.ndarray, a_mid: float, half_step: float,

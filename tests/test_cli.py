@@ -345,6 +345,44 @@ def test_diffusion_predict_roundtrip(tmp_path):
     assert (tmp_path / "diffusion_predict.svg").exists()
 
 
+@pytest.mark.parametrize("sink_s", ["0", "150"])
+def test_diffusion_predict_of_no_times_writes_the_header(tmp_path, sink_s):
+    # --points 0 leaves no time: the sink solver's sums are empty, not an error
+    assert run(["diffusion", "predict", "--gamma-i", "117", "--d-coeff", "1.6e4",
+                "--sink-s", sink_s, "--tau-range", "1ms:2ms", "--points", "0",
+                "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "diffusion_predict.csv").read_text().splitlines()
+    assert lines[1:] == ["tau_d_s,counts_forward,counts_backward,stderr"]
+
+
+def test_diffusion_predict_forms_each_table_and_the_voigt_counts_once(tmp_path, monkeypatch):
+    # the S = 0 self-check and the S counts share one call: with no e^{z t}
+    # table kept, each of the 3 blocks of 12 times forms its table once, and
+    # the sinkless counts (the check's reference and the backward column)
+    # are evaluated once
+    from decolab import diffusion
+
+    tables, voigt = [], []
+
+    def contour_table(t0, t):
+        tables.append(t.size)
+        return contour_table_of(t0, t)
+
+    def counts_no_ionization(*args):
+        voigt.append(args)
+        return counts_of(*args)
+
+    contour_table_of, counts_of = diffusion._contour_table, diffusion.counts_no_ionization
+    monkeypatch.setattr(diffusion, "_contour_table", contour_table)
+    monkeypatch.setattr(diffusion, "counts_no_ionization", counts_no_ionization)
+    monkeypatch.setattr(diffusion, "_TAU_BLOCK", 5)
+    monkeypatch.setattr(diffusion, "_KEPT_BLOCKS", 0)
+    assert run(["diffusion", "predict", "--gamma-i", "117", "--d-coeff", "1.6e4",
+                "--sink-s", "150", "--tau-range", "5ms:100ms", "--points", "12",
+                "--out", str(tmp_path)]) == 0
+    assert tables == [5, 5, 2] and len(voigt) == 1
+
+
 def test_bath_t2star_command(tmp_path):
     assert run(["bath", "t2star", "--chi", "0.0442%", "--n-baths", "300",
                 "--out", str(tmp_path), "--seed", "2"]) == 0

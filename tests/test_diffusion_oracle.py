@@ -304,7 +304,21 @@ def test_one_hermite_table_per_settings_in_a_process(monkeypatch):
             solver = SinkSolver(model, IonizationSink(strength_s=150.0), settings)
             solver.counts_factorized(LINE, taus)(150.0)
             solver.pdf(0.05)
-    assert calls == [(s.n_eigen, s.grid_points + 1) for s in SETTINGS[:3:2]]
+    assert calls == [(s.n_eigen, s.grid_points) for s in SETTINGS[:3:2]]
+
+
+def test_unit_weights_peak_at_one_table():
+    # the weights are formed in place in the Hermite table over the grid,
+    # the x = 0 column apart, so the build holds one table, not two
+    n_eigen, grid_points = 2000, 801
+    table_bytes = (n_eigen + 1) // 2 * grid_points * 8
+    tracemalloc.start()
+    try:
+        diffusion._unit_weights.__wrapped__(n_eigen, grid_points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * table_bytes
 
 
 def _captured_joint_model(monkeypatch, datasets):

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from decolab import __version__
+from decolab import __version__, files, plotsvg
 from decolab.bath import ELECTRON_R_MAX, BathConfig, t2star_distribution
 from decolab.cli import OutputWriter, main, parse_quantity, parse_range
 from decolab.diffusion import (HomogeneousLine, IonizationSink, OuDiffusionModel, SinkSolver,
@@ -79,6 +79,16 @@ def test_sweep_csv(tmp_path, kind, n_pulses, range_text, points):
     assert_same_bytes(out / "sweep.csv",
                       ["sequence_kind", "n_pulses", "tau_s", "t_total_s", "expectation"], rows,
                       stamp(f"simulate {kind}", 0), tmp_path)
+
+
+def test_sweep_csv_in_blocks_of_rows(tmp_path, monkeypatch):
+    # 11 rows written 4 at a time, a remainder of 3; columns of unequal
+    # length are refused before anything is written
+    monkeypatch.setattr(files, "_CSV_ROWS", 4)
+    test_sweep_csv(tmp_path, "hahn", 1, "-0.1ms:1ms", 12)
+    with pytest.raises(ValueError, match="differ in length"):
+        files.write_csv(tmp_path / "bad.csv", ["a", "b"], [[1.0, 2.0], [1.0]])
+    assert not (tmp_path / "bad.csv").exists()
 
 
 @pytest.mark.parametrize("extra, seed", [
@@ -193,6 +203,17 @@ def test_svg_series_with_nan_and_inf(tmp_path, written_plots):
                     styles=["points", "points", "line"])
     assert_svgs_match_per_point(written_plots)
     assert '<polyline points=""' in (tmp_path / "lines.svg").read_text()
+
+
+def test_svg_series_in_blocks_of_points(tmp_path, written_plots, monkeypatch):
+    # series of 7 and 8 finite points formatted 3 at a time, a remainder
+    # of 1 and of 2, as lines and as points
+    monkeypatch.setattr(plotsvg, "_POINTS", 3)
+    x = np.linspace(0.0, 2.0, 9)
+    ys = [np.sin(x), np.where(x == 1.0, np.nan, np.cos(x))]
+    quick_line_plot(tmp_path / "lines.svg", x, ys, ["a", "b"])
+    quick_line_plot(tmp_path / "points.svg", x, ys, ["a", ""], styles=["points", "points"])
+    assert_svgs_match_per_point(written_plots)
 
 
 @pytest.mark.parametrize("samples", [

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -251,6 +252,70 @@ def test_synchronized_response():
 
 
 # ---------------------------------------------------------------------------
+# offset-averaged sweeps in blocks of delays
+# ---------------------------------------------------------------------------
+
+SWEEPS = {"ramsey": PulseSequence.ramsey, "hahn": PulseSequence.hahn,
+          "cpmg8": lambda t: PulseSequence.cpmg(8, t)}
+ENVELOPE = ((0.85, 1.27), 21)
+
+
+def _envelope_of_phases(phi):
+    (a_min, a_max), n_a = ENVELOPE
+    half_step = 0.5 * (a_max - a_min) / (n_a - 1)
+    return sequences._scale_averaged_cos(phi, 0.5 * (a_min + a_max), half_step, n_a)
+
+
+def _sweep(kind, times, n_t0):
+    m = table1_model()
+    if kind == "envelope":
+        return ramsey_envelope(m, ENVELOPE[0], times, n_t0=n_t0, n_a=ENVELOPE[1])
+    return expectation_unsynchronized(m, SWEEPS[kind](times), n_t0)
+
+
+@pytest.mark.parametrize("kind", [*SWEEPS, "envelope"])
+@pytest.mark.parametrize("n_t0", [40, 400])
+def test_one_block_sweep_is_the_mean_over_the_phase_table(kind, n_t0):
+    # 101 delays at 400 offsets, the CLI default, stay one block with the
+    # bits of the whole delays x offsets table
+    m = table1_model()
+    delays = np.linspace(2e-5, 6e-4, 101)
+    assert delays.size * n_t0 <= sequences._SWEEP_PHASES
+    for times in (delays, delays[7]):  # and one delay, a scalar
+        seq = SWEEPS["ramsey" if kind == "envelope" else kind](times)
+        phi = phase_of(m, seq, _trigger_offsets(m, n_t0))
+        want = np.mean(_envelope_of_phases(phi) if kind == "envelope" else np.cos(phi), axis=-1)
+        assert np.array_equal(_sweep(kind, times, n_t0), want)
+
+
+@pytest.mark.parametrize("kind", ["hahn", "envelope"])
+def test_multi_block_sweep_is_its_blocks_calls(kind):
+    # 2 blocks and a remainder of 7 delays, each block its own one-block call
+    n_t0 = 400
+    rows = sequences._SWEEP_PHASES // n_t0
+    times = np.linspace(2e-5, 6e-4, 2 * rows + 7)
+    want = np.concatenate([_sweep(kind, times[i:i + rows], n_t0)
+                           for i in range(0, times.size, rows)])
+    assert np.array_equal(_sweep(kind, times, n_t0), want)
+
+
+@pytest.mark.parametrize("kind, n_delays", [("hahn", 25_000), ("envelope", 12_500)])
+def test_sweep_memory_is_bounded_by_its_blocks(kind, n_delays):
+    # 25 000 (12 500) delays x 400 offsets: the delays x offsets phase table
+    # alone would take 80 (40) MB, 160 (80) MB complex; one block's complex
+    # product takes 4.2 MB, and only one is alive at a time
+    times = np.linspace(1e-3, 2e-3, n_delays)
+    tracemalloc.start()
+    try:
+        out = _sweep(kind, times, 400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 16 * sequences._SWEEP_PHASES
+    assert np.all(np.abs(out) <= 1.0)
+
+
+# ---------------------------------------------------------------------------
 # revivals
 # ---------------------------------------------------------------------------
 
@@ -360,7 +425,7 @@ def test_envelope_exactly_on_a_pole(n_a, monkeypatch):
     def fake_phase_of(model, seq, t0):
         return table.reshape(np.shape(seq.tau) + (table.shape[-1],))
 
-    monkeypatch.setattr(sequences, "phase_of", fake_phase_of)
+    monkeypatch.setattr(sequences, "_phases", lambda r, e: table)  # each block's phases
     monkeypatch.setattr(oracles, "phase_of", fake_phase_of)
     got = ramsey_envelope(FIFTY, a_range, [1e-3], n_t0=table.shape[-1], n_a=n_a)
     want = ramsey_envelope_direct(FIFTY, a_range, [1e-3], n_t0=table.shape[-1], n_a=n_a)
